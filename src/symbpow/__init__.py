@@ -6,7 +6,8 @@ from .decomposition import (IrreducibleComponent, MonomialPrime,
                             irreducible_decomposition, localize,
                             max_associated_primes, sigma)
 from .errors import (DimensionMismatchError, NonAssociatedPrimeWarning,
-                     PowersCoincideWarning, ResourceLimitError)
+                     PowersCoincideWarning, ResourceLimitError,
+                     VerificationError)
 from .geometry import (NewtonPolyhedron, SymbolicPolyhedron, alpha_polyhedron,
                        caratheodory_decompose, enumerate_vertices,
                        newton_polyhedron, np_member, realizing_denominator,
@@ -25,6 +26,7 @@ __all__ = [
     "IrreducibleComponent", "Monomial", "MonomialIdeal", "MonomialPrime",
     "NewtonPolyhedron", "NonAssociatedPrimeWarning", "ParseError",
     "PowersCoincideWarning", "ResourceLimitError", "SymbolicPolyhedron",
+    "VerificationError",
     "alpha", "alpha_polyhedron", "associated_primes", "beta", "big_height",
     "caratheodory_decompose", "chudnovsky_bound", "contains",
     "enumerate_vertices", "format_ideal", "intersect",

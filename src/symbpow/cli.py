@@ -36,11 +36,29 @@ def _common(parser):
                         help="append wall-clock timings (text format only)")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _var_counts(text: str) -> tuple[int, ...]:
+    """Comma-separated variable counts; a scan needs at least two variables
+    to draw an ideal with two incomparable associated primes."""
     try:
-        return tuple(int(p) for p in text.split(","))
+        counts = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+    if min(counts) < 2:
+        raise argparse.ArgumentTypeError(f"variable counts must be at least 2: {text!r}")
+    return counts
 
 
 def _check_list(text: str) -> tuple[str, ...]:
@@ -72,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd("bigheight", "largest height of an associated prime")
     cmd("sigma", "smallest generator support size")
     p = cmd("symbolic", "minimal generators of a symbolic power")
-    p.add_argument("-m", type=int, required=True, metavar="M")
+    p.add_argument("-m", type=_int_at_least(0), required=True, metavar="M")
     cmd("alpha", "least generator degree")
     cmd("beta", "largest generator degree")
     cmd("waldschmidt", "Waldschmidt constant (exact rational)")
@@ -82,9 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertices", action="store_true",
                    help="also enumerate vertices (V lines)")
     p = cmd("containment", "exploratory check I^(m) <= m^s I^r")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--m", type=_int_at_least(0), required=True)
+    p.add_argument("--s", type=_int_at_least(0), required=True)
+    p.add_argument("--r", type=_int_at_least(0), required=True)
     p = cmd("suite", "run named checks against one ideal")
     p.add_argument("--checks", type=_check_list, default=None,
                    help="comma-separated names (default: all)")
@@ -93,12 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=3)
     p.add_argument("--r-max", type=int, default=3)
     p = cmd("scan", "run suites against pseudo-random ideals", needs_file=False)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vars", type=_int_list, default=(3, 4),
+    p.add_argument("--vars", type=_var_counts, default=(3, 4),
                    help="ambient variable counts to draw from, e.g. 3,4")
-    p.add_argument("--max-exp", type=int, default=4)
-    p.add_argument("--max-gens", type=int, default=6)
+    p.add_argument("--max-exp", type=_int_at_least(1), default=4)
+    p.add_argument("--max-gens", type=_int_at_least(2), default=6)
     p.add_argument("--sqfree", action="store_true",
                    help="generate only square-free ideals")
     p.add_argument("--checks", type=_check_list, default=None)
@@ -140,6 +158,9 @@ def _dispatch(args) -> tuple[str, int]:
 
     doc = load_ideal(args.file)
     I, names = doc.ideal, doc.names
+    if I.is_zero or I.is_unit:
+        raise ParseError(f"{args.file}: every command needs a proper non-zero "
+                         f"ideal, this file gives the {'zero' if I.is_zero else 'unit'} ideal")
 
     if args.command == "info":
         report = invariant_report(I, names)
@@ -168,8 +189,6 @@ def _dispatch(args) -> tuple[str, int]:
                               sort_keys=True) + "\n", 0
         return f"{encode_value(value)}\n", 0
     if args.command == "symbolic":
-        if args.m < 0:
-            raise ParseError("m must be non-negative")
         sym = symbolic_power(I, args.m)
         if args.format == STRUCTURED:
             return json.dumps({"m": args.m, "vars": list(names),

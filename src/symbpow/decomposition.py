@@ -23,7 +23,8 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .errors import NonAssociatedPrimeWarning, PowersCoincideWarning
+from .errors import (NonAssociatedPrimeWarning, PowersCoincideWarning,
+                     VerificationError)
 from .monomial import Monomial, MonomialIdeal, intersect, minimal_vectors
 
 _DECOMP_CACHE_SIZE = 1024
@@ -177,7 +178,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
 
     recombined = reduce(intersect, (k.to_ideal() for k in kept))
     if recombined != I:
-        raise AssertionError(
+        raise VerificationError(
             f"irreducible decomposition does not recombine to the input: {I}")
     return tuple(kept)
 

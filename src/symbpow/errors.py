@@ -19,6 +19,15 @@ class ResourceLimitError(RuntimeError):
         super().__init__(f"{what}: needs {needed}, budget is {limit}")
 
 
+class VerificationError(AssertionError):
+    """A computed result failed its independent re-check.
+
+    Raised explicitly rather than by ``assert``, so the check still runs
+    under ``python -O``; it still subclasses AssertionError because a failed
+    re-check is an internal bug, not bad input.
+    """
+
+
 class NonAssociatedPrimeWarning(UserWarning):
     """Localizing at a prime that is not an associated prime of the ideal."""
 

@@ -30,7 +30,7 @@ from math import comb, lcm
 from . import lp
 from . import results as R
 from .decomposition import MonomialPrime, big_height, localize, max_associated_primes
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, VerificationError
 from .linalg import nullspace, solve_square
 from .monomial import Monomial, MonomialIdeal, contains, power
 from .results import CheckResult
@@ -178,10 +178,12 @@ def _optimize_over(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[Fr
         col0 += k
     cost = [Fraction(c) for c in objective] + [Fraction(0)] * (ncols - d)
     result = lp.solve(lp.LinearProgram.make(matrix, rhs, senses, cost))
-    assert result.status == lp.OPTIMAL, f"alpha LP ended {result.status}"
+    if result.status != lp.OPTIMAL:
+        raise VerificationError(f"alpha LP ended {result.status}")
     point = result.solution[:d]
     for _, N in Q.components:
-        assert np_member(N, point), "LP point escapes a component"
+        if not np_member(N, point):
+            raise VerificationError("LP point escapes a component")
     return result.value, point
 
 
@@ -248,7 +250,8 @@ def caratheodory_decompose(N: NewtonPolyhedron, P: MonomialPrime, a) -> Caratheo
     matrix.append([Fraction(1)] * k + [Fraction(0)] * h)
     rhs.append(Fraction(1))
     base = lp.feasible_point(matrix, rhs, [lp.EQ] * (h + 1))
-    assert base is not None, "membership holds but the certificate LP failed"
+    if base is None:
+        raise VerificationError("membership holds but the certificate LP failed")
     lam = list(base[:k])
 
     def active():
@@ -268,7 +271,8 @@ def caratheodory_decompose(N: NewtonPolyhedron, P: MonomialPrime, a) -> Caratheo
             square = [[Fraction(N.gens[j][i]) for j in act] for i in pvars]
             square.append([Fraction(1)] * len(act))
             mu = solve_square(square, target)
-            assert mu is not None
+            if mu is None:
+                raise VerificationError("affinely independent points gave a singular system")
         if all(m <= 0 for m in mu):
             mu = [-m for m in mu]
         t = min(lam[j] / m for j, m in zip(act, mu) if m > 0)
@@ -282,11 +286,14 @@ def caratheodory_decompose(N: NewtonPolyhedron, P: MonomialPrime, a) -> Caratheo
     for j in act:
         for i in range(N.ambient_dim):
             cone[i] -= lam[j] * N.gens[j][i]
-    assert all(c >= 0 for c in cone), "negative orthant part"
-    assert sum(lam[j] for j in act) == 1
+    if any(c < 0 for c in cone):
+        raise VerificationError("negative orthant part")
+    if sum(lam[j] for j in act) != 1:
+        raise VerificationError("convex weights do not sum to 1")
     weights = tuple((N.gens[j], lam[j]) for j in act)
     deco = CaratheodoryDecomposition(pt, weights, tuple(cone))
-    assert deco.reconstruction() == pt
+    if deco.reconstruction() != pt:
+        raise VerificationError("decomposition does not reconstruct the point")
     return deco
 
 
@@ -305,10 +312,11 @@ def realizing_denominator(I: MonomialIdeal, a) -> int:
         decos.append(deco)
         b = lcm(b, deco.denominator())
     scaled = [b * x for x in pt]
-    assert all(x.denominator == 1 for x in scaled)
+    if any(x.denominator != 1 for x in scaled):
+        raise VerificationError(f"b = {b} does not clear the denominators of {pt}")
     witness = Monomial(tuple(int(x) for x in scaled))
-    assert contains(symbolic_power(I, b), witness), \
-        "certificate monomial escapes the symbolic power"
+    if not contains(symbolic_power(I, b), witness):
+        raise VerificationError("certificate monomial escapes the symbolic power")
     return b
 
 
@@ -401,7 +409,8 @@ def enumerate_vertices(Q: SymbolicPolyhedron,
             continue
         if all(np_member(N, sol) for _, N in Q.components):
             vertices.add(tuple(sol))
-    assert vertices, "a pointed non-empty polyhedron must have a vertex"
+    if not vertices:
+        raise VerificationError("a pointed non-empty polyhedron must have a vertex")
     return tuple(sorted(vertices))
 
 

@@ -172,3 +172,31 @@ def test_timings_flag(rot3_file, capsys):
                            "--timings")
     assert code == 0
     assert "[" in out and "s]" in out
+
+
+def test_scan_one_variable_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--vars", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --vars" in err
+    assert "Traceback" not in err
+
+
+def test_containment_negative_s_is_usage_error(rot3_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["containment", rot3_file, "--m", "2", "--r", "1", "--s", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --s: must be at least 0" in err
+    assert "Traceback" not in err
+
+
+def test_info_on_zero_ideal_is_exit_2(tmp_path, capsys):
+    empty = tmp_path / "zero.ideal"
+    empty.write_text("vars: x y\ngens:\n")
+    code, out, err = run_cli(capsys, "info", str(empty))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "zero ideal" in err

@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbpow.results as R
+from symbpow import lp
 from symbpow.decomposition import MonomialPrime
-from symbpow.errors import ResourceLimitError
-from symbpow.geometry import (NewtonPolyhedron, alpha_polyhedron,
+from symbpow.errors import ResourceLimitError, VerificationError
+from symbpow.geometry import (NewtonPolyhedron, _optimize_over, alpha_polyhedron,
                               caratheodory_decompose, check_stairs_containment,
                               component_facets, enumerate_vertices,
                               member_scaled, newton_polyhedron, np_member,
@@ -60,6 +61,17 @@ def test_alpha_rot3(rot3):
     value, point = alpha_polyhedron(symbolic_polyhedron(rot3))
     assert value == F(2)
     assert point == (F(2, 3), F(2, 3), F(2, 3))
+
+
+@pytest.mark.parametrize("status, solution", [
+    (lp.UNBOUNDED, None),
+    (lp.OPTIMAL, (F(0), F(0), F(0))),  # a point outside every component
+])
+def test_tampered_alpha_lp_raises(edges3, monkeypatch, status, solution):
+    Q = symbolic_polyhedron(edges3)
+    monkeypatch.setattr(lp, "solve", lambda prog: lp.LPResult(status, F(0), solution))
+    with pytest.raises(VerificationError):
+        _optimize_over(Q, [1, 1, 1])
 
 
 def test_alpha_triples4(triples4):

@@ -141,3 +141,36 @@ def test_invariant_report(rot3):
     assert rep["squarefree"] is False
     assert rep["symbolic_equals_ordinary"] is False
     assert rep["integrally_closed"] is True
+
+
+# waldschmidt_point as the Fraction-tableau simplex returned it, before the
+# integer tableau replaced it.  Where the optimum is not unique (the last
+# three rows) the point is the vertex that the pivot rules reach, so these
+# tuples pin the pivot path; the very last ideal returns another optimal
+# vertex if the entering column is chosen by any rule but Bland's.  The
+# first five five-variable ideals are
+# _random_general(SplitRng(7, ("pinned-pivots",)).child(i), 5, 4, 6), the
+# last is ideal v5-23 of the benchmark's Waldschmidt corpus.
+PINNED_POINTS = [
+    (3, [(1, 2, 0), (0, 1, 2), (2, 0, 1), (1, 1, 1)], ("2/3", "2/3", "2/3")),
+    (4, [(1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1)],
+     ("1/2", "1/2", "1/2", "1/2")),
+    (3, [(1, 1, 0), (1, 0, 1), (0, 1, 1)], ("1/2", "1/2", "1/2")),
+    (5, [(1, 0, 1, 3, 3), (2, 2, 0, 2, 2), (2, 2, 2, 4, 0), (4, 2, 3, 1, 1),
+         (1, 4, 4, 2, 1)], ("91/46", "37/23", "9/46", "97/46", "43/23")),
+    (5, [(2, 4, 0, 1, 1), (2, 4, 4, 1, 0)], ("2", "4", "0", "1", "1")),
+    (5, [(2, 0, 1, 3, 3), (0, 4, 3, 0, 3), (3, 4, 1, 2, 0), (4, 3, 0, 2, 1),
+         (3, 3, 2, 1, 3), (4, 4, 0, 4, 0)],
+     ("600/223", "616/223", "201/223", "372/223", "207/223")),
+    (5, [(4, 3, 0, 4, 2), (4, 1, 4, 3, 4)], ("4", "3", "0", "4", "2")),
+    (5, [(2, 3, 0, 1, 1), (3, 2, 3, 4, 1)], ("2", "3", "0", "1", "1")),
+    (2, [(2, 0), (0, 2)], ("0", "2")),
+    (3, [(2, 1, 0), (1, 2, 0), (0, 0, 3)], ("0", "0", "3")),
+    (5, [(0, 2, 3, 1, 0), (4, 0, 1, 1, 0), (0, 0, 5, 2, 2), (2, 0, 2, 5, 5)],
+     ("0", "2", "3", "1", "0")),
+]
+
+
+@pytest.mark.parametrize("dim, gens, point", PINNED_POINTS)
+def test_waldschmidt_point_is_pinned(dim, gens, point):
+    assert waldschmidt_point(ideal_of(dim, *gens)) == tuple(F(x) for x in point)

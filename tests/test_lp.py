@@ -1,5 +1,6 @@
 """Exact simplex solver tests, including a float cross-check against scipy."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symbpow import lp
+from symbpow.errors import VerificationError
 from symbpow.linalg import nullspace, solve_any, solve_square
 
 F = Fraction
@@ -23,11 +25,54 @@ def test_known_optimum():
     assert res.status == lp.OPTIMAL
     assert res.value == F(4, 3)
     assert res.solution == (F(2, 3), F(2, 3))
+    assert res.dual == (F(1, 3), F(1, 3))
+
+
+def test_dual_of_a_flipped_row():
+    # min -x  s.t.  x <= 3/2, x - y == -1  (a negative right-hand side)
+    prog = make_lp([[1, 0], [1, -1]], [F(3, 2), -1], [lp.LE, lp.EQ], [-1, 0])
+    res = lp.solve(prog)
+    assert res.solution == (F(3, 2), F(5, 2))
+    assert res.dual == (F(-1), F(0))
 
 
 def test_infeasible():
     prog = make_lp([[1], [1]], [1, 0], [lp.GE, lp.LE], [1])
-    assert lp.solve(prog).status == lp.INFEASIBLE
+    res = lp.solve(prog)
+    assert res.status == lp.INFEASIBLE
+    y = res.dual  # a Farkas ray: y_0 >= 0, y_1 <= 0, y_0 + y_1 <= 0, y_0 > 0
+    assert y[0] > 0 and y[1] <= -y[0]
+
+
+def _known_optimum():
+    prog = make_lp([[1, 2], [2, 1]], [2, 2], [lp.GE, lp.GE], [1, 1])
+    return prog, lp.solve(prog)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda r: replace(r, value=r.value + 1),
+    lambda r: replace(r, solution=(F(0), F(0)), value=F(0)),
+    # feasible but not optimal: only the dual certificate catches it
+    lambda r: replace(r, solution=(F(2), F(0)), value=F(2)),
+    lambda r: replace(r, dual=None),
+    lambda r: replace(r, dual=(F(-1, 3), F(1, 3))),  # wrong sign for >=
+    lambda r: replace(r, dual=(F(1), F(0))),  # A^T y exceeds c
+    lambda r: replace(r, dual=(F(0), F(0))),  # duality gap
+    lambda r: lp.LPResult(lp.INFEASIBLE, None, None, (F(1), F(1))),
+])
+def test_tampered_result_raises(tamper):
+    prog, good = _known_optimum()
+    lp._verify(prog, good)
+    with pytest.raises(VerificationError):
+        lp._verify(prog, tamper(good))
+
+
+def test_solve_rejects_a_wrong_tableau_answer(monkeypatch):
+    prog, good = _known_optimum()
+    suboptimal = replace(good, solution=(F(2), F(0)), value=F(2))
+    monkeypatch.setattr(lp._Tableau, "solve", lambda self: suboptimal)
+    with pytest.raises(VerificationError):
+        lp.solve(prog)
 
 
 def test_unbounded():
@@ -50,6 +95,7 @@ def test_degenerate_redundant_rows():
     res = lp.solve(prog)
     assert res.status == lp.OPTIMAL
     assert res.value == F(2)  # all weight on x
+    assert res.dual == (F(1), F(0), F(0))  # the dropped row's multiplier is 0
 
 
 def test_feasible_point():
@@ -107,3 +153,45 @@ def test_matches_scipy_on_ge_programs(matrix, rhs, cost):
         assert abs(float(ours.value) - ref.fun) < 1e-7
     elif ref.status == 2:
         assert ours.status == lp.INFEASIBLE
+
+
+# a few Fraction entries of both signs, so rows need scaling and flipping
+mixed_entry = st.one_of(st.integers(min_value=-3, max_value=4),
+                        st.fractions(min_value=-3, max_value=4, max_denominator=4))
+sense = st.sampled_from([lp.LE, lp.GE, lp.EQ])
+
+
+@given(st.lists(st.tuples(st.lists(mixed_entry, min_size=3, max_size=3),
+                          mixed_entry, sense), min_size=1, max_size=5),
+       st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=3),
+       st.integers(min_value=0, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_matches_scipy_on_mixed_programs(rows, cost, redundant):
+    matrix = [list(r) for r, _, _ in rows]
+    rhs = [b for _, b, _ in rows]
+    senses = [s for _, _, s in rows]
+    # redundant equalities: a multiple of an existing row, kept as EQ, plus
+    # the same row once more, which the phase-1 purge must drop
+    for i in range(redundant):
+        k = i % len(rows)
+        matrix += [list(matrix[k]), [2 * a for a in matrix[k]]]
+        rhs += [rhs[k], 2 * rhs[k]]
+        senses += [lp.EQ, lp.EQ]
+    ours = lp.solve(make_lp(matrix, rhs, senses, cost))
+    A = np.array([[float(a) for a in row] for row in matrix])
+    b = np.array([float(x) for x in rhs])
+    le = [i for i, s in enumerate(senses) if s == lp.LE]
+    ge = [i for i, s in enumerate(senses) if s == lp.GE]
+    eq = [i for i, s in enumerate(senses) if s == lp.EQ]
+    A_ub = np.vstack([A[le], -A[ge]]) if le or ge else None
+    b_ub = np.concatenate([b[le], -b[ge]]) if le or ge else None
+    ref = linprog(c=cost, A_ub=A_ub, b_ub=b_ub,
+                  A_eq=A[eq] if eq else None, b_eq=b[eq] if eq else None,
+                  method="highs")
+    if ref.status == 0:
+        assert ours.status == lp.OPTIMAL
+        assert abs(float(ours.value) - ref.fun) < 1e-7
+        assert ours.dual is not None
+    elif ref.status == 2:
+        assert ours.status == lp.INFEASIBLE
+        assert ours.dual is not None
