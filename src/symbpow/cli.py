@@ -23,7 +23,7 @@ from .geometry import (alpha_polyhedron, enumerate_vertices,
 from .invariants import alpha, beta, invariant_report, waldschmidt_point
 from .parsing import ParseError, format_ideal, load_ideal
 from .results import encode_value
-from .symbolic import check_symbolic_in_mpower, symbolic_power
+from .symbolic import symbolic_power
 
 TEXT, STRUCTURED = "text", "structured"
 
@@ -107,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", type=_check_list, default=None,
                    help="comma-separated names (default: all)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m-max", type=int, default=3)
-    p.add_argument("--t-max", type=int, default=3)
-    p.add_argument("--r-max", type=int, default=3)
+    p.add_argument("--m-max", type=_int_at_least(1), default=3)
+    p.add_argument("--t-max", type=_int_at_least(1), default=3)
+    p.add_argument("--r-max", type=_int_at_least(1), default=3)
     p = cmd("scan", "run suites against pseudo-random ideals", needs_file=False)
     p.add_argument("--count", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -198,7 +198,7 @@ def _dispatch(args) -> tuple[str, int]:
     if args.command == "polyhedron":
         return _polyhedron_cmd(args, I, names)
     if args.command == "containment":
-        res = check_symbolic_in_mpower(I, args.m, args.s, args.r)
+        res = harness.check_symbolic_in_mpower(I, args.m, args.s, args.r)
         if args.format == STRUCTURED:
             return json.dumps(harness.result_to_dict(res, names),
                               sort_keys=True) + "\n", 0
@@ -261,10 +261,7 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             text, code = _dispatch(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -25,7 +25,8 @@ from functools import lru_cache, reduce
 
 from .errors import (NonAssociatedPrimeWarning, PowersCoincideWarning,
                      VerificationError)
-from .monomial import Monomial, MonomialIdeal, intersect, minimal_vectors
+from .monomial import (Monomial, MonomialIdeal, intersect, minimal_vectors,
+                       require_proper)
 
 _DECOMP_CACHE_SIZE = 1024
 
@@ -146,8 +147,7 @@ def _split_pivot(I: MonomialIdeal) -> tuple[Monomial, Monomial] | None:
 def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """The unique irredundant irreducible decomposition, deterministically
     ordered.  Rejects the zero and unit ideals."""
-    if I.is_zero or I.is_unit:
-        raise ValueError("decomposition needs a proper non-zero ideal")
+    require_proper(I)
 
     leaves: set[MonomialIdeal] = set()
     seen: set[MonomialIdeal] = set()
@@ -214,8 +214,7 @@ def localize(I: MonomialIdeal, P: MonomialPrime) -> MonomialIdeal:
     (the result is still well defined)."""
     if I.ambient_dim != P.ambient_dim:
         raise ValueError("ideal and prime disagree on the ambient ring")
-    if I.is_zero or I.is_unit:
-        raise ValueError("localization needs a proper non-zero ideal")
+    require_proper(I)
     if P not in associated_primes(I):
         warnings.warn(
             f"{P} is not an associated prime of {I}",
@@ -231,6 +230,5 @@ def sigma(I: MonomialIdeal) -> int:
     """Least support size over the minimal generators.  Every monomial of I
     is divisible by a generator, so it is the least support size over all
     monomials of I."""
-    if I.is_zero or I.is_unit:
-        raise ValueError("sigma needs a proper non-zero ideal")
+    require_proper(I)
     return min(len(g.support) for g in I.gens)

@@ -21,20 +21,17 @@ large randomized sweeps affordable.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm
 
 from . import lp
-from . import results as R
-from .decomposition import MonomialPrime, big_height, localize, max_associated_primes
+from .decomposition import MonomialPrime, localize, max_associated_primes
 from .errors import ResourceLimitError, VerificationError
 from .linalg import nullspace, solve_square
-from .monomial import Monomial, MonomialIdeal, contains, power
-from .results import CheckResult
-from .rng import SplitRng
+from .monomial import (Monomial, MonomialIdeal, as_prime_power, contains,
+                       require_proper)
 from .symbolic import symbolic_power
 
 MAX_ENUM_DIM = 6
@@ -58,16 +55,8 @@ class NewtonPolyhedron:
 
     @cached_property
     def simplex_power(self) -> tuple[tuple[int, ...], int] | None:
-        degrees = {sum(g) for g in self.gens}
-        if len(degrees) != 1:
-            return None
-        m = degrees.pop()
-        if m < 1:
-            return None
-        s_vars = sorted({i for g in self.gens for i, e in enumerate(g) if e})
-        if len(self.gens) != comb(m + len(s_vars) - 1, len(s_vars) - 1):
-            return None
-        return tuple(s_vars), m
+        """(sorted S, m) when this is the polyhedron of P^m for the prime on S."""
+        return as_prime_power(self.gens)
 
 
 def newton_polyhedron(I: MonomialIdeal) -> NewtonPolyhedron:
@@ -86,8 +75,7 @@ class SymbolicPolyhedron:
 def symbolic_polyhedron(I: MonomialIdeal) -> SymbolicPolyhedron:
     """One Newton polyhedron per maximal associated prime, in the order of
     the primes."""
-    if I.is_zero or I.is_unit:
-        raise ValueError("need a proper non-zero ideal")
+    require_proper(I)
     comps = []
     for P in max_associated_primes(I):
         comps.append((P, newton_polyhedron(localize(I, P))))
@@ -266,7 +254,8 @@ def caratheodory_decompose(N: NewtonPolyhedron, P: MonomialPrime, a) -> Caratheo
             mu = kern[0]
         else:
             # h+1 affinely independent points: ride the first coordinate ray
-            # of the prime down to the boundary of their simplex
+            # of the prime down to the boundary of their simplex; the ray's
+            # share lands in the cone part below
             target = [Fraction(1)] + [Fraction(0)] * (h - 1) + [Fraction(0)]
             square = [[Fraction(N.gens[j][i]) for j in act] for i in pvars]
             square.append([Fraction(1)] * len(act))
@@ -278,8 +267,6 @@ def caratheodory_decompose(N: NewtonPolyhedron, P: MonomialPrime, a) -> Caratheo
         t = min(lam[j] / m for j, m in zip(act, mu) if m > 0)
         for j, m in zip(act, mu):
             lam[j] -= t * m
-        if not kern:
-            pass  # the ray contribution t lands in the cone part below
         act = active()
 
     cone = list(pt)
@@ -415,7 +402,7 @@ def enumerate_vertices(Q: SymbolicPolyhedron,
 
 
 # ---------------------------------------------------------------------------
-# staircase containment check
+# staircase membership and probe points
 
 
 def stairs_member(J: MonomialIdeal, point) -> bool:
@@ -425,52 +412,25 @@ def stairs_member(J: MonomialIdeal, point) -> bool:
                for g in J.gens)
 
 
-def check_stairs_containment(I: MonomialIdeal, r: int, sample_count: int = 8,
-                             seed: int = 0,
-                             max_facets: int = DEFAULT_MAX_FACETS,
-                             max_candidates: int = DEFAULT_MAX_CANDIDATES) -> CheckResult:
-    """e*r*Q sits inside the staircase region of I^r: checked on every
-    vertex of Q plus pseudo-random convex combinations; if vertex
-    enumeration is over budget, falls back to sampling LP optima of random
-    positive objectives (flagged sampled_only)."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    start = time.perf_counter()
-    e = big_height(I)
-    Q = symbolic_polyhedron(I)
-    Ir = power(I, r)
+def probe_points(Q: SymbolicPolyhedron, sample_count: int, rng,
+                 max_facets: int = DEFAULT_MAX_FACETS,
+                 max_candidates: int = DEFAULT_MAX_CANDIDATES):
+    """Points of Q to test a statement on: every vertex plus sample_count
+    pseudo-random convex combinations of them.  If vertex enumeration is
+    over budget, sample_count LP optima of random positive objectives
+    instead.  Returns (points, vertex count, sampled_only)."""
     d = Q.ambient_dim
-    rng = SplitRng(seed, ("stairs", r))
-    points: list[tuple[Fraction, ...]] = []
-    sampled_only = False
-    vertex_count = 0
     try:
         verts = enumerate_vertices(Q, max_facets, max_candidates)
-        points.extend(verts)
-        vertex_count = len(verts)
-        for _ in range(sample_count):
-            w = rng.convex_weights(len(verts))
-            points.append(tuple(sum(wi * v[i] for wi, v in zip(w, verts))
-                                for i in range(d)))
     except ResourceLimitError:
-        sampled_only = True
+        points = []
         for _ in range(sample_count):
             objective = [Fraction(rng.randint(1, 64)) for _ in range(d)]
-            _, point = _optimize_over(Q, objective)
-            points.append(point)
-    bad = None
-    for pt in points:
-        scaled = tuple(e * r * x for x in pt)
-        if not stairs_member(Ir, scaled):
-            bad = pt
-            break
-    details = {"e": e, "vertices": vertex_count, "samples": sample_count,
-               "sampled_only": sampled_only, "seed": seed}
-    if bad is not None:
-        details["witness_point"] = [str(x) for x in bad]
-    return CheckResult(
-        name="stairs",
-        verdict=R.HOLDS if bad is None else R.FAILS,
-        params={"r": r},
-        details=details,
-        elapsed=time.perf_counter() - start)
+            points.append(_optimize_over(Q, objective)[1])
+        return points, 0, True
+    points = list(verts)
+    for _ in range(sample_count):
+        w = rng.convex_weights(len(verts))
+        points.append(tuple(sum(wi * v[i] for wi, v in zip(w, verts))
+                            for i in range(d)))
+    return points, len(verts), False

@@ -1,12 +1,16 @@
-"""Batch machinery: named checks, suites over one ideal, randomized scans.
+"""Batch machinery: the check table, suites over one ideal, randomized scans.
 
-A suite runs a selection of checks over small parameter grids against one
-ideal and tallies the outcomes.  A scan generates a pseudo-random corpus
-(square-free ideals come from intersecting a minimal family of monomial
-primes, which doubles as a free oracle for the associated primes) and runs
-a suite on each member, collecting failures of proven statements (bugs)
-and failures of conjectured ones (candidate counterexamples) into a
-findings list with enough detail to reproduce each one.
+Every named check is one row of the check table (CHECKS): a parameter grid
+read from SuiteRanges, a hypothesis predicate, and a body that either asks
+the containment kernel whether lhs sits inside m^s * rhs or returns a
+verdict of its own.  A suite runs a selection of rows over their grids
+against one ideal and tallies the outcomes.  A scan generates a
+pseudo-random corpus (square-free ideals come from intersecting a minimal
+family of monomial primes, which doubles as a free oracle for the
+associated primes) and runs a suite on each member, collecting failures of
+proven statements (bugs) and failures of conjectured ones (candidate
+counterexamples) into a findings list with enough detail to reproduce each
+one.
 
 Reports serialize two ways: human-oriented text, and line-delimited JSON
 with sorted keys, exact "p/q" rationals, and no wall-clock timings, so a
@@ -18,23 +22,27 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
+from math import ceil
+from typing import Callable, NamedTuple
 
 from . import results as R
-from .decomposition import associated_primes
+from .decomposition import (associated_primes, big_height, localize,
+                            max_associated_primes, sigma)
 from .errors import ResourceLimitError
-from .geometry import check_stairs_containment, member_scaled, symbolic_polyhedron
-from .invariants import (check_alpha_equality, check_alpha_lower,
-                         check_alpha_slope, check_chudnovsky,
-                         check_equigenerated_containment,
-                         check_integrally_closed_bound)
-from .monomial import Monomial, MonomialIdeal, intersect
+from .geometry import (DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_FACETS,
+                       member_scaled, probe_points, stairs_member,
+                       symbolic_polyhedron)
+from .invariants import (DEFAULT_CLOSURE_BUDGET, alpha, beta,
+                         chudnovsky_bound, is_equigenerated,
+                         is_integrally_closed, waldschmidt)
+from .monomial import (Monomial, MonomialIdeal, containment_witness, contains,
+                       intersect, is_squarefree, power, require_proper)
 from .parsing import default_names, format_ideal
 from .results import CheckResult, encode_value
 from .rng import SplitRng
-from .symbolic import (check_equal_exponent_containment,
-                       check_refined_containment, check_squarefree_containment,
-                       check_support_step, check_symbolic_step, symbolic_power)
+from .symbolic import equal_exponent_condition, symbolic_power
 
 
 @dataclass(frozen=True)
@@ -47,94 +55,403 @@ class SuiteRanges:
     slope_threshold_cap: int = 12
 
 
-def check_polyhedron_bound(I: MonomialIdeal, m: int) -> CheckResult:
+# ---------------------------------------------------------------------------
+# the check table
+
+
+class Containment(NamedTuple):
+    """A body's question for the kernel: does lhs sit inside m^s * rhs?
+
+    probe_witness: on failure, also record whether the witness lies in rhs
+    itself.  params and kind, when set, replace the requested params and
+    the row's kind in the result."""
+
+    lhs: MonomialIdeal
+    rhs: MonomialIdeal
+    s: int
+    details: dict
+    probe_witness: bool = False
+    params: dict | None = None
+    kind: str | None = None
+
+
+class Outcome(NamedTuple):
+    """A body's own verdict, for checks that are not one containment; it is
+    not_applicable when part of the hypothesis is decided in the body."""
+
+    verdict: str
+    details: dict
+    witness: Monomial | None = None
+
+
+def _holds(ok: bool) -> str:
+    return R.HOLDS if ok else R.FAILS
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table.
+
+    grid maps each parameter to the SuiteRanges field holding its largest
+    value, and options(ranges, seed) gives the keyword arguments a suite
+    adds.  hypothesis(I, **params, **options) returns the not-applicable
+    details, or None when the statement applies; body(I, **params,
+    **options) returns a Containment or an Outcome.  Every parameter must
+    be at least low."""
+
+    name: str
+    kind: str
+    body: Callable[..., Containment | Outcome]
+    grid: dict[str, str] = field(default_factory=dict)
+    hypothesis: Callable[..., dict | None] = lambda I, **_: None
+    options: Callable[[SuiteRanges, int], dict] = lambda ranges, seed: {}
+    low: int = 1
+
+    def points(self, ranges: SuiteRanges) -> list[dict]:
+        """Every assignment of 1..largest to each parameter, the last one
+        varying fastest."""
+        axes = (range(1, getattr(ranges, top) + 1) for top in self.grid.values())
+        return [dict(zip(self.grid, values)) for values in product(*axes)]
+
+    def run(self, I: MonomialIdeal, params: dict, **options) -> CheckResult:
+        """This check on I at one parameter point."""
+        require_proper(I)
+        if any(v < self.low for v in params.values()):
+            raise ValueError(f"{', '.join(params)} must be at least {self.low}")
+        start = time.perf_counter()
+        kind, witness = self.kind, None
+        details = self.hypothesis(I, **params, **options)
+        if details is not None:
+            verdict = R.NOT_APPLICABLE
+        else:
+            out = self.body(I, **params, **options)
+            if isinstance(out, Outcome):
+                verdict, details, witness = out
+            else:
+                witness = containment_witness(out.lhs, out.rhs, out.s)
+                verdict, details = _holds(witness is None), out.details
+                if witness is not None and out.probe_witness:
+                    details |= {"witness_in_symbolic_power": True,
+                                "witness_in_plain_power": contains(out.rhs, witness)}
+                params, kind = out.params or params, out.kind or kind
+        return CheckResult(
+            name=self.name, verdict=verdict, kind=kind, params=params,
+            details=details, witness=witness,
+            in_hypothesis=verdict != R.NOT_APPLICABLE,
+            elapsed=time.perf_counter() - start)
+
+
+def _main_theorem(I, m, t, r):
+    """I^(t(m+e-1)-e+r) <= m^((t-1)(e-1)+r-1) * (I^(m))^t, e the big height:
+    proven for square-free I, and it transfers verbatim to ideals whose
+    components raise each variable to a single common exponent
+    (substituting x_v^a -> y_v turns them square-free without changing
+    heights)."""
+    e = big_height(I)
+    lhs_exp = t * (m + e - 1) - e + r
+    s = (t - 1) * (e - 1) + r - 1
+    return Containment(
+        symbolic_power(I, lhs_exp), power(symbolic_power(I, m), t), s,
+        {"e": e, "lhs_symbolic_exponent": lhs_exp, "maximal_ideal_exponent": s})
+
+
+def _symbolic_step(I, r):
+    """I^(r+1) <= m * I^(r) for every r >= 1 (unconditional theorem)."""
+    return Containment(symbolic_power(I, r + 1), symbolic_power(I, r), 1, {})
+
+
+def _support_step(I, r):
+    """I^(r+e) <= m^sigma(I) * I^(r) with e the big height (theorem)."""
+    e, s = big_height(I), sigma(I)
+    return Containment(symbolic_power(I, r + e), symbolic_power(I, r), s,
+                       {"e": e, "sigma": s})
+
+
+def _refined_containment(I, r):
+    """I^(re-e+1) <= m^((r-1)(e-1)) * I^r.
+
+    Square-free: a consequence of the square-free containment theorem
+    (kind theorem).  In general it is the monomial form of a containment
+    conjecture with known counterexamples, so failures on non-square-free
+    input are candidate counterexamples, not bugs.
+    """
+    e = big_height(I)
+    sqfree = is_squarefree(I)
+    m_exp = r * e - e + 1
+    s = (r - 1) * (e - 1)
+    return Containment(
+        symbolic_power(I, m_exp), power(I, r), s,
+        {"e": e, "lhs_symbolic_exponent": m_exp, "maximal_ideal_exponent": s,
+         "squarefree": sqfree},
+        probe_witness=True, params={"r": r, "m": m_exp, "s": s},
+        kind=R.THEOREM if sqfree else R.CONJECTURE)
+
+
+def _symbolic_in_mpower(I, m, s, r):
+    """Exploratory membership check I^(m) <= m^s * I^r."""
+    lhs, rhs = symbolic_power(I, m), power(I, r)
+    return Containment(lhs, rhs, s,
+                       {"lhs_gens": len(lhs.gens), "rhs_gens": len(rhs.gens)},
+                       probe_witness=True)
+
+
+def _polyhedron_bound(I, m):
     """Every minimal generator of the m-th symbolic power has exponent
     vector inside m times the symbolic polyhedron."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    start = time.perf_counter()
     Q = symbolic_polyhedron(I)
     sym = symbolic_power(I, m)
     bad = next((g for g in sym.gens
                 if not member_scaled(Q, g.exponents, m)), None)
-    return CheckResult(
-        name="polyhedron_bound",
-        verdict=R.HOLDS if bad is None else R.FAILS,
-        params={"m": m},
-        details={"gens_checked": len(sym.gens)},
-        witness=bad,
-        elapsed=time.perf_counter() - start)
+    return Outcome(_holds(bad is None), {"gens_checked": len(sym.gens)}, bad)
 
 
-def _suite_plan(names, ranges: SuiteRanges, seed: int):
-    """Yield (check_name, params, thunk) for each selected run."""
-    grids = {
-        "squarefree_containment": lambda I: [
-            ({"m": m, "t": t, "r": r},
-             lambda I=I, m=m, t=t, r=r: check_squarefree_containment(I, m, t, r))
-            for m, t, r in product(range(1, ranges.m_max + 1),
-                                   range(1, ranges.t_max + 1),
-                                   range(1, ranges.r_max + 1))],
-        "equal_exponent_containment": lambda I: [
-            ({"m": m, "t": t, "r": r},
-             lambda I=I, m=m, t=t, r=r: check_equal_exponent_containment(I, m, t, r))
-            for m, t, r in product(range(1, ranges.m_max + 1),
-                                   range(1, ranges.t_max + 1),
-                                   range(1, ranges.r_max + 1))],
-        "symbolic_step": lambda I: [
-            ({"r": r}, lambda I=I, r=r: check_symbolic_step(I, r))
-            for r in range(1, ranges.r_max + 1)],
-        "support_step": lambda I: [
-            ({"r": r}, lambda I=I, r=r: check_support_step(I, r))
-            for r in range(1, ranges.r_max + 1)],
-        "refined_containment": lambda I: [
-            ({"r": r}, lambda I=I, r=r: check_refined_containment(I, r))
-            for r in range(1, ranges.r_max + 1)],
-        "polyhedron_bound": lambda I: [
-            ({"m": m}, lambda I=I, m=m: check_polyhedron_bound(I, m))
-            for m in range(1, ranges.m_max + 1)],
-        "alpha_lower": lambda I: [
-            ({"m": m}, lambda I=I, m=m: check_alpha_lower(I, m))
-            for m in range(1, ranges.alpha_m_cap + 1)],
-        "stairs": lambda I: [
-            ({"r": r}, lambda I=I, r=r: check_stairs_containment(
-                I, r, ranges.stairs_samples, seed))
-            for r in range(1, ranges.r_max + 1)],
-        "alpha_slope": lambda I: [
-            ({"r": r}, lambda I=I, r=r: check_alpha_slope(
-                I, r, threshold_cap=ranges.slope_threshold_cap))
-            for r in range(1, ranges.r_max + 1)],
-        "chudnovsky": lambda I: [({}, lambda I=I: check_chudnovsky(I))],
-        "equigenerated_containment": lambda I: [
-            ({"r": r}, lambda I=I, r=r: check_equigenerated_containment(I, r))
-            for r in range(1, ranges.r_max + 1)],
-        "alpha_equality": lambda I: [
-            ({"r": r}, lambda I=I, r=r: check_alpha_equality(I, r))
-            for r in range(1, ranges.r_max + 1)],
-        "integrally_closed_bound": lambda I: [
-            ({}, lambda I=I: check_integrally_closed_bound(I))],
-    }
-    for name in names:
-        if name not in grids:
-            raise ValueError(f"unknown check {name!r}")
-    return grids, list(names)
+def _alpha_lower(I, m):
+    """alpha of the m-th symbolic power is at least m times the Waldschmidt
+    constant (the sequence alpha(I^(m))/m decreases to its infimum)."""
+    w = waldschmidt(I)
+    am = alpha(symbolic_power(I, m))
+    return Outcome(_holds(am >= m * w),
+                   {"alpha_symbolic": am, "m_times_waldschmidt": m * w,
+                    "equality": am == m * w})
 
 
-CHECK_NAMES = (
-    "squarefree_containment",
-    "equal_exponent_containment",
-    "symbolic_step",
-    "support_step",
-    "refined_containment",
-    "polyhedron_bound",
-    "alpha_lower",
-    "stairs",
-    "alpha_slope",
-    "chudnovsky",
-    "equigenerated_containment",
-    "alpha_equality",
-    "integrally_closed_bound",
-)
+def _stairs(I, r, sample_count=8, seed=0, max_facets=DEFAULT_MAX_FACETS,
+            max_candidates=DEFAULT_MAX_CANDIDATES):
+    """e*r*Q sits inside the staircase region of I^r: checked on every
+    vertex of Q plus pseudo-random convex combinations; if vertex
+    enumeration is over budget, on sampled LP optima of random positive
+    objectives instead (flagged sampled_only)."""
+    e = big_height(I)
+    Ir = power(I, r)
+    points, vertex_count, sampled_only = probe_points(
+        symbolic_polyhedron(I), sample_count, SplitRng(seed, ("stairs", r)),
+        max_facets, max_candidates)
+    bad = next((pt for pt in points
+                if not stairs_member(Ir, tuple(e * r * x for x in pt))), None)
+    details = {"e": e, "vertices": vertex_count, "samples": sample_count,
+               "sampled_only": sampled_only, "seed": seed}
+    if bad is not None:
+        details["witness_point"] = [str(x) for x in bad]
+    return Outcome(_holds(bad is None), details)
+
+
+def _slope_threshold(I, r):
+    """(waldschmidt, I^r, max(e*r, beta(I^r)/waldschmidt))."""
+    w, Ir = waldschmidt(I), power(I, r)
+    return w, Ir, max(Fraction(big_height(I) * r), Fraction(beta(Ir)) / w)
+
+
+def _slope_hypothesis(I, r, m=None, **_):
+    if m is None:
+        return None  # the body picks the least m above the threshold
+    threshold = _slope_threshold(I, r)[2]
+    if m < threshold:
+        return {"threshold": threshold, "reason": "m below threshold"}
+    return None
+
+
+def _alpha_slope(I, r, m=None, threshold_cap=12):
+    """For m at least max(e*r, beta(I^r)/waldschmidt), the m-th symbolic
+    power sits in m^s * I^r with s = ceil(waldschmidt * m) - beta(I^r).
+
+    With m omitted, the least integer satisfying the hypothesis is used;
+    if that exceeds threshold_cap the check reports a resource limit
+    instead of computing an enormous symbolic power.
+    """
+    w, Ir, threshold = _slope_threshold(I, r)
+    if m is None:
+        m = ceil(threshold)
+        if m > threshold_cap:
+            return Outcome(R.RESOURCE_LIMIT, {"threshold": threshold,
+                                              "threshold_cap": threshold_cap})
+    br = beta(Ir)
+    s = ceil(w * m) - br
+    return Containment(
+        symbolic_power(I, m), Ir, max(s, 0),
+        {"s": max(s, 0), "clamped": s < 0, "threshold": threshold,
+         "beta_power": br, "waldschmidt": w},
+        params={"r": r, "m": m})
+
+
+def _chudnovsky(I):
+    """Conjectured lower bound: the Waldschmidt constant is at least
+    (alpha(I) + e - 1) / e.  A failure is a candidate counterexample, not a
+    bug."""
+    w, bound = waldschmidt(I), chudnovsky_bound(I)
+    return Outcome(_holds(w >= bound),
+                   {"alpha": alpha(I), "e": big_height(I), "waldschmidt": w,
+                    "bound": bound, "slack": w - bound})
+
+
+def _equigenerated_hypothesis(I, **_):
+    if not is_equigenerated(I):
+        return {"reason": "not equigenerated"}
+    if waldschmidt(I) < chudnovsky_bound(I):
+        return {"reason": "degree bound hypothesis fails"}
+    return None
+
+
+def _equigenerated_containment(I, r):
+    """When I is generated in one degree and the Chudnovsky-style bound
+    holds for it, I^(e*r) sits in m^((e-1)*r) * I^r."""
+    e = big_height(I)
+    s = (e - 1) * r
+    return Containment(symbolic_power(I, e * r), power(I, r), s, {"e": e, "s": s})
+
+
+def _alpha_equality_hypothesis(I, **_):
+    a, w = alpha(I), waldschmidt(I)
+    if w != a:
+        return {"alpha": a, "waldschmidt": w,
+                "reason": "waldschmidt differs from alpha"}
+    return None
+
+
+def _alpha_equality(I, r):
+    """When the Waldschmidt constant equals alpha(I): the Chudnovsky-style
+    bound follows, and if additionally beta(I) <= e * alpha(I) so does
+    I^(e*r) inside m^((e-1)*r) * I^r."""
+    a, e = alpha(I), big_height(I)
+    holds = waldschmidt(I) >= chudnovsky_bound(I)
+    details = {"alpha": a, "e": e, "chudnovsky_holds": holds}
+    if beta(I) > e * a:
+        return Outcome(_holds(holds), details | {
+            "containment_checked": False,
+            "reason_skipped": "beta exceeds e * alpha"})
+    c = _equigenerated_containment(I, r)
+    bad = containment_witness(c.lhs, c.rhs, c.s)
+    return Outcome(_holds(holds and bad is None),
+                   details | {"containment_checked": True, "s": c.s}, bad)
+
+
+def _closure_hypothesis(I, **_):
+    n, a = I.ambient_dim - 1, alpha(I)
+    if (n >= 3 and a >= n + 4) or (n == 2 and a >= 8):
+        return None
+    return {"n": n, "alpha": a, "reason": "alpha too small for this n"}
+
+
+def _integrally_closed_bound(I, max_points=DEFAULT_CLOSURE_BUDGET):
+    """For ideals in n+1 variables whose localizations at the maximal
+    associated primes are all integrally closed, with alpha(I) large
+    relative to n (alpha >= n+4 for n >= 3, alpha >= 8 for n = 2), the
+    Waldschmidt constant is at least (alpha(I) + n - 1) / n."""
+    n, a = I.ambient_dim - 1, alpha(I)
+    details = {"n": n, "alpha": a}
+    # the closure test of the hypothesis has a budget, so it runs here,
+    # where going over it can be reported as a resource limit
+    try:
+        for P in max_associated_primes(I):
+            if not is_integrally_closed(localize(I, P), max_points):
+                return Outcome(R.NOT_APPLICABLE, details | {
+                    "reason": "a localization is not integrally closed",
+                    "prime": P.render()})
+    except ResourceLimitError as exc:
+        return Outcome(R.RESOURCE_LIMIT, details | {"reason": str(exc)})
+    w, bound = waldschmidt(I), Fraction(a + n - 1, n)
+    return Outcome(_holds(w >= bound), details | {"waldschmidt": w, "bound": bound})
+
+
+# The suite runs these rows in this order; CHECK_NAMES is their key order.
+CHECKS: dict[str, Check] = {c.name: c for c in (
+    Check("squarefree_containment", R.THEOREM, _main_theorem,
+          grid={"m": "m_max", "t": "t_max", "r": "r_max"},
+          hypothesis=lambda I, **_: None if is_squarefree(I) else {
+              "reason": "ideal is not square-free"}),
+    Check("equal_exponent_containment", R.THEOREM, _main_theorem,
+          grid={"m": "m_max", "t": "t_max", "r": "r_max"},
+          hypothesis=lambda I, **_: None if equal_exponent_condition(I) else {
+              "reason": "some variable occurs with two different exponents"}),
+    Check("symbolic_step", R.THEOREM, _symbolic_step, grid={"r": "r_max"}),
+    Check("support_step", R.THEOREM, _support_step, grid={"r": "r_max"}),
+    Check("refined_containment", R.THEOREM, _refined_containment,
+          grid={"r": "r_max"}),
+    Check("polyhedron_bound", R.THEOREM, _polyhedron_bound, grid={"m": "m_max"}),
+    Check("alpha_lower", R.THEOREM, _alpha_lower, grid={"m": "alpha_m_cap"}),
+    Check("stairs", R.THEOREM, _stairs, grid={"r": "r_max"},
+          options=lambda ranges, seed: {"sample_count": ranges.stairs_samples,
+                                        "seed": seed}),
+    Check("alpha_slope", R.THEOREM, _alpha_slope, grid={"r": "r_max"},
+          hypothesis=_slope_hypothesis,
+          options=lambda ranges, seed: {"threshold_cap": ranges.slope_threshold_cap}),
+    Check("chudnovsky", R.CONJECTURE, _chudnovsky),
+    Check("equigenerated_containment", R.THEOREM, _equigenerated_containment,
+          grid={"r": "r_max"}, hypothesis=_equigenerated_hypothesis),
+    Check("alpha_equality", R.THEOREM, _alpha_equality, grid={"r": "r_max"},
+          hypothesis=_alpha_equality_hypothesis),
+    Check("integrally_closed_bound", R.THEOREM, _integrally_closed_bound,
+          hypothesis=_closure_hypothesis),
+)}
+CHECK_NAMES = tuple(CHECKS)
+
+# The exploratory command-line containment: same runner, not a suite row.
+SYMBOLIC_IN_MPOWER = Check("symbolic_in_mpower", R.EXPLORATION,
+                           _symbolic_in_mpower, low=0)
+
+
+# ---------------------------------------------------------------------------
+# public entry points: each runs one row at one parameter point
+
+
+def check_symbolic_in_mpower(I, m: int, s: int, r: int) -> CheckResult:
+    return SYMBOLIC_IN_MPOWER.run(I, {"m": m, "s": s, "r": r})
+
+
+def check_squarefree_containment(I, m: int, t: int, r: int) -> CheckResult:
+    return CHECKS["squarefree_containment"].run(I, {"m": m, "t": t, "r": r})
+
+
+def check_equal_exponent_containment(I, m: int, t: int, r: int) -> CheckResult:
+    return CHECKS["equal_exponent_containment"].run(I, {"m": m, "t": t, "r": r})
+
+
+def check_symbolic_step(I, r: int) -> CheckResult:
+    return CHECKS["symbolic_step"].run(I, {"r": r})
+
+
+def check_support_step(I, r: int) -> CheckResult:
+    return CHECKS["support_step"].run(I, {"r": r})
+
+
+def check_refined_containment(I, r: int) -> CheckResult:
+    return CHECKS["refined_containment"].run(I, {"r": r})
+
+
+def check_polyhedron_bound(I, m: int) -> CheckResult:
+    return CHECKS["polyhedron_bound"].run(I, {"m": m})
+
+
+def check_alpha_lower(I, m: int) -> CheckResult:
+    return CHECKS["alpha_lower"].run(I, {"m": m})
+
+
+def check_stairs_containment(I, r: int, sample_count: int = 8, seed: int = 0,
+                             max_facets: int = DEFAULT_MAX_FACETS,
+                             max_candidates: int = DEFAULT_MAX_CANDIDATES) -> CheckResult:
+    return CHECKS["stairs"].run(I, {"r": r}, sample_count=sample_count, seed=seed,
+                                max_facets=max_facets, max_candidates=max_candidates)
+
+
+def check_alpha_slope(I, r: int, m: int | None = None,
+                      threshold_cap: int = 12) -> CheckResult:
+    params = {"r": r} if m is None else {"r": r, "m": m}
+    return CHECKS["alpha_slope"].run(I, params, threshold_cap=threshold_cap)
+
+
+def check_chudnovsky(I) -> CheckResult:
+    return CHECKS["chudnovsky"].run(I, {})
+
+
+def check_equigenerated_containment(I, r: int) -> CheckResult:
+    return CHECKS["equigenerated_containment"].run(I, {"r": r})
+
+
+def check_alpha_equality(I, r: int = 1) -> CheckResult:
+    return CHECKS["alpha_equality"].run(I, {"r": r})
+
+
+def check_integrally_closed_bound(I, max_points: int = DEFAULT_CLOSURE_BUDGET) -> CheckResult:
+    return CHECKS["integrally_closed_bound"].run(I, {}, max_points=max_points)
 
 
 @dataclass(frozen=True)
@@ -159,16 +476,18 @@ class SuiteReport:
 
 def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
               seed: int = 0, names=None, label: str | None = None) -> SuiteReport:
-    if I.is_zero or I.is_unit:
-        raise ValueError("suites need a proper non-zero ideal")
+    require_proper(I)
     ranges = ranges or SuiteRanges()
     selected = tuple(checks) if checks else CHECK_NAMES
-    grids, order = _suite_plan(selected, ranges, seed)
+    for name in selected:
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}")
     results = []
-    for name in order:
-        for params, thunk in grids[name](I):
+    for name in selected:
+        row = CHECKS[name]
+        for params in row.points(ranges):
             try:
-                results.append(thunk())
+                results.append(row.run(I, params, **row.options(ranges, seed)))
             except ResourceLimitError as exc:
                 results.append(CheckResult(
                     name=name, verdict=R.RESOURCE_LIMIT, params=params,

@@ -1,51 +1,40 @@
-"""Numeric invariants of monomial ideals and the checks built on them.
+"""Numeric invariants of monomial ideals.
 
 alpha / beta are the extreme generator degrees; the Waldschmidt constant is
 the least coordinate sum over the symbolic polyhedron, computed by one
-exact LP.  The checks in this module compare those invariants against each
-other (lower bounds on the Waldschmidt constant, initial-degree growth of
-symbolic powers, slope-style containments) and report CheckResults that
-distinguish proven statements from conjectured ones.
+exact LP.  The suite's checks compare these invariants against each other
+(see the check table in harness.py).
 """
 
 from __future__ import annotations
 
-import time
 from fractions import Fraction
-from math import ceil, prod
+from math import prod
 
-from . import results as R
-from .decomposition import big_height, localize, max_associated_primes, sigma
+from .decomposition import big_height, max_associated_primes, sigma
 from .errors import ResourceLimitError
 from .geometry import (alpha_polyhedron, newton_polyhedron, np_member,
                        realizing_denominator, symbolic_polyhedron)
-from .monomial import (MonomialIdeal, Monomial, containment_with_m, contains,
-                       iter_box, power)
-from .results import CheckResult
+from .monomial import MonomialIdeal, Monomial, contains, iter_box, require_proper
 from .symbolic import symbolic_equals_ordinary, symbolic_power
 
 DEFAULT_CLOSURE_BUDGET = 200_000
 
 
-def _require_proper(I: MonomialIdeal):
-    if I.is_zero or I.is_unit:
-        raise ValueError("need a proper non-zero ideal")
-
-
 def alpha(I: MonomialIdeal) -> int:
     """Least degree of a minimal generator."""
-    _require_proper(I)
+    require_proper(I)
     return I.gens[0].degree  # gens are sorted by (degree, exponents)
 
 
 def beta(I: MonomialIdeal) -> int:
     """Largest degree of a minimal generator."""
-    _require_proper(I)
+    require_proper(I)
     return I.gens[-1].degree
 
 
 def is_equigenerated(I: MonomialIdeal) -> bool:
-    _require_proper(I)
+    require_proper(I)
     return I.gens[0].degree == I.gens[-1].degree
 
 
@@ -66,40 +55,6 @@ def chudnovsky_bound(I: MonomialIdeal) -> Fraction:
     return Fraction(alpha(I) + big_height(I) - 1, big_height(I))
 
 
-def check_chudnovsky(I: MonomialIdeal) -> CheckResult:
-    """Conjectured lower bound: the Waldschmidt constant is at least
-    (alpha(I) + e - 1) / e.  A failure is a candidate counterexample, not a
-    bug."""
-    start = time.perf_counter()
-    w = waldschmidt(I)
-    bound = chudnovsky_bound(I)
-    return CheckResult(
-        name="chudnovsky",
-        verdict=R.HOLDS if w >= bound else R.FAILS,
-        kind=R.CONJECTURE,
-        details={"alpha": alpha(I), "e": big_height(I), "waldschmidt": w,
-                 "bound": bound, "slack": w - bound},
-        elapsed=time.perf_counter() - start)
-
-
-def check_alpha_lower(I: MonomialIdeal, m: int) -> CheckResult:
-    """alpha of the m-th symbolic power is at least m times the Waldschmidt
-    constant (the sequence alpha(I^(m))/m decreases to its infimum)."""
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    start = time.perf_counter()
-    w = waldschmidt(I)
-    am = alpha(symbolic_power(I, m))
-    ok = Fraction(am) >= m * w
-    return CheckResult(
-        name="alpha_lower",
-        verdict=R.HOLDS if ok else R.FAILS,
-        params={"m": m},
-        details={"alpha_symbolic": am, "m_times_waldschmidt": m * w,
-                 "equality": Fraction(am) == m * w},
-        elapsed=time.perf_counter() - start)
-
-
 def alpha_equality_at_denominator(I: MonomialIdeal, cap: int = 12) -> dict:
     """Whether alpha(I^(b)) == b * waldschmidt at b = the realizing
     denominator of an optimal point.  Returns a report dict; when b exceeds
@@ -114,131 +69,6 @@ def alpha_equality_at_denominator(I: MonomialIdeal, cap: int = 12) -> dict:
     return report
 
 
-def check_alpha_slope(I: MonomialIdeal, r: int, m: int | None = None,
-                      threshold_cap: int = 12) -> CheckResult:
-    """For m at least max(e*r, beta(I^r)/waldschmidt), the m-th symbolic
-    power sits in m^s * I^r with s = ceil(waldschmidt * m) - beta(I^r).
-
-    With m omitted, the least integer satisfying the hypothesis is used;
-    if that exceeds threshold_cap the check reports a resource limit
-    instead of computing an enormous symbolic power.
-    """
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    start = time.perf_counter()
-    e = big_height(I)
-    w = waldschmidt(I)
-    Ir = power(I, r)
-    br = beta(Ir)
-    threshold = max(Fraction(e * r), Fraction(br) / w)
-    if m is None:
-        m = ceil(threshold)
-        if m > threshold_cap:
-            return CheckResult(
-                name="alpha_slope",
-                verdict=R.RESOURCE_LIMIT,
-                params={"r": r},
-                details={"threshold": threshold, "threshold_cap": threshold_cap},
-                elapsed=time.perf_counter() - start)
-    in_hyp = Fraction(m) >= threshold
-    params = {"r": r, "m": m}
-    if not in_hyp:
-        return CheckResult(
-            name="alpha_slope", verdict=R.NOT_APPLICABLE, params=params,
-            details={"threshold": threshold, "reason": "m below threshold"},
-            in_hypothesis=False,
-            elapsed=time.perf_counter() - start)
-    s = ceil(w * m) - br
-    clamped = s < 0
-    if clamped:
-        s = 0
-    lhs = symbolic_power(I, m)
-    bad = next((f for f in lhs.gens if not containment_with_m(f, Ir, s)), None)
-    details = {"s": s, "clamped": clamped, "threshold": threshold,
-               "beta_power": br, "waldschmidt": w}
-    return CheckResult(
-        name="alpha_slope",
-        verdict=R.HOLDS if bad is None else R.FAILS,
-        params=params,
-        details=details,
-        witness=bad,
-        elapsed=time.perf_counter() - start)
-
-
-def check_equigenerated_containment(I: MonomialIdeal, r: int) -> CheckResult:
-    """When I is generated in one degree and the Chudnovsky-style bound
-    holds for it, I^(e*r) sits in m^((e-1)*r) * I^r."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    start = time.perf_counter()
-    params = {"r": r}
-    if not is_equigenerated(I):
-        return CheckResult(
-            name="equigenerated_containment", verdict=R.NOT_APPLICABLE,
-            params=params, details={"reason": "not equigenerated"},
-            in_hypothesis=False, elapsed=time.perf_counter() - start)
-    if waldschmidt(I) < chudnovsky_bound(I):
-        return CheckResult(
-            name="equigenerated_containment", verdict=R.NOT_APPLICABLE,
-            params=params,
-            details={"reason": "degree bound hypothesis fails"},
-            in_hypothesis=False, elapsed=time.perf_counter() - start)
-    e = big_height(I)
-    lhs = symbolic_power(I, e * r)
-    rhs = power(I, r)
-    s = (e - 1) * r
-    bad = next((f for f in lhs.gens if not containment_with_m(f, rhs, s)), None)
-    return CheckResult(
-        name="equigenerated_containment",
-        verdict=R.HOLDS if bad is None else R.FAILS,
-        params=params,
-        details={"e": e, "s": s},
-        witness=bad,
-        elapsed=time.perf_counter() - start)
-
-
-def check_alpha_equality(I: MonomialIdeal, r: int = 1) -> CheckResult:
-    """When the Waldschmidt constant equals alpha(I): the Chudnovsky-style
-    bound follows, and if additionally beta(I) <= e * alpha(I) so does
-    I^(e*r) inside m^((e-1)*r) * I^r."""
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    start = time.perf_counter()
-    params = {"r": r}
-    a = alpha(I)
-    w = waldschmidt(I)
-    if w != a:
-        return CheckResult(
-            name="alpha_equality", verdict=R.NOT_APPLICABLE, params=params,
-            details={"alpha": a, "waldschmidt": w,
-                     "reason": "waldschmidt differs from alpha"},
-            in_hypothesis=False, elapsed=time.perf_counter() - start)
-    e = big_height(I)
-    details: dict = {"alpha": a, "e": e,
-                     "chudnovsky_holds": w >= chudnovsky_bound(I)}
-    ok = details["chudnovsky_holds"]
-    bad = None
-    if beta(I) <= e * a:
-        lhs = symbolic_power(I, e * r)
-        rhs = power(I, r)
-        s = (e - 1) * r
-        bad = next((f for f in lhs.gens if not containment_with_m(f, rhs, s)),
-                   None)
-        details["containment_checked"] = True
-        details["s"] = s
-        ok = ok and bad is None
-    else:
-        details["containment_checked"] = False
-        details["reason_skipped"] = "beta exceeds e * alpha"
-    return CheckResult(
-        name="alpha_equality",
-        verdict=R.HOLDS if ok else R.FAILS,
-        params=params,
-        details=details,
-        witness=bad,
-        elapsed=time.perf_counter() - start)
-
-
 # ---------------------------------------------------------------------------
 # integral closure
 
@@ -249,7 +79,7 @@ def is_integrally_closed(I: MonomialIdeal,
     staircase of I.  It suffices to scan the box up to the componentwise
     maximum M of the generators: clamping a counterexample to the box keeps
     it inside the polyhedron and outside the staircase."""
-    _require_proper(I)
+    require_proper(I)
     corner = tuple(max(g.exponents[i] for g in I.gens)
                    for i in range(I.ambient_dim))
     volume = prod(c + 1 for c in corner)
@@ -262,45 +92,6 @@ def is_integrally_closed(I: MonomialIdeal,
     return True
 
 
-def check_integrally_closed_bound(I: MonomialIdeal,
-                                  max_points: int = DEFAULT_CLOSURE_BUDGET) -> CheckResult:
-    """For ideals in n+1 variables whose localizations at the maximal
-    associated primes are all integrally closed, with alpha(I) large
-    relative to n (alpha >= n+4 for n >= 3, alpha >= 8 for n = 2), the
-    Waldschmidt constant is at least (alpha(I) + n - 1) / n."""
-    start = time.perf_counter()
-    n = I.ambient_dim - 1
-    a = alpha(I)
-    details: dict = {"n": n, "alpha": a}
-    degree_ok = (n >= 3 and a >= n + 4) or (n == 2 and a >= 8)
-    if not degree_ok:
-        return CheckResult(
-            name="integrally_closed_bound", verdict=R.NOT_APPLICABLE,
-            details=details | {"reason": "alpha too small for this n"},
-            in_hypothesis=False, elapsed=time.perf_counter() - start)
-    try:
-        for P in max_associated_primes(I):
-            if not is_integrally_closed(localize(I, P), max_points):
-                return CheckResult(
-                    name="integrally_closed_bound", verdict=R.NOT_APPLICABLE,
-                    details=details | {"reason": "a localization is not integrally closed",
-                                       "prime": P.render()},
-                    in_hypothesis=False, elapsed=time.perf_counter() - start)
-    except ResourceLimitError as exc:
-        return CheckResult(
-            name="integrally_closed_bound", verdict=R.RESOURCE_LIMIT,
-            details=details | {"reason": str(exc)},
-            elapsed=time.perf_counter() - start)
-    w = waldschmidt(I)
-    bound = Fraction(a + n - 1, n)
-    details |= {"waldschmidt": w, "bound": bound}
-    return CheckResult(
-        name="integrally_closed_bound",
-        verdict=R.HOLDS if w >= bound else R.FAILS,
-        details=details,
-        elapsed=time.perf_counter() - start)
-
-
 # ---------------------------------------------------------------------------
 # summary report
 
@@ -308,7 +99,7 @@ def check_integrally_closed_bound(I: MonomialIdeal,
 def invariant_report(I: MonomialIdeal, names=None,
                      closure_budget: int = DEFAULT_CLOSURE_BUDGET) -> dict:
     """All the scalar invariants at once, for the CLI info command."""
-    _require_proper(I)
+    require_proper(I)
     from .decomposition import associated_primes
     from .monomial import is_squarefree
     w, pt = alpha_polyhedron(symbolic_polyhedron(I))

@@ -81,10 +81,6 @@ class Monomial:
         return self.render()
 
 
-def support(m: Monomial) -> tuple[int, ...]:
-    return m.support
-
-
 def divides(a: Monomial, b: Monomial) -> bool:
     if len(a.exponents) != len(b.exponents):
         raise DimensionMismatchError("monomials live in different rings")
@@ -141,22 +137,8 @@ class MonomialIdeal:
 
     @cached_property
     def simplex_power(self) -> tuple[tuple[int, ...], int] | None:
-        """Detects ideals of the form P^m for a monomial prime P.
-
-        Those are exactly the ideals generated by *all* monomials of one
-        degree m >= 1 in some variable subset S: equal degrees, support
-        union S, and the full count C(m+|S|-1, |S|-1) of generators.
-        Returns (sorted S, m), or None.
-        """
-        if self.is_zero or self.is_unit:
-            return None
-        m = self.gens[0].degree
-        if m < 1 or any(g.degree != m for g in self.gens):
-            return None
-        s_vars = sorted({i for g in self.gens for i in g.support})
-        if len(self.gens) != comb(m + len(s_vars) - 1, len(s_vars) - 1):
-            return None
-        return tuple(s_vars), m
+        """(sorted S, m) when this ideal is P^m for the prime P on S, else None."""
+        return as_prime_power(self.vectors)
 
     def render(self, names: Sequence[str] | None = None) -> str:
         if self.is_zero:
@@ -165,6 +147,30 @@ class MonomialIdeal:
 
     def __str__(self):
         return self.render()
+
+
+def as_prime_power(vectors: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], int] | None:
+    """Detects distinct exponent vectors that generate P^m for a monomial
+    prime P.
+
+    Those are exactly *all* monomials of one degree m >= 1 in some variable
+    subset S: equal degrees, support union S, and the full count
+    C(m+|S|-1, |S|-1) of vectors.  Returns (sorted S, m), or None.
+    """
+    if not vectors:
+        return None
+    m = sum(vectors[0])
+    if m < 1 or any(sum(v) != m for v in vectors):
+        return None
+    s_vars = sorted({i for v in vectors for i, e in enumerate(v) if e})
+    if len(vectors) != comb(m + len(s_vars) - 1, len(s_vars) - 1):
+        return None
+    return tuple(s_vars), m
+
+
+def require_proper(I: MonomialIdeal):
+    if I.is_zero or I.is_unit:
+        raise ValueError("need a proper non-zero ideal")
 
 
 def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal):
@@ -375,27 +381,26 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
     return acc
 
 
-def subset(I: MonomialIdeal, J: MonomialIdeal) -> bool:
-    """Exact containment I <= J (every minimal generator of I lies in J)."""
-    _check_same_ring(I, J)
-    if I.is_zero:
-        return True
-    if J.is_zero:
-        return False
-    return all(_any_divisor_mask(list(I.vectors), list(J.vectors)))
+def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monomial | None:
+    """The first minimal generator of lhs, in canonical order, outside
+    m^s * rhs, where m is the maximal ideal of the variables; None when
+    lhs <= m^s * rhs.  s = 0 is plain containment.
 
-
-def containment_with_m(f: Monomial, J: MonomialIdeal, s: int) -> bool:
-    """Membership of f in m^s * J, where m is the maximal ideal of the
-    variables: some minimal generator h of J divides f with
-    deg f - deg h >= s.  s = 0 degenerates to plain membership."""
-    if len(f.exponents) != J.ambient_dim:
-        raise DimensionMismatchError("monomial and ideal disagree on ring")
+    This is the only containment kernel: every containment check reduces
+    membership of f in m^s * rhs to "some minimal generator h of rhs
+    divides f with deg f - deg h >= s", which is exact integer arithmetic.
+    One batched divisibility scan answers every generator of lhs at once.
+    """
+    _check_same_ring(lhs, rhs)
     if s < 0:
         raise ValueError("s must be non-negative")
-    if J.is_zero:
-        return False
-    return _any_divisor_mask([f.exponents], list(J.vectors), min_gap=s)[0]
+    inside = _any_divisor_mask(list(lhs.vectors), list(rhs.vectors), min_gap=s)
+    return next((f for f, ok in zip(lhs.gens, inside) if not ok), None)
+
+
+def subset(I: MonomialIdeal, J: MonomialIdeal) -> bool:
+    """Exact containment I <= J (every minimal generator of I lies in J)."""
+    return containment_witness(I, J, 0) is None
 
 
 def radical(I: MonomialIdeal) -> MonomialIdeal:

@@ -1,4 +1,4 @@
-"""Symbolic powers of monomial ideals and the exact containment checks.
+"""Symbolic powers of monomial ideals.
 
 For a monomial ideal I with no embedded component among its maximal
 associated primes P, the m-th symbolic power is
@@ -7,34 +7,23 @@ associated primes P, the m-th symbolic power is
 
 computed here exactly: the localization erases exponents outside P, its
 power is formed with minimalization after every product, and the components
-are intersected smallest-first.  All containment checks reduce membership
-of f in m^s * J to "some minimal generator of J divides f with degree gap
-at least s", which is exact integer arithmetic.
+are intersected smallest-first.
 """
 
 from __future__ import annotations
 
-import time
 from functools import lru_cache, reduce
 
-from . import results as R
-from .decomposition import (big_height, irreducible_decomposition, localize,
-                            max_associated_primes, sigma)
-from .monomial import (MonomialIdeal, containment_with_m, is_squarefree,
-                       power)
+from .decomposition import (irreducible_decomposition, localize,
+                            max_associated_primes)
+from .monomial import MonomialIdeal, is_squarefree, power, require_proper
 from .monomial import intersect as ideal_intersect
-from .results import CheckResult
-
-
-def _require_proper(I: MonomialIdeal):
-    if I.is_zero or I.is_unit:
-        raise ValueError("need a proper non-zero ideal")
 
 
 @lru_cache(maxsize=512)
 def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
     """The m-th symbolic power (m = 0 gives the unit ideal)."""
-    _require_proper(I)
+    require_proper(I)
     if m < 0:
         raise ValueError("negative symbolic power")
     if m == 0:
@@ -50,7 +39,7 @@ def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:
     """Independent route for square-free ideals: intersect the m-th powers
     of the minimal primes coming straight out of the irreducible
     decomposition (no localization involved)."""
-    _require_proper(I)
+    require_proper(I)
     if not is_squarefree(I):
         raise ValueError("oracle only applies to square-free ideals")
     if m == 0:
@@ -58,71 +47,6 @@ def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:
     comps = [power(c.to_ideal(), m) for c in irreducible_decomposition(I)]
     comps.sort(key=lambda c: len(c.gens))
     return reduce(ideal_intersect, comps)
-
-
-def _containment_verdict(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int):
-    """First generator of lhs (in canonical order) outside m^s * rhs."""
-    for f in lhs.gens:
-        if not containment_with_m(f, rhs, s):
-            return f
-    return None
-
-
-def check_symbolic_in_mpower(I: MonomialIdeal, m: int, s: int, r: int) -> CheckResult:
-    """Exploratory membership check I^(m) <= m^s * I^r."""
-    _require_proper(I)
-    if m < 0 or s < 0 or r < 0:
-        raise ValueError("m, s, r must be non-negative")
-    start = time.perf_counter()
-    lhs = symbolic_power(I, m)
-    rhs = power(I, r)
-    witness = _containment_verdict(lhs, rhs, s)
-    details = {"lhs_gens": len(lhs.gens), "rhs_gens": len(rhs.gens)}
-    if witness is not None:
-        details["witness_in_symbolic_power"] = True
-        details["witness_in_plain_power"] = containment_with_m(witness, rhs, 0)
-    return CheckResult(
-        name="symbolic_in_mpower",
-        verdict=R.HOLDS if witness is None else R.FAILS,
-        kind=R.EXPLORATION,
-        params={"m": m, "s": s, "r": r},
-        details=details,
-        witness=witness,
-        elapsed=time.perf_counter() - start)
-
-
-def check_squarefree_containment(I: MonomialIdeal, m: int, t: int, r: int) -> CheckResult:
-    """For square-free I with big-height e and every m, t, r >= 1:
-
-        I^(t(m+e-1)-e+r)  <=  m^((t-1)(e-1)+r-1) * (I^(m))^t
-
-    This is a proven statement: kind is theorem and a failure is a bug.
-    Non-square-free input is not applicable.
-    """
-    _require_proper(I)
-    if min(m, t, r) < 1:
-        raise ValueError("m, t, r must be at least 1")
-    start = time.perf_counter()
-    if not is_squarefree(I):
-        return CheckResult(
-            name="squarefree_containment", verdict=R.NOT_APPLICABLE,
-            params={"m": m, "t": t, "r": r},
-            details={"reason": "ideal is not square-free"},
-            in_hypothesis=False,
-            elapsed=time.perf_counter() - start)
-    e = big_height(I)
-    lhs_exp = t * (m + e - 1) - e + r
-    s = (t - 1) * (e - 1) + r - 1
-    lhs = symbolic_power(I, lhs_exp)
-    rhs = power(symbolic_power(I, m), t)
-    witness = _containment_verdict(lhs, rhs, s)
-    return CheckResult(
-        name="squarefree_containment",
-        verdict=R.HOLDS if witness is None else R.FAILS,
-        params={"m": m, "t": t, "r": r},
-        details={"e": e, "lhs_symbolic_exponent": lhs_exp, "maximal_ideal_exponent": s},
-        witness=witness,
-        elapsed=time.perf_counter() - start)
 
 
 def equal_exponent_condition(I: MonomialIdeal) -> bool:
@@ -134,107 +58,6 @@ def equal_exponent_condition(I: MonomialIdeal) -> bool:
         if len(exps) > 1:
             return False
     return True
-
-
-def check_equal_exponent_containment(I: MonomialIdeal, m: int, t: int, r: int) -> CheckResult:
-    """The square-free containment transfers verbatim to ideals whose
-    components raise each variable to a single common exponent (substituting
-    x_v^a -> y_v turns them square-free without changing heights)."""
-    _require_proper(I)
-    if min(m, t, r) < 1:
-        raise ValueError("m, t, r must be at least 1")
-    start = time.perf_counter()
-    if not equal_exponent_condition(I):
-        return CheckResult(
-            name="equal_exponent_containment", verdict=R.NOT_APPLICABLE,
-            params={"m": m, "t": t, "r": r},
-            details={"reason": "some variable occurs with two different exponents"},
-            in_hypothesis=False,
-            elapsed=time.perf_counter() - start)
-    e = big_height(I)
-    lhs_exp = t * (m + e - 1) - e + r
-    s = (t - 1) * (e - 1) + r - 1
-    lhs = symbolic_power(I, lhs_exp)
-    rhs = power(symbolic_power(I, m), t)
-    witness = _containment_verdict(lhs, rhs, s)
-    return CheckResult(
-        name="equal_exponent_containment",
-        verdict=R.HOLDS if witness is None else R.FAILS,
-        params={"m": m, "t": t, "r": r},
-        details={"e": e, "lhs_symbolic_exponent": lhs_exp, "maximal_ideal_exponent": s},
-        witness=witness,
-        elapsed=time.perf_counter() - start)
-
-
-def check_symbolic_step(I: MonomialIdeal, r: int) -> CheckResult:
-    """I^(r+1) <= m * I^(r) for every r >= 1 (unconditional theorem)."""
-    _require_proper(I)
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    start = time.perf_counter()
-    lhs = symbolic_power(I, r + 1)
-    rhs = symbolic_power(I, r)
-    witness = _containment_verdict(lhs, rhs, 1)
-    return CheckResult(
-        name="symbolic_step",
-        verdict=R.HOLDS if witness is None else R.FAILS,
-        params={"r": r},
-        witness=witness,
-        elapsed=time.perf_counter() - start)
-
-
-def check_support_step(I: MonomialIdeal, r: int) -> CheckResult:
-    """I^(r+e) <= m^sigma(I) * I^(r) with e the big-height (theorem)."""
-    _require_proper(I)
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    start = time.perf_counter()
-    e = big_height(I)
-    s = sigma(I)
-    lhs = symbolic_power(I, r + e)
-    rhs = symbolic_power(I, r)
-    witness = _containment_verdict(lhs, rhs, s)
-    return CheckResult(
-        name="support_step",
-        verdict=R.HOLDS if witness is None else R.FAILS,
-        params={"r": r},
-        details={"e": e, "sigma": s},
-        witness=witness,
-        elapsed=time.perf_counter() - start)
-
-
-def check_refined_containment(I: MonomialIdeal, r: int) -> CheckResult:
-    """I^(re-e+1) <= m^((r-1)(e-1)) * I^r.
-
-    Square-free: a consequence of the square-free containment theorem
-    (kind theorem).  In general it is the monomial form of a containment
-    conjecture with known counterexamples, so failures on non-square-free
-    input are candidate counterexamples, not bugs.
-    """
-    _require_proper(I)
-    if r < 1:
-        raise ValueError("r must be at least 1")
-    start = time.perf_counter()
-    e = big_height(I)
-    sqfree = is_squarefree(I)
-    m_exp = r * e - e + 1
-    s = (r - 1) * (e - 1)
-    lhs = symbolic_power(I, m_exp)
-    rhs = power(I, r)
-    witness = _containment_verdict(lhs, rhs, s)
-    details = {"e": e, "lhs_symbolic_exponent": m_exp,
-               "maximal_ideal_exponent": s, "squarefree": sqfree}
-    if witness is not None:
-        details["witness_in_symbolic_power"] = True
-        details["witness_in_plain_power"] = containment_with_m(witness, rhs, 0)
-    return CheckResult(
-        name="refined_containment",
-        verdict=R.HOLDS if witness is None else R.FAILS,
-        kind=R.THEOREM if sqfree else R.CONJECTURE,
-        params={"r": r, "m": m_exp, "s": s},
-        details=details,
-        witness=witness,
-        elapsed=time.perf_counter() - start)
 
 
 def symbolic_equals_ordinary(I: MonomialIdeal) -> bool:

@@ -6,6 +6,7 @@ per-test PASSED/FAILED of ``pytest -v`` mirrors it).  Budgets are wall-clock
 upper bounds chosen with a wide margin on desk hardware.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 
@@ -14,12 +15,12 @@ from symbpow.cli import main
 from symbpow.geometry import (alpha_polyhedron, enumerate_vertices,
                               member_scaled, realizing_denominator,
                               symbolic_polyhedron)
-from symbpow.harness import ScanConfig, run_suite, scan
-from symbpow.invariants import (alpha, check_alpha_slope, check_chudnovsky,
-                                waldschmidt)
+from symbpow.harness import (ScanConfig, check_alpha_slope, check_chudnovsky,
+                             check_support_step, check_symbolic_step,
+                             run_suite, scan)
+from symbpow.invariants import alpha, waldschmidt
 from symbpow.monomial import Monomial, power
-from symbpow.symbolic import (check_support_step, check_symbolic_step,
-                              symbolic_power, symbolic_power_oracle_sqfree)
+from symbpow.symbolic import symbolic_power, symbolic_power_oracle_sqfree
 
 from conftest import (ideal_of, random_general_corpus, random_primary_corpus,
                       random_squarefree_corpus)
@@ -182,11 +183,18 @@ def test_c09_chudnovsky_and_candidate_flags():
              "flagged candidate; direct feed flagged")
 
 
+# sha256 of the default structured scan (seed 7, 50 ideals, 1,148,863
+# bytes), recorded before the checks became one table; it equals the
+# scan-50 digest in deskbench/reference.json
+C10_SHA256 = "8f2b90ce4e4409561b57fb1374179c5d4caf3d52083fd3348a2c70b2afa8b0e5"
+
+
 def test_c10_byte_identical_scan(tmp_path):
     args = ["scan", "--count", "50", "--seed", "7", "--format", "structured"]
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     code_a = main(args + ["--output", str(a)])
     code_b = main(args + ["--output", str(b)])
     ok = code_a == code_b == 0 and a.read_bytes() == b.read_bytes()
+    ok = ok and hashlib.sha256(a.read_bytes()).hexdigest() == C10_SHA256
     conclude("10 deterministic-scan", ok,
-             f"{len(a.read_bytes())} bytes, identical across runs")
+             f"{len(a.read_bytes())} bytes, identical across runs and pinned")

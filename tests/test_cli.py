@@ -192,6 +192,18 @@ def test_containment_negative_s_is_usage_error(rot3_file, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flag, value", [("--m-max", "-1"), ("--t-max", "0"),
+                                         ("--r-max", "0")])
+def test_suite_empty_grid_is_usage_error(rot3_file, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", rot3_file, flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if "error: argument" in line] == [
+        f"symbpow suite: error: argument {flag}: must be at least 1, got {value}"]
+    assert "Traceback" not in err
+
+
 def test_info_on_zero_ideal_is_exit_2(tmp_path, capsys):
     empty = tmp_path / "zero.ideal"
     empty.write_text("vars: x y\ngens:\n")

@@ -9,11 +9,12 @@ from symbpow import lp
 from symbpow.decomposition import MonomialPrime
 from symbpow.errors import ResourceLimitError, VerificationError
 from symbpow.geometry import (NewtonPolyhedron, _optimize_over, alpha_polyhedron,
-                              caratheodory_decompose, check_stairs_containment,
-                              component_facets, enumerate_vertices,
-                              member_scaled, newton_polyhedron, np_member,
+                              caratheodory_decompose, component_facets,
+                              enumerate_vertices, member_scaled,
+                              newton_polyhedron, np_member,
                               realizing_denominator, stairs_member,
                               symbolic_polyhedron)
+from symbpow.harness import check_stairs_containment
 from symbpow.monomial import Monomial, MonomialIdeal, power
 
 from conftest import ideal_of, random_squarefree_corpus

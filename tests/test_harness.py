@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import symbpow.results as R
-from symbpow.harness import (CHECK_NAMES, ScanConfig, SuiteRanges,
+from symbpow.harness import (CHECK_NAMES, CHECKS, ScanConfig, SuiteRanges,
                              check_polyhedron_bound, findings_jsonl,
                              result_to_dict, run_suite, scan, scan_jsonl,
                              suite_jsonl, suite_text)
@@ -127,5 +127,9 @@ def test_result_to_dict_encodes_params(rot3):
 
 
 def test_check_names_cover_plan():
-    assert len(CHECK_NAMES) == 13
-    assert len(set(CHECK_NAMES)) == 13
+    assert CHECK_NAMES == tuple(CHECKS) == (
+        "squarefree_containment", "equal_exponent_containment",
+        "symbolic_step", "support_step", "refined_containment",
+        "polyhedron_bound", "alpha_lower", "stairs", "alpha_slope",
+        "chudnovsky", "equigenerated_containment", "alpha_equality",
+        "integrally_closed_bound")

@@ -4,11 +4,11 @@ import pytest
 
 import symbpow.results as R
 from symbpow.errors import ResourceLimitError
+from symbpow.harness import (check_alpha_equality, check_alpha_lower,
+                             check_alpha_slope, check_chudnovsky,
+                             check_equigenerated_containment,
+                             check_integrally_closed_bound)
 from symbpow.invariants import (alpha, alpha_equality_at_denominator, beta,
-                                check_alpha_equality, check_alpha_lower,
-                                check_alpha_slope, check_chudnovsky,
-                                check_equigenerated_containment,
-                                check_integrally_closed_bound,
                                 chudnovsky_bound, invariant_report,
                                 is_equigenerated, is_integrally_closed,
                                 waldschmidt, waldschmidt_point)

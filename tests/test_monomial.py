@@ -1,9 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symbpow.errors import DimensionMismatchError
-from symbpow.monomial import (Monomial, MonomialIdeal, containment_with_m,
+from symbpow.monomial import (Monomial, MonomialIdeal, containment_witness,
                               contains, degree_monomials, intersect,
                               is_squarefree, maximal_ideal, minimalize,
                               multiply, power, radical, subset)
@@ -135,12 +135,17 @@ def test_subset():
     assert subset(I, MonomialIdeal.unit(2))
 
 
+def _in_m_power_times(f, J, s):
+    """f lies in m^s * J, asked of the kernel with a one-generator lhs."""
+    return containment_witness(MonomialIdeal.make(J.ambient_dim, [f]), J, s) is None
+
+
 def test_containment_with_m_degree_gap():
     J = ideal_of(3, (1, 1, 0))
-    assert containment_with_m(m(2, 1, 0), J, 1)       # one spare degree
-    assert not containment_with_m(m(1, 1, 0), J, 1)   # no room for m
-    assert containment_with_m(m(1, 1, 0), J, 0)
-    assert not containment_with_m(m(1, 0, 0), J, 0)
+    assert _in_m_power_times(m(2, 1, 0), J, 1)       # one spare degree
+    assert not _in_m_power_times(m(1, 1, 0), J, 1)   # no room for m
+    assert _in_m_power_times(m(1, 1, 0), J, 0)
+    assert not _in_m_power_times(m(1, 0, 0), J, 0)
 
 
 def test_simplex_power_recognition():
@@ -211,4 +216,40 @@ def test_containment_with_m_matches_literal_product(I, vec, s):
         return
     f = Monomial(tuple(vec))
     literal = multiply(power(maximal_ideal(3), s), I)
-    assert containment_with_m(f, I, s) == contains(literal, f)
+    assert _in_m_power_times(f, I, s) == contains(literal, f)
+
+
+# all monomials of one degree 11..14 in three variables but at most ten:
+# 68 to 120 generators, so two of them give |lhs| * |rhs| >= 4096 and the
+# kernel takes its numpy branch
+wide_ideal = st.tuples(st.integers(min_value=11, max_value=14),
+                       st.sets(st.integers(min_value=0, max_value=119), max_size=10)).map(
+    lambda dd: MonomialIdeal.make(3, [g for i, g in enumerate(degree_monomials(3, dd[0]))
+                                      if i not in dd[1]]))
+# m^14 against the degree-10 monomials without x0^a*x1^(10-a), 3 <= a <= 7:
+# 120 * 61 generators, and only x0^7*x1^7, mid-order, escapes
+HOLE = MonomialIdeal.make(3, [g for g in degree_monomials(3, 10)
+                              if not (g.exponents[2] == 0 and 3 <= g.exponents[0] <= 7)])
+
+
+def _literal_witness(lhs, rhs, s):
+    """First generator of lhs outside the literal product m^s * rhs."""
+    literal = multiply(power(maximal_ideal(3), s), rhs)
+    return next((f for f in lhs.gens if not contains(literal, f)), None)
+
+
+# the degree gap: x0^2*x1 has one spare degree over x0*x1, x0*x1 has none
+@example(ideal_of(3, (2, 1, 0)), ideal_of(3, (1, 1, 0)), 1)
+@example(ideal_of(3, (1, 1, 0)), ideal_of(3, (1, 1, 0)), 1)
+@example(ideal_of(3, (1, 1, 0)), ideal_of(3, (1, 1, 0)), 0)
+@example(ideal_of(3, (1, 0, 0)), ideal_of(3, (1, 1, 0)), 0)
+@example(power(maximal_ideal(3), 14), HOLE, 4)
+@example(power(maximal_ideal(3), 14), HOLE, 0)
+@given(st.one_of(small_ideal, wide_ideal), st.one_of(small_ideal, wide_ideal),
+       st.integers(min_value=0, max_value=4))
+@settings(max_examples=150, deadline=None)
+def test_containment_witness_matches_literal_product(lhs, rhs, s):
+    expected = _literal_witness(lhs, rhs, s)
+    assert containment_witness(lhs, rhs, s) == expected
+    if s == 0:
+        assert subset(lhs, rhs) == (expected is None)

@@ -1,7 +1,9 @@
 """Verification must not rest on assert statements, which `python -O`
-strips: the LP and geometry tests, the tampered-result ones included, run
-again in an interpreter started with -O."""
+strips: the package holds no assert statement, and the LP and geometry
+tests, the tampered-result ones included, run again in an interpreter
+started with -O."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -20,3 +22,11 @@ def test_lp_and_geometry_tests_pass_under_python_O():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]
     assert " passed" in proc.stdout and "failed" not in proc.stdout
+
+
+def test_package_has_no_assert_statement():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "symbpow").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -4,11 +4,11 @@ from hypothesis import strategies as st
 
 import symbpow.results as R
 from symbpow.monomial import Monomial, contains, power, subset
-from symbpow.symbolic import (check_equal_exponent_containment,
-                              check_refined_containment,
-                              check_squarefree_containment,
-                              check_support_step, check_symbolic_in_mpower,
-                              check_symbolic_step, equal_exponent_condition,
+from symbpow.harness import (check_equal_exponent_containment,
+                             check_refined_containment,
+                             check_squarefree_containment, check_support_step,
+                             check_symbolic_in_mpower, check_symbolic_step)
+from symbpow.symbolic import (equal_exponent_condition,
                               symbolic_equals_ordinary, symbolic_power,
                               symbolic_power_oracle_sqfree)
 
