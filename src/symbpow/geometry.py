@@ -8,9 +8,9 @@ primes, stored V-style: one generator matrix per component prime.
 
 Everything here is exact.  Membership questions are rational LP
 feasibility; alpha (the least coordinate sum over the polyhedron) is one
-simplex solve; vertices and facets are enumerated by brute force over
-dimension-sized subsets, which is honest at desk scale and guarded by
-explicit budgets (ResourceLimitError, never truncation).
+simplex solve; facets and vertices come from one exact double-description
+routine (Motzkin et al. 1953; Fukuda and Prodon 1996), whose intermediate
+ray count has an explicit budget (ResourceLimitError, never truncation).
 
 A fast path recognizes components that are powers of monomial primes
 (P_S)^m, whose polyhedron is exactly {a >= 0 : sum of a over S >= m}; for
@@ -20,11 +20,10 @@ large randomized sweeps affordable.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import comb, lcm
+from math import gcd, lcm
 
 from . import lp
 from .decomposition import MonomialPrime, localize, max_associated_primes
@@ -34,9 +33,7 @@ from .monomial import (Monomial, MonomialIdeal, as_prime_power, contains,
                        require_proper)
 from .symbolic import symbolic_power
 
-MAX_ENUM_DIM = 6
-DEFAULT_MAX_FACETS = 72
-DEFAULT_MAX_CANDIDATES = 250_000
+DEFAULT_MAX_RAYS = 256
 
 
 @dataclass(frozen=True)
@@ -308,97 +305,79 @@ def realizing_denominator(I: MonomialIdeal, a) -> int:
 
 
 # ---------------------------------------------------------------------------
-# facet / vertex enumeration (desk scale, budgeted)
+# facet / vertex enumeration (double description, budgeted)
 
 
-def _canonical_facet(normal, offset):
-    lead = next((x for x in normal if x != 0), None)
-    if lead is None:
-        return None
-    if lead < 0:
-        normal = [-x for x in normal]
-        offset = -offset
-        lead = -lead
-    if any(x < 0 for x in normal):
-        return None  # recession cone (the orthant) escapes the halfspace
-    return tuple(x / lead for x in normal), offset / lead
-
-
-def component_facets(N: NewtonPolyhedron,
-                     max_candidates: int = DEFAULT_MAX_CANDIDATES):
-    """All facet inequalities (normal, offset) with normal.x >= offset, by
-    brute force over (points, orthant directions) subsets of size d; extra
-    supporting halfspaces are harmless and duplicates are removed by the
-    canonical first-non-zero-coefficient-one scaling."""
-    d = N.ambient_dim
-    sp = N.simplex_power
-    if sp is not None:
-        s_vars, m = sp
-        normal = tuple(Fraction(1) if i in s_vars else Fraction(0) for i in range(d))
-        return [(normal, Fraction(m))]
-    V = list(N.gens)
-    total = sum(comb(len(V), k) * comb(d, d - k) for k in range(1, min(d, len(V)) + 1))
-    if total > max_candidates:
-        raise ResourceLimitError("facet candidate subsets", total, max_candidates)
-    found = set()
-    for k in range(1, min(d, len(V)) + 1):
-        for S in itertools.combinations(V, k):
-            point_rows = [[Fraction(v[i] - S[0][i]) for i in range(d)] for v in S[1:]]
-            for D in itertools.combinations(range(d), d - k):
-                rows = list(point_rows)
-                for i in D:
-                    unit = [Fraction(0)] * d
-                    unit[i] = Fraction(1)
-                    rows.append(unit)
-                if not rows:
+def _cone_rays(dim: int, rows, max_rays: int) -> list[tuple[int, ...]]:
+    """Extreme rays of {x >= 0 : row.x >= 0 for every row} as primitive
+    integer vectors, by Motzkin's double description: start from the
+    orthant's unit vectors and cut by one row at a time.  A ray on the
+    positive side and one on the negative side are combined onto the new
+    hyperplane only when they are adjacent, which is decided
+    combinatorially: no third ray is tight on every constraint that both
+    are tight on (constraint bits: x_i >= 0 first, then the rows)."""
+    full = (1 << dim) - 1
+    rays = [(tuple(int(i == j) for i in range(dim)), full ^ (1 << j))
+            for j in range(dim)]
+    for k, row in enumerate(rows):
+        bit = 1 << (dim + k)
+        signed = [(vec, tight, sum(a * x for a, x in zip(row, vec)))
+                  for vec, tight in rays]
+        kept = [(vec, tight | bit if s == 0 else tight)
+                for vec, tight, s in signed if s >= 0]
+        pos = [r for r in signed if r[2] > 0]
+        neg = [r for r in signed if r[2] < 0]
+        for vp, tp, sp in pos:
+            for vn, tn, sn in neg:
+                common = tp & tn
+                # two adjacent rays span a 2-face, which needs dim - 2 tight constraints
+                if common.bit_count() < dim - 2 or any(
+                        t & common == common and t != tp and t != tn
+                        for _, t, _ in signed):
                     continue
-                kern = nullspace(rows)
-                if len(kern) != 1:
-                    continue
-                packed = _canonical_facet(kern[0], sum(x * e for x, e in zip(kern[0], S[0])))
-                if packed is None:
-                    continue
-                normal, offset = packed
-                if all(sum(n * e for n, e in zip(normal, v)) >= offset for v in V):
-                    found.add((normal, offset))
-    return sorted(found)
+                vec = [sp * b - sn * a for a, b in zip(vp, vn)]
+                g = gcd(*vec)
+                kept.append((tuple(x // g for x in vec), common | bit))
+                if len(kept) > max_rays:
+                    raise ResourceLimitError("double-description rays", len(kept), max_rays)
+        rays = kept
+    return sorted(vec for vec, _ in rays)
 
 
-def enumerate_vertices(Q: SymbolicPolyhedron,
-                       max_facets: int = DEFAULT_MAX_FACETS,
-                       max_candidates: int = DEFAULT_MAX_CANDIDATES) -> tuple:
-    """All vertices of Q, exactly.  Collects every component's facets plus
-    the coordinate halfspaces, solves each d-subset of equalities, and keeps
-    the solutions that satisfy every inequality and lie in every component.
-    Budgets are hard limits; exceeding one raises ResourceLimitError."""
-    d = Q.ambient_dim
-    if d > MAX_ENUM_DIM:
-        raise ResourceLimitError("ambient dimension", d, MAX_ENUM_DIM)
-    ineqs = set()
+def component_facets(N: NewtonPolyhedron, max_rays: int = DEFAULT_MAX_RAYS):
+    """The facet inequalities normal.x >= offset of N other than the
+    coordinate halfspaces, sorted.  By polarity they are the rays
+    (normal, offset) with offset > 0 of the cone of valid inequalities,
+    cut by one row (v, -1) per generator v; each is scaled so that its
+    first non-zero normal entry is 1."""
+    facets = []
+    for *normal, offset in _cone_rays(N.ambient_dim + 1,
+                                      [v + (-1,) for v in N.gens], max_rays):
+        if offset > 0:
+            lead = next(x for x in normal if x != 0)
+            facets.append((tuple(Fraction(x, lead) for x in normal), Fraction(offset, lead)))
+    return sorted(facets)
+
+
+def enumerate_vertices(Q: SymbolicPolyhedron, max_rays: int = DEFAULT_MAX_RAYS) -> tuple:
+    """All vertices of Q, exactly, sorted.  Q is homogenized by one row
+    (normal, -offset) per component facet; the rays (x, t) with t > 0 of
+    that cone are the vertices x / t.  Each vertex is re-checked against
+    every component.  An intermediate ray count over max_rays raises
+    ResourceLimitError."""
+    rows = set()
     for _, N in Q.components:
-        ineqs.update(component_facets(N, max_candidates))
-    for i in range(d):
-        unit = [Fraction(0)] * d
-        unit[i] = Fraction(1)
-        ineqs.add((tuple(unit), Fraction(0)))
-    if len(ineqs) > max_facets:
-        raise ResourceLimitError("facet count", len(ineqs), max_facets)
-    ineqs = sorted(ineqs)
-    n_subsets = comb(len(ineqs), d)
-    if n_subsets > max_candidates:
-        raise ResourceLimitError("vertex candidate subsets", n_subsets, max_candidates)
-    vertices = set()
-    for chosen in itertools.combinations(ineqs, d):
-        sol = solve_square([list(n) for n, _ in chosen], [c for _, c in chosen])
-        if sol is None or any(x < 0 for x in sol):
-            continue
-        if any(sum(n * x for n, x in zip(normal, sol)) < offset for normal, offset in ineqs):
-            continue
-        if all(np_member(N, sol) for _, N in Q.components):
-            vertices.add(tuple(sol))
+        for normal, offset in component_facets(N, max_rays):
+            den = lcm(offset.denominator, *(x.denominator for x in normal))
+            rows.add(tuple(int(x * den) for x in normal) + (int(-offset * den),))
+    rays = _cone_rays(Q.ambient_dim + 1, sorted(rows), max_rays)
+    vertices = sorted(tuple(Fraction(x, t) for x in ray) for *ray, t in rays if t > 0)
     if not vertices:
         raise VerificationError("a pointed non-empty polyhedron must have a vertex")
-    return tuple(sorted(vertices))
+    for v in vertices:
+        if not all(np_member(N, v) for _, N in Q.components):
+            raise VerificationError(f"vertex {v} escapes a component")
+    return tuple(vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +392,14 @@ def stairs_member(J: MonomialIdeal, point) -> bool:
 
 
 def probe_points(Q: SymbolicPolyhedron, sample_count: int, rng,
-                 max_facets: int = DEFAULT_MAX_FACETS,
-                 max_candidates: int = DEFAULT_MAX_CANDIDATES):
+                 max_rays: int = DEFAULT_MAX_RAYS):
     """Points of Q to test a statement on: every vertex plus sample_count
     pseudo-random convex combinations of them.  If vertex enumeration is
     over budget, sample_count LP optima of random positive objectives
     instead.  Returns (points, vertex count, sampled_only)."""
     d = Q.ambient_dim
     try:
-        verts = enumerate_vertices(Q, max_facets, max_candidates)
+        verts = enumerate_vertices(Q, max_rays)
     except ResourceLimitError:
         points = []
         for _ in range(sample_count):

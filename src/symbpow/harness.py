@@ -31,9 +31,8 @@ from . import results as R
 from .decomposition import (associated_primes, big_height, localize,
                             max_associated_primes, sigma)
 from .errors import ResourceLimitError
-from .geometry import (DEFAULT_MAX_CANDIDATES, DEFAULT_MAX_FACETS,
-                       member_scaled, probe_points, stairs_member,
-                       symbolic_polyhedron)
+from .geometry import (DEFAULT_MAX_RAYS, member_scaled, probe_points,
+                       stairs_member, symbolic_polyhedron)
 from .invariants import (DEFAULT_CLOSURE_BUDGET, alpha, beta,
                          chudnovsky_bound, is_equigenerated,
                          is_integrally_closed, waldschmidt)
@@ -215,8 +214,7 @@ def _alpha_lower(I, m):
                     "equality": am == m * w})
 
 
-def _stairs(I, r, sample_count=8, seed=0, max_facets=DEFAULT_MAX_FACETS,
-            max_candidates=DEFAULT_MAX_CANDIDATES):
+def _stairs(I, r, sample_count=8, seed=0, max_rays=DEFAULT_MAX_RAYS):
     """e*r*Q sits inside the staircase region of I^r: checked on every
     vertex of Q plus pseudo-random convex combinations; if vertex
     enumeration is over budget, on sampled LP optima of random positive
@@ -224,8 +222,7 @@ def _stairs(I, r, sample_count=8, seed=0, max_facets=DEFAULT_MAX_FACETS,
     e = big_height(I)
     Ir = power(I, r)
     points, vertex_count, sampled_only = probe_points(
-        symbolic_polyhedron(I), sample_count, SplitRng(seed, ("stairs", r)),
-        max_facets, max_candidates)
+        symbolic_polyhedron(I), sample_count, SplitRng(seed, ("stairs", r)), max_rays)
     bad = next((pt for pt in points
                 if not stairs_member(Ir, tuple(e * r * x for x in pt))), None)
     details = {"e": e, "vertices": vertex_count, "samples": sample_count,
@@ -426,10 +423,9 @@ def check_alpha_lower(I, m: int) -> CheckResult:
 
 
 def check_stairs_containment(I, r: int, sample_count: int = 8, seed: int = 0,
-                             max_facets: int = DEFAULT_MAX_FACETS,
-                             max_candidates: int = DEFAULT_MAX_CANDIDATES) -> CheckResult:
+                             max_rays: int = DEFAULT_MAX_RAYS) -> CheckResult:
     return CHECKS["stairs"].run(I, {"r": r}, sample_count=sample_count, seed=seed,
-                                max_facets=max_facets, max_candidates=max_candidates)
+                                max_rays=max_rays)
 
 
 def check_alpha_slope(I, r: int, m: int | None = None,

@@ -42,23 +42,6 @@ def solve_square(matrix, rhs) -> list[Fraction] | None:
     return sol
 
 
-def solve_any(matrix, rhs) -> list[Fraction] | None:
-    """Some solution of a (possibly rectangular) system, or None."""
-    nrows, ncols = len(matrix), len(matrix[0])
-    rows = [[Fraction(matrix[i][j]) for j in range(ncols)] + [Fraction(rhs[i])]
-            for i in range(nrows)]
-    pivots = _echelon(rows)
-    if any(p == ncols for p in pivots):  # pivot in the rhs column
-        return None
-    for i in range(len(pivots), nrows):
-        if rows[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols]
-    return sol
-
-
 def nullspace(matrix) -> list[list[Fraction]]:
     """Basis of the kernel of matrix (list of column vectors)."""
     if not matrix:

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import symbpow
 from symbpow.cli import main
 
 ROT3 = "vars: x y z\ngens:\n  x*y^2\n  y*z^2\n  z*x^2\n  x*y*z\n"
@@ -119,13 +122,26 @@ def test_missing_file_is_exit_2(capsys):
 
 
 def test_resource_limit_is_exit_3(tmp_path, capsys):
-    names = " ".join(f"x{i}" for i in range(7))
-    gens = "\n".join(f"  x{i}" for i in range(7))
+    # the edge ideal of the complete graph on 9 vertices: its symbolic
+    # polyhedron has more vertices than the default ray budget allows
+    names = " ".join(f"x{i}" for i in range(9))
+    gens = "\n".join(f"  x{i}*x{j}" for i in range(9) for j in range(i + 1, 9))
     p = tmp_path / "big.ideal"
     p.write_text(f"vars: {names}\ngens:\n{gens}\n")
     code, _, err = run_cli(capsys, "polyhedron", str(p), "--vertices")
     assert code == 3
     assert "resource limit" in err
+
+
+def test_polyhedron_vertices_in_7_variables(tmp_path, capsys):
+    names = " ".join(f"x{i}" for i in range(7))
+    gens = "\n".join(f"  x{i}" for i in range(7))
+    p = tmp_path / "max7.ideal"
+    p.write_text(f"vars: {names}\ngens:\n{gens}\n")
+    code, out, _ = run_cli(capsys, "polyhedron", str(p), "--vertices")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("V ")] == [
+        "V " + " ".join("1" if j == i else "0" for j in range(7)) for i in reversed(range(7))]
 
 
 def test_unknown_check_rejected(rot3_file, capsys):
@@ -161,8 +177,13 @@ def test_scan_structured_deterministic(tmp_path, capsys):
 
 
 def test_console_entry_point(rot3_file):
+    # the child imports the package this test imported, whether that came
+    # from PYTHONPATH or from pytest's own pythonpath setting
+    src = str(Path(symbpow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-m", "symbpow", "alpha", rot3_file],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
 

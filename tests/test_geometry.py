@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbpow.results as R
-from symbpow import lp
+from symbpow import geometry, lp
 from symbpow.decomposition import MonomialPrime
 from symbpow.errors import ResourceLimitError, VerificationError
 from symbpow.geometry import (NewtonPolyhedron, _optimize_over, alpha_polyhedron,
@@ -15,7 +15,8 @@ from symbpow.geometry import (NewtonPolyhedron, _optimize_over, alpha_polyhedron
                               realizing_denominator, stairs_member,
                               symbolic_polyhedron)
 from symbpow.harness import check_stairs_containment
-from symbpow.monomial import Monomial, MonomialIdeal, power
+from symbpow.linalg import nullspace
+from symbpow.monomial import Monomial, MonomialIdeal, multiply, power
 
 from conftest import ideal_of, random_squarefree_corpus
 
@@ -44,12 +45,8 @@ def test_general_membership_via_lp():
 
 def test_component_facets_frozen():
     N = newton_polyhedron(ideal_of(2, (2, 0), (0, 1)))
-    facets = component_facets(N)
-    assert ((F(1), F(2)), F(2)) in facets  # x + 2y >= 2
-    # plus the valid supporting bounds x >= 0 and y >= 0
-    for normal, offset in facets:
-        assert all(x >= 0 for x in normal)
-        assert offset >= 0
+    # x + 2y >= 2; the coordinate halfspaces are not listed
+    assert component_facets(N) == [((F(1), F(2)), F(2))]
 
 
 def test_symbolic_polyhedron_components(rot3):
@@ -102,11 +99,53 @@ def test_vertices_of_prime():
     assert verts == ((F(0), F(1), F(0)), (F(1), F(0), F(0)))
 
 
+def test_vertex_escaping_a_component_raises(rot3, monkeypatch):
+    Q = symbolic_polyhedron(rot3)
+    monkeypatch.setattr(geometry, "np_member", lambda N, a: False)
+    with pytest.raises(VerificationError):
+        enumerate_vertices(Q)
+
+
 def test_vertex_enumeration_budget():
-    I = MonomialIdeal.make(7, [Monomial(tuple(1 if j == i else 0 for j in range(7)))
-                               for i in range(7)])
-    with pytest.raises(ResourceLimitError):
-        enumerate_vertices(symbolic_polyhedron(I))
+    # the edge ideal of the complete graph on 6 vertices: more than 16
+    # vertices, so more than 16 rays; the budget raises instead of truncating
+    I = ideal_of(6, *(tuple(int(k in (i, j)) for k in range(6))
+                      for i in range(6) for j in range(i + 1, 6)))
+    Q = symbolic_polyhedron(I)
+    assert len(enumerate_vertices(Q)) > 16
+    with pytest.raises(ResourceLimitError) as exc:
+        enumerate_vertices(Q, max_rays=16)
+    assert exc.value.what == "double-description rays"
+    assert exc.value.limit == 16
+
+
+def _units(dim, scale=1):
+    return [tuple(scale * int(i == j) for j in range(dim)) for i in range(dim)]
+
+
+def test_maximal_ideal_in_7_variables_enumerates():
+    I = MonomialIdeal.make(7, [Monomial(v) for v in _units(7)])
+    assert enumerate_vertices(symbolic_polyhedron(I)) == tuple(sorted(
+        tuple(F(x) for x in v) for v in _units(7)))
+
+
+def test_product_polyhedra_in_8_and_7_variables():
+    """(x0^2, x1)(x2, ..., x7) and (x0, ..., x3)(x4, x5, x6)^2: the two
+    primes share no variable, so Q is the product of the two component
+    polyhedra and its vertices are the sums of their vertices."""
+    left = ideal_of(8, (2, 0, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0, 0))
+    right = ideal_of(8, *[(0, 0) + v for v in _units(6)])
+    Q = symbolic_polyhedron(multiply(left, right))
+    assert [N.simplex_power for _, N in Q.components] == [None, ((2, 3, 4, 5, 6, 7), 1)]
+    assert enumerate_vertices(Q) == tuple(sorted(
+        tuple(F(a + b) for a, b in zip(u.exponents, w.exponents))
+        for u in left.gens for w in right.gens))
+    left = ideal_of(7, *[u + (0, 0, 0) for u in _units(4)])
+    right = ideal_of(7, *[(0, 0, 0, 0) + w for w in _units(3)])
+    Q = symbolic_polyhedron(multiply(left, power(right, 2)))
+    assert [N.simplex_power for _, N in Q.components] == [((0, 1, 2, 3), 1), ((4, 5, 6), 2)]
+    assert enumerate_vertices(Q) == tuple(sorted(
+        tuple(F(x) for x in u + w) for u in _units(4) for w in _units(3, 2)))
 
 
 def test_member_scaled(rot3):
@@ -162,7 +201,7 @@ def test_stairs_containment(rot3, triples4):
 
 
 def test_stairs_sampled_fallback(rot3):
-    res = check_stairs_containment(rot3, 1, sample_count=4, max_facets=1)
+    res = check_stairs_containment(rot3, 1, sample_count=4, max_rays=1)
     assert res.verdict == R.HOLDS
     assert res.details["sampled_only"]
 
@@ -189,6 +228,41 @@ def test_cone_scaling(num, den):
     N = newton_polyhedron(ideal_of(2, (2, 0), (0, 1)))
     pt = (F(2) + F(num, den), F(0))
     assert np_member(N, pt)
+
+
+def _ideals(max_exp):
+    return st.integers(min_value=2, max_value=5).flatmap(lambda d: st.lists(
+        st.lists(st.integers(min_value=0, max_value=max_exp), min_size=d,
+                 max_size=d).filter(any),
+        min_size=1, max_size=5).map(lambda vecs: ideal_of(d, *vecs)))
+
+
+@given(st.one_of(_ideals(1), _ideals(3)),
+       st.lists(st.integers(min_value=1, max_value=9), min_size=5, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_double_description_against_oracles(I, weights):
+    """Facets are valid on the generators and tight at one of them; vertices
+    lie in every component and are tight on d linearly independent rows
+    (facets and coordinate halfspaces); the least value of a positive
+    objective over the vertices is the LP optimum."""
+    Q = symbolic_polyhedron(I)
+    d = Q.ambient_dim
+    rows = [(tuple(F(int(i == j)) for j in range(d)), F(0)) for i in range(d)]
+    for _, N in Q.components:
+        facets = component_facets(N)
+        assert facets
+        for normal, offset in facets:
+            assert offset > 0
+            assert min(sum(n * e for n, e in zip(normal, g)) for g in N.gens) == offset
+        rows += facets
+    verts = enumerate_vertices(Q)
+    for v in verts:
+        assert all(np_member(N, v) for _, N in Q.components)
+        tight = [list(n) for n, c in rows if sum(a * x for a, x in zip(n, v)) == c]
+        assert len(tight) >= d and nullspace(tight) == []
+    objective = weights[:d]
+    assert (min(sum(c * x for c, x in zip(objective, v)) for v in verts)
+            == _optimize_over(Q, objective)[0])
 
 
 @pytest.mark.parametrize("seed", [3])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from symbpow import lp
 from symbpow.errors import VerificationError
-from symbpow.linalg import nullspace, solve_any, solve_square
+from symbpow.linalg import nullspace, solve_square
 
 F = Fraction
 
@@ -113,10 +113,6 @@ def test_solve_square():
     sol = solve_square([[F(2), F(0)], [F(0), F(4)]], [F(6), F(8)])
     assert sol == [F(3), F(2)]
     assert solve_square([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]) is None
-
-
-def test_solve_any_inconsistent():
-    assert solve_any([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)]) is None
 
 
 def test_nullspace():
