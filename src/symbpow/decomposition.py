@@ -109,10 +109,6 @@ class IrreducibleComponent:
         return self.to_ideal().render(names)
 
 
-def _is_pure_powers(I: MonomialIdeal) -> bool:
-    return all(len(g.support) == 1 for g in I.gens)
-
-
 def _component_of(I: MonomialIdeal) -> IrreducibleComponent:
     return IrreducibleComponent(
         I.ambient_dim,
@@ -195,17 +191,29 @@ def max_associated_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:
                  if not any(q is not p and q.contains(p) for q in primes))
 
 
-def big_height(I: MonomialIdeal) -> int:
-    """Maximal height of an associated prime.  When it equals the variable
-    count, the graded maximal ideal is associated and symbolic powers
-    coincide with ordinary powers; a warning points that out."""
-    e = max(p.height for p in associated_primes(I))
-    if e == I.ambient_dim:
+def _big_height(I: MonomialIdeal) -> int:
+    """big_height without the warning, for callers inside the package; each
+    public entry point warns once, through warn_if_powers_coincide."""
+    return max(p.height for p in associated_primes(I))
+
+
+def warn_if_powers_coincide(I: MonomialIdeal, stacklevel: int = 2) -> None:
+    """PowersCoincideWarning when the big height equals the variable count:
+    the graded maximal ideal is then associated, and symbolic powers
+    coincide with ordinary powers.  Public entry points call it once;
+    stacklevel counts frames from theirs, as in warnings.warn."""
+    if _big_height(I) == I.ambient_dim:
         warnings.warn(
             "big-height equals the number of variables: symbolic powers "
             "of this ideal are its ordinary powers",
-            PowersCoincideWarning, stacklevel=2)
-    return e
+            PowersCoincideWarning, stacklevel=stacklevel + 1)
+
+
+def big_height(I: MonomialIdeal) -> int:
+    """Maximal height of an associated prime; warns when it equals the
+    variable count (see warn_if_powers_coincide)."""
+    warn_if_powers_coincide(I)
+    return _big_height(I)
 
 
 def localize(I: MonomialIdeal, P: MonomialPrime) -> MonomialIdeal:

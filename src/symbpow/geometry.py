@@ -6,11 +6,14 @@ whole orthant.  The symbolic polyhedron of I is the intersection of the
 Newton polyhedra of the localizations of I at its maximal associated
 primes, stored V-style: one generator matrix per component prime.
 
-Everything here is exact.  Membership questions are rational LP
-feasibility; alpha (the least coordinate sum over the polyhedron) is one
-simplex solve; facets and vertices come from one exact double-description
-routine (Motzkin et al. 1953; Fukuda and Prodon 1996), whose intermediate
-ray count has an explicit budget (ResourceLimitError, never truncation).
+Everything here is exact, and rests on two integer routines: the
+certified LP of lp.py and one double-description routine.  Membership
+questions are LP feasibility; alpha (the least coordinate sum over the
+polyhedron) is one simplex solve; a Caratheodory decomposition is a basic
+feasible point, reduced when needed by one more LP.  Facets and vertices
+come from the double description (Motzkin et al. 1953; Fukuda and Prodon
+1996), whose intermediate ray count has an explicit budget
+(ResourceLimitError, never truncation).
 
 A fast path recognizes components that are powers of monomial primes
 (P_S)^m, whose polyhedron is exactly {a >= 0 : sum of a over S >= m}; for
@@ -28,7 +31,6 @@ from math import gcd, lcm
 from . import lp
 from .decomposition import MonomialPrime, localize, max_associated_primes
 from .errors import ResourceLimitError, VerificationError
-from .linalg import nullspace, solve_square
 from .monomial import (Monomial, MonomialIdeal, as_prime_power, contains,
                        require_proper)
 from .symbolic import symbolic_power
@@ -96,14 +98,10 @@ def np_member(N: NewtonPolyhedron, a) -> bool:
     if sp is not None:
         s_vars, m = sp
         return sum(pt[i] for i in s_vars) >= m
-    k = len(N.gens)
-    matrix = [[Fraction(g[i]) for g in N.gens] for i in range(N.ambient_dim)]
-    rhs = list(pt)
-    senses = [lp.LE] * N.ambient_dim
-    matrix.append([Fraction(1)] * k)
-    rhs.append(Fraction(1))
-    senses.append(lp.EQ)
-    return lp.feasible_point(matrix, rhs, senses) is not None
+    matrix = [[g[i] for g in N.gens] for i in range(N.ambient_dim)]
+    matrix.append([1] * len(N.gens))
+    senses = [lp.LE] * N.ambient_dim + [lp.EQ]
+    return lp.feasible_point(matrix, pt + (1,), senses) is not None
 
 
 def member_scaled(Q: SymbolicPolyhedron, a, m) -> bool:
@@ -111,7 +109,7 @@ def member_scaled(Q: SymbolicPolyhedron, a, m) -> bool:
     m = Fraction(m)
     if m <= 0:
         raise ValueError("scale must be positive")
-    pt = tuple(Fraction(x) / m for x in _as_point(a, Q.ambient_dim))
+    pt = tuple(x / m for x in _as_point(a, Q.ambient_dim))
     return all(np_member(N, pt) for _, N in Q.components)
 
 
@@ -133,35 +131,31 @@ def _optimize_over(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[Fr
         else:
             blocks.append(N.gens)
     ncols = d + sum(len(g) for g in blocks)
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    matrix: list[list[int]] = []
+    rhs: list[int] = []
     senses: list[str] = []
     for s_vars, m in simple_rows:
-        row = [Fraction(0)] * ncols
-        for i in s_vars:
-            row[i] = Fraction(1)
-        matrix.append(row)
-        rhs.append(Fraction(m))
+        matrix.append([int(i in s_vars) for i in range(d)] + [0] * (ncols - d))
+        rhs.append(m)
         senses.append(lp.GE)
     col0 = d
     for gens in blocks:
         k = len(gens)
         for i in range(d):
-            row = [Fraction(0)] * ncols
-            row[i] = Fraction(1)
+            row = [0] * ncols
+            row[i] = 1
             for j, g in enumerate(gens):
-                row[col0 + j] = Fraction(-g[i])
+                row[col0 + j] = -g[i]
             matrix.append(row)
-            rhs.append(Fraction(0))
+            rhs.append(0)
             senses.append(lp.GE)
-        row = [Fraction(0)] * ncols
-        for j in range(k):
-            row[col0 + j] = Fraction(1)
+        row = [0] * ncols
+        row[col0:col0 + k] = [1] * k
         matrix.append(row)
-        rhs.append(Fraction(1))
+        rhs.append(1)
         senses.append(lp.EQ)
         col0 += k
-    cost = [Fraction(c) for c in objective] + [Fraction(0)] * (ncols - d)
+    cost = list(objective) + [0] * (ncols - d)
     result = lp.solve(lp.LinearProgram.make(matrix, rhs, senses, cost))
     if result.status != lp.OPTIMAL:
         raise VerificationError(f"alpha LP ended {result.status}")
@@ -175,7 +169,7 @@ def _optimize_over(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[Fr
 @lru_cache(maxsize=512)
 def alpha_polyhedron(Q: SymbolicPolyhedron) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Least coordinate sum over Q and a point attaining it."""
-    return _optimize_over(Q, [Fraction(1)] * Q.ambient_dim)
+    return _optimize_over(Q, [1] * Q.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +203,11 @@ def caratheodory_decompose(N: NewtonPolyhedron, P: MonomialPrime, a) -> Caratheo
     most height(P) generator exponent vectors plus an orthant part.
 
     Starts from a basic feasible solution of the transportation system
-    (at most height(P) + 1 non-zero entries), then either cancels an affine
-    dependence among the active vectors or rides a coordinate ray to the
-    boundary, both of which retire one convex weight.
+    (at most height(P) + 1 non-zero entries, on linearly independent
+    columns).  When all height(P) + 1 of them are convex weights, the point
+    lies in the simplex of their vectors, and one more certified LP rides
+    the first coordinate ray of the prime down to that simplex's boundary:
+    the ride's length t lands in the orthant part and retires a weight.
     """
     pt = _as_point(a, N.ambient_dim)
     pvars = list(P.variables)
@@ -225,46 +221,32 @@ def caratheodory_decompose(N: NewtonPolyhedron, P: MonomialPrime, a) -> Caratheo
 
     k = len(N.gens)
     # variables: lambda_0..lambda_{k-1}, then c_i for i in pvars
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for idx, i in enumerate(pvars):
-        row = [Fraction(g[i]) for g in N.gens] + [Fraction(0)] * h
-        row[k + idx] = Fraction(1)
-        matrix.append(row)
-        rhs.append(pt[i])
-    matrix.append([Fraction(1)] * k + [Fraction(0)] * h)
-    rhs.append(Fraction(1))
+    matrix = [[g[i] for g in N.gens] + [int(j == idx) for j in range(h)]
+              for idx, i in enumerate(pvars)]
+    matrix.append([1] * k + [0] * h)
+    rhs = [pt[i] for i in pvars] + [1]
     base = lp.feasible_point(matrix, rhs, [lp.EQ] * (h + 1))
     if base is None:
         raise VerificationError("membership holds but the certificate LP failed")
     lam = list(base[:k])
-
-    def active():
-        return [j for j in range(k) if lam[j] > 0]
-
-    act = active()
-    while len(act) > h:
-        cols = [[Fraction(N.gens[j][i]) for j in act] for i in pvars]
-        cols.append([Fraction(1)] * len(act))
-        kern = nullspace(cols)
-        if kern:
-            mu = kern[0]
-        else:
-            # h+1 affinely independent points: ride the first coordinate ray
-            # of the prime down to the boundary of their simplex; the ray's
-            # share lands in the cone part below
-            target = [Fraction(1)] + [Fraction(0)] * (h - 1) + [Fraction(0)]
-            square = [[Fraction(N.gens[j][i]) for j in act] for i in pvars]
-            square.append([Fraction(1)] * len(act))
-            mu = solve_square(square, target)
-            if mu is None:
-                raise VerificationError("affinely independent points gave a singular system")
-        if all(m <= 0 for m in mu):
-            mu = [-m for m in mu]
-        t = min(lam[j] / m for j, m in zip(act, mu) if m > 0)
-        for j, m in zip(act, mu):
-            lam[j] -= t * m
-        act = active()
+    act = [j for j in range(k) if lam[j] > 0]
+    if len(act) > h:
+        # the basic point spends all h + 1 non-zeros on weights, so the
+        # orthant part is 0; maximize t in G_A lambda + t e_{p0} = a_P,
+        # sum lambda = 1: barycentric coordinates in a simplex are unique,
+        # so lambda is a function of t and the optimum is the ride
+        ride = [[N.gens[j][i] for j in act] + [int(idx == 0)]
+                for idx, i in enumerate(pvars)]
+        ride.append([1] * len(act) + [0])
+        result = lp.solve(lp.LinearProgram.make(
+            ride, rhs, [lp.EQ] * (h + 1), [0] * len(act) + [-1]))
+        if result.status != lp.OPTIMAL:
+            raise VerificationError(f"Caratheodory ride LP ended {result.status}")
+        for j, w in zip(act, result.solution):
+            lam[j] = w
+        act = [j for j in act if lam[j] > 0]
+        if len(act) > h:
+            raise VerificationError("the ride retired no convex weight")
 
     cone = list(pt)
     for j in act:
@@ -344,18 +326,24 @@ def _cone_rays(dim: int, rows, max_rays: int) -> list[tuple[int, ...]]:
     return sorted(vec for vec, _ in rays)
 
 
-def component_facets(N: NewtonPolyhedron, max_rays: int = DEFAULT_MAX_RAYS):
+def _facet_rays(N: NewtonPolyhedron, max_rays: int) -> list[tuple[tuple[int, ...], int]]:
     """The facet inequalities normal.x >= offset of N other than the
-    coordinate halfspaces, sorted.  By polarity they are the rays
-    (normal, offset) with offset > 0 of the cone of valid inequalities,
-    cut by one row (v, -1) per generator v; each is scaled so that its
-    first non-zero normal entry is 1."""
+    coordinate halfspaces, as primitive integer (normal, offset) pairs.
+    By polarity they are the rays with offset > 0 of the cone of valid
+    inequalities, cut by one row (v, -1) per generator v."""
+    return [(tuple(normal), offset)
+            for *normal, offset in _cone_rays(N.ambient_dim + 1,
+                                              [v + (-1,) for v in N.gens], max_rays)
+            if offset > 0]
+
+
+def component_facets(N: NewtonPolyhedron, max_rays: int = DEFAULT_MAX_RAYS):
+    """The facets of N from _facet_rays, each scaled so that its first
+    non-zero normal entry is 1, sorted."""
     facets = []
-    for *normal, offset in _cone_rays(N.ambient_dim + 1,
-                                      [v + (-1,) for v in N.gens], max_rays):
-        if offset > 0:
-            lead = next(x for x in normal if x != 0)
-            facets.append((tuple(Fraction(x, lead) for x in normal), Fraction(offset, lead)))
+    for normal, offset in _facet_rays(N, max_rays):
+        lead = next(x for x in normal if x != 0)
+        facets.append((tuple(Fraction(x, lead) for x in normal), Fraction(offset, lead)))
     return sorted(facets)
 
 
@@ -365,11 +353,8 @@ def enumerate_vertices(Q: SymbolicPolyhedron, max_rays: int = DEFAULT_MAX_RAYS) 
     that cone are the vertices x / t.  Each vertex is re-checked against
     every component.  An intermediate ray count over max_rays raises
     ResourceLimitError."""
-    rows = set()
-    for _, N in Q.components:
-        for normal, offset in component_facets(N, max_rays):
-            den = lcm(offset.denominator, *(x.denominator for x in normal))
-            rows.add(tuple(int(x * den) for x in normal) + (int(-offset * den),))
+    rows = {normal + (-offset,) for _, N in Q.components
+            for normal, offset in _facet_rays(N, max_rays)}
     rays = _cone_rays(Q.ambient_dim + 1, sorted(rows), max_rays)
     vertices = sorted(tuple(Fraction(x, t) for x in ray) for *ray, t in rays if t > 0)
     if not vertices:
@@ -387,7 +372,7 @@ def enumerate_vertices(Q: SymbolicPolyhedron, max_rays: int = DEFAULT_MAX_RAYS) 
 def stairs_member(J: MonomialIdeal, point) -> bool:
     """Is the rational point in the up-closure of J's generator exponents?"""
     pt = _as_point(point, J.ambient_dim)
-    return any(all(Fraction(e) <= x for e, x in zip(g.exponents, pt))
+    return any(all(e <= x for e, x in zip(g.exponents, pt))
                for g in J.gens)
 
 
@@ -403,7 +388,7 @@ def probe_points(Q: SymbolicPolyhedron, sample_count: int, rng,
     except ResourceLimitError:
         points = []
         for _ in range(sample_count):
-            objective = [Fraction(rng.randint(1, 64)) for _ in range(d)]
+            objective = [rng.randint(1, 64) for _ in range(d)]
             points.append(_optimize_over(Q, objective)[1])
         return points, 0, True
     points = list(verts)

@@ -28,14 +28,15 @@ from math import ceil
 from typing import Callable, NamedTuple
 
 from . import results as R
-from .decomposition import (associated_primes, big_height, localize,
-                            max_associated_primes, sigma)
+from .decomposition import (_big_height, associated_primes, localize,
+                            max_associated_primes, sigma,
+                            warn_if_powers_coincide)
 from .errors import ResourceLimitError
 from .geometry import (DEFAULT_MAX_RAYS, member_scaled, probe_points,
                        stairs_member, symbolic_polyhedron)
-from .invariants import (DEFAULT_CLOSURE_BUDGET, alpha, beta,
-                         chudnovsky_bound, is_equigenerated,
-                         is_integrally_closed, waldschmidt)
+from .invariants import (DEFAULT_CLOSURE_BUDGET, _chudnovsky_bound, alpha,
+                         beta, is_equigenerated, is_integrally_closed,
+                         waldschmidt)
 from .monomial import (Monomial, MonomialIdeal, containment_witness, contains,
                        intersect, is_squarefree, power, require_proper)
 from .parsing import default_names, format_ideal
@@ -113,8 +114,15 @@ class Check:
         return [dict(zip(self.grid, values)) for values in product(*axes)]
 
     def run(self, I: MonomialIdeal, params: dict, **options) -> CheckResult:
-        """This check on I at one parameter point."""
+        """This check on I at one parameter point, for the check_*
+        functions: it warns once, naming the line that called them."""
         require_proper(I)
+        warn_if_powers_coincide(I, stacklevel=3)
+        return self._run(I, params, **options)
+
+    def _run(self, I: MonomialIdeal, params: dict, **options) -> CheckResult:
+        """run without the proper-ideal check and the warning, which a
+        suite makes once for all its rows."""
         if any(v < self.low for v in params.values()):
             raise ValueError(f"{', '.join(params)} must be at least {self.low}")
         start = time.perf_counter()
@@ -146,7 +154,7 @@ def _main_theorem(I, m, t, r):
     components raise each variable to a single common exponent
     (substituting x_v^a -> y_v turns them square-free without changing
     heights)."""
-    e = big_height(I)
+    e = _big_height(I)
     lhs_exp = t * (m + e - 1) - e + r
     s = (t - 1) * (e - 1) + r - 1
     return Containment(
@@ -161,7 +169,7 @@ def _symbolic_step(I, r):
 
 def _support_step(I, r):
     """I^(r+e) <= m^sigma(I) * I^(r) with e the big height (theorem)."""
-    e, s = big_height(I), sigma(I)
+    e, s = _big_height(I), sigma(I)
     return Containment(symbolic_power(I, r + e), symbolic_power(I, r), s,
                        {"e": e, "sigma": s})
 
@@ -174,7 +182,7 @@ def _refined_containment(I, r):
     conjecture with known counterexamples, so failures on non-square-free
     input are candidate counterexamples, not bugs.
     """
-    e = big_height(I)
+    e = _big_height(I)
     sqfree = is_squarefree(I)
     m_exp = r * e - e + 1
     s = (r - 1) * (e - 1)
@@ -219,7 +227,7 @@ def _stairs(I, r, sample_count=8, seed=0, max_rays=DEFAULT_MAX_RAYS):
     vertex of Q plus pseudo-random convex combinations; if vertex
     enumeration is over budget, on sampled LP optima of random positive
     objectives instead (flagged sampled_only)."""
-    e = big_height(I)
+    e = _big_height(I)
     Ir = power(I, r)
     points, vertex_count, sampled_only = probe_points(
         symbolic_polyhedron(I), sample_count, SplitRng(seed, ("stairs", r)), max_rays)
@@ -235,7 +243,7 @@ def _stairs(I, r, sample_count=8, seed=0, max_rays=DEFAULT_MAX_RAYS):
 def _slope_threshold(I, r):
     """(waldschmidt, I^r, max(e*r, beta(I^r)/waldschmidt))."""
     w, Ir = waldschmidt(I), power(I, r)
-    return w, Ir, max(Fraction(big_height(I) * r), Fraction(beta(Ir)) / w)
+    return w, Ir, max(Fraction(_big_height(I) * r), Fraction(beta(Ir)) / w)
 
 
 def _slope_hypothesis(I, r, m=None, **_):
@@ -274,16 +282,16 @@ def _chudnovsky(I):
     """Conjectured lower bound: the Waldschmidt constant is at least
     (alpha(I) + e - 1) / e.  A failure is a candidate counterexample, not a
     bug."""
-    w, bound = waldschmidt(I), chudnovsky_bound(I)
+    w, bound = waldschmidt(I), _chudnovsky_bound(I)
     return Outcome(_holds(w >= bound),
-                   {"alpha": alpha(I), "e": big_height(I), "waldschmidt": w,
+                   {"alpha": alpha(I), "e": _big_height(I), "waldschmidt": w,
                     "bound": bound, "slack": w - bound})
 
 
 def _equigenerated_hypothesis(I, **_):
     if not is_equigenerated(I):
         return {"reason": "not equigenerated"}
-    if waldschmidt(I) < chudnovsky_bound(I):
+    if waldschmidt(I) < _chudnovsky_bound(I):
         return {"reason": "degree bound hypothesis fails"}
     return None
 
@@ -291,7 +299,7 @@ def _equigenerated_hypothesis(I, **_):
 def _equigenerated_containment(I, r):
     """When I is generated in one degree and the Chudnovsky-style bound
     holds for it, I^(e*r) sits in m^((e-1)*r) * I^r."""
-    e = big_height(I)
+    e = _big_height(I)
     s = (e - 1) * r
     return Containment(symbolic_power(I, e * r), power(I, r), s, {"e": e, "s": s})
 
@@ -308,8 +316,8 @@ def _alpha_equality(I, r):
     """When the Waldschmidt constant equals alpha(I): the Chudnovsky-style
     bound follows, and if additionally beta(I) <= e * alpha(I) so does
     I^(e*r) inside m^((e-1)*r) * I^r."""
-    a, e = alpha(I), big_height(I)
-    holds = waldschmidt(I) >= chudnovsky_bound(I)
+    a, e = alpha(I), _big_height(I)
+    holds = waldschmidt(I) >= _chudnovsky_bound(I)
     details = {"alpha": a, "e": e, "chudnovsky_holds": holds}
     if beta(I) > e * a:
         return Outcome(_holds(holds), details | {
@@ -478,12 +486,13 @@ def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
     for name in selected:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")
+    warn_if_powers_coincide(I)
     results = []
     for name in selected:
         row = CHECKS[name]
         for params in row.points(ranges):
             try:
-                results.append(row.run(I, params, **row.options(ranges, seed)))
+                results.append(row._run(I, params, **row.options(ranges, seed)))
             except ResourceLimitError as exc:
                 results.append(CheckResult(
                     name=name, verdict=R.RESOURCE_LIMIT, params=params,

@@ -11,11 +11,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .decomposition import big_height, max_associated_primes, sigma
+from .decomposition import (_big_height, associated_primes,
+                            max_associated_primes, sigma,
+                            warn_if_powers_coincide)
 from .errors import ResourceLimitError
 from .geometry import (alpha_polyhedron, newton_polyhedron, np_member,
                        realizing_denominator, symbolic_polyhedron)
-from .monomial import MonomialIdeal, Monomial, contains, iter_box, require_proper
+from .monomial import (MonomialIdeal, Monomial, contains, is_squarefree,
+                       iter_box, require_proper)
 from .symbolic import symbolic_equals_ordinary, symbolic_power
 
 DEFAULT_CLOSURE_BUDGET = 200_000
@@ -52,7 +55,14 @@ def waldschmidt_point(I: MonomialIdeal) -> tuple[Fraction, ...]:
 
 def chudnovsky_bound(I: MonomialIdeal) -> Fraction:
     """(alpha(I) + e - 1) / e where e is the big height."""
-    return Fraction(alpha(I) + big_height(I) - 1, big_height(I))
+    warn_if_powers_coincide(I)
+    return _chudnovsky_bound(I)
+
+
+def _chudnovsky_bound(I: MonomialIdeal) -> Fraction:
+    """chudnovsky_bound without the warning, for callers inside the package."""
+    e = _big_height(I)
+    return Fraction(alpha(I) + e - 1, e)
 
 
 def alpha_equality_at_denominator(I: MonomialIdeal, cap: int = 12) -> dict:
@@ -87,7 +97,7 @@ def is_integrally_closed(I: MonomialIdeal,
         raise ResourceLimitError("integral closure box", volume, max_points)
     N = newton_polyhedron(I)
     for pt in iter_box(corner):
-        if np_member(N, pt) and not contains(I, Monomial(pt)):
+        if not contains(I, Monomial(pt)) and np_member(N, pt):
             return False
     return True
 
@@ -100,8 +110,7 @@ def invariant_report(I: MonomialIdeal, names=None,
                      closure_budget: int = DEFAULT_CLOSURE_BUDGET) -> dict:
     """All the scalar invariants at once, for the CLI info command."""
     require_proper(I)
-    from .decomposition import associated_primes
-    from .monomial import is_squarefree
+    warn_if_powers_coincide(I)
     w, pt = alpha_polyhedron(symbolic_polyhedron(I))
     try:
         closed = is_integrally_closed(I, closure_budget)
@@ -114,13 +123,13 @@ def invariant_report(I: MonomialIdeal, names=None,
         "beta": beta(I),
         "equigenerated": is_equigenerated(I),
         "squarefree": is_squarefree(I),
-        "big_height": big_height(I),
+        "big_height": _big_height(I),
         "sigma": sigma(I),
         "ass": [P.render(names) for P in associated_primes(I)],
         "maxass": [P.render(names) for P in max_associated_primes(I)],
         "waldschmidt": w,
         "waldschmidt_point": list(pt),
-        "chudnovsky_bound": chudnovsky_bound(I),
+        "chudnovsky_bound": _chudnovsky_bound(I),
         "symbolic_equals_ordinary": symbolic_equals_ordinary(I),
         "integrally_closed": closed,
     }

@@ -19,6 +19,10 @@ y must have the sign each sense asks for and satisfy A^T y <= c and
 b.y == c.x.  An infeasible verdict must come with a Farkas ray.  The checks
 raise VerificationError rather than assert, so they also hold under
 `python -O`.
+
+This tableau is the package's only exact linear solver: membership, alpha
+and the Caratheodory reduction in geometry.py are all LPs built from plain
+integers, and LinearProgram.make is where their entries become rationals.
 """
 
 from __future__ import annotations
@@ -300,6 +304,6 @@ def solve(lp: LinearProgram) -> LPResult:
 
 def feasible_point(matrix, rhs, senses) -> tuple[Fraction, ...] | None:
     """A basic feasible point of the system, or None (phase 1 only)."""
-    lp = LinearProgram.make(matrix, rhs, senses, [Fraction(0)] * len(matrix[0]))
+    lp = LinearProgram.make(matrix, rhs, senses, [0] * len(matrix[0]))
     result = solve(lp)
     return result.solution if result.status == OPTIMAL else None

@@ -63,9 +63,6 @@ class Monomial:
     def __mul__(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
 
-    def sort_key(self):
-        return (self.degree, self.exponents)
-
     def render(self, names: Sequence[str] | None = None) -> str:
         if names is None:
             names = [f"x{i}" for i in range(len(self.exponents))]

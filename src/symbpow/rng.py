@@ -41,9 +41,6 @@ class SplitRng:
             if x < limit:
                 return lo + (x % span)
 
-    def choice(self, seq):
-        return seq[self.randint(0, len(seq) - 1)]
-
     def subset(self, items, size: int) -> list:
         """Uniform size-`size` subset, order-stable in the input order."""
         pool = list(items)

@@ -15,7 +15,6 @@ from symbpow.geometry import (NewtonPolyhedron, _optimize_over, alpha_polyhedron
                               realizing_denominator, stairs_member,
                               symbolic_polyhedron)
 from symbpow.harness import check_stairs_containment
-from symbpow.linalg import nullspace
 from symbpow.monomial import Monomial, MonomialIdeal, multiply, power
 
 from conftest import ideal_of, random_squarefree_corpus
@@ -180,6 +179,194 @@ def test_caratheodory_rejects_outside_point():
         caratheodory_decompose(N, MonomialPrime(2, (0, 1)), (F(1, 4), F(1, 4)))
 
 
+def _decompose_recording_phase1(monkeypatch, N, P, point):
+    """caratheodory_decompose, and how many convex weights its phase-1
+    basic point makes positive (the last feasible_point call is that one;
+    the ride, when it runs, is a plain lp.solve)."""
+    feasible_point, points = lp.feasible_point, []
+
+    def recording(*args):
+        points.append(feasible_point(*args))
+        return points[-1]
+
+    monkeypatch.setattr(lp, "feasible_point", recording)
+    deco = caratheodory_decompose(N, P, point)
+    return deco, sum(1 for x in points[-1][:len(N.gens)] if x > 0)
+
+
+def test_caratheodory_ride_frozen(monkeypatch):
+    """The centroid (4/3, 4/3) of the triangle (0,3), (1,1), (3,0): phase 1
+    weights all three corners, so the ride runs.  Riding down the x axis
+    meets the edge from (0,3) to (1,1) at (5/6, 4/3), after t = 1/2."""
+    N = newton_polyhedron(ideal_of(2, (0, 3), (1, 1), (3, 0)))
+    deco, active = _decompose_recording_phase1(
+        monkeypatch, N, MonomialPrime(2, (0, 1)), (F(4, 3), F(4, 3)))
+    assert active == 3
+    assert deco.weights == (((0, 3), F(1, 6)), ((1, 1), F(5, 6)))
+    assert deco.cone == (F(1, 2), F(0))
+    assert deco.denominator() == 6
+
+
+# (variables, prime, generators, point, weights, orthant part) of rides as
+# the former Gauss-Jordan ride returned them, before the ride became an LP.
+# Three per (variables, prime height) pair, from a random corpus of
+# symbolic polyhedron components of 2-5-variable ideals and of Newton
+# polyhedra of h + 1 generators on a prime of height h.
+PINNED_RIDES = [
+    (2, (0, 1), [(1, 4), (2, 2), (5, 0)],
+     ("22/9", "2"),
+     {(2, 2): "1"},
+     ("4/9", "0")),
+    (2, (0, 1), [(2, 5), (4, 2), (5, 0)],
+     ("59/15", "2"),
+     {(2, 5): "2/5", (5, 0): "3/5"},
+     ("2/15", "0")),
+    (2, (0, 1), [(0, 3), (1, 2), (2, 0)],
+     ("12/7", "1/2"),
+     {(0, 3): "1/6", (2, 0): "5/6"},
+     ("1/21", "0")),
+    (3, (1, 2), [(0, 1, 5), (0, 3, 2), (0, 5, 0)],
+     ("0", "23/7", "2"),
+     {(0, 3, 2): "1"},
+     ("0", "2/7", "0")),
+    (3, (0, 2), [(0, 0, 5), (1, 0, 4), (4, 0, 2)],
+     ("2", "0", "24/7"),
+     {(1, 0, 4): "5/7", (4, 0, 2): "2/7"},
+     ("1/7", "0", "0")),
+    (3, (1, 2), [(0, 1, 4), (0, 2, 2), (0, 5, 0)],
+     ("0", "2", "18/7"),
+     {(0, 1, 4): "2/7", (0, 2, 2): "5/7"},
+     ("0", "2/7", "0")),
+    (3, (0, 1, 2), [(0, 1, 3), (1, 3, 1), (2, 1, 1), (2, 5, 0)],
+     ("22/15", "11/3", "2/3"),
+     {(1, 3, 1): "2/3", (2, 5, 0): "1/3"},
+     ("2/15", "0", "0")),
+    (3, (0, 1, 2), [(0, 0, 4), (0, 5, 3), (1, 0, 2), (4, 0, 0)],
+     ("1", "60/31", "74/31"),
+     {(0, 5, 3): "12/31", (1, 0, 2): "19/31"},
+     ("12/31", "0", "0")),
+    (3, (0, 1, 2), [(0, 2, 2), (1, 2, 1), (4, 1, 4), (5, 1, 0)],
+     ("79/32", "25/16", "9/8"),
+     {(0, 2, 2): "9/16", (5, 1, 0): "7/16"},
+     ("9/32", "0", "0")),
+    (4, (1, 2), [(0, 0, 4, 0), (0, 1, 2, 0), (0, 4, 0, 0)],
+     ("0", "19/11", "2", "0"),
+     {(0, 1, 2, 0): "1"},
+     ("0", "8/11", "0", "0")),
+    (4, (2, 3), [(0, 0, 0, 5), (0, 0, 2, 2), (0, 0, 4, 1)],
+     ("0", "0", "7/4", "3"),
+     {(0, 0, 0, 5): "1/3", (0, 0, 2, 2): "2/3"},
+     ("0", "0", "5/12", "0")),
+    (4, (0, 1), [(0, 5, 0, 0), (2, 4, 0, 0), (5, 1, 0, 0)],
+     ("1", "13/3", "0", "0"),
+     {(0, 5, 0, 0): "5/6", (5, 1, 0, 0): "1/6"},
+     ("1/6", "0", "0", "0")),
+    (4, (0, 1, 3), [(2, 5, 0, 0), (3, 3, 0, 1), (4, 1, 0, 1), (5, 0, 0, 2)],
+     ("83/24", "19/8", "0", "1"),
+     {(3, 3, 0, 1): "11/16", (4, 1, 0, 1): "5/16"},
+     ("7/48", "0", "0", "0")),
+    (4, (0, 1, 2), [(1, 2, 4, 0), (1, 5, 1, 0), (4, 1, 5, 0), (4, 3, 2, 0)],
+     ("2", "41/12", "7/3", "0"),
+     {(1, 2, 4, 0): "13/36", (1, 5, 1, 0): "7/18", (4, 3, 2, 0): "1/4"},
+     ("1/4", "0", "0", "0")),
+    (4, (1, 2, 3), [(0, 1, 2, 1), (0, 2, 1, 2), (0, 4, 0, 1), (0, 4, 1, 0)],
+     ("0", "25/12", "4/3", "7/6"),
+     {(0, 1, 2, 1): "7/12", (0, 2, 1, 2): "1/6", (0, 4, 0, 1): "1/4"},
+     ("0", "1/6", "0", "0")),
+    (4, (0, 1, 2, 3), [(0, 3, 3, 1), (4, 3, 1, 3), (4, 4, 0, 5), (5, 0, 3, 3),
+                       (5, 1, 1, 5)],
+     ("3", "53/28", "16/7", "37/14"),
+     {(0, 3, 3, 1): "13/28", (4, 3, 1, 3): "1/14", (5, 0, 3, 3): "5/28",
+      (5, 1, 1, 5): "2/7"},
+     ("11/28", "0", "0", "0")),
+    (4, (0, 1, 2, 3), [(2, 3, 2, 2), (3, 0, 2, 3), (3, 3, 5, 1), (3, 4, 1, 4),
+                       (4, 4, 5, 0)],
+     ("83/28", "17/7", "22/7", "12/7"),
+     {(2, 3, 2, 2): "8/21", (3, 0, 2, 3): "5/21", (3, 3, 5, 1): "5/21",
+      (4, 4, 5, 0): "1/7"},
+     ("17/84", "0", "0", "0")),
+    (4, (0, 1, 2, 3), [(0, 1, 5, 4), (0, 2, 5, 1), (1, 1, 5, 2), (2, 5, 0, 1),
+                       (5, 5, 1, 0)],
+     ("9/8", "19/8", "63/16", "29/16"),
+     {(0, 1, 5, 4): "9/32", (0, 2, 5, 1): "1/2", (2, 5, 0, 1): "3/16",
+      (5, 5, 1, 0): "1/32"},
+     ("19/32", "0", "0", "0")),
+    (5, (0, 3), [(1, 0, 0, 5, 0), (2, 0, 0, 4, 0), (5, 0, 0, 3, 0)],
+     ("39/14", "0", "0", "4", "0"),
+     {(2, 0, 0, 4, 0): "1"},
+     ("11/14", "0", "0", "0", "0")),
+    (5, (1, 2), [(0, 2, 5, 0, 0), (0, 4, 4, 0, 0), (0, 5, 1, 0, 0)],
+     ("0", "27/8", "4", "0", "0"),
+     {(0, 2, 5, 0, 0): "3/4", (0, 5, 1, 0, 0): "1/4"},
+     ("0", "5/8", "0", "0", "0")),
+    (5, (0, 4), [(0, 0, 0, 0, 3), (1, 0, 0, 0, 2), (5, 0, 0, 0, 0)],
+     ("7/8", "0", "0", "0", "9/4"),
+     {(0, 0, 0, 0, 3): "1/4", (1, 0, 0, 0, 2): "3/4"},
+     ("1/8", "0", "0", "0", "0")),
+    (5, (1, 2, 4), [(0, 0, 3, 0, 3), (0, 1, 1, 0, 4), (0, 1, 4, 0, 1),
+                    (0, 2, 1, 0, 1)],
+     ("14/19", "26/19", "32/19", "11/19", "32/19"),
+     {(0, 0, 3, 0, 3): "13/38", (0, 2, 1, 0, 1): "25/38"},
+     ("14/19", "1/19", "0", "11/19", "0")),
+    (5, (0, 3, 4), [(1, 0, 0, 1, 4), (3, 0, 0, 2, 3), (3, 0, 0, 3, 1),
+                    (4, 0, 0, 0, 5)],
+     ("5/2", "0", "0", "1", "27/7"),
+     {(1, 0, 0, 1, 4): "4/7", (3, 0, 0, 3, 1): "1/7", (4, 0, 0, 0, 5): "2/7"},
+     ("5/14", "0", "0", "0", "0")),
+    (5, (0, 2, 3), [(0, 0, 3, 3, 0), (2, 0, 5, 1, 0), (3, 0, 1, 3, 0),
+                    (4, 0, 0, 0, 0)],
+     ("43/25", "0", "3", "9/5", "0"),
+     {(0, 0, 3, 3, 0): "1/2", (2, 0, 5, 1, 0): "3/10", (4, 0, 0, 0, 0): "1/5"},
+     ("8/25", "0", "0", "0", "0")),
+    (5, (0, 2, 3, 4), [(0, 0, 1, 0, 4), (1, 0, 0, 4, 5), (2, 0, 3, 3, 2),
+                       (3, 0, 0, 1, 2), (3, 0, 1, 0, 3)],
+     ("15/8", "0", "3/4", "5/4", "3"),
+     {(0, 0, 1, 0, 4): "15/44", (1, 0, 0, 4, 5): "7/66", (2, 0, 3, 3, 2): "3/22",
+      (3, 0, 0, 1, 2): "5/12"},
+     ("65/264", "0", "0", "0", "0")),
+    (5, (0, 1, 2, 4), [(1, 1, 1, 0, 4), (1, 4, 4, 0, 1), (2, 5, 3, 0, 1),
+                       (3, 0, 1, 0, 3), (4, 5, 4, 0, 0)],
+     ("20/9", "101/36", "22/9", "0", "2"),
+     {(1, 1, 1, 0, 4): "1/6", (1, 4, 4, 0, 1): "5/18", (2, 5, 3, 0, 1): "11/36",
+      (3, 0, 1, 0, 3): "1/4"},
+     ("5/12", "0", "0", "0", "0")),
+    (5, (0, 2, 3, 4), [(0, 0, 1, 3, 4), (2, 0, 2, 2, 5), (2, 0, 4, 0, 5),
+                       (3, 0, 0, 0, 5), (5, 0, 1, 1, 4)],
+     ("94/31", "0", "41/31", "1", "142/31"),
+     {(0, 0, 1, 3, 4): "9/31", (2, 0, 4, 0, 5): "7/31", (3, 0, 0, 0, 5): "11/31",
+      (5, 0, 1, 1, 4): "4/31"},
+     ("27/31", "0", "0", "0", "0")),
+    (5, (0, 1, 2, 3, 4), [(1, 1, 5, 4, 4), (1, 4, 5, 0, 3), (2, 0, 3, 0, 0),
+                          (2, 3, 0, 2, 2), (3, 1, 0, 3, 1), (5, 1, 1, 1, 0)],
+     ("3", "35/26", "30/13", "33/26", "29/26"),
+     {(1, 1, 5, 4, 4): "1/13", (1, 4, 5, 0, 3): "5/26", (2, 0, 3, 0, 0): "3/13",
+      (3, 1, 0, 3, 1): "3/13", (5, 1, 1, 1, 0): "7/26"},
+     ("3/13", "0", "0", "0", "0")),
+    (5, (0, 1, 2, 3, 4), [(0, 3, 1, 1, 4), (0, 4, 3, 1, 1), (1, 0, 5, 2, 4),
+                          (1, 1, 4, 5, 1), (3, 0, 3, 3, 1), (3, 2, 0, 0, 0)],
+     ("27/22", "29/22", "32/11", "5/2", "51/22"),
+     {(0, 3, 1, 1, 4): "8/33", (1, 0, 5, 2, 4): "8/33", (1, 1, 4, 5, 1): "7/22",
+      (3, 0, 3, 3, 1): "2/33", (3, 2, 0, 0, 0): "3/22"},
+     ("5/66", "0", "0", "0", "0")),
+    (5, (0, 1, 2, 3, 4), [(0, 4, 4, 0, 2), (0, 5, 1, 4, 3), (2, 1, 5, 0, 0),
+                          (2, 4, 0, 0, 4), (4, 3, 2, 0, 4), (5, 0, 2, 2, 1)],
+     ("9/5", "71/20", "43/20", "6/5", "23/8"),
+     {(0, 4, 4, 0, 2): "89/720", (0, 5, 1, 4, 3): "3/10", (2, 1, 5, 0, 0): "13/90",
+      (2, 4, 0, 0, 4): "83/720", (4, 3, 2, 0, 4): "19/60"},
+     ("1/72", "0", "0", "0", "0")),
+]
+
+
+@pytest.mark.parametrize("dim, prime, gens, point, weights, cone", PINNED_RIDES)
+def test_caratheodory_ride_is_pinned(monkeypatch, dim, prime, gens, point, weights, cone):
+    N = newton_polyhedron(ideal_of(dim, *gens))
+    deco, active = _decompose_recording_phase1(
+        monkeypatch, N, MonomialPrime(dim, prime), tuple(F(x) for x in point))
+    assert active == len(prime) + 1
+    assert deco.weights == tuple((v, F(w)) for v, w in weights.items())
+    assert deco.cone == tuple(F(x) for x in cone)
+
+
 def test_realizing_denominator(rot3, triples4):
     assert realizing_denominator(rot3, (F(2, 3),) * 3) == 3
     assert realizing_denominator(triples4, (F(1, 2),) * 4) == 2
@@ -230,6 +417,30 @@ def test_cone_scaling(num, den):
     assert np_member(N, pt)
 
 
+def _rank(rows) -> int:
+    """Exact rank of rational rows, by Gaussian elimination over Fractions."""
+    rows = [[F(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][c] / rows[rank][c]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_helper():
+    assert _rank([[1, 1, 1]]) == 1
+    assert _rank([[1, 0], [0, 1]]) == 2
+    assert _rank([[1, 2], [2, 4], [3, 6]]) == 1
+    assert _rank([[0, 0, 1], [0, 1, 0], [0, 1, 1]]) == 2
+    assert _rank([]) == 0
+
+
 def _ideals(max_exp):
     return st.integers(min_value=2, max_value=5).flatmap(lambda d: st.lists(
         st.lists(st.integers(min_value=0, max_value=max_exp), min_size=d,
@@ -259,7 +470,7 @@ def test_double_description_against_oracles(I, weights):
     for v in verts:
         assert all(np_member(N, v) for _, N in Q.components)
         tight = [list(n) for n, c in rows if sum(a * x for a, x in zip(n, v)) == c]
-        assert len(tight) >= d and nullspace(tight) == []
+        assert _rank(tight) == d
     objective = weights[:d]
     assert (min(sum(c * x for c, x in zip(objective, v)) for v in verts)
             == _optimize_over(Q, objective)[0])

@@ -4,10 +4,13 @@ from fractions import Fraction
 import pytest
 
 import symbpow.results as R
+from symbpow.decomposition import big_height
+from symbpow.errors import PowersCoincideWarning
 from symbpow.harness import (CHECK_NAMES, CHECKS, ScanConfig, SuiteRanges,
-                             check_polyhedron_bound, findings_jsonl,
-                             result_to_dict, run_suite, scan, scan_jsonl,
-                             suite_jsonl, suite_text)
+                             check_polyhedron_bound, check_support_step,
+                             findings_jsonl, result_to_dict, run_suite, scan,
+                             scan_jsonl, suite_jsonl, suite_text)
+from symbpow.invariants import chudnovsky_bound, invariant_report
 from symbpow.monomial import Monomial, MonomialIdeal
 from symbpow.results import CheckResult, encode_value
 
@@ -133,3 +136,19 @@ def test_check_names_cover_plan():
         "polyhedron_bound", "alpha_lower", "stairs", "alpha_slope",
         "chudnovsky", "equigenerated_containment", "alpha_equality",
         "integrally_closed_bound")
+
+
+@pytest.mark.parametrize("call", [run_suite, big_height, chudnovsky_bound,
+                                  invariant_report,
+                                  lambda I: check_support_step(I, 1)],
+                         ids=["run_suite", "big_height", "chudnovsky_bound",
+                              "invariant_report", "check_support_step"])
+def test_powers_coincide_warns_once_per_call(call):
+    """One warning per public call: a whole suite (every row, every grid
+    point) warns once, and so does every entry point that reads the big
+    height internally."""
+    I = ideal_of(2, (2, 0), (1, 1))  # x * (x, y): (x, y) is associated
+    with pytest.warns(PowersCoincideWarning) as record:
+        call(I)
+    assert sum(issubclass(w.category, PowersCoincideWarning) for w in record) == 1
+    assert all(w.filename == __file__ for w in record)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from symbpow import lp
 from symbpow.errors import VerificationError
-from symbpow.linalg import nullspace, solve_square
 
 F = Fraction
 
@@ -103,24 +102,6 @@ def test_feasible_point():
     assert sol is not None
     assert sum(sol) == F(1)
     assert lp.feasible_point([[1], [1]], [2, 1], [lp.GE, lp.LE]) is None
-
-
-# ---------------------------------------------------------------------------
-# linalg helpers
-
-
-def test_solve_square():
-    sol = solve_square([[F(2), F(0)], [F(0), F(4)]], [F(6), F(8)])
-    assert sol == [F(3), F(2)]
-    assert solve_square([[F(1), F(1)], [F(2), F(2)]], [F(1), F(2)]) is None
-
-
-def test_nullspace():
-    kern = nullspace([[F(1), F(1), F(1)]])
-    assert len(kern) == 2
-    for v in kern:
-        assert sum(v) == 0
-    assert nullspace([[F(1), F(0)], [F(0), F(1)]]) == []
 
 
 # ---------------------------------------------------------------------------
