@@ -216,18 +216,20 @@ def caratheodory_decompose(N: NewtonPolyhedron, P: MonomialPrime, a) -> Caratheo
     for g in N.gens:
         if any(g[i] for i in outside):
             raise ValueError("component generators must be supported inside the prime")
-    if not np_member(N, pt):
+    if any(pt[i] < 0 for i in outside):
         raise ValueError("point is outside the Newton polyhedron")
 
     k = len(N.gens)
-    # variables: lambda_0..lambda_{k-1}, then c_i for i in pvars
+    # variables: lambda_0..lambda_{k-1}, then c_i for i in pvars; with the
+    # generators inside the prime, this phase 1 alone decides membership on
+    # the prime's coordinates (an infeasible verdict carries a Farkas ray)
     matrix = [[g[i] for g in N.gens] + [int(j == idx) for j in range(h)]
               for idx, i in enumerate(pvars)]
     matrix.append([1] * k + [0] * h)
     rhs = [pt[i] for i in pvars] + [1]
     base = lp.feasible_point(matrix, rhs, [lp.EQ] * (h + 1))
     if base is None:
-        raise VerificationError("membership holds but the certificate LP failed")
+        raise ValueError("point is outside the Newton polyhedron")
     lam = list(base[:k])
     act = [j for j in range(k) if lam[j] > 0]
     if len(act) > h:

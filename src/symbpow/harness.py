@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -31,7 +32,7 @@ from . import results as R
 from .decomposition import (_big_height, associated_primes, localize,
                             max_associated_primes, sigma,
                             warn_if_powers_coincide)
-from .errors import ResourceLimitError
+from .errors import PowersCoincideWarning, ResourceLimitError
 from .geometry import (DEFAULT_MAX_RAYS, member_scaled, probe_points,
                        stairs_member, symbolic_polyhedron)
 from .invariants import (DEFAULT_CLOSURE_BUDGET, _chudnovsky_bound, alpha,
@@ -609,27 +610,41 @@ class ScanReport:
         return out
 
 
+def _scan_suite(rng: SplitRng, i: int, config: ScanConfig) -> SuiteReport:
+    nvars = config.num_vars[rng.randint(0, len(config.num_vars) - 1)]
+    sqfree = config.squarefree_only or rng.randint(0, 1) == 0
+    extra = []
+    if sqfree:
+        I, fam = _random_squarefree(rng.child("sqfree"), nvars)
+        extra.append(_ass_oracle_result(I, fam))
+    else:
+        I = _random_general(rng.child("general"), nvars,
+                            config.max_exp, config.max_gens)
+    label = f"scan-{config.seed}-{i:03d}"
+    suite = run_suite(I, checks=config.checks, ranges=config.ranges,
+                      seed=config.seed, label=label)
+    return SuiteReport(suite.ideal, suite.names,
+                       tuple(extra) + suite.results, label)
+
+
 def scan(config: ScanConfig) -> ScanReport:
+    """One suite per pseudo-random ideal.  The suites' own
+    PowersCoincideWarnings are held back, and the scan gives one at its
+    caller's line, naming how many ideals it concerns."""
     root = SplitRng(config.seed, ("scan",))
-    suites = []
-    for i in range(config.count):
-        rng = root.child(f"ideal{i}")
-        nvars = config.num_vars[rng.randint(0, len(config.num_vars) - 1)]
-        sqfree = config.squarefree_only or rng.randint(0, 1) == 0
-        extra = []
-        if sqfree:
-            I, fam = _random_squarefree(rng.child("sqfree"), nvars)
-            extra.append(_ass_oracle_result(I, fam))
-        else:
-            I = _random_general(rng.child("general"), nvars,
-                                config.max_exp, config.max_gens)
-        label = f"scan-{config.seed}-{i:03d}"
-        suite = run_suite(I, checks=config.checks, ranges=config.ranges,
-                          seed=config.seed, label=label)
-        suite = SuiteReport(suite.ideal, suite.names,
-                            tuple(extra) + suite.results, label)
-        suites.append(suite)
-    return ScanReport(config, tuple(suites))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", PowersCoincideWarning)
+        suites = tuple(_scan_suite(root.child(f"ideal{i}"), i, config)
+                       for i in range(config.count))
+    coincide = [s.label for s in suites
+                if _big_height(s.ideal) == s.ideal.ambient_dim]
+    if coincide:
+        warnings.warn(
+            f"{len(coincide)} of {len(suites)} scanned ideals (first "
+            f"{coincide[0]}) have big-height equal to the number of "
+            "variables: their symbolic powers are their ordinary powers",
+            PowersCoincideWarning, stacklevel=2)
+    return ScanReport(config, suites)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,12 @@ Hot kernels (minimalization, pairwise lcm/product, divisibility scans) run
 on int64 numpy arrays whenever every exponent sits below 2**31, which makes
 componentwise max and pairwise sums overflow-free; anything larger falls
 back to pure Python big integers, so results are exact for any magnitude.
+Products and general intersections minimalize their candidates that way.
+Powers of a monomial prime, and intersections with them (every symbolic
+power of a square-free ideal), never make a dominated candidate: a prime
+power is listed directly, and `_intersect_with_simplex_power` holds the
+degree-m part of each group of generators as a bitmask over ranked
+compositions, so each minimal generator comes out once, with no scan.
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
-        if any(e < 0 for e in exps):
+        exps = tuple(map(int, self.exponents))
+        if exps and min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
 
@@ -89,8 +95,8 @@ class MonomialIdeal:
     """A monomial ideal, held by its minimal generating set.
 
     Instances are only built through `make` / `zero` / `unit` /
-    `_from_vectors`, which establish the canonical form (deduplicated,
-    divisibility-minimal, sorted).  gens == () encodes the zero ideal and
+    `_from_vectors` and the prime-power kernels, which establish the
+    canonical form (deduplicated, divisibility-minimal, sorted).  gens == () encodes the zero ideal and
     gens == (1,) the unit ideal; `is_zero` / `is_unit` are the flags.
     """
 
@@ -309,22 +315,68 @@ def _from_vectors(dim: int, vectors: list[tuple[int, ...]]) -> MonomialIdeal:
     return MonomialIdeal(dim, tuple(Monomial(v) for v in vecs))
 
 
+@lru_cache(maxsize=4096)
+def _upper_mask(m: int, low: tuple[int, ...]) -> int:
+    """Bitmask, over the ranks of `_compositions(m, len(low))`, of the
+    degree-m vectors that lie componentwise above `low`.
+
+    Compositions are in lex order, so those with first part f fill one
+    block, which starts after the C(m+h-1, h-1) - C(m-f+h-1, h-1) with a
+    smaller first part; inside it the rest ranks in `_compositions(m-f, h-1)`.
+    """
+    h = len(low)
+    if h == 1:
+        return int(low[0] <= m)
+    if h == 2:  # the rank is the first part
+        top = m - low[1]
+        return (1 << top + 1) - (1 << low[0]) if low[0] <= top else 0
+    total = comb(m + h - 1, h - 1)
+    mask = 0
+    for first in range(low[0], m - sum(low[1:]) + 1):
+        offset = total - comb(m - first + h - 1, h - 1)
+        mask |= _upper_mask(m - first, low[1:]) << offset
+    return mask
+
+
 def _intersect_with_simplex_power(I: MonomialIdeal, s_vars, m: int) -> MonomialIdeal:
-    """I meet P^m where P is the prime on s_vars: each generator a of I needs
-    its S-degree topped up to m, in every possible distribution."""
+    """I meet P^m where P is the prime on s_vars, built straight from the
+    minimal generators of I with no dominance scan.
+
+    A generator of S-degree above m is kept as it is: it neither divides
+    nor is divided by a monomial of S-degree m.  The others are grouped by
+    their exponents k outside S, and U_k is the set of degree-m vectors w
+    on S above some member of group k.  A candidate u dividing k + w has
+    S-degree m, so its S-part is w and its key is <= k; hence k + w is
+    minimal exactly when w lies in no U_k' with k' < k.
+    """
+    rest = [i for i in range(I.ambient_dim) if i not in s_vars]
     out: list[tuple[int, ...]] = []
-    for g in I.gens:
-        have = sum(g.exponents[i] for i in s_vars)
-        short = m - have
-        if short <= 0:
-            out.append(g.exponents)
+    groups: dict[tuple[int, ...], int] = {}
+    for g in I.vectors:
+        low = tuple(g[i] for i in s_vars)
+        if sum(low) > m:
+            out.append(g)
             continue
-        for combo in _compositions(short, len(s_vars)):
-            v = list(g.exponents)
-            for i, extra in zip(s_vars, combo):
-                v[i] += extra
+        key = tuple(g[i] for i in rest)
+        groups[key] = groups.get(key, 0) | _upper_mask(m, low)
+    keys = sorted(groups, key=lambda k: (sum(k), k))
+    comps = _compositions(m, len(s_vars))
+    for n, k in enumerate(keys):
+        mask = groups[k]
+        for k2 in keys[:n]:  # every k' < k sorts before k
+            if all(map(int.__le__, k2, k)):
+                mask &= ~groups[k2]
+        v = [0] * I.ambient_dim
+        for i, e in zip(rest, k):
+            v[i] = e
+        while mask:
+            low_bit = mask & -mask
+            mask ^= low_bit
+            for i, e in zip(s_vars, comps[low_bit.bit_length() - 1]):
+                v[i] = e
             out.append(tuple(v))
-    return _from_vectors(I.ambient_dim, out)
+    out.sort(key=lambda v: (sum(v), v))
+    return MonomialIdeal(I.ambient_dim, tuple(map(Monomial, out)))
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -363,7 +415,8 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
     if I.is_zero or I.is_unit or t == 1:
         return I
     if all(g.degree == 1 for g in I.gens):
-        # power of a monomial prime: all degree-t monomials in its variables
+        # power of a monomial prime: all degree-t monomials in its variables,
+        # distinct and of one degree, so already minimal
         s_vars = [g.support[0] for g in I.gens]
         out = []
         for combo in _compositions(t, len(s_vars)):
@@ -371,7 +424,8 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
             for i, e in zip(s_vars, combo):
                 v[i] = e
             out.append(tuple(v))
-        return _from_vectors(I.ambient_dim, out)
+        out.sort()
+        return MonomialIdeal(I.ambient_dim, tuple(map(Monomial, out)))
     acc = I
     for _ in range(t - 1):
         acc = multiply(acc, I)

@@ -6,8 +6,10 @@ associated primes P, the m-th symbolic power is
     I^(m)  =  intersection over P in maxass(I) of (I localized at P)^m,
 
 computed here exactly: the localization erases exponents outside P, its
-power is formed with minimalization after every product, and the components
-are intersected smallest-first.
+power is formed with minimalization after every product (a power of a
+prime is listed directly), and the components are intersected
+smallest-first.  Each intersection with a prime-power component builds its
+minimal generators directly; for a square-free I every component is one.
 """
 
 from __future__ import annotations

@@ -207,6 +207,44 @@ def test_caratheodory_ride_frozen(monkeypatch):
     assert deco.denominator() == 6
 
 
+def _counting_lp_solves(monkeypatch):
+    solve, calls = lp.solve, []
+
+    def counting(program):
+        calls.append(program)
+        return solve(program)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    return calls
+
+
+TRIANGLE = ideal_of(3, (0, 3, 0), (1, 1, 0), (3, 0, 0))
+
+
+@pytest.mark.parametrize("point, lps", [((F(4, 3), F(4, 3), 2), 2),
+                                        ((0, 3, 0), 1)],
+                         ids=["ride", "vertex"])
+def test_caratheodory_lp_count(monkeypatch, point, lps):
+    """Phase 1 alone decides membership: one LP per decomposition, two
+    when the ride runs."""
+    N, P = newton_polyhedron(TRIANGLE), MonomialPrime(3, (0, 1))
+    calls = _counting_lp_solves(monkeypatch)
+    assert caratheodory_decompose(N, P, point).reconstruction() == point
+    assert len(calls) == lps
+
+
+@pytest.mark.parametrize("point, lps", [((F(1, 2), F(1, 2), 0), 1),
+                                        ((F(4, 3), F(4, 3), -1), 0)],
+                         ids=["infeasible-phase-1", "negative-outside"])
+def test_caratheodory_rejects_outside_triangle(monkeypatch, point, lps):
+    N, P = newton_polyhedron(TRIANGLE), MonomialPrime(3, (0, 1))
+    calls = _counting_lp_solves(monkeypatch)
+    with pytest.raises(ValueError, match="outside the Newton polyhedron"):
+        caratheodory_decompose(N, P, point)
+    assert len(calls) == lps
+    assert not np_member(N, point)
+
+
 # (variables, prime, generators, point, weights, orthant part) of rides as
 # the former Gauss-Jordan ride returned them, before the ride became an LP.
 # Three per (variables, prime height) pair, from a random corpus of

@@ -138,17 +138,29 @@ def test_check_names_cover_plan():
         "integrally_closed_bound")
 
 
+# seed 1 draws 3 two-variable ideals of 4 whose big height is 2
+SCAN_COINCIDING = ScanConfig(count=4, seed=1, num_vars=(2,),
+                             checks=("symbolic_step",))
+
+
 @pytest.mark.parametrize("call", [run_suite, big_height, chudnovsky_bound,
                                   invariant_report,
-                                  lambda I: check_support_step(I, 1)],
+                                  lambda I: check_support_step(I, 1),
+                                  lambda I: scan(SCAN_COINCIDING)],
                          ids=["run_suite", "big_height", "chudnovsky_bound",
-                              "invariant_report", "check_support_step"])
+                              "invariant_report", "check_support_step", "scan"])
 def test_powers_coincide_warns_once_per_call(call):
     """One warning per public call: a whole suite (every row, every grid
-    point) warns once, and so does every entry point that reads the big
-    height internally."""
+    point) warns once, a whole scan once, and so does every entry point
+    that reads the big height internally."""
     I = ideal_of(2, (2, 0), (1, 1))  # x * (x, y): (x, y) is associated
     with pytest.warns(PowersCoincideWarning) as record:
         call(I)
     assert sum(issubclass(w.category, PowersCoincideWarning) for w in record) == 1
     assert all(w.filename == __file__ for w in record)
+
+
+def test_scan_warning_names_its_ideals():
+    with pytest.warns(PowersCoincideWarning, match=r"^3 of 4 scanned ideals "
+                                                   r"\(first scan-1-000\)"):
+        scan(SCAN_COINCIDING)

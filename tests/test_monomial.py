@@ -2,8 +2,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from symbpow import monomial
 from symbpow.errors import DimensionMismatchError
-from symbpow.monomial import (Monomial, MonomialIdeal, containment_witness,
+from symbpow.monomial import (Monomial, MonomialIdeal, _from_vectors,
+                              _pairwise_combine, containment_witness,
                               contains, degree_monomials, intersect,
                               is_squarefree, maximal_ideal, minimalize,
                               multiply, power, radical, subset)
@@ -253,3 +255,66 @@ def test_containment_witness_matches_literal_product(lhs, rhs, s):
     assert containment_witness(lhs, rhs, s) == expected
     if s == 0:
         assert subset(lhs, rhs) == (expected is None)
+
+
+# ---------------------------------------------------------------------------
+# intersections with powers of a monomial prime
+
+
+def prime_on(dim, s_vars) -> MonomialIdeal:
+    return ideal_of(dim, *[[int(j == i) for j in range(dim)] for i in s_vars])
+
+
+def canonical(vectors) -> tuple:
+    return tuple(sorted(vectors, key=lambda v: (sum(v), v)))
+
+
+@st.composite
+def ideal_and_support(draw):
+    """A general ideal in 2-5 variables, exponents up to 6 so that some
+    generators have S-degree above m, and a non-empty variable subset S."""
+    dim = draw(st.integers(min_value=2, max_value=5))
+    vec = st.lists(st.integers(min_value=0, max_value=6), min_size=dim, max_size=dim)
+    vecs = draw(st.lists(vec, min_size=1, max_size=7))
+    s_vars = draw(st.sets(st.integers(min_value=0, max_value=dim - 1), min_size=1))
+    return ideal_of(dim, *vecs), sorted(s_vars)
+
+
+# x0^5*x2 has S-degree 5 > 3 and stays; x1^2 and x0*x2^4 share nothing
+@example((ideal_of(3, (5, 0, 1), (0, 2, 0), (1, 0, 4)), [0, 1]), 3)
+# two keys outside S, (0,) < (2,): the lower group removes the upper one's
+@example((ideal_of(3, (1, 0, 0), (0, 1, 2)), [0, 1]), 2)
+@example((ideal_of(2, (2, 1), (0, 3)), [0, 1]), 7)
+@given(ideal_and_support(), st.integers(min_value=1, max_value=7))
+@settings(max_examples=200, deadline=None)
+def test_intersect_with_prime_power_matches_pairwise_lcm(case, m_):
+    I, s_vars = case
+    Pm = power(prime_on(I.ambient_dim, s_vars), m_)
+    oracle = _from_vectors(I.ambient_dim,
+                           _pairwise_combine(list(I.vectors), list(Pm.vectors), "lcm"))
+    got = intersect(I, Pm)
+    assert got == oracle
+    assert got.vectors == canonical(got.vectors)
+
+
+@pytest.mark.parametrize("dim, s_vars, t", [(1, [0], 4), (3, [0, 1, 2], 5),
+                                            (5, [0, 2, 3], 6), (4, [3], 2)])
+def test_prime_power_is_canonical(dim, s_vars, t):
+    got = power(prime_on(dim, s_vars), t).vectors
+    assert got == canonical(got)
+    assert got == _from_vectors(dim, list(got)).vectors
+    assert len(got) == len(degree_monomials(len(s_vars), t))
+
+
+def test_prime_powers_never_minimalize(monkeypatch):
+    """Both prime-power kernels build minimal generators directly."""
+    def refuse(vectors):
+        raise AssertionError("minimal_vectors called")
+
+    I = ideal_of(4, (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 3), (2, 0, 0, 1))
+    P = prime_on(4, [0, 2, 3])
+    Pm = power(P, 5)
+    expected = intersect(I, Pm)
+    monkeypatch.setattr(monomial, "minimal_vectors", refuse)
+    assert power(P, 5) == Pm
+    assert intersect(I, Pm) == expected

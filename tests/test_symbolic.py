@@ -3,11 +3,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbpow.results as R
+from symbpow.decomposition import max_associated_primes
 from symbpow.monomial import Monomial, contains, power, subset
-from symbpow.harness import (check_equal_exponent_containment,
+from symbpow.harness import (_random_squarefree,
+                             check_equal_exponent_containment,
                              check_refined_containment,
                              check_squarefree_containment, check_support_step,
                              check_symbolic_in_mpower, check_symbolic_step)
+from symbpow.rng import SplitRng
 from symbpow.symbolic import (equal_exponent_condition,
                               symbolic_equals_ordinary, symbolic_power,
                               symbolic_power_oracle_sqfree)
@@ -149,3 +152,45 @@ proper3 = st.lists(vec3.filter(lambda v: sum(v) > 0), min_size=1, max_size=4).ma
 @settings(max_examples=40, deadline=None)
 def test_ordinary_power_inside_symbolic(I, m_):
     assert subset(power(I, m_), symbolic_power(I, m_))
+
+
+# ---------------------------------------------------------------------------
+# square-free symbolic powers against the local criterion
+
+
+def c03_ideals(count):
+    """The first square-free ideals of the c03 sweep (scan seed 2026, 3-5
+    variables), drawn as harness.scan draws them."""
+    root = SplitRng(2026, ("scan",))
+    for i in range(count):
+        rng = root.child(f"ideal{i}")
+        nvars = (3, 4, 5)[rng.randint(0, 2)]
+        yield _random_squarefree(rng.child("sqfree"), nvars)[0]
+
+
+def assert_local_criterion(I, n):
+    """Every generator a of the square-free I^(n) has a(P) >= n on each
+    minimal prime P, and each a_i is forced by the others:
+    a_i = max(0, max over P containing i of n - a(P minus i))."""
+    primes = [P.variables for P in max_associated_primes(I)]
+    gens = symbolic_power(I, n).vectors
+    assert gens
+    for a in gens:
+        assert all(sum(a[i] for i in P) >= n for P in primes)
+        for i in range(I.ambient_dim):
+            need = max((n - sum(a[j] for j in P if j != i)
+                        for P in primes if i in P), default=0)
+            assert a[i] == max(0, need)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_c03_symbolic_powers_meet_local_criterion(n):
+    for I in c03_ideals(100):
+        assert_local_criterion(I, n)
+
+
+def test_five_cycle_symbolic_power_is_pinned():
+    C5 = ideal_of(5, *[[int(j in (i, (i + 1) % 5)) for j in range(5)]
+                       for i in range(5)])
+    assert len(symbolic_power(C5, 20).gens) == 2940
+    assert_local_criterion(C5, 20)
