@@ -7,10 +7,13 @@ then lexicographically, so equal ideals are structurally equal.  The empty
 generating set is the zero ideal; the single degree-0 generator is the unit
 ideal.
 
-Hot kernels (minimalization, pairwise lcm/product, divisibility scans) run
-on int64 numpy arrays whenever every exponent sits below 2**31, which makes
-componentwise max and pairwise sums overflow-free; anything larger falls
-back to pure Python big integers, so results are exact for any magnitude.
+Divisibility scans (minimalization, the containment kernel, the key
+comparisons of a prime-power intersection) go through one bitset
+divisibility index, in the spirit of Frobby (Roune, J. Symbolic Comput.
+2009): per coordinate the distinct values are rank-compressed, and over
+those ranks a Python int holds the bitmask of the rows whose entry is at
+most that value.  The rows dividing a point are the AND of one such mask
+per coordinate, so every exponent stays an exact integer of any size.
 Products and general intersections minimalize their candidates that way.
 Powers of a monomial prime, and intersections with them (every symbolic
 power of a square-free ideal), never make a dominated candidate: a prime
@@ -22,18 +25,14 @@ compositions, so each minimal generator comes out once, with no scan.
 from __future__ import annotations
 
 import itertools
+import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import DimensionMismatchError
-
-_NP_SAFE = 1 << 31
-_NP_MIN_WORK = 48  # below this many vectors the python path wins
-_BATCH = 512
 
 
 @dataclass(frozen=True)
@@ -185,100 +184,90 @@ def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal):
 # vector kernels
 
 
-def _np_usable(vectors) -> bool:
-    return all(e < _NP_SAFE for v in vectors for e in v)
+def _prefix_masks(column: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The sorted distinct values of a column and, for each, the bitmask of
+    the rows (bit j for row j) whose entry is at most that value."""
+    rows_at: dict[int, int] = {}
+    for j, x in enumerate(column):
+        rows_at[x] = rows_at.get(x, 0) | 1 << j
+    values = sorted(rows_at)
+    masks, acc = [], 0
+    for x in values:
+        acc |= rows_at[x]
+        masks.append(acc)
+    return values, masks
 
 
-def _minimal_vectors_py(uniq: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    kept: list[tuple[int, ...]] = []
-    for v in uniq:  # uniq sorted by (degree, lex); divisors come no later
-        if not any(all(k[i] <= v[i] for i in range(len(v))) for k in kept):
-            kept.append(v)
-    return kept
-
-
-def _minimal_vectors_np(uniq: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    arr = np.array(uniq, dtype=np.int64)
-    degs = arr.sum(axis=1)
-    kept: np.ndarray | None = None
-    i, n = 0, len(uniq)
-    while i < n:
-        j = i
-        d = degs[i]
-        while j < n and degs[j] == d:
-            j += 1
-        # same-degree distinct vectors never divide one another
-        for lo in range(i, j, _BATCH):
-            batch = arr[lo:min(lo + _BATCH, j)]
-            if kept is None:
-                fresh = batch
-            else:
-                dominated = (kept[None, :, :] <= batch[:, None, :]).all(axis=2).any(axis=1)
-                fresh = batch[~dominated]
-            if len(fresh):
-                kept = fresh if kept is None else np.concatenate([kept, fresh])
-        i = j
-    if kept is None:
-        return []
-    return [tuple(int(e) for e in row) for row in kept]
+def _rows_below(index, point) -> int:
+    """Bitmask of the indexed rows lying componentwise below `point`: the
+    AND over columns of the mask at the point's rank (-1, every row, when
+    there is no column)."""
+    hit = -1
+    for (values, masks), q in zip(index, point):
+        r = bisect_right(values, q)
+        if not r:
+            return 0
+        hit &= masks[r - 1]
+        if not hit:
+            return 0
+    return hit
 
 
 def minimal_vectors(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Divisibility-minimal subset, sorted by (total degree, lex)."""
+    """Divisibility-minimal subset, sorted by (total degree, lex).
+
+    Candidates are visited in that order, so every proper divisor of one
+    comes earlier, and a candidate is kept unless some kept vector divides
+    it.  The kept vectors sit in a divisibility index: the exponent values
+    are rank-compressed, and per coordinate a Fenwick tree over the ranks
+    holds prefix ORs of the kept bits, so both the query and the insertion
+    of a kept vector cost O(log V) big-int ORs per coordinate.
+    """
     uniq = sorted(set(vectors), key=lambda v: (sum(v), v))
-    if len(uniq) < _NP_MIN_WORK or not _np_usable(uniq):
-        return _minimal_vectors_py(uniq)
-    return _minimal_vectors_np(uniq)
+    values = sorted(set(itertools.chain.from_iterable(uniq)))
+    rank = dict(zip(values, range(1, len(values) + 1)))
+    size = len(values) + 1
+    trees = [[0] * size for _ in uniq[0]] if uniq else []
+    kept: list[tuple[int, ...]] = []
+    full = 0  # one bit per kept vector
+    for v in uniq:
+        if full:
+            hit = full
+            for tree, x in zip(trees, v):
+                r, below = rank[x], 0
+                while r:
+                    below |= tree[r]
+                    r &= r - 1
+                hit &= below
+                if not hit:
+                    break
+            if hit:
+                continue
+        bit = 1 << len(kept)
+        full |= bit
+        kept.append(v)
+        for tree, x in zip(trees, v):
+            r = rank[x]
+            while r < size:
+                tree[r] |= bit
+                r += r & -r
+    return kept
 
 
 def _any_divisor_mask(targets: list[tuple[int, ...]], divisors: list[tuple[int, ...]],
                       min_gap: int = 0) -> list[bool]:
-    """For each target, is there a divisor with degree gap >= min_gap?"""
-    if not divisors:
-        return [False] * len(targets)
-    if not targets:
-        return []
-    if (len(targets) * len(divisors) < 4096
-            or not _np_usable(targets) or not _np_usable(divisors)):
-        ddeg = [sum(d) for d in divisors]
-        out = []
-        for t in targets:
-            tdeg = sum(t)
-            out.append(any(
-                tdeg - ddeg[k] >= min_gap and all(d[i] <= t[i] for i in range(len(t)))
-                for k, d in enumerate(divisors)))
-        return out
-    tarr = np.array(targets, dtype=np.int64)
-    darr = np.array(divisors, dtype=np.int64)
-    tdeg = tarr.sum(axis=1)
-    ddeg = darr.sum(axis=1)
-    out: list[bool] = []
-    for lo in range(0, len(targets), _BATCH):
-        tb = tarr[lo:lo + _BATCH]
-        div = (darr[None, :, :] <= tb[:, None, :]).all(axis=2)
-        gap = (tdeg[lo:lo + _BATCH, None] - ddeg[None, :]) >= min_gap
-        out.extend(bool(x) for x in (div & gap).any(axis=1))
-    return out
+    """For each target, is there a divisor with degree gap >= min_gap?
+
+    One index over the divisors, with their degree as one more column,
+    answers each target t by the columns of t and deg(t) - min_gap.
+    """
+    index = [_prefix_masks(col) for col in (*zip(*divisors), list(map(sum, divisors)))]
+    return [bool(_rows_below(index, (*t, sum(t) - min_gap))) for t in targets]
 
 
 def _pairwise_combine(avecs, bvecs, op) -> list[tuple[int, ...]]:
-    if (len(avecs) * len(bvecs) < 4096
-            or not _np_usable(avecs) or not _np_usable(bvecs)):
-        if op == "lcm":
-            return [tuple(map(max, a, b)) for a in avecs for b in bvecs]
-        return [tuple(x + y for x, y in zip(a, b)) for a in avecs for b in bvecs]
-    aarr = np.array(avecs, dtype=np.int64)
-    barr = np.array(bvecs, dtype=np.int64)
-    n = aarr.shape[1]
-    rows: list[tuple[int, ...]] = []
-    for lo in range(0, len(avecs), 128):
-        ab = aarr[lo:lo + 128]
-        if op == "lcm":
-            grid = np.maximum(ab[:, None, :], barr[None, :, :])
-        else:
-            grid = ab[:, None, :] + barr[None, :, :]
-        rows.extend(map(tuple, grid.reshape(-1, n).tolist()))
-    return rows
+    f = max if op == "lcm" else operator.add
+    return [tuple(map(f, a, b)) for a in avecs for b in bvecs]
 
 
 @lru_cache(maxsize=512)
@@ -360,12 +349,15 @@ def _intersect_with_simplex_power(I: MonomialIdeal, s_vars, m: int) -> MonomialI
         key = tuple(g[i] for i in rest)
         groups[key] = groups.get(key, 0) | _upper_mask(m, low)
     keys = sorted(groups, key=lambda k: (sum(k), k))
+    index = [_prefix_masks(col) for col in zip(*keys)]
     comps = _compositions(m, len(s_vars))
     for n, k in enumerate(keys):
         mask = groups[k]
-        for k2 in keys[:n]:  # every k' < k sorts before k
-            if all(map(int.__le__, k2, k)):
-                mask &= ~groups[k2]
+        below = _rows_below(index, k) & ((1 << n) - 1)  # every k' < k sorts before k
+        while below:
+            low_bit = below & -below
+            below ^= low_bit
+            mask &= ~groups[keys[low_bit.bit_length() - 1]]
         v = [0] * I.ambient_dim
         for i, e in zip(rest, k):
             v[i] = e
@@ -405,9 +397,18 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return _from_vectors(I.ambient_dim, _pairwise_combine(list(I.vectors), list(J.vectors), "add"))
 
 
+@lru_cache(maxsize=512)
+def _powers_of(I: MonomialIdeal) -> list[MonomialIdeal]:
+    """[I, I^2, ...] as far as `power` has been asked for: each power of I
+    is built once, as the one before it times I."""
+    return [I]
+
+
 def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
-    """t-th power, minimalizing after every product so intermediate
-    generator sets never carry redundant elements."""
+    """t-th power, built as I^(t-1) * I and minimalized, so intermediate
+    generator sets never carry redundant elements.  Lower powers come from
+    a per-ideal cache, so a run of powers of one ideal multiplies by I once
+    per step, with no recursion however large t is."""
     if t < 0:
         raise ValueError("negative power of an ideal")
     if t == 0:
@@ -426,10 +427,10 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
             out.append(tuple(v))
         out.sort()
         return MonomialIdeal(I.ambient_dim, tuple(map(Monomial, out)))
-    acc = I
-    for _ in range(t - 1):
-        acc = multiply(acc, I)
-    return acc
+    powers = _powers_of(I)
+    while len(powers) < t:
+        powers.append(multiply(powers[-1], I))
+    return powers[t - 1]
 
 
 def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monomial | None:
@@ -440,7 +441,7 @@ def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monom
     This is the only containment kernel: every containment check reduces
     membership of f in m^s * rhs to "some minimal generator h of rhs
     divides f with deg f - deg h >= s", which is exact integer arithmetic.
-    One batched divisibility scan answers every generator of lhs at once.
+    One divisibility index over rhs answers every generator of lhs.
     """
     _check_same_ring(lhs, rhs)
     if s < 0:

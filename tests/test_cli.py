@@ -188,6 +188,18 @@ def test_console_entry_point(rot3_file):
     assert proc.stdout.strip() == "3"
 
 
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(symbpow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, symbpow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_timings_flag(rot3_file, capsys):
     code, out, _ = run_cli(capsys, "suite", rot3_file, "--checks", "chudnovsky",
                            "--timings")

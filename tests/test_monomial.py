@@ -4,8 +4,9 @@ from hypothesis import strategies as st
 
 from symbpow import monomial
 from symbpow.errors import DimensionMismatchError
-from symbpow.monomial import (Monomial, MonomialIdeal, _from_vectors,
-                              _pairwise_combine, containment_witness,
+from symbpow.monomial import (Monomial, MonomialIdeal, _any_divisor_mask,
+                              _from_vectors, _pairwise_combine,
+                              containment_witness, minimal_vectors,
                               contains, degree_monomials, intersect,
                               is_squarefree, maximal_ideal, minimalize,
                               multiply, power, radical, subset)
@@ -115,6 +116,24 @@ def test_power_edge_cases():
     assert power(MonomialIdeal.unit(2), 3).is_unit
 
 
+def test_power_reuses_lower_powers(monkeypatch):
+    I = ideal_of(3, (2, 1, 0), (0, 1, 3), (1, 0, 1))
+    monomial._powers_of.cache_clear()
+    calls = []
+    real_multiply = monomial.multiply
+    monkeypatch.setattr(monomial, "multiply",
+                        lambda A, B: calls.append(B) or real_multiply(A, B))
+    cube = power(I, 3)
+    assert power(I, 4) == real_multiply(cube, I)
+    assert power(I, 2) == real_multiply(I, I)
+    assert calls == [I, I, I]  # one product per step, I^2 and I^3 built once
+
+
+def test_power_of_high_exponent_does_not_recurse():
+    # far past the interpreter's recursion limit
+    assert power(ideal_of(1, (2,)), 5000).vectors == ((10000,),)
+
+
 def test_multiply():
     I = ideal_of(2, (1, 0))
     J = ideal_of(2, (0, 1), (2, 0))
@@ -222,8 +241,8 @@ def test_containment_with_m_matches_literal_product(I, vec, s):
 
 
 # all monomials of one degree 11..14 in three variables but at most ten:
-# 68 to 120 generators, so two of them give |lhs| * |rhs| >= 4096 and the
-# kernel takes its numpy branch
+# 68 to 120 generators, so the divisibility index over rhs holds masks of
+# that many bits and each lhs generator meets many candidate divisors
 wide_ideal = st.tuples(st.integers(min_value=11, max_value=14),
                        st.sets(st.integers(min_value=0, max_value=119), max_size=10)).map(
     lambda dd: MonomialIdeal.make(3, [g for i, g in enumerate(degree_monomials(3, dd[0]))
@@ -255,6 +274,73 @@ def test_containment_witness_matches_literal_product(lhs, rhs, s):
     assert containment_witness(lhs, rhs, s) == expected
     if s == 0:
         assert subset(lhs, rhs) == (expected is None)
+
+
+# ---------------------------------------------------------------------------
+# vector kernels against brute-force all-pairs oracles
+
+
+def _divides(d, t):
+    return all(a <= b for a, b in zip(d, t))
+
+
+def _brute_minimal(vectors):
+    uniq = set(vectors)
+    keep = [v for v in uniq if not any(u != v and _divides(u, v) for u in uniq)]
+    return sorted(keep, key=lambda v: (sum(v), v))
+
+
+def _brute_mask(targets, divisors, s):
+    return [any(sum(t) - sum(d) >= s and _divides(d, t) for d in divisors)
+            for t in targets]
+
+
+def _brute_combine(avecs, bvecs, op):
+    f = max if op == "lcm" else (lambda x, y: x + y)
+    return [tuple(f(x, y) for x, y in zip(a, b)) for a in avecs for b in bvecs]
+
+
+# exponents small enough to make divisibility common, or spread up to 2**70
+# around the 2**31 and 2**63 word limits
+_exponent = st.one_of(
+    st.integers(min_value=0, max_value=4),
+    st.sampled_from([2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 63 - 1, 2 ** 63, 2 ** 70]),
+    st.integers(min_value=0, max_value=2 ** 70))
+
+
+@st.composite
+def vector_family(draw, dim):
+    """Vectors of one dimension: random ones with repeats, or an antichain
+    (a_i, C - a_i, ...) with distinct a_i."""
+    vec = st.lists(_exponent, min_size=dim, max_size=dim).map(tuple)
+    if dim >= 2 and draw(st.booleans()):
+        top = draw(st.sampled_from([30, 2 ** 31 + 5, 2 ** 70]))
+        firsts = draw(st.lists(st.integers(min_value=0, max_value=top),
+                               min_size=1, max_size=40, unique=True))
+        tail = draw(st.lists(_exponent, min_size=dim - 2, max_size=dim - 2))
+        vecs = [(a, top - a, *tail) for a in firsts]
+    else:
+        vecs = draw(st.lists(vec, min_size=0, max_size=30))
+    repeats = draw(st.lists(st.sampled_from(vecs), max_size=5)) if vecs else []
+    return vecs + repeats
+
+
+@st.composite
+def kernel_case(draw):
+    dim = draw(st.integers(min_value=1, max_value=6))
+    return draw(vector_family(dim)), draw(vector_family(dim))
+
+
+@given(kernel_case(), st.integers(min_value=0, max_value=4))
+@settings(max_examples=300, deadline=None)
+def test_vector_kernels_match_brute_force(case, s):
+    avecs, bvecs = case
+    assert minimal_vectors(avecs) == _brute_minimal(avecs)
+    assert minimal_vectors(avecs + bvecs) == _brute_minimal(avecs + bvecs)
+    assert _any_divisor_mask(avecs, bvecs, s) == _brute_mask(avecs, bvecs, s)
+    assert _any_divisor_mask(bvecs, avecs, s) == _brute_mask(bvecs, avecs, s)
+    for op in ("lcm", "add"):
+        assert _pairwise_combine(avecs, bvecs, op) == _brute_combine(avecs, bvecs, op)
 
 
 # ---------------------------------------------------------------------------
