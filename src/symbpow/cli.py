@@ -63,6 +63,8 @@ def _var_counts(text: str) -> tuple[int, ...]:
 
 def _check_list(text: str) -> tuple[str, ...]:
     names = tuple(p.strip() for p in text.split(",") if p.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"empty check list: {text!r}")
     for name in names:
         if name not in harness.CHECK_NAMES:
             raise argparse.ArgumentTypeError(

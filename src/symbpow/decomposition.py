@@ -1,20 +1,23 @@
 """Irreducible decomposition and associated primes of monomial ideals.
 
 A monomial ideal is irreducible exactly when it is generated by pure powers
-of distinct variables.  Any proper non-zero monomial ideal splits along a
-mixed generator g = u*v with coprime non-trivial u, v:
+of distinct variables.  The decomposition adds the minimal generators one
+at a time to the unit ideal, the empty intersection.  Sums distribute over
+intersections of irreducible ideals, and Q + (g) is Q itself when Q holds
+g, else the intersection of Q + (x_j^g_j) over the variables j of g
+(Miller and Sturmfels, Combinatorial Commutative Algebra, ch. 5).  After
+each generator the redundant components go.  Irredundancy is pairwise: an
+intersection of irreducible ideals lies inside an irreducible Q iff one of
+them does (the monomial with exponent a_v - 1 on each power x_v^a_v of Q
+and a huge exponent elsewhere avoids Q and lies in every component not
+inside Q).  So the kept components are the minimal ones under inclusion,
+which the divisibility index of `minimal_vectors` finds on flipped
+exponent vectors.  What is left is the unique irredundant irreducible
+decomposition, sorted by its variable powers.
 
-    I = (I + (u))  meet  (I + (v))
-
-Recursing until every leaf is generated by pure variable powers and pruning
-redundant leaves once at the end yields the unique irredundant irreducible
-decomposition.  Associated primes are the radicals of those components;
-grouping components by radical gives an irredundant primary decomposition,
-so no radical is spurious.
-
-The splitting pivot is deterministic: always the lexicographically-first
-mixed generator, split at its first supported variable, so component order
-is reproducible.
+Associated primes are the radicals of those components; grouping
+components by radical gives an irredundant primary decomposition, so no
+radical is spurious.
 """
 
 from __future__ import annotations
@@ -98,45 +101,18 @@ class IrreducibleComponent:
         return None
 
     def to_ideal(self) -> MonomialIdeal:
+        """Pure powers of distinct variables divide none of each other, so
+        they are the minimal generators as they stand, in canonical order."""
         gens = []
         for v, e in self.powers:
             vec = [0] * self.ambient_dim
             vec[v] = e
             gens.append(Monomial(tuple(vec)))
-        return MonomialIdeal.make(self.ambient_dim, gens)
+        gens.sort(key=lambda g: (g.degree, g.exponents))
+        return MonomialIdeal(self.ambient_dim, tuple(gens))
 
     def render(self, names=None) -> str:
         return self.to_ideal().render(names)
-
-
-def _component_of(I: MonomialIdeal) -> IrreducibleComponent:
-    return IrreducibleComponent(
-        I.ambient_dim,
-        tuple((g.support[0], g.exponents[g.support[0]]) for g in I.gens))
-
-
-def _component_leq(a: IrreducibleComponent, b: IrreducibleComponent) -> bool:
-    """Ideal containment a <= b for irreducible ideals: every generator
-    x_v^α of a must lie in b, i.e. v is among b's variables with power <= α."""
-    exps_a = dict(a.powers)
-    exps_b = dict(b.powers)
-    if not set(exps_a) <= set(exps_b):
-        return False
-    return all(exps_a[v] >= exps_b[v] for v in exps_a)
-
-
-def _split_pivot(I: MonomialIdeal) -> tuple[Monomial, Monomial] | None:
-    """Lexicographically-first mixed generator, split at its first variable."""
-    mixed = [g for g in I.gens if len(g.support) >= 2]
-    if not mixed:
-        return None
-    g = min(mixed, key=lambda m: m.exponents)
-    i = g.support[0]
-    u = [0] * I.ambient_dim
-    u[i] = g.exponents[i]
-    v = list(g.exponents)
-    v[i] = 0
-    return Monomial(tuple(u)), Monomial(tuple(v))
 
 
 @lru_cache(maxsize=_DECOMP_CACHE_SIZE)
@@ -144,39 +120,29 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
     """The unique irredundant irreducible decomposition, deterministically
     ordered.  Rejects the zero and unit ideals."""
     require_proper(I)
+    # a component (x_j^c_j : c_j > 0) is held flipped: f_j = top - c_j, and
+    # 0 for an absent variable, so that Q <= Q' exactly when f <= f'
+    top = 1 + max(map(max, I.vectors))
+    flips = [(0,) * I.ambient_dim]  # no variable power: the unit ideal
+    for g in I.vectors:
+        need = [(j, top - e) for j, e in enumerate(g) if e]
+        grown = []
+        for f in flips:
+            if any(f[j] >= h for j, h in need):  # some 0 < c_j <= g_j
+                grown.append(f)
+            else:
+                grown.extend(f[:j] + (h,) + f[j + 1:] for j, h in need)
+        flips = minimal_vectors(grown)
 
-    leaves: set[MonomialIdeal] = set()
-    seen: set[MonomialIdeal] = set()
-    stack = [I]
-    while stack:
-        J = stack.pop()
-        if J in seen:
-            continue
-        seen.add(J)
-        pivot = _split_pivot(J)
-        if pivot is None:
-            leaves.add(J)
-            continue
-        u, v = pivot
-        stack.append(MonomialIdeal.make(J.ambient_dim, J.gens + (u,)))
-        stack.append(MonomialIdeal.make(J.ambient_dim, J.gens + (v,)))
-
-    comps = [_component_of(L) for L in leaves]
+    comps = [IrreducibleComponent(I.ambient_dim,
+                                  tuple((j, top - x) for j, x in enumerate(f) if x))
+             for f in flips]
     comps.sort(key=lambda c: c.powers)
-
-    # irredundancy is pairwise here: an intersection of irreducible ideals
-    # lies inside an irreducible Q iff one of them does (take the monomial
-    # with exponent a_v - 1 on every variable power x_v^{a_v} of Q and a
-    # huge exponent elsewhere: it avoids Q, and lies in every component not
-    # pairwise contained in Q)
-    kept = [c for c in comps
-            if not any(j is not c and _component_leq(j, c) for j in comps)]
-
-    recombined = reduce(intersect, (k.to_ideal() for k in kept))
+    recombined = reduce(intersect, (c.to_ideal() for c in comps))
     if recombined != I:
         raise VerificationError(
             f"irreducible decomposition does not recombine to the input: {I}")
-    return tuple(kept)
+    return tuple(comps)
 
 
 def associated_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:

@@ -52,8 +52,6 @@ class SuiteRanges:
     t_max: int = 3
     r_max: int = 3
     alpha_m_cap: int = 6
-    stairs_samples: int = 8
-    slope_threshold_cap: int = 12
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +373,9 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
     Check("polyhedron_bound", R.THEOREM, _polyhedron_bound, grid={"m": "m_max"}),
     Check("alpha_lower", R.THEOREM, _alpha_lower, grid={"m": "alpha_m_cap"}),
     Check("stairs", R.THEOREM, _stairs, grid={"r": "r_max"},
-          options=lambda ranges, seed: {"sample_count": ranges.stairs_samples,
-                                        "seed": seed}),
+          options=lambda ranges, seed: {"seed": seed}),
     Check("alpha_slope", R.THEOREM, _alpha_slope, grid={"r": "r_max"},
-          hypothesis=_slope_hypothesis,
-          options=lambda ranges, seed: {"threshold_cap": ranges.slope_threshold_cap}),
+          hypothesis=_slope_hypothesis),
     Check("chudnovsky", R.CONJECTURE, _chudnovsky),
     Check("equigenerated_containment", R.THEOREM, _equigenerated_containment,
           grid={"r": "r_max"}, hypothesis=_equigenerated_hypothesis),
@@ -483,7 +479,9 @@ def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
               seed: int = 0, names=None, label: str | None = None) -> SuiteReport:
     require_proper(I)
     ranges = ranges or SuiteRanges()
-    selected = tuple(checks) if checks else CHECK_NAMES
+    selected = CHECK_NAMES if checks is None else tuple(checks)
+    if not selected:
+        raise ValueError("empty check selection; pass checks=None for every check")
     for name in selected:
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}")

@@ -106,14 +106,13 @@ def is_integrally_closed(I: MonomialIdeal,
 # summary report
 
 
-def invariant_report(I: MonomialIdeal, names=None,
-                     closure_budget: int = DEFAULT_CLOSURE_BUDGET) -> dict:
+def invariant_report(I: MonomialIdeal, names=None) -> dict:
     """All the scalar invariants at once, for the CLI info command."""
     require_proper(I)
     warn_if_powers_coincide(I)
     w, pt = alpha_polyhedron(symbolic_polyhedron(I))
     try:
-        closed = is_integrally_closed(I, closure_budget)
+        closed = is_integrally_closed(I)
     except ResourceLimitError:
         closed = None
     return {

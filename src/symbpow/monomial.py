@@ -15,11 +15,12 @@ those ranks a Python int holds the bitmask of the rows whose entry is at
 most that value.  The rows dividing a point are the AND of one such mask
 per coordinate, so every exponent stays an exact integer of any size.
 Products and general intersections minimalize their candidates that way.
-Powers of a monomial prime, and intersections with them (every symbolic
-power of a square-free ideal), never make a dominated candidate: a prime
-power is listed directly, and `_intersect_with_simplex_power` holds the
-degree-m part of each group of generators as a bitmask over ranked
-compositions, so each minimal generator comes out once, with no scan.
+Powers of a prime power and intersections with one (every symbolic power
+of a square-free ideal) never make a dominated candidate: both go through
+`_intersect_with_simplex_power`, (P^m)^t as the unit ideal meet P^(mt).
+It holds the degree-m part of each group of generators as a bitmask over
+ranked compositions, so each minimal generator comes out once, with no
+scan.
 """
 
 from __future__ import annotations
@@ -83,20 +84,16 @@ class Monomial:
         return self.render()
 
 
-def divides(a: Monomial, b: Monomial) -> bool:
-    if len(a.exponents) != len(b.exponents):
-        raise DimensionMismatchError("monomials live in different rings")
-    return a.divides(b)
-
-
 @dataclass(frozen=True)
 class MonomialIdeal:
     """A monomial ideal, held by its minimal generating set.
 
     Instances are only built through `make` / `zero` / `unit` /
-    `_from_vectors` and the prime-power kernels, which establish the
-    canonical form (deduplicated, divisibility-minimal, sorted).  gens == () encodes the zero ideal and
-    gens == (1,) the unit ideal; `is_zero` / `is_unit` are the flags.
+    `_from_vectors`, the prime-power kernel and
+    `IrreducibleComponent.to_ideal`, which establish the canonical form
+    (deduplicated, divisibility-minimal, sorted).  gens == () encodes the
+    zero ideal and gens == (1,) the unit ideal; `is_zero` / `is_unit` are
+    the flags.
     """
 
     ambient_dim: int
@@ -405,9 +402,11 @@ def _powers_of(I: MonomialIdeal) -> list[MonomialIdeal]:
 
 
 def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
-    """t-th power, built as I^(t-1) * I and minimalized, so intermediate
-    generator sets never carry redundant elements.  Lower powers come from
-    a per-ideal cache, so a run of powers of one ideal multiplies by I once
+    """t-th power.  For a prime power, (P^m)^t = P^(mt) is every degree-mt
+    monomial on P's variables, listed directly by the prime-power kernel.
+    Any other I^t is built as I^(t-1) * I and minimalized, so intermediate
+    generator sets never carry redundant elements; lower powers come from a
+    per-ideal cache, so a run of powers of one ideal multiplies by I once
     per step, with no recursion however large t is."""
     if t < 0:
         raise ValueError("negative power of an ideal")
@@ -415,18 +414,9 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
         return MonomialIdeal.unit(I.ambient_dim)
     if I.is_zero or I.is_unit or t == 1:
         return I
-    if all(g.degree == 1 for g in I.gens):
-        # power of a monomial prime: all degree-t monomials in its variables,
-        # distinct and of one degree, so already minimal
-        s_vars = [g.support[0] for g in I.gens]
-        out = []
-        for combo in _compositions(t, len(s_vars)):
-            v = [0] * I.ambient_dim
-            for i, e in zip(s_vars, combo):
-                v[i] = e
-            out.append(tuple(v))
-        out.sort()
-        return MonomialIdeal(I.ambient_dim, tuple(map(Monomial, out)))
+    if I.simplex_power is not None:
+        s_vars, m = I.simplex_power
+        return _intersect_with_simplex_power(MonomialIdeal.unit(I.ambient_dim), s_vars, m * t)
     powers = _powers_of(I)
     while len(powers) < t:
         powers.append(multiply(powers[-1], I))

@@ -150,6 +150,20 @@ def test_unknown_check_rejected(rot3_file, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["suite", "ROT3", "--checks", ","],
+                                  ["scan", "--count", "1", "--checks", ""]],
+                         ids=["suite-comma", "scan-empty"])
+def test_empty_check_list_is_usage_error(argv, rot3_file, capsys):
+    """An empty selection is a usage error, not a request for every check."""
+    with pytest.raises(SystemExit) as exc:
+        main([rot3_file if a == "ROT3" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error: argument" in line] == [
+        f"symbpow {argv[0]}: error: argument --checks: empty check list: {argv[-1]!r}"]
+
+
 def test_output_flag(rot3_file, tmp_path, capsys):
     target = tmp_path / "out.txt"
     code, out, _ = run_cli(capsys, "alpha", rot3_file, "--output", str(target))

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import warnings
 
 import pytest
@@ -8,9 +10,10 @@ from symbpow.decomposition import (MonomialPrime, associated_primes,
                                    big_height, irreducible_decomposition,
                                    localize, max_associated_primes, sigma)
 from symbpow.errors import NonAssociatedPrimeWarning, PowersCoincideWarning
-from symbpow.monomial import Monomial, MonomialIdeal, contains, intersect
+from symbpow.monomial import (Monomial, MonomialIdeal, contains, intersect,
+                              subset)
 
-from conftest import ideal_of
+from conftest import ideal_of, random_general_corpus
 
 
 def test_prime_basics():
@@ -99,12 +102,16 @@ def test_localize_warns_off_support(rot3):
 # ---------------------------------------------------------------------------
 # properties
 
-vec3 = st.lists(st.integers(min_value=0, max_value=3), min_size=3, max_size=3)
-proper3 = st.lists(vec3.filter(lambda v: sum(v) > 0), min_size=1, max_size=5).map(
-    lambda vs: MonomialIdeal.make(3, [Monomial(tuple(v)) for v in vs]))
+@st.composite
+def proper_ideal(draw):
+    """A proper non-zero ideal in 1-6 variables, exponents up to 5."""
+    dim = draw(st.integers(min_value=1, max_value=6))
+    vec = st.lists(st.integers(min_value=0, max_value=5), min_size=dim, max_size=dim)
+    vecs = draw(st.lists(vec.filter(lambda v: sum(v) > 0), min_size=1, max_size=5))
+    return MonomialIdeal.make(dim, [Monomial(tuple(v)) for v in vecs])
 
 
-@given(proper3)
+@given(proper_ideal())
 @settings(max_examples=60)
 def test_components_recombine(I):
     comps = irreducible_decomposition(I)
@@ -114,7 +121,18 @@ def test_components_recombine(I):
     assert rebuilt == I
 
 
-@given(proper3)
+@given(proper_ideal())
+@settings(max_examples=60)
+def test_components_pairwise_incomparable(I):
+    """No component contains another.  With recombination and
+    irreducibility this characterizes the unique irredundant irreducible
+    decomposition, so together they are an oracle for any algorithm."""
+    comps = [c.to_ideal() for c in irreducible_decomposition(I)]
+    for Q, R in itertools.permutations(comps, 2):
+        assert not subset(Q, R)
+
+
+@given(proper_ideal())
 @settings(max_examples=60)
 def test_components_contain_ideal(I):
     for c in irreducible_decomposition(I):
@@ -122,7 +140,7 @@ def test_components_contain_ideal(I):
         assert all(contains(J, g) for g in I.gens)
 
 
-@given(proper3)
+@given(proper_ideal())
 @settings(max_examples=40)
 def test_localize_idempotent(I):
     with warnings.catch_warnings():
@@ -130,3 +148,47 @@ def test_localize_idempotent(I):
         for P in max_associated_primes(I):
             L = localize(I, P)
             assert localize(L, P) == L
+
+
+# ---------------------------------------------------------------------------
+# pinned decompositions
+
+
+def c10_ideals():
+    """The 50 ideals of the default structured scan (seed 7), drawn the way
+    the scan draws them."""
+    from symbpow.harness import _random_general, _random_squarefree
+    from symbpow.rng import SplitRng
+
+    root = SplitRng(7, ("scan",))
+    out = []
+    for i in range(50):
+        rng = root.child(f"ideal{i}")
+        nvars = (3, 4)[rng.randint(0, 1)]
+        if rng.randint(0, 1) == 0:
+            out.append(_random_squarefree(rng.child("sqfree"), nvars)[0])
+        else:
+            out.append(_random_general(rng.child("general"), nvars, 4, 6))
+    return out
+
+
+def five_subsets_of_ten():
+    """The square-free ideal of all 5-subsets of 10 variables: its 210
+    components are the primes on the 6-subsets."""
+    return ideal_of(10, *[[int(i in s) for i in range(10)]
+                          for s in itertools.combinations(range(10), 5)])
+
+
+# sha256 of repr([[c.powers for c in irreducible_decomposition(I)] ...]),
+# recorded from an independent split-tree implementation, so a change of
+# algorithm that alters any component or its order fails here
+@pytest.mark.parametrize("ideals, digest", [
+    (c10_ideals, "ad79b6c966fb7512b163d21920d923b2f094d71d1d2ea5362c7ea87d3383c18b"),
+    (lambda: random_general_corpus(200, 8, dims=(3, 4, 5, 6)),
+     "14763795c36946bf3bb15196f80ce9401481eba5f33805cfa1c0fe3d7156dcc3"),
+    (lambda: [five_subsets_of_ten()],
+     "b537b4cc90a355fce233b379b459e726fb76c22eb5b4a3357a5181df21791bc6"),
+], ids=["c10", "general-3-6", "five-of-ten"])
+def test_decompositions_are_pinned(ideals, digest):
+    powers = [[c.powers for c in irreducible_decomposition(I)] for I in ideals()]
+    assert hashlib.sha256(repr(powers).encode()).hexdigest() == digest

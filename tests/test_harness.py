@@ -60,6 +60,15 @@ def test_run_suite_rejects_unknown_check(rot3):
         run_suite(rot3, checks=("no_such_check",))
 
 
+def test_run_suite_rejects_empty_selection(rot3):
+    """Only checks=None means every check; an empty selection is an error,
+    in a suite and in a scan."""
+    with pytest.raises(ValueError, match="empty check selection"):
+        run_suite(rot3, checks=())
+    with pytest.raises(ValueError, match="empty check selection"):
+        scan(ScanConfig(count=1, checks=()))
+
+
 def test_run_suite_rejects_unit():
     with pytest.raises(ValueError):
         run_suite(MonomialIdeal.unit(2))

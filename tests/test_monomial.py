@@ -393,7 +393,8 @@ def test_prime_power_is_canonical(dim, s_vars, t):
 
 
 def test_prime_powers_never_minimalize(monkeypatch):
-    """Both prime-power kernels build minimal generators directly."""
+    """The prime-power kernel builds minimal generators directly: for P^m,
+    for (P^m)^t and for intersections with P^m."""
     def refuse(vectors):
         raise AssertionError("minimal_vectors called")
 
@@ -401,6 +402,8 @@ def test_prime_powers_never_minimalize(monkeypatch):
     P = prime_on(4, [0, 2, 3])
     Pm = power(P, 5)
     expected = intersect(I, Pm)
+    cube = multiply(multiply(Pm, Pm), Pm)
     monkeypatch.setattr(monomial, "minimal_vectors", refuse)
     assert power(P, 5) == Pm
     assert intersect(I, Pm) == expected
+    assert power(Pm, 3) == cube
