@@ -145,6 +145,7 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
     return tuple(comps)
 
 
+@lru_cache(maxsize=_DECOMP_CACHE_SIZE)
 def associated_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:
     """Radicals of the irredundant irreducible components, lexicographic."""
     primes = {c.radical for c in irreducible_decomposition(I)}

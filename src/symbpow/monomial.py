@@ -15,12 +15,16 @@ those ranks a Python int holds the bitmask of the rows whose entry is at
 most that value.  The rows dividing a point are the AND of one such mask
 per coordinate, so every exponent stays an exact integer of any size.
 Products and general intersections minimalize their candidates that way.
-Powers of a prime power and intersections with one (every symbolic power
-of a square-free ideal) never make a dominated candidate: both go through
-`_intersect_with_simplex_power`, (P^m)^t as the unit ideal meet P^(mt).
-It holds the degree-m part of each group of generators as a bitmask over
-ranked compositions, so each minimal generator comes out once, with no
-scan.
+Powers of a prime power and intersections with one never make a dominated
+candidate: both go through one prime-power kernel, `_meet_simplex_power`,
+(P^m)^t as the zero vector (the unit ideal) met with P^(mt).  The kernel
+takes bare minimal exponent vectors in any order and returns the minimal
+generators of the meet unsorted; it holds the degree-m part of each group
+of generators as a bitmask over ranked compositions, so each minimal
+generator comes out once, with no scan.  `intersect` and `power` sort and
+wrap each call's output; `symbolic_power` chains the kernel over the
+prime-power localizations of an ideal (all of them, for a square-free
+ideal) and sorts and wraps only the end result.
 """
 
 from __future__ import annotations
@@ -89,9 +93,9 @@ class MonomialIdeal:
     """A monomial ideal, held by its minimal generating set.
 
     Instances are only built through `make` / `zero` / `unit` /
-    `_from_vectors`, the prime-power kernel and
-    `IrreducibleComponent.to_ideal`, which establish the canonical form
-    (deduplicated, divisibility-minimal, sorted).  gens == () encodes the
+    `_from_vectors`, `_canonical` (which wraps the prime-power kernel's
+    output) and `IrreducibleComponent.to_ideal`, which establish the
+    canonical form (deduplicated, divisibility-minimal, sorted).  gens == () encodes the
     zero ideal and gens == (1,) the unit ideal; `is_zero` / `is_unit` are
     the flags.
     """
@@ -117,6 +121,15 @@ class MonomialIdeal:
     @staticmethod
     def unit(ambient_dim: int) -> "MonomialIdeal":
         return MonomialIdeal(ambient_dim, (Monomial((0,) * ambient_dim),))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ambient_dim, self.gens))
+
+    def __hash__(self) -> int:
+        """Hashed once per instance: an lru_cache lookup with an ideal as
+        argument would otherwise hash every generator again."""
+        return self._hash
 
     @property
     def is_zero(self) -> bool:
@@ -210,6 +223,11 @@ def _rows_below(index, point) -> int:
     return hit
 
 
+def _canonical_key(v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Canonical generator order: total degree, then lexicographic."""
+    return sum(v), v
+
+
 def minimal_vectors(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Divisibility-minimal subset, sorted by (total degree, lex).
 
@@ -220,7 +238,7 @@ def minimal_vectors(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]
     holds prefix ORs of the kept bits, so both the query and the insertion
     of a kept vector cost O(log V) big-int ORs per coordinate.
     """
-    uniq = sorted(set(vectors), key=lambda v: (sum(v), v))
+    uniq = sorted(set(vectors), key=_canonical_key)
     values = sorted(set(itertools.chain.from_iterable(uniq)))
     rank = dict(zip(values, range(1, len(values) + 1)))
     size = len(values) + 1
@@ -324,9 +342,11 @@ def _upper_mask(m: int, low: tuple[int, ...]) -> int:
     return mask
 
 
-def _intersect_with_simplex_power(I: MonomialIdeal, s_vars, m: int) -> MonomialIdeal:
-    """I meet P^m where P is the prime on s_vars, built straight from the
-    minimal generators of I with no dominance scan.
+def _meet_simplex_power(vectors: Iterable[tuple[int, ...]], dim: int, s_vars,
+                        m: int) -> list[tuple[int, ...]]:
+    """The minimal generators, unsorted, of the ideal that the minimal
+    exponent vectors `vectors` (in any order) generate, met with P^m where
+    P is the prime on s_vars; built with no dominance scan.
 
     A generator of S-degree above m is kept as it is: it neither divides
     nor is divided by a monomial of S-degree m.  The others are grouped by
@@ -335,17 +355,17 @@ def _intersect_with_simplex_power(I: MonomialIdeal, s_vars, m: int) -> MonomialI
     S-degree m, so its S-part is w and its key is <= k; hence k + w is
     minimal exactly when w lies in no U_k' with k' < k.
     """
-    rest = [i for i in range(I.ambient_dim) if i not in s_vars]
+    rest = [i for i in range(dim) if i not in s_vars]
     out: list[tuple[int, ...]] = []
     groups: dict[tuple[int, ...], int] = {}
-    for g in I.vectors:
+    for g in vectors:
         low = tuple(g[i] for i in s_vars)
         if sum(low) > m:
             out.append(g)
             continue
         key = tuple(g[i] for i in rest)
         groups[key] = groups.get(key, 0) | _upper_mask(m, low)
-    keys = sorted(groups, key=lambda k: (sum(k), k))
+    keys = sorted(groups, key=_canonical_key)
     index = [_prefix_masks(col) for col in zip(*keys)]
     comps = _compositions(m, len(s_vars))
     for n, k in enumerate(keys):
@@ -355,7 +375,7 @@ def _intersect_with_simplex_power(I: MonomialIdeal, s_vars, m: int) -> MonomialI
             low_bit = below & -below
             below ^= low_bit
             mask &= ~groups[keys[low_bit.bit_length() - 1]]
-        v = [0] * I.ambient_dim
+        v = [0] * dim
         for i, e in zip(rest, k):
             v[i] = e
         while mask:
@@ -364,8 +384,14 @@ def _intersect_with_simplex_power(I: MonomialIdeal, s_vars, m: int) -> MonomialI
             for i, e in zip(s_vars, comps[low_bit.bit_length() - 1]):
                 v[i] = e
             out.append(tuple(v))
-    out.sort(key=lambda v: (sum(v), v))
-    return MonomialIdeal(I.ambient_dim, tuple(map(Monomial, out)))
+    return out
+
+
+def _canonical(dim: int, minimal: list[tuple[int, ...]]) -> MonomialIdeal:
+    """The ideal of a minimal set of exponent vectors, sorted in place into
+    canonical order and wrapped."""
+    minimal.sort(key=_canonical_key)
+    return MonomialIdeal(dim, tuple(map(Monomial, minimal)))
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -379,7 +405,7 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     for A, B in ((I, J), (J, I)):
         sp = B.simplex_power
         if sp is not None:
-            return _intersect_with_simplex_power(A, sp[0], sp[1])
+            return _canonical(A.ambient_dim, _meet_simplex_power(A.vectors, A.ambient_dim, *sp))
     return _from_vectors(I.ambient_dim, _pairwise_combine(list(I.vectors), list(J.vectors), "lcm"))
 
 
@@ -416,7 +442,8 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
         return I
     if I.simplex_power is not None:
         s_vars, m = I.simplex_power
-        return _intersect_with_simplex_power(MonomialIdeal.unit(I.ambient_dim), s_vars, m * t)
+        dim = I.ambient_dim
+        return _canonical(dim, _meet_simplex_power([(0,) * dim], dim, s_vars, m * t))
     powers = _powers_of(I)
     while len(powers) < t:
         powers.append(multiply(powers[-1], I))

@@ -5,20 +5,26 @@ associated primes P, the m-th symbolic power is
 
     I^(m)  =  intersection over P in maxass(I) of (I localized at P)^m,
 
-computed here exactly: the localization erases exponents outside P, its
-power is formed with minimalization after every product (a power of a
-prime is listed directly), and the components are intersected
-smallest-first.  Each intersection with a prime-power component builds its
-minimal generators directly; for a square-free I every component is one.
+computed here exactly: the localization erases exponents outside P.  A
+localization that is a prime power Q^k is never built out to Q^(km): it is
+a prime step, one call of the prime-power kernel on the running exponent
+vectors, which lists the minimal generators of the meet with Q^(km)
+directly.  Any other localization is a general component, its power formed
+with minimalization after every product and met through `intersect`.  The
+steps run smallest component first, starting from the unit ideal, and the
+result is sorted and wrapped once.  For a square-free I every step is a
+prime step, so no component is built and nothing is minimalized.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from math import comb
 
 from .decomposition import (irreducible_decomposition, localize,
                             max_associated_primes)
-from .monomial import MonomialIdeal, is_squarefree, power, require_proper
+from .monomial import (MonomialIdeal, _canonical, _meet_simplex_power,
+                       is_squarefree, power, require_proper)
 from .monomial import intersect as ideal_intersect
 
 
@@ -32,9 +38,28 @@ def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
         return MonomialIdeal.unit(I.ambient_dim)
     if m == 1:
         return I
-    comps = [power(localize(I, P), m) for P in max_associated_primes(I)]
-    comps.sort(key=lambda c: len(c.gens))
-    return reduce(ideal_intersect, comps)
+    dim = I.ambient_dim
+    steps = []  # (generator count, general component or prime step (S, n))
+    for P in max_associated_primes(I):
+        L = localize(I, P)
+        if L.simplex_power is None:
+            C = power(L, m)
+            steps.append((len(C.gens), C))
+        else:
+            s_vars, k = L.simplex_power
+            steps.append((comb(k * m + len(s_vars) - 1, len(s_vars) - 1), (s_vars, k * m)))
+    steps.sort(key=lambda step: step[0])
+    running = [(0,) * dim]  # the unit ideal, as exponent vectors
+    for _, step in steps:
+        if isinstance(step, MonomialIdeal):
+            if isinstance(running, list):
+                running = _canonical(dim, running)
+            running = ideal_intersect(running, step)
+        else:
+            if isinstance(running, MonomialIdeal):
+                running = running.vectors
+            running = _meet_simplex_power(running, dim, *step)
+    return _canonical(dim, running) if isinstance(running, list) else running
 
 
 def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:

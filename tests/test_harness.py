@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -100,6 +101,19 @@ def test_scan_deterministic():
     a, b = scan(cfg), scan(cfg)
     assert scan_jsonl(a) == scan_jsonl(b)
     assert a.summary == b.summary
+
+
+# sha256 of the structured half c03 sweep (the sweep-sqfree bench corpus:
+# seed 2026, 100 square-free ideals in 3-5 variables), recorded before
+# symbolic powers streamed through the prime-power kernel
+SWEEP_SHA256 = "05664d3c571b7d244af954a173b5c79e29860f9bb321ec5969432bc5a22a7211"
+
+
+def test_squarefree_sweep_bytes_are_pinned():
+    report = scan(ScanConfig(count=100, seed=2026, num_vars=(3, 4, 5),
+                             squarefree_only=True,
+                             checks=("squarefree_containment",)))
+    assert hashlib.sha256(scan_jsonl(report).encode()).hexdigest() == SWEEP_SHA256
 
 
 def test_scan_different_seeds_differ():

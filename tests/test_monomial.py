@@ -407,3 +407,21 @@ def test_prime_powers_never_minimalize(monkeypatch):
     assert power(P, 5) == Pm
     assert intersect(I, Pm) == expected
     assert power(Pm, 3) == cube
+
+
+def test_kernel_and_make_give_equal_ideals_with_equal_hashes():
+    """An ideal listed by the prime-power kernel equals, and hashes as, the
+    one `make` minimalizes from candidates; the hash is the tuple hash of
+    the fields."""
+    I = ideal_of(4, (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 3), (2, 0, 0, 1))
+    P = prime_on(4, [0, 2, 3])
+    P3 = power(P, 3)
+    on_s = [Monomial((a, 0, b, c)) for a, b, c in
+            (g.exponents for g in degree_monomials(3, 3))]
+    lcms = _pairwise_combine(list(I.vectors), list(P3.vectors), "lcm")
+    pairs = [(P3, MonomialIdeal.make(4, reversed(on_s))),
+             (intersect(I, P3), MonomialIdeal.make(4, map(Monomial, lcms))),
+             (power(P3, 2), MonomialIdeal.make(4, multiply(P3, P3).gens[::-1]))]
+    for kernel, made in pairs:
+        assert kernel == made
+        assert hash(kernel) == hash(made) == hash((4, made.gens))

@@ -1,10 +1,13 @@
+from functools import reduce
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symbpow.results as R
-from symbpow.decomposition import max_associated_primes
-from symbpow.monomial import Monomial, contains, power, subset
+from symbpow import symbolic
+from symbpow.decomposition import localize, max_associated_primes
+from symbpow.monomial import Monomial, contains, intersect, power, subset
 from symbpow.harness import (_random_squarefree,
                              check_equal_exponent_containment,
                              check_refined_containment,
@@ -152,6 +155,81 @@ proper3 = st.lists(vec3.filter(lambda v: sum(v) > 0), min_size=1, max_size=4).ma
 @settings(max_examples=40, deadline=None)
 def test_ordinary_power_inside_symbolic(I, m_):
     assert subset(power(I, m_), symbolic_power(I, m_))
+
+
+# ---------------------------------------------------------------------------
+# the streamed route against the definition
+
+
+def by_definition(I, m_):
+    """I^(m) as the smallest-first intersection of the powers of the
+    localizations at the maximal associated primes."""
+    comps = (power(localize(I, P), m_) for P in max_associated_primes(I))
+    return reduce(intersect, sorted(comps, key=lambda c: len(c.gens)))
+
+
+def prime_power(dim, s_vars, k):
+    return power(ideal_of(dim, *[[int(j == i) for j in range(dim)] for i in s_vars]), k)
+
+
+@st.composite
+def mixed_ideal(draw):
+    """A general ideal in 2-5 variables with exponents <= 4: a general
+    piece on a variable set G (pure powers of exponent 2-4 and a few more
+    monomials on G) met with one or two prime powers, each on a set that
+    misses a variable of G and holds one outside it.  So the localizations
+    at the maximal associated primes mix prime powers with general
+    components (in 3 or more variables)."""
+    dim = draw(st.integers(min_value=2, max_value=5))
+    var = st.integers(min_value=0, max_value=dim - 1)
+    G = sorted(draw(st.sets(var, min_size=min(2, dim - 1), max_size=dim - 1)))
+    outside = [i for i in range(dim) if i not in G]
+    exps = st.lists(st.integers(min_value=0, max_value=4), min_size=len(G), max_size=len(G))
+    vecs = [[draw(st.integers(min_value=2, max_value=4)) * (j == i) for j in range(dim)]
+            for i in G]
+    for low in draw(st.lists(exps, max_size=3)):
+        vecs.append([dict(zip(G, low)).get(j, 0) for j in range(dim)])
+    pieces = [ideal_of(dim, *(v for v in vecs if sum(v)))]
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        S = draw(st.sets(var)) - {draw(st.sampled_from(G))} | {draw(st.sampled_from(outside))}
+        pieces.append(prime_power(dim, sorted(S), draw(st.integers(min_value=1, max_value=4))))
+    return reduce(intersect, pieces)
+
+
+# (x0, x1)^2 and (x2^2, x2*x3, x3^3) meet in a prime power and a general
+# component at the two maximal associated primes
+MIXED = intersect(prime_power(4, [0, 1], 2), ideal_of(4, (0, 0, 2, 0), (0, 0, 1, 1),
+                                                      (0, 0, 0, 3)))
+
+
+def test_mixed_example_has_both_kinds_of_component():
+    kinds = sorted(localize(MIXED, P).simplex_power is None
+                   for P in max_associated_primes(MIXED))
+    assert kinds == [False, True]
+
+
+@example(MIXED, 3)
+@given(mixed_ideal(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=100, deadline=None)
+def test_symbolic_power_matches_definition(I, m_):
+    assert symbolic_power(I, m_) == by_definition(I, m_)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_squarefree_symbolic_power_builds_no_component(monkeypatch, seed):
+    """On a square-free ideal every localization is a prime, so no power
+    is formed and no ideal is intersected: each step is one kernel call."""
+    cases = [(I, m_) for I, _fam in random_squarefree_corpus(12, seed)
+             for m_ in (2, 3, 5)]
+    expected = [symbolic_power_oracle_sqfree(I, m_) for I, m_ in cases]
+
+    def refuse(*args):
+        raise AssertionError("a component was built")
+
+    symbolic_power.cache_clear()
+    monkeypatch.setattr(symbolic, "power", refuse)
+    monkeypatch.setattr(symbolic, "ideal_intersect", refuse)
+    assert [symbolic_power(I, m_) for I, m_ in cases] == expected
 
 
 # ---------------------------------------------------------------------------
