@@ -28,8 +28,8 @@ from functools import lru_cache, reduce
 
 from .errors import (NonAssociatedPrimeWarning, PowersCoincideWarning,
                      VerificationError)
-from .monomial import (Monomial, MonomialIdeal, intersect, minimal_vectors,
-                       require_proper)
+from .monomial import (MonomialIdeal, _canonical, _from_vectors, intersect,
+                       minimal_vectors, require_proper)
 
 _DECOMP_CACHE_SIZE = 1024
 
@@ -57,12 +57,11 @@ class MonomialPrime:
         return set(other.variables) <= set(self.variables)
 
     def to_ideal(self) -> MonomialIdeal:
-        gens = []
-        for i in self.variables:
-            v = [0] * self.ambient_dim
-            v[i] = 1
-            gens.append(Monomial(tuple(v)))
-        return MonomialIdeal.make(self.ambient_dim, gens)
+        """Distinct variables divide none of each other, so they are the
+        minimal generators as they stand."""
+        dim = self.ambient_dim
+        return _canonical(dim, [tuple(int(j == i) for j in range(dim))
+                                for i in self.variables])
 
     def render(self, names=None) -> str:
         if names is None:
@@ -102,14 +101,10 @@ class IrreducibleComponent:
 
     def to_ideal(self) -> MonomialIdeal:
         """Pure powers of distinct variables divide none of each other, so
-        they are the minimal generators as they stand, in canonical order."""
-        gens = []
-        for v, e in self.powers:
-            vec = [0] * self.ambient_dim
-            vec[v] = e
-            gens.append(Monomial(tuple(vec)))
-        gens.sort(key=lambda g: (g.degree, g.exponents))
-        return MonomialIdeal(self.ambient_dim, tuple(gens))
+        they are the minimal generators as they stand."""
+        dim = self.ambient_dim
+        return _canonical(dim, [tuple(e if j == v else 0 for j in range(dim))
+                                for v, e in self.powers])
 
     def render(self, names=None) -> str:
         return self.to_ideal().render(names)
@@ -195,10 +190,9 @@ def localize(I: MonomialIdeal, P: MonomialPrime) -> MonomialIdeal:
             f"{P} is not an associated prime of {I}",
             NonAssociatedPrimeWarning, stacklevel=2)
     inside = set(P.variables)
-    vecs = [tuple(e if i in inside else 0 for i, e in enumerate(g.exponents))
-            for g in I.gens]
-    return MonomialIdeal(I.ambient_dim,
-                         tuple(Monomial(v) for v in minimal_vectors(vecs)))
+    return _from_vectors(I.ambient_dim,
+                         [tuple(e if i in inside else 0 for i, e in enumerate(g))
+                          for g in I.vectors])
 
 
 def sigma(I: MonomialIdeal) -> int:
@@ -206,4 +200,4 @@ def sigma(I: MonomialIdeal) -> int:
     is divisible by a generator, so it is the least support size over all
     monomials of I."""
     require_proper(I)
-    return min(len(g.support) for g in I.gens)
+    return min(len(g) - g.count(0) for g in I.vectors)

@@ -31,8 +31,7 @@ from math import gcd, lcm
 from . import lp
 from .decomposition import MonomialPrime, localize, max_associated_primes
 from .errors import ResourceLimitError, VerificationError
-from .monomial import (Monomial, MonomialIdeal, as_prime_power, contains,
-                       require_proper)
+from .monomial import MonomialIdeal, above_some, as_prime_power, require_proper
 from .symbolic import symbolic_power
 
 DEFAULT_MAX_RAYS = 256
@@ -282,8 +281,7 @@ def realizing_denominator(I: MonomialIdeal, a) -> int:
     scaled = [b * x for x in pt]
     if any(x.denominator != 1 for x in scaled):
         raise VerificationError(f"b = {b} does not clear the denominators of {pt}")
-    witness = Monomial(tuple(int(x) for x in scaled))
-    if not contains(symbolic_power(I, b), witness):
+    if not above_some(symbolic_power(I, b).vectors, scaled):
         raise VerificationError("certificate monomial escapes the symbolic power")
     return b
 
@@ -373,9 +371,17 @@ def enumerate_vertices(Q: SymbolicPolyhedron, max_rays: int = DEFAULT_MAX_RAYS) 
 
 def stairs_member(J: MonomialIdeal, point) -> bool:
     """Is the rational point in the up-closure of J's generator exponents?"""
-    pt = _as_point(point, J.ambient_dim)
-    return any(all(e <= x for e, x in zip(g.exponents, pt))
-               for g in J.gens)
+    return above_some(J.vectors, _as_point(point, J.ambient_dim))
+
+
+@lru_cache(maxsize=512)
+def _probe_vertices(Q: SymbolicPolyhedron, max_rays: int) -> tuple | None:
+    """The vertices of Q, or None when their enumeration is over budget:
+    enumerated once per polyhedron, though a check probes Q at every r."""
+    try:
+        return enumerate_vertices(Q, max_rays)
+    except ResourceLimitError:
+        return None
 
 
 def probe_points(Q: SymbolicPolyhedron, sample_count: int, rng,
@@ -385,9 +391,8 @@ def probe_points(Q: SymbolicPolyhedron, sample_count: int, rng,
     over budget, sample_count LP optima of random positive objectives
     instead.  Returns (points, vertex count, sampled_only)."""
     d = Q.ambient_dim
-    try:
-        verts = enumerate_vertices(Q, max_rays)
-    except ResourceLimitError:
+    verts = _probe_vertices(Q, max_rays)
+    if verts is None:
         points = []
         for _ in range(sample_count):
             objective = [rng.randint(1, 64) for _ in range(d)]

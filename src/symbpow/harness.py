@@ -29,8 +29,8 @@ from math import ceil
 from typing import Callable, NamedTuple
 
 from . import results as R
-from .decomposition import (_big_height, associated_primes, localize,
-                            max_associated_primes, sigma,
+from .decomposition import (MonomialPrime, _big_height, associated_primes,
+                            localize, max_associated_primes, sigma,
                             warn_if_powers_coincide)
 from .errors import PowersCoincideWarning, ResourceLimitError
 from .geometry import (DEFAULT_MAX_RAYS, member_scaled, probe_points,
@@ -38,8 +38,9 @@ from .geometry import (DEFAULT_MAX_RAYS, member_scaled, probe_points,
 from .invariants import (DEFAULT_CLOSURE_BUDGET, _chudnovsky_bound, alpha,
                          beta, is_equigenerated, is_integrally_closed,
                          waldschmidt)
-from .monomial import (Monomial, MonomialIdeal, containment_witness, contains,
-                       intersect, is_squarefree, power, require_proper)
+from .monomial import (Monomial, MonomialIdeal, _from_vectors,
+                       containment_witness, contains, intersect, is_squarefree,
+                       power, require_proper)
 from .parsing import default_names, format_ideal
 from .results import CheckResult, encode_value
 from .rng import SplitRng
@@ -197,7 +198,7 @@ def _symbolic_in_mpower(I, m, s, r):
     """Exploratory membership check I^(m) <= m^s * I^r."""
     lhs, rhs = symbolic_power(I, m), power(I, r)
     return Containment(lhs, rhs, s,
-                       {"lhs_gens": len(lhs.gens), "rhs_gens": len(rhs.gens)},
+                       {"lhs_gens": len(lhs.vectors), "rhs_gens": len(rhs.vectors)},
                        probe_witness=True)
 
 
@@ -206,9 +207,9 @@ def _polyhedron_bound(I, m):
     vector inside m times the symbolic polyhedron."""
     Q = symbolic_polyhedron(I)
     sym = symbolic_power(I, m)
-    bad = next((g for g in sym.gens
-                if not member_scaled(Q, g.exponents, m)), None)
-    return Outcome(_holds(bad is None), {"gens_checked": len(sym.gens)}, bad)
+    bad = next((g for g in sym.vectors if not member_scaled(Q, g, m)), None)
+    return Outcome(_holds(bad is None), {"gens_checked": len(sym.vectors)},
+                   None if bad is None else Monomial(bad))
 
 
 def _alpha_lower(I, m):
@@ -538,9 +539,7 @@ def _random_squarefree(rng: SplitRng, nvars: int):
     fam = _random_prime_family(rng, nvars)
     ideal = None
     for p in fam:
-        gens = [Monomial(tuple(1 if i == v else 0 for i in range(nvars)))
-                for v in p]
-        prime = MonomialIdeal.make(nvars, gens)
+        prime = MonomialPrime(nvars, p).to_ideal()
         ideal = prime if ideal is None else intersect(ideal, prime)
     return ideal, fam
 
@@ -549,12 +548,11 @@ def _random_general(rng: SplitRng, nvars: int, max_exp: int, max_gens: int):
     for attempt in range(64):
         sub = rng.child(f"try{attempt}")
         count = sub.randint(2, max_gens)
-        gens = []
+        vecs = []
         for j in range(count):
             g = sub.child(f"gen{j}")
-            vec = tuple(g.randint(0, max_exp) for _ in range(nvars))
-            gens.append(Monomial(vec))
-        I = MonomialIdeal.make(nvars, gens)
+            vecs.append(tuple(g.randint(0, max_exp) for _ in range(nvars)))
+        I = _from_vectors(nvars, vecs)
         if I.is_proper:
             return I
     raise RuntimeError("could not draw a proper ideal")

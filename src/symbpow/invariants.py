@@ -17,8 +17,8 @@ from .decomposition import (_big_height, associated_primes,
 from .errors import ResourceLimitError
 from .geometry import (alpha_polyhedron, newton_polyhedron, np_member,
                        realizing_denominator, symbolic_polyhedron)
-from .monomial import (MonomialIdeal, Monomial, contains, is_squarefree,
-                       iter_box, require_proper)
+from .monomial import (MonomialIdeal, above_some, is_squarefree, iter_box,
+                       require_proper)
 from .symbolic import symbolic_equals_ordinary, symbolic_power
 
 DEFAULT_CLOSURE_BUDGET = 200_000
@@ -27,18 +27,18 @@ DEFAULT_CLOSURE_BUDGET = 200_000
 def alpha(I: MonomialIdeal) -> int:
     """Least degree of a minimal generator."""
     require_proper(I)
-    return I.gens[0].degree  # gens are sorted by (degree, exponents)
+    return sum(I.vectors[0])  # vectors are sorted by (degree, lex)
 
 
 def beta(I: MonomialIdeal) -> int:
     """Largest degree of a minimal generator."""
     require_proper(I)
-    return I.gens[-1].degree
+    return sum(I.vectors[-1])
 
 
 def is_equigenerated(I: MonomialIdeal) -> bool:
     require_proper(I)
-    return I.gens[0].degree == I.gens[-1].degree
+    return sum(I.vectors[0]) == sum(I.vectors[-1])
 
 
 def waldschmidt(I: MonomialIdeal) -> Fraction:
@@ -90,14 +90,13 @@ def is_integrally_closed(I: MonomialIdeal,
     maximum M of the generators: clamping a counterexample to the box keeps
     it inside the polyhedron and outside the staircase."""
     require_proper(I)
-    corner = tuple(max(g.exponents[i] for g in I.gens)
-                   for i in range(I.ambient_dim))
+    corner = tuple(map(max, zip(*I.vectors)))
     volume = prod(c + 1 for c in corner)
     if volume > max_points:
         raise ResourceLimitError("integral closure box", volume, max_points)
     N = newton_polyhedron(I)
     for pt in iter_box(corner):
-        if not contains(I, Monomial(pt)) and np_member(N, pt):
+        if not above_some(I.vectors, pt) and np_member(N, pt):
             return False
     return True
 
@@ -117,7 +116,7 @@ def invariant_report(I: MonomialIdeal, names=None) -> dict:
         closed = None
     return {
         "ambient_dim": I.ambient_dim,
-        "num_gens": len(I.gens),
+        "num_gens": len(I.vectors),
         "alpha": alpha(I),
         "beta": beta(I),
         "equigenerated": is_equigenerated(I),

@@ -1,11 +1,12 @@
 """Monomials and monomial ideals with exact, arbitrary-precision exponents.
 
 The ambient ring is k[x_0, ..., x_n] for ambient_dim = n + 1; a monomial is
-identified with its exponent vector.  A MonomialIdeal stores the unique
-minimal (divisibility-reduced) generating set, sorted by total degree and
-then lexicographically, so equal ideals are structurally equal.  The empty
-generating set is the zero ideal; the single degree-0 generator is the unit
-ideal.
+identified with its exponent vector.  A MonomialIdeal stores only the
+exponent vectors of its unique minimal generating set, sorted by total
+degree and then lexicographically, so equal ideals are structurally equal;
+every kernel reads and writes such bare vectors.  `Monomial` objects exist
+only at the edges: validated outside input for `MonomialIdeal.make`,
+containment witnesses, and rendering through the derived `gens`.
 
 Divisibility scans (minimalization, the containment kernel, the key
 comparisons of a prime-power intersection) go through one bitset
@@ -18,13 +19,13 @@ Products and general intersections minimalize their candidates that way.
 Powers of a prime power and intersections with one never make a dominated
 candidate: both go through one prime-power kernel, `_meet_simplex_power`,
 (P^m)^t as the zero vector (the unit ideal) met with P^(mt).  The kernel
-takes bare minimal exponent vectors in any order and returns the minimal
+takes minimal exponent vectors in any order and returns the minimal
 generators of the meet unsorted; it holds the degree-m part of each group
 of generators as a bitmask over ranked compositions, so each minimal
-generator comes out once, with no scan.  `intersect` and `power` sort and
-wrap each call's output; `symbolic_power` chains the kernel over the
+generator comes out once, with no scan.  `intersect` and `power` sort each
+call's output into an ideal; `symbolic_power` chains the kernel over the
 prime-power localizations of an ideal (all of them, for a square-free
-ideal) and sorts and wraps only the end result.
+ideal) and sorts only the end result.
 """
 
 from __future__ import annotations
@@ -42,12 +43,16 @@ from .errors import DimensionMismatchError
 
 @dataclass(frozen=True)
 class Monomial:
-    """An exponent vector.  The all-zero vector is the monomial 1."""
+    """An exponent vector of non-negative integers, none rounded or
+    converted.  The all-zero vector is the monomial 1."""
 
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(map(int, self.exponents))
+        try:
+            exps = tuple(map(operator.index, self.exponents))
+        except TypeError:
+            raise ValueError(f"non-integer exponent in {self.exponents!r}") from None
         if exps and min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
@@ -70,9 +75,6 @@ class Monomial:
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
     def render(self, names: Sequence[str] | None = None) -> str:
         if names is None:
             names = [f"x{i}" for i in range(len(self.exponents))]
@@ -90,18 +92,18 @@ class Monomial:
 
 @dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal, held by its minimal generating set.
+    """A monomial ideal, held by the exponent vectors of its minimal
+    generators in canonical (degree, lex) order.
 
-    Instances are only built through `make` / `zero` / `unit` /
-    `_from_vectors`, `_canonical` (which wraps the prime-power kernel's
-    output) and `IrreducibleComponent.to_ideal`, which establish the
-    canonical form (deduplicated, divisibility-minimal, sorted).  gens == () encodes the
-    zero ideal and gens == (1,) the unit ideal; `is_zero` / `is_unit` are
-    the flags.
+    Built by `make` (from outside `Monomial`s), `zero`, `unit`, and inside
+    the package by `_from_vectors` (which minimalizes candidates) and
+    `_canonical` (which sorts vectors minimal by construction).  vectors
+    == () is the zero ideal and the single zero vector the unit ideal.
+    `gens` derives the same generators as `Monomial`s.
     """
 
     ambient_dim: int
-    gens: tuple[Monomial, ...]
+    vectors: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def make(ambient_dim: int, gens: Iterable[Monomial]) -> "MonomialIdeal":
@@ -112,7 +114,7 @@ class MonomialIdeal:
             if len(g.exponents) != ambient_dim:
                 raise DimensionMismatchError(
                     f"generator {g} has {len(g.exponents)} exponents, expected {ambient_dim}")
-        return MonomialIdeal(ambient_dim, tuple(minimalize(gens)))
+        return _from_vectors(ambient_dim, [g.exponents for g in gens])
 
     @staticmethod
     def zero(ambient_dim: int) -> "MonomialIdeal":
@@ -120,11 +122,15 @@ class MonomialIdeal:
 
     @staticmethod
     def unit(ambient_dim: int) -> "MonomialIdeal":
-        return MonomialIdeal(ambient_dim, (Monomial((0,) * ambient_dim),))
+        return MonomialIdeal(ambient_dim, ((0,) * ambient_dim,))
+
+    @cached_property
+    def gens(self) -> tuple[Monomial, ...]:
+        return tuple(map(Monomial, self.vectors))
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.ambient_dim, self.gens))
+        return hash((self.ambient_dim, self.vectors))
 
     def __hash__(self) -> int:
         """Hashed once per instance: an lru_cache lookup with an ideal as
@@ -133,19 +139,15 @@ class MonomialIdeal:
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.vectors
 
     @property
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].degree == 0
+        return len(self.vectors) == 1 and not any(self.vectors[0])
 
     @property
     def is_proper(self) -> bool:
         return not self.is_unit
-
-    @cached_property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(g.exponents for g in self.gens)
 
     @cached_property
     def simplex_power(self) -> tuple[tuple[int, ...], int] | None:
@@ -269,8 +271,8 @@ def minimal_vectors(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]
     return kept
 
 
-def _any_divisor_mask(targets: list[tuple[int, ...]], divisors: list[tuple[int, ...]],
-                      min_gap: int = 0) -> list[bool]:
+def _any_divisor_mask(targets: Sequence[tuple[int, ...]],
+                      divisors: Sequence[tuple[int, ...]], min_gap: int = 0) -> list[bool]:
     """For each target, is there a divisor with degree gap >= min_gap?
 
     One index over the divisors, with their degree as one more column,
@@ -301,22 +303,22 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 # ideal operations
 
 
-def minimalize(monomials: Iterable[Monomial]) -> list[Monomial]:
-    """Minimal generating set: drop every monomial divisible by another."""
-    vecs = minimal_vectors(m.exponents for m in monomials)
-    return [Monomial(v) for v in vecs]
+def above_some(vectors: Iterable[Sequence[int]], point: Sequence) -> bool:
+    """Whether some vector lies componentwise at or below `point`, whose
+    entries may be any exact numbers: membership in the staircase."""
+    return any(all(map(operator.le, g, point)) for g in vectors)
 
 
 def contains(I: MonomialIdeal, m: Monomial) -> bool:
     """Ideal membership: some minimal generator divides m."""
     if len(m.exponents) != I.ambient_dim:
         raise DimensionMismatchError("monomial and ideal disagree on ring")
-    return any(g.divides(m) for g in I.gens)
+    return above_some(I.vectors, m.exponents)
 
 
-def _from_vectors(dim: int, vectors: list[tuple[int, ...]]) -> MonomialIdeal:
-    vecs = minimal_vectors(vectors)
-    return MonomialIdeal(dim, tuple(Monomial(v) for v in vecs))
+def _from_vectors(dim: int, vectors: Iterable[tuple[int, ...]]) -> MonomialIdeal:
+    """The ideal generated by candidate vectors, minimalized and sorted."""
+    return MonomialIdeal(dim, tuple(minimal_vectors(vectors)))
 
 
 @lru_cache(maxsize=4096)
@@ -389,9 +391,9 @@ def _meet_simplex_power(vectors: Iterable[tuple[int, ...]], dim: int, s_vars,
 
 def _canonical(dim: int, minimal: list[tuple[int, ...]]) -> MonomialIdeal:
     """The ideal of a minimal set of exponent vectors, sorted in place into
-    canonical order and wrapped."""
+    canonical order."""
     minimal.sort(key=_canonical_key)
-    return MonomialIdeal(dim, tuple(map(Monomial, minimal)))
+    return MonomialIdeal(dim, tuple(minimal))
 
 
 def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -406,7 +408,7 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         sp = B.simplex_power
         if sp is not None:
             return _canonical(A.ambient_dim, _meet_simplex_power(A.vectors, A.ambient_dim, *sp))
-    return _from_vectors(I.ambient_dim, _pairwise_combine(list(I.vectors), list(J.vectors), "lcm"))
+    return _from_vectors(I.ambient_dim, _pairwise_combine(I.vectors, J.vectors, "lcm"))
 
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
@@ -417,7 +419,7 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         return J
     if J.is_unit:
         return I
-    return _from_vectors(I.ambient_dim, _pairwise_combine(list(I.vectors), list(J.vectors), "add"))
+    return _from_vectors(I.ambient_dim, _pairwise_combine(I.vectors, J.vectors, "add"))
 
 
 @lru_cache(maxsize=512)
@@ -452,8 +454,8 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
 
 def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monomial | None:
     """The first minimal generator of lhs, in canonical order, outside
-    m^s * rhs, where m is the maximal ideal of the variables; None when
-    lhs <= m^s * rhs.  s = 0 is plain containment.
+    m^s * rhs, where m is the maximal ideal of the variables, as a
+    Monomial; None when lhs <= m^s * rhs.  s = 0 is plain containment.
 
     This is the only containment kernel: every containment check reduces
     membership of f in m^s * rhs to "some minimal generator h of rhs
@@ -463,8 +465,9 @@ def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monom
     _check_same_ring(lhs, rhs)
     if s < 0:
         raise ValueError("s must be non-negative")
-    inside = _any_divisor_mask(list(lhs.vectors), list(rhs.vectors), min_gap=s)
-    return next((f for f, ok in zip(lhs.gens, inside) if not ok), None)
+    inside = _any_divisor_mask(lhs.vectors, rhs.vectors, min_gap=s)
+    bad = next((f for f, ok in zip(lhs.vectors, inside) if not ok), None)
+    return None if bad is None else Monomial(bad)
 
 
 def subset(I: MonomialIdeal, J: MonomialIdeal) -> bool:
@@ -476,20 +479,17 @@ def radical(I: MonomialIdeal) -> MonomialIdeal:
     """Cap every exponent at 1, then minimalize."""
     if I.is_zero:
         return I
-    return _from_vectors(
-        I.ambient_dim,
-        [tuple(min(e, 1) for e in g.exponents) for g in I.gens])
+    return _from_vectors(I.ambient_dim,
+                         [tuple(min(e, 1) for e in g) for g in I.vectors])
 
 
 def is_squarefree(I: MonomialIdeal) -> bool:
-    return all(g.is_squarefree for g in I.gens)
+    return all(e <= 1 for g in I.vectors for e in g)
 
 
 def maximal_ideal(ambient_dim: int) -> MonomialIdeal:
-    return MonomialIdeal.make(
-        ambient_dim,
-        [Monomial(tuple(1 if j == i else 0 for j in range(ambient_dim)))
-         for i in range(ambient_dim)])
+    return _canonical(ambient_dim, [tuple(int(j == i) for j in range(ambient_dim))
+                                    for i in range(ambient_dim)])
 
 
 def degree_monomials(ambient_dim: int, degree: int) -> list[Monomial]:

@@ -11,9 +11,10 @@ a prime step, one call of the prime-power kernel on the running exponent
 vectors, which lists the minimal generators of the meet with Q^(km)
 directly.  Any other localization is a general component, its power formed
 with minimalization after every product and met through `intersect`.  The
-steps run smallest component first, starting from the unit ideal, and the
-result is sorted and wrapped once.  For a square-free I every step is a
-prime step, so no component is built and nothing is minimalized.
+steps run smallest component first, starting from the unit ideal; the
+running vectors are sorted only before a general step and at the end.  For
+a square-free I every step is a prime step, so no component is built and
+nothing is minimalized.
 """
 
 from __future__ import annotations
@@ -44,22 +45,18 @@ def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
         L = localize(I, P)
         if L.simplex_power is None:
             C = power(L, m)
-            steps.append((len(C.gens), C))
+            steps.append((len(C.vectors), C))
         else:
             s_vars, k = L.simplex_power
             steps.append((comb(k * m + len(s_vars) - 1, len(s_vars) - 1), (s_vars, k * m)))
     steps.sort(key=lambda step: step[0])
-    running = [(0,) * dim]  # the unit ideal, as exponent vectors
+    running = [(0,) * dim]  # the unit ideal
     for _, step in steps:
         if isinstance(step, MonomialIdeal):
-            if isinstance(running, list):
-                running = _canonical(dim, running)
-            running = ideal_intersect(running, step)
+            running = list(ideal_intersect(_canonical(dim, running), step).vectors)
         else:
-            if isinstance(running, MonomialIdeal):
-                running = running.vectors
             running = _meet_simplex_power(running, dim, *step)
-    return _canonical(dim, running) if isinstance(running, list) else running
+    return _canonical(dim, running)
 
 
 def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:
@@ -72,7 +69,7 @@ def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:
     if m == 0:
         return MonomialIdeal.unit(I.ambient_dim)
     comps = [power(c.to_ideal(), m) for c in irreducible_decomposition(I)]
-    comps.sort(key=lambda c: len(c.gens))
+    comps.sort(key=lambda c: len(c.vectors))
     return reduce(ideal_intersect, comps)
 
 

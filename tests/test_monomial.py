@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,8 +11,8 @@ from symbpow.monomial import (Monomial, MonomialIdeal, _any_divisor_mask,
                               _from_vectors, _pairwise_combine,
                               containment_witness, minimal_vectors,
                               contains, degree_monomials, intersect,
-                              is_squarefree, maximal_ideal, minimalize,
-                              multiply, power, radical, subset)
+                              is_squarefree, maximal_ideal, multiply, power,
+                              radical, subset)
 
 from conftest import ideal_of
 
@@ -34,12 +37,21 @@ def test_monomial_divides_lcm_mul():
     assert m(1, 0).divides(m(2, 1))
     assert not m(1, 2).divides(m(2, 1))
     assert m(1, 2).lcm(m(2, 1)) == m(2, 2)
-    assert m(1, 2) * m(2, 1) == m(3, 3)
+    with pytest.raises(TypeError):  # products of ideals work on exponent vectors
+        m(1, 2) * m(2, 1)
 
 
 def test_monomial_rejects_negative():
     with pytest.raises(ValueError):
         Monomial((1, -1))
+
+
+@pytest.mark.parametrize("bad", [0.9, Fraction(3, 2), "3"])
+def test_monomial_rejects_non_integer(bad):
+    """No exponent is truncated or parsed: Monomial((0.9, 1)) once became
+    (0, 1), and make(2, [it]) the ideal (y)."""
+    with pytest.raises(ValueError, match=re.escape(f"non-integer exponent in {(bad, 1)!r}")):
+        Monomial((bad, 1))
 
 
 def test_render():
@@ -200,9 +212,12 @@ small_ideal = st.lists(small_vec, min_size=1, max_size=5).map(
 @given(st.lists(small_vec, min_size=1, max_size=8))
 def test_minimalize_idempotent_and_order_free(vecs):
     mons = [Monomial(tuple(v)) for v in vecs]
-    once = minimalize(mons)
-    assert minimalize(once) == once
-    assert minimalize(list(reversed(mons))) == once
+    once = MonomialIdeal.make(3, mons)
+    assert MonomialIdeal.make(3, once.gens) == once
+    assert MonomialIdeal.make(3, reversed(mons)) == once
+    assert minimal_vectors(map(tuple, vecs)) == list(once.vectors)
+    assert minimal_vectors(once.vectors) == list(once.vectors)
+    assert minimal_vectors(map(tuple, reversed(vecs))) == list(once.vectors)
 
 
 @given(small_ideal, small_ideal)
@@ -424,4 +439,4 @@ def test_kernel_and_make_give_equal_ideals_with_equal_hashes():
              (power(P3, 2), MonomialIdeal.make(4, multiply(P3, P3).gens[::-1]))]
     for kernel, made in pairs:
         assert kernel == made
-        assert hash(kernel) == hash(made) == hash((4, made.gens))
+        assert hash(kernel) == hash(made) == hash((4, made.vectors))

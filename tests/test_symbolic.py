@@ -5,8 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import symbpow.results as R
-from symbpow import symbolic
-from symbpow.decomposition import localize, max_associated_primes
+from symbpow import monomial, symbolic
+from symbpow.decomposition import (associated_primes,
+                                   irreducible_decomposition, localize,
+                                   max_associated_primes)
 from symbpow.monomial import Monomial, contains, intersect, power, subset
 from symbpow.harness import (_random_squarefree,
                              check_equal_exponent_containment,
@@ -230,6 +232,39 @@ def test_squarefree_symbolic_power_builds_no_component(monkeypatch, seed):
     monkeypatch.setattr(symbolic, "power", refuse)
     monkeypatch.setattr(symbolic, "ideal_intersect", refuse)
     assert [symbolic_power(I, m_) for I, m_ in cases] == expected
+
+
+@pytest.mark.parametrize("I", [
+    ideal_of(4, (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1)),
+    MIXED], ids=["squarefree", "general"])
+def test_ideal_operations_build_no_monomial(monkeypatch, I):
+    """Ideals are exponent vectors inside the package: symbolic_power,
+    power, intersect and irreducible_decomposition build no Monomial, on
+    cold caches.  `gens` derives the Monomials from the vectors."""
+    J = ideal_of(4, (2, 1, 0, 0), (0, 0, 2, 1), (1, 0, 1, 0))
+    P = ideal_of(4, (0, 1, 0, 0), (0, 0, 1, 0))
+
+    def run():
+        for cached in (symbolic_power, irreducible_decomposition,
+                       associated_primes, monomial._powers_of):
+            cached.cache_clear()
+        return (symbolic_power(I, 3), power(I, 3), intersect(I, J),
+                intersect(I, power(P, 2)), irreducible_decomposition(I))
+
+    expected = run()
+    built = []
+    post_init = Monomial.__post_init__
+
+    def counted(self):
+        built.append(self.exponents)
+        post_init(self)
+
+    monkeypatch.setattr(Monomial, "__post_init__", counted)
+    assert run() == expected
+    assert built == []
+    for ideal in (I, *expected[:4]):
+        assert ideal.gens == tuple(map(Monomial, ideal.vectors))
+    assert built
 
 
 # ---------------------------------------------------------------------------
