@@ -4,7 +4,8 @@ Reads ideals from the plain-text format of :mod:`symbpow.parsing` and
 exposes the library as batch subcommands.  Output goes to stdout (or
 --output FILE) as human text or line-delimited JSON; rationals are always
 exact "p/q" strings.  Exit codes: 0 success, 1 a proven statement failed
-(a bug somewhere), 2 usage or parse error, 3 resource budget exceeded.
+(a bug somewhere), 2 usage or parse error, 3 resource budget exceeded,
+4 a computed result failed its own verification.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import warnings
 from . import harness
 from .decomposition import (associated_primes, big_height,
                             max_associated_primes, sigma)
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, VerificationError
 from .geometry import (alpha_polyhedron, enumerate_vertices,
                        symbolic_polyhedron)
 from .invariants import alpha, beta, invariant_report, waldschmidt_point
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return 4
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"note: {message}", file=sys.stderr)
     if args.output:

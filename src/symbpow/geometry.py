@@ -158,9 +158,21 @@ def _optimize_over(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[Fr
     result = lp.solve(lp.LinearProgram.make(matrix, rhs, senses, cost))
     if result.status != lp.OPTIMAL:
         raise VerificationError(f"alpha LP ended {result.status}")
+    if len(result.solution) != ncols:
+        raise VerificationError(f"alpha LP solution has {len(result.solution)} "
+                                f"entries, expected {ncols}")
+    # the point lies in each component, certified by the LP's own solution:
+    # Σ_S a >= m for a prime power, its λ block for a general component
     point = result.solution[:d]
-    for _, N in Q.components:
-        if not np_member(N, point):
+    if any(x < 0 for x in point) or any(
+            sum(point[i] for i in s_vars) < m for s_vars, m in simple_rows):
+        raise VerificationError("LP point escapes a component")
+    col0 = d
+    for gens in blocks:
+        lam = result.solution[col0:col0 + len(gens)]
+        col0 += len(gens)
+        if any(w < 0 for w in lam) or sum(lam) != 1 or any(
+                sum(w * g[i] for w, g in zip(lam, gens)) > point[i] for i in range(d)):
             raise VerificationError("LP point escapes a component")
     return result.value, point
 

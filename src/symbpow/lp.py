@@ -2,23 +2,26 @@
 
 minimize c.x  subject to  A x (<= | >= | ==) b,  x >= 0.
 
-The tableau is fraction-free (Edmonds 1967; Bareiss 1968).  Every row is
-scaled to integers at entry and the whole tableau shares one positive
-integer denominator D, so the rational tableau is always rows / D.  A pivot
-on the entry p in column c of row r replaces every other row by
-(p * row - row[c] * row_r) / D and then sets D = p.  By Cramer's rule the
-division is exact, and a remainder raises VerificationError.  The phase-1 and
-phase-2 reduced-cost rows are two more rows of the same elimination, so no
-iteration rebuilds them.
+Every row is kept as integers at a positive scale of its own: a constraint
+row is its rational tableau row times its entry in its basic column, so a
+basic value is row[rhs] / row[basis].  A pivot on the entry p in column c of
+row r keeps row r and every row with a zero in column c as they are; any
+other row becomes p * row - row[c] * row_r over the gcd of its entries.  The
+purge of artificials may pivot on a negative entry, and negates row r first.
+The two reduced-cost rows take the same step and end with their own scale,
+an entry that is 0 in every constraint row.  After each pivot, column c must
+be 0 outside row r and every basic entry positive, or VerificationError is
+raised.
 
-Bland's anti-cycling rule (lowest eligible index enters, lowest-index basic
-among minimum-ratio ties leaves) guarantees termination.  Every result is
-checked against the original program in exact rationals before it leaves
-this module.  An optimum must satisfy every constraint, and its dual vector
-y must have the sign each sense asks for and satisfy A^T y <= c and
-b.y == c.x.  An infeasible verdict must come with a Farkas ray.  The checks
-raise VerificationError rather than assert, so they also hold under
-`python -O`.
+A positive scale changes no sign and no ratio, so the pivot path, and with
+it the optimum, the point and the dual vector, is the one Bland's rule
+(lowest eligible index enters, lowest-index basic among minimum-ratio ties
+leaves) reaches on the rational tableau.  Every result is checked against
+the original program in exact rationals before it leaves this module.  An
+optimum must satisfy every constraint, and its dual vector y must have the
+sign each sense asks for and satisfy A^T y <= c and b.y == c.x.  An
+infeasible verdict must come with a Farkas ray.  The checks raise
+VerificationError rather than assert, so they also hold under `python -O`.
 
 This tableau is the package's only exact linear solver: membership, alpha
 and the Caratheodory reduction in geometry.py are all LPs built from plain
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm
 
 from .errors import VerificationError
 
@@ -77,9 +80,9 @@ class LPResult:
 
 class _Tableau:
     """Columns: structural, one slack per LE/GE row, one artificial per
-    GE/EQ row (both in row order), then the right-hand side.  A row whose
-    right-hand side is negative is negated first, so every starting basic
-    value is non-negative."""
+    GE/EQ row (both in row order), the right-hand side, then the cost rows'
+    scale entry.  A row whose right-hand side is negative is negated first,
+    so every starting basic value is non-negative."""
 
     def __init__(self, lp: LinearProgram):
         nstruct = len(lp.objective)
@@ -90,21 +93,16 @@ class _Tableau:
         n_art = sum(1 for s in senses if s != LE)
         self.nstruct = nstruct
         self.n_free = nstruct + n_slack  # columns phase 2 may enter
-        self.ncols = self.n_free + n_art
+        self.ncols = self.n_free + n_art  # also the index of the rhs entry
         self.senses = senses
         self.slack_col: list[int | None] = []
         self.art_col: list[int | None] = []
         self.basis: list[int] = []
-        # D = the product of the rows' own denominators is the determinant
-        # of the starting basis once each row is scaled to integers; it
-        # makes every later Bareiss division exact
-        self.denom = prod(lcm(b.denominator, *(x.denominator for x in arow))
-                          for arow, b in zip(lp.matrix, lp.rhs))
-        d = self.denom
         self.rows = []
         next_slack, next_art = nstruct, self.n_free
         for arow, bval, sense, flip in zip(lp.matrix, lp.rhs, senses, self.flipped):
-            row = self._integers(list(arow) + [bval], -d if flip else d)
+            d = lcm(bval.denominator, *(x.denominator for x in arow))
+            row = self._integers(list(arow) + [bval], -d if flip else d) + [0]
             row[nstruct:nstruct] = [0] * (self.ncols - nstruct)
             slack = art = None
             if sense != EQ:
@@ -118,18 +116,20 @@ class _Tableau:
             self.basis.append(art if art is not None else slack)
             self.rows.append(row)
 
-        # reduced-cost rows hold D * scale * (cost - c_B * tableau); the
-        # last entry is then -D * scale * (objective value)
-        self.cost_scale = lcm(*(c.denominator for c in lp.objective))
-        cost = [0] * (self.ncols + 1)
-        cost[:nstruct] = self._integers(lp.objective, self.denom * self.cost_scale)
-        self.phase2 = cost
+        # a reduced-cost row holds scale * (cost - c_B * tableau), then
+        # -scale * (objective value), then the positive integer scale
+        scale = lcm(*(c.denominator for c in lp.objective))
+        self.phase2 = (self._integers(lp.objective, scale)
+                       + [0] * (self.ncols - nstruct) + [0, scale])
         self.phase1 = None
         if n_art:
-            phase1 = [0] * self.n_free + [self.denom] * n_art + [0]
-            for row, b in zip(self.rows, self.basis):
-                if b >= self.n_free:
-                    phase1 = [x - y for x, y in zip(phase1, row)]
+            art_rows = [(row, row[b]) for row, b in zip(self.rows, self.basis)
+                        if b >= self.n_free]
+            scale = lcm(*(s for _, s in art_rows))
+            phase1 = [0] * self.n_free + [scale] * n_art + [0, scale]
+            for row, s in art_rows:
+                k = scale // s
+                phase1 = [x - k * y for x, y in zip(phase1, row)]
             self.phase1 = phase1
 
     @staticmethod
@@ -141,33 +141,35 @@ class _Tableau:
         return [row for row in (self.phase1, self.phase2) if row is not None]
 
     def _pivot(self, r: int, c: int):
-        """Bareiss step: the pivot row stays as it is, every other row
-        becomes (p * row - row[c] * pivot_row) / D, and D becomes p."""
+        """Scaled-row step, as q * row - f * pivot_row with q and f the pivot
+        and row[c] over their gcd; the subtraction touches only the few
+        columns where the pivot row is non-zero."""
         prow = self.rows[r]
-        p, d = prow[c], self.denom
-        psum = sum(prow)
+        p = prow[c]
+        if p < 0:  # only the purge of artificials pivots on a negative entry
+            prow[:] = [-a for a in prow]
+            p = -p
+        support = [(j, b) for j, b in enumerate(prow) if b]
         for row in self.rows + self._cost_rows():
-            if row is prow:
-                continue
             f = row[c]
-            if f:
-                total = p * sum(row) - f * psum
-                row[:] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-            elif p != d:
-                total = p * sum(row)
-                row[:] = [p * a // d for a in row]
-            else:
-                continue
-            # each floor-division remainder is in [0, d), so the quotients
-            # account for the whole sum only if every division was exact
-            if sum(row) * d != total:
-                raise VerificationError(f"inexact Bareiss division by {d}")
-        self.denom = p
-        if p < 0:
-            for row in self.rows + self._cost_rows():
-                row[:] = [-a for a in row]
-            self.denom = -p
+            if f and row is not prow:
+                g = gcd(p, f)
+                q, f = p // g, f // g
+                if q != 1:
+                    row[:] = [q * a for a in row]
+                for j, b in support:
+                    row[j] -= f * b
+                g = gcd(*row)
+                if g > 1:
+                    row[:] = [a // g for a in row]
         self.basis[r] = c
+        # the O(rows) guard of the step: column c is a unit column again,
+        # and every row keeps a positive scale
+        for i, row in enumerate(self.rows):
+            if row[self.basis[i]] <= 0 or (i != r and row[c]):
+                raise VerificationError(f"pivot on ({r}, {c}) broke row {i}")
+        if any(row[c] or row[-1] <= 0 for row in self._cost_rows()):
+            raise VerificationError(f"pivot on ({r}, {c}) broke a cost row")
 
     def _iterate(self, cost: list[int], allowed: int) -> str:
         """Pivot until no column below `allowed` has a negative reduced
@@ -191,30 +193,31 @@ class _Tableau:
                 return UNBOUNDED
             self._pivot(leave, enter)
 
-    def _multipliers(self, cost: list[int], scale: int, art_cost: int):
+    def _multipliers(self, cost: list[int], art_cost: int):
         """Simplex multipliers pi (one per row of the sign-normalised
-        system) read off a reduced-cost row, then y with the row flips
-        undone.  The reduced cost of a slack with coefficient +-1 is
-        -+pi_i; that of an artificial is art_cost - pi_i."""
-        denom = self.denom * scale
+        system) read off a reduced-cost row through its scale, then y with
+        the row flips undone.  The reduced cost of a slack with coefficient
+        +-1 is -+pi_i; that of an artificial is art_cost - pi_i."""
+        scale = cost[-1]
         y = []
         for slack, art, sense, flip in zip(self.slack_col, self.art_col,
                                            self.senses, self.flipped):
             if slack is not None:
-                red = Fraction(cost[slack], denom)
+                red = Fraction(cost[slack], scale)
                 pi = -red if sense == LE else red
             else:
-                pi = art_cost - Fraction(cost[art], denom)
+                pi = art_cost - Fraction(cost[art], scale)
             y.append(-pi if flip else pi)
         return tuple(y)
 
     def solve(self) -> LPResult:
+        rhs = self.ncols
         if self.phase1 is not None:
             if self._iterate(self.phase1, self.ncols) != OPTIMAL:
                 raise VerificationError("phase 1 reported unbounded, but it "
                                         "is bounded below by 0")
-            if self.phase1[-1] != 0:
-                ray = self._multipliers(self.phase1, scale=1, art_cost=1)
+            if self.phase1[rhs] != 0:
+                ray = self._multipliers(self.phase1, art_cost=1)
                 return LPResult(INFEASIBLE, None, None, ray)
             self.phase1 = None
             self._purge_artificials()
@@ -223,9 +226,9 @@ class _Tableau:
         x = [Fraction(0)] * self.nstruct
         for row, b in zip(self.rows, self.basis):
             if b < self.nstruct:
-                x[b] = Fraction(row[-1], self.denom)
-        value = Fraction(-self.phase2[-1], self.denom * self.cost_scale)
-        y = self._multipliers(self.phase2, scale=self.cost_scale, art_cost=0)
+                x[b] = Fraction(row[rhs], row[b])
+        value = Fraction(-self.phase2[rhs], self.phase2[-1])
+        y = self._multipliers(self.phase2, art_cost=0)
         return LPResult(OPTIMAL, value, tuple(x), y)
 
     def _purge_artificials(self):

@@ -492,11 +492,6 @@ def maximal_ideal(ambient_dim: int) -> MonomialIdeal:
                                     for i in range(ambient_dim)])
 
 
-def degree_monomials(ambient_dim: int, degree: int) -> list[Monomial]:
-    """All monomials of the given total degree (used by brute-force oracles)."""
-    return [Monomial(c) for c in _compositions(degree, ambient_dim)]
-
-
 def iter_box(corner: Sequence[int]):
     """Iterate every exponent vector 0 <= v <= corner componentwise."""
     return itertools.product(*(range(c + 1) for c in corner))

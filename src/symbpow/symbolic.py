@@ -19,13 +19,13 @@ nothing is minimalized.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import comb
 
 from .decomposition import (irreducible_decomposition, localize,
                             max_associated_primes)
 from .monomial import (MonomialIdeal, _canonical, _meet_simplex_power,
-                       is_squarefree, power, require_proper)
+                       power, require_proper)
 from .monomial import intersect as ideal_intersect
 
 
@@ -57,20 +57,6 @@ def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
         else:
             running = _meet_simplex_power(running, dim, *step)
     return _canonical(dim, running)
-
-
-def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:
-    """Independent route for square-free ideals: intersect the m-th powers
-    of the minimal primes coming straight out of the irreducible
-    decomposition (no localization involved)."""
-    require_proper(I)
-    if not is_squarefree(I):
-        raise ValueError("oracle only applies to square-free ideals")
-    if m == 0:
-        return MonomialIdeal.unit(I.ambient_dim)
-    comps = [power(c.to_ideal(), m) for c in irreducible_decomposition(I)]
-    comps.sort(key=lambda c: len(c.vectors))
-    return reduce(ideal_intersect, comps)
 
 
 def equal_exponent_condition(I: MonomialIdeal) -> bool:

@@ -20,10 +20,11 @@ from symbpow.harness import (ScanConfig, check_alpha_slope, check_chudnovsky,
                              run_suite, scan)
 from symbpow.invariants import alpha, waldschmidt
 from symbpow.monomial import Monomial, power
-from symbpow.symbolic import symbolic_power, symbolic_power_oracle_sqfree
+from symbpow.symbolic import symbolic_power
 
 from conftest import (ideal_of, random_general_corpus, random_primary_corpus,
                       random_squarefree_corpus)
+from oracles import symbolic_power_oracle_sqfree
 
 ROT3 = ideal_of(3, (1, 2, 0), (0, 1, 2), (2, 0, 1), (1, 1, 1))
 TRIPLES4 = ideal_of(4, (1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))

@@ -2,12 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import symbpow
+from symbpow import lp
 from symbpow.cli import main
+from symbpow.geometry import alpha_polyhedron
 
 ROT3 = "vars: x y z\ngens:\n  x*y^2\n  y*z^2\n  z*x^2\n  x*y*z\n"
 
@@ -131,6 +134,17 @@ def test_resource_limit_is_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "polyhedron", str(p), "--vertices")
     assert code == 3
     assert "resource limit" in err
+
+
+def test_verification_failure_is_exit_4(rot3_file, capsys, monkeypatch):
+    # an alpha LP whose reported optimum lies outside the polyhedron
+    monkeypatch.setattr(lp, "solve", lambda prog: lp.LPResult(
+        lp.OPTIMAL, Fraction(0), (Fraction(0),) * len(prog.objective)))
+    alpha_polyhedron.cache_clear()
+    code, out, err = run_cli(capsys, "waldschmidt", rot3_file)
+    assert code == 4
+    assert out == ""
+    assert err == "verification failed: LP point escapes a component\n"
 
 
 def test_polyhedron_vertices_in_7_variables(tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,9 @@ def test_symbolic_polyhedron_components(rot3):
     Q = symbolic_polyhedron(rot3)
     assert [P.variables for P, _ in Q.components] == [(0, 1), (0, 2), (1, 2)]
     assert all(N.ambient_dim == 3 for _, N in Q.components)
+    # no component is a prime power, so the alpha LP has one λ block each
+    assert all(N.simplex_power is None for _, N in Q.components)
+    assert Q.components[0][1].gens == ((0, 1, 0), (2, 0, 0))
 
 
 def test_alpha_rot3(rot3):
@@ -60,13 +64,34 @@ def test_alpha_rot3(rot3):
     assert point == (F(2, 3), F(2, 3), F(2, 3))
 
 
-@pytest.mark.parametrize("status, solution", [
-    (lp.UNBOUNDED, None),
-    (lp.OPTIMAL, (F(0), F(0), F(0))),  # a point outside every component
-])
-def test_tampered_alpha_lp_raises(edges3, monkeypatch, status, solution):
-    Q = symbolic_polyhedron(edges3)
-    monkeypatch.setattr(lp, "solve", lambda prog: lp.LPResult(status, F(0), solution))
+def _first_block(solution, transform):
+    """rot3's alpha LP solution with its first λ block (columns 3 and 4,
+    the generators (0,1,0) and (2,0,0) of the component on x, y) replaced."""
+    return solution[:3] + transform(solution[3:5]) + solution[5:]
+
+
+@pytest.mark.parametrize("ideal, status, solution", [
+    ("edges3", lp.UNBOUNDED, None),
+    ("edges3", lp.OPTIMAL, (F(0), F(0), F(0))),  # a point outside every component
+    # the λ block sums to 1/2, so G·λ stays below the point
+    ("rot3", lp.OPTIMAL, lambda x: _first_block(x, lambda lam: tuple(w / 2 for w in lam))),
+    # all weight on (0,1,0): G·λ is 1 > 2/3 in the y coordinate
+    ("rot3", lp.OPTIMAL, lambda x: _first_block(x, lambda lam: (F(1), F(0)))),
+    ("rot3", lp.OPTIMAL, lambda x: x[:3]),  # the point without its λ blocks
+    ("rot3", lp.OPTIMAL, lambda x: x + (F(0),)),  # one entry too many
+], ids=["unbounded-None", "optimal-solution1", "lambda-sum", "lambda-above-point",
+        "only-d-entries", "extra-entry"])
+def test_tampered_alpha_lp_raises(request, monkeypatch, ideal, status, solution):
+    Q = symbolic_polyhedron(request.getfixturevalue(ideal))
+    solve = lp.solve
+
+    def tampered(prog):
+        if not callable(solution):
+            return lp.LPResult(status, F(0), solution)
+        result = solve(prog)
+        return replace(result, solution=solution(result.solution))
+
+    monkeypatch.setattr(lp, "solve", tampered)
     with pytest.raises(VerificationError):
         _optimize_over(Q, [1, 1, 1])
 

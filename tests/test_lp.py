@@ -4,11 +4,13 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symbpow import lp
 from symbpow.errors import VerificationError
+
+from oracles import textbook_simplex
 
 F = Fraction
 
@@ -105,6 +107,65 @@ def test_feasible_point():
 
 
 # ---------------------------------------------------------------------------
+# the pivot path against a textbook Fraction tableau under the same Bland rule
+
+# a few Fraction entries of both signs, so rows need scaling and flipping
+mixed_entry = st.one_of(st.integers(min_value=-3, max_value=4),
+                        st.fractions(min_value=-3, max_value=4, max_denominator=4))
+sense = st.sampled_from([lp.LE, lp.GE, lp.EQ])
+
+
+def with_redundant_rows(matrix, rhs, senses, redundant):
+    """Append, per redundant copy, the same row again and twice it, both as
+    EQ rows, which phase 1 leaves with artificials at 0 for the purge."""
+    n = len(rhs)
+    matrix, rhs, senses = [list(r) for r in matrix], list(rhs), list(senses)
+    for i in range(redundant):
+        k = i % n
+        matrix += [list(matrix[k]), [2 * a for a in matrix[k]]]
+        rhs += [rhs[k], 2 * rhs[k]]
+        senses += [lp.EQ, lp.EQ]
+    return matrix, rhs, senses
+
+
+# a program whose purge of artificials pivots on a negative entry
+NEGATIVE_PURGE = ([[1, -1, -2], [1, -1, -2], [2, -2, -4]], [3, 3, 6],
+                  [lp.LE, lp.EQ, lp.EQ], [4, 3, 4])
+
+
+def test_purge_pivots_on_a_negative_entry(monkeypatch):
+    pivots = []
+    pivot = lp._Tableau._pivot
+
+    def spy(self, r, c):
+        pivots.append(self.rows[r][c])
+        pivot(self, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "_pivot", spy)
+    prog = make_lp(*NEGATIVE_PURGE)
+    assert lp.solve(prog) == textbook_simplex(prog)
+    assert any(p < 0 for p in pivots)
+
+
+@given(st.lists(st.tuples(st.lists(mixed_entry, min_size=3, max_size=3),
+                          mixed_entry, sense), min_size=1, max_size=5),
+       st.lists(st.integers(min_value=-2, max_value=5), min_size=3, max_size=3),
+       st.integers(min_value=0, max_value=3))
+@example([(r, b, s) for r, b, s in zip(*NEGATIVE_PURGE[:3])], NEGATIVE_PURGE[3], 0)
+@settings(max_examples=200, deadline=None)
+def test_pivot_path_matches_textbook_tableau(rows, cost, redundant):
+    matrix, rhs, senses = with_redundant_rows(
+        [r for r, _, _ in rows], [b for _, b, _ in rows], [s for _, _, s in rows],
+        redundant)
+    prog = make_lp(matrix, rhs, senses, cost)
+    ours, ref = lp.solve(prog), textbook_simplex(prog)
+    assert ours.status == ref.status
+    assert ours.solution == ref.solution
+    assert ours.dual == ref.dual
+    assert ours.value == ref.value
+
+
+# ---------------------------------------------------------------------------
 # randomized cross-check against scipy (floats, loose tolerance)
 
 scipy = pytest.importorskip("scipy")
@@ -132,28 +193,15 @@ def test_matches_scipy_on_ge_programs(matrix, rhs, cost):
         assert ours.status == lp.INFEASIBLE
 
 
-# a few Fraction entries of both signs, so rows need scaling and flipping
-mixed_entry = st.one_of(st.integers(min_value=-3, max_value=4),
-                        st.fractions(min_value=-3, max_value=4, max_denominator=4))
-sense = st.sampled_from([lp.LE, lp.GE, lp.EQ])
-
-
 @given(st.lists(st.tuples(st.lists(mixed_entry, min_size=3, max_size=3),
                           mixed_entry, sense), min_size=1, max_size=5),
        st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=3),
        st.integers(min_value=0, max_value=3))
 @settings(max_examples=150, deadline=None)
 def test_matches_scipy_on_mixed_programs(rows, cost, redundant):
-    matrix = [list(r) for r, _, _ in rows]
-    rhs = [b for _, b, _ in rows]
-    senses = [s for _, _, s in rows]
-    # redundant equalities: a multiple of an existing row, kept as EQ, plus
-    # the same row once more, which the phase-1 purge must drop
-    for i in range(redundant):
-        k = i % len(rows)
-        matrix += [list(matrix[k]), [2 * a for a in matrix[k]]]
-        rhs += [rhs[k], 2 * rhs[k]]
-        senses += [lp.EQ, lp.EQ]
+    matrix, rhs, senses = with_redundant_rows(
+        [r for r, _, _ in rows], [b for _, b, _ in rows], [s for _, _, s in rows],
+        redundant)
     ours = lp.solve(make_lp(matrix, rhs, senses, cost))
     A = np.array([[float(a) for a in row] for row in matrix])
     b = np.array([float(x) for x in rhs])

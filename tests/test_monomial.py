@@ -10,11 +10,12 @@ from symbpow.errors import DimensionMismatchError
 from symbpow.monomial import (Monomial, MonomialIdeal, _any_divisor_mask,
                               _from_vectors, _pairwise_combine,
                               containment_witness, minimal_vectors,
-                              contains, degree_monomials, intersect,
+                              contains, intersect,
                               is_squarefree, maximal_ideal, multiply, power,
                               radical, subset)
 
 from conftest import ideal_of
+from oracles import degree_monomials
 
 
 def m(*exps):

@@ -17,10 +17,10 @@ from symbpow.harness import (_random_squarefree,
                              check_symbolic_in_mpower, check_symbolic_step)
 from symbpow.rng import SplitRng
 from symbpow.symbolic import (equal_exponent_condition,
-                              symbolic_equals_ordinary, symbolic_power,
-                              symbolic_power_oracle_sqfree)
+                              symbolic_equals_ordinary, symbolic_power)
 
 from conftest import ideal_of, random_squarefree_corpus
+from oracles import symbolic_power_oracle_sqfree
 
 
 def test_symbolic_power_edge_cases(rot3):
