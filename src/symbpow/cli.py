@@ -4,8 +4,8 @@ Reads ideals from the plain-text format of :mod:`symbpow.parsing` and
 exposes the library as batch subcommands.  Output goes to stdout (or
 --output FILE) as human text or line-delimited JSON; rationals are always
 exact "p/q" strings.  Exit codes: 0 success, 1 a proven statement failed
-(a bug somewhere), 2 usage or parse error, 3 resource budget exceeded,
-4 a computed result failed its own verification.
+(a bug somewhere), 2 usage or parse error or an unreadable file, 3
+resource budget exceeded, 4 a computed result failed its own verification.
 """
 
 from __future__ import annotations
@@ -128,12 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scalar(args, key, value, extra=None) -> str:
+def _scalar(args, key, value, names) -> str:
     if args.format == STRUCTURED:
-        payload = {key: encode_value(value)}
-        if extra:
-            payload |= {k: encode_value(v) for k, v in extra.items()}
-        return json.dumps(payload, sort_keys=True) + "\n"
+        return json.dumps({key: encode_value(value)}, sort_keys=True) + "\n"
     return f"{encode_value(value)}\n"
 
 
@@ -143,6 +140,17 @@ def _primes_out(args, key, primes, names) -> str:
             {key: [[names[i] for i in P.variables] for P in primes]},
             sort_keys=True) + "\n"
     return "".join(P.render(names) + "\n" for P in primes)
+
+
+# command -> (the invariant of the ideal it prints, how it prints it)
+_INVARIANT_COMMANDS = {
+    "ass": (associated_primes, _primes_out),
+    "maxass": (max_associated_primes, _primes_out),
+    "bigheight": (big_height, _scalar),
+    "sigma": (sigma, _scalar),
+    "alpha": (alpha, _scalar),
+    "beta": (beta, _scalar),
+}
 
 
 def _dispatch(args) -> tuple[str, int]:
@@ -172,18 +180,9 @@ def _dispatch(args) -> tuple[str, int]:
                               sort_keys=True) + "\n", 0
         lines = [f"{k}: {encode_value(v)}" for k, v in report.items()]
         return "\n".join(lines) + "\n", 0
-    if args.command == "ass":
-        return _primes_out(args, "ass", associated_primes(I), names), 0
-    if args.command == "maxass":
-        return _primes_out(args, "maxass", max_associated_primes(I), names), 0
-    if args.command == "bigheight":
-        return _scalar(args, "bigheight", big_height(I)), 0
-    if args.command == "sigma":
-        return _scalar(args, "sigma", sigma(I)), 0
-    if args.command == "alpha":
-        return _scalar(args, "alpha", alpha(I)), 0
-    if args.command == "beta":
-        return _scalar(args, "beta", beta(I)), 0
+    if args.command in _INVARIANT_COMMANDS:
+        invariant, render = _INVARIANT_COMMANDS[args.command]
+        return render(args, args.command, invariant(I), names), 0
     if args.command == "waldschmidt":
         value, point = alpha_polyhedron(symbolic_polyhedron(I))
         if args.format == STRUCTURED:
@@ -201,7 +200,8 @@ def _dispatch(args) -> tuple[str, int]:
     if args.command == "polyhedron":
         return _polyhedron_cmd(args, I, names)
     if args.command == "containment":
-        res = harness.check_symbolic_in_mpower(I, args.m, args.s, args.r)
+        res = harness.check("symbolic_in_mpower", I,
+                            {"m": args.m, "s": args.s, "r": args.r})
         if args.format == STRUCTURED:
             return json.dumps(harness.result_to_dict(res, names),
                               sort_keys=True) + "\n", 0
@@ -264,7 +264,15 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             text, code = _dispatch(args)
-    except (ParseError, FileNotFoundError) as exc:
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"note: {message}", file=sys.stderr)
+        if args.output:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    # an unreadable or unwritable file is bad input, not a failed statement
+    except (ParseError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
@@ -273,13 +281,6 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 4
-    for message in dict.fromkeys(str(w.message) for w in caught):
-        print(f"note: {message}", file=sys.stderr)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -19,6 +19,7 @@ rerun with the same seed is byte-identical.
 
 from __future__ import annotations
 
+import inspect
 import json
 import time
 import warnings
@@ -114,15 +115,9 @@ class Check:
         return [dict(zip(self.grid, values)) for values in product(*axes)]
 
     def run(self, I: MonomialIdeal, params: dict, **options) -> CheckResult:
-        """This check on I at one parameter point, for the check_*
-        functions: it warns once, naming the line that called them."""
-        require_proper(I)
-        warn_if_powers_coincide(I, stacklevel=3)
-        return self._run(I, params, **options)
-
-    def _run(self, I: MonomialIdeal, params: dict, **options) -> CheckResult:
-        """run without the proper-ideal check and the warning, which a
-        suite makes once for all its rows."""
+        """This check on I at one parameter point, with no proper-ideal
+        check and no warning: `check` makes them once per call, a suite
+        once for all its rows."""
         if any(v < self.low for v in params.values()):
             raise ValueError(f"{', '.join(params)} must be at least {self.low}")
         start = time.perf_counter()
@@ -392,68 +387,27 @@ SYMBOLIC_IN_MPOWER = Check("symbolic_in_mpower", R.EXPLORATION,
                            _symbolic_in_mpower, low=0)
 
 
-# ---------------------------------------------------------------------------
-# public entry points: each runs one row at one parameter point
+def check(name: str, I: MonomialIdeal, params: dict | None = None,
+          **options) -> CheckResult:
+    """The check `name`, a CHECKS row or "symbolic_in_mpower", on I at one
+    parameter point.  params holds the row's parameters, e.g. {"r": 1} or
+    {"r": 1, "m": 4} for alpha_slope; options are its body's keywords, such
+    as sample_count or threshold_cap.  A parameter or option the body does
+    not take raises TypeError, even where the hypothesis answers first.  It
+    warns once, naming the line that called it."""
+    row = SYMBOLIC_IN_MPOWER if name == SYMBOLIC_IN_MPOWER.name else CHECKS.get(name)
+    if row is None:
+        raise ValueError(f"unknown check {name!r}")
+    params = params or {}
+    inspect.signature(row.body).bind(I, **params, **options)
+    require_proper(I)
+    warn_if_powers_coincide(I)
+    return row.run(I, params, **options)
 
 
-def check_symbolic_in_mpower(I, m: int, s: int, r: int) -> CheckResult:
-    return SYMBOLIC_IN_MPOWER.run(I, {"m": m, "s": s, "r": r})
-
-
-def check_squarefree_containment(I, m: int, t: int, r: int) -> CheckResult:
-    return CHECKS["squarefree_containment"].run(I, {"m": m, "t": t, "r": r})
-
-
-def check_equal_exponent_containment(I, m: int, t: int, r: int) -> CheckResult:
-    return CHECKS["equal_exponent_containment"].run(I, {"m": m, "t": t, "r": r})
-
-
-def check_symbolic_step(I, r: int) -> CheckResult:
-    return CHECKS["symbolic_step"].run(I, {"r": r})
-
-
-def check_support_step(I, r: int) -> CheckResult:
-    return CHECKS["support_step"].run(I, {"r": r})
-
-
-def check_refined_containment(I, r: int) -> CheckResult:
-    return CHECKS["refined_containment"].run(I, {"r": r})
-
-
-def check_polyhedron_bound(I, m: int) -> CheckResult:
-    return CHECKS["polyhedron_bound"].run(I, {"m": m})
-
-
-def check_alpha_lower(I, m: int) -> CheckResult:
-    return CHECKS["alpha_lower"].run(I, {"m": m})
-
-
-def check_stairs_containment(I, r: int, sample_count: int = 8, seed: int = 0,
-                             max_rays: int = DEFAULT_MAX_RAYS) -> CheckResult:
-    return CHECKS["stairs"].run(I, {"r": r}, sample_count=sample_count, seed=seed,
-                                max_rays=max_rays)
-
-
-def check_alpha_slope(I, r: int, m: int | None = None,
-                      threshold_cap: int = 12) -> CheckResult:
-    params = {"r": r} if m is None else {"r": r, "m": m}
-    return CHECKS["alpha_slope"].run(I, params, threshold_cap=threshold_cap)
-
-
-def check_chudnovsky(I) -> CheckResult:
-    return CHECKS["chudnovsky"].run(I, {})
-
-
-def check_equigenerated_containment(I, r: int) -> CheckResult:
-    return CHECKS["equigenerated_containment"].run(I, {"r": r})
-
-
-def check_alpha_equality(I, r: int = 1) -> CheckResult:
-    return CHECKS["alpha_equality"].run(I, {"r": r})
-
-
-def check_integrally_closed_bound(I, max_points: int = DEFAULT_CLOSURE_BUDGET) -> CheckResult:
-    return CHECKS["integrally_closed_bound"].run(I, {}, max_points=max_points)
+# every classification a result can get, the keys of a report's summary
+_TALLY_KEYS = ("holds", "bug", "candidate", "fails", "not_applicable",
+               "resource_limit")
 
 
 @dataclass(frozen=True)
@@ -465,8 +419,7 @@ class SuiteReport:
 
     @property
     def summary(self) -> dict:
-        tally = {"holds": 0, "bug": 0, "candidate": 0, "fails": 0,
-                 "not_applicable": 0, "resource_limit": 0}
+        tally = dict.fromkeys(_TALLY_KEYS, 0)
         for res in self.results:
             tally[res.classify()] += 1
         return tally
@@ -492,7 +445,7 @@ def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
         row = CHECKS[name]
         for params in row.points(ranges):
             try:
-                results.append(row._run(I, params, **row.options(ranges, seed)))
+                results.append(row.run(I, params, **row.options(ranges, seed)))
             except ResourceLimitError as exc:
                 results.append(CheckResult(
                     name=name, verdict=R.RESOURCE_LIMIT, params=params,
@@ -579,9 +532,7 @@ class ScanReport:
 
     @property
     def summary(self) -> dict:
-        tally = {"ideals": len(self.suites), "holds": 0, "bug": 0,
-                 "candidate": 0, "fails": 0, "not_applicable": 0,
-                 "resource_limit": 0}
+        tally = {"ideals": len(self.suites)} | dict.fromkeys(_TALLY_KEYS, 0)
         for suite in self.suites:
             for key, val in suite.summary.items():
                 tally[key] += val
@@ -676,16 +627,18 @@ def _result_line(res: CheckResult, names, timings: bool) -> str:
     return line
 
 
+def _tally_text(s: dict) -> str:
+    return (f"{s['holds']} holds, {s['bug']} bugs, {s['candidate']} candidates, "
+            f"{s['not_applicable']} not applicable, "
+            f"{s['resource_limit']} resource-limited")
+
+
 def suite_text(report: SuiteReport, timings: bool = False) -> str:
     head = report.label or report.ideal.render(report.names)
     lines = [f"ideal: {head}"]
     lines.extend(_result_line(res, report.names, timings)
                  for res in report.results)
-    s = report.summary
-    lines.append(
-        f"summary: {s['holds']} holds, {s['bug']} bugs, "
-        f"{s['candidate']} candidates, {s['not_applicable']} not applicable, "
-        f"{s['resource_limit']} resource-limited")
+    lines.append(f"summary: {_tally_text(report.summary)}")
     return "\n".join(lines) + "\n"
 
 
@@ -706,11 +659,7 @@ def suite_jsonl(report: SuiteReport) -> str:
 def scan_text(report: ScanReport, timings: bool = False) -> str:
     parts = [suite_text(s, timings) for s in report.suites]
     s = report.summary
-    parts.append(
-        f"scan summary: {s['ideals']} ideals, {s['holds']} holds, "
-        f"{s['bug']} bugs, {s['candidate']} candidates, "
-        f"{s['not_applicable']} not applicable, "
-        f"{s['resource_limit']} resource-limited\n")
+    parts.append(f"scan summary: {s['ideals']} ideals, {_tally_text(s)}\n")
     return "\n".join(parts)
 
 

@@ -16,10 +16,10 @@ from .decomposition import (_big_height, associated_primes,
                             warn_if_powers_coincide)
 from .errors import ResourceLimitError
 from .geometry import (alpha_polyhedron, newton_polyhedron, np_member,
-                       realizing_denominator, symbolic_polyhedron)
+                       symbolic_polyhedron)
 from .monomial import (MonomialIdeal, above_some, is_squarefree, iter_box,
                        require_proper)
-from .symbolic import symbolic_equals_ordinary, symbolic_power
+from .symbolic import symbolic_equals_ordinary
 
 DEFAULT_CLOSURE_BUDGET = 200_000
 
@@ -63,20 +63,6 @@ def _chudnovsky_bound(I: MonomialIdeal) -> Fraction:
     """chudnovsky_bound without the warning, for callers inside the package."""
     e = _big_height(I)
     return Fraction(alpha(I) + e - 1, e)
-
-
-def alpha_equality_at_denominator(I: MonomialIdeal, cap: int = 12) -> dict:
-    """Whether alpha(I^(b)) == b * waldschmidt at b = the realizing
-    denominator of an optimal point.  Returns a report dict; when b exceeds
-    the cap the equality is left unchecked rather than approximated."""
-    w, pt = alpha_polyhedron(symbolic_polyhedron(I))
-    b = realizing_denominator(I, pt)
-    report = {"b": b, "waldschmidt": w, "checked": b <= cap}
-    if b <= cap:
-        ab = alpha(symbolic_power(I, b))
-        report["alpha_at_b"] = ab
-        report["equal"] = Fraction(ab) == b * w
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -57,24 +57,6 @@ class Monomial:
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
 
-    @cached_property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    @cached_property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.exponents) if e > 0)
-
-    @property
-    def is_squarefree(self) -> bool:
-        return all(e <= 1 for e in self.exponents)
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def render(self, names: Sequence[str] | None = None) -> str:
         if names is None:
             names = [f"x{i}" for i in range(len(self.exponents))]
@@ -396,7 +378,9 @@ def _canonical(dim: int, minimal: list[tuple[int, ...]]) -> MonomialIdeal:
     return MonomialIdeal(dim, tuple(minimal))
 
 
-def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+def _trivial_combine(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal | None:
+    """The zero ideal if I or J is, else the other if one is the unit ideal
+    (the identity of both intersection and product); None otherwise."""
     _check_same_ring(I, J)
     if I.is_zero or J.is_zero:
         return MonomialIdeal.zero(I.ambient_dim)
@@ -404,6 +388,12 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         return J
     if J.is_unit:
         return I
+    return None
+
+
+def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    if (trivial := _trivial_combine(I, J)) is not None:
+        return trivial
     for A, B in ((I, J), (J, I)):
         sp = B.simplex_power
         if sp is not None:
@@ -412,13 +402,8 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
 
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    _check_same_ring(I, J)
-    if I.is_zero or J.is_zero:
-        return MonomialIdeal.zero(I.ambient_dim)
-    if I.is_unit:
-        return J
-    if J.is_unit:
-        return I
+    if (trivial := _trivial_combine(I, J)) is not None:
+        return trivial
     return _from_vectors(I.ambient_dim, _pairwise_combine(I.vectors, J.vectors, "add"))
 
 

@@ -5,8 +5,12 @@ from functools import reduce
 
 from symbpow import lp
 from symbpow.decomposition import irreducible_decomposition
+from symbpow.geometry import (alpha_polyhedron, realizing_denominator,
+                              symbolic_polyhedron)
+from symbpow.invariants import alpha
 from symbpow.monomial import (Monomial, MonomialIdeal, _compositions,
                               intersect, is_squarefree, power, require_proper)
+from symbpow.symbolic import symbolic_power
 
 
 def degree_monomials(ambient_dim: int, degree: int) -> list[Monomial]:
@@ -26,6 +30,20 @@ def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:
     comps = [power(c.to_ideal(), m) for c in irreducible_decomposition(I)]
     comps.sort(key=lambda c: len(c.vectors))
     return reduce(intersect, comps)
+
+
+def alpha_equality_at_denominator(I: MonomialIdeal, cap: int = 12) -> dict:
+    """Whether alpha(I^(b)) == b * waldschmidt at b = the realizing
+    denominator of an optimal point.  Returns a report dict; when b exceeds
+    the cap the equality is left unchecked rather than approximated."""
+    w, pt = alpha_polyhedron(symbolic_polyhedron(I))
+    b = realizing_denominator(I, pt)
+    report = {"b": b, "waldschmidt": w, "checked": b <= cap}
+    if b <= cap:
+        ab = alpha(symbolic_power(I, b))
+        report["alpha_at_b"] = ab
+        report["equal"] = Fraction(ab) == b * w
+    return report
 
 
 def textbook_simplex(prog: lp.LinearProgram) -> lp.LPResult:

@@ -15,9 +15,7 @@ from symbpow.cli import main
 from symbpow.geometry import (alpha_polyhedron, enumerate_vertices,
                               member_scaled, realizing_denominator,
                               symbolic_polyhedron)
-from symbpow.harness import (ScanConfig, check_alpha_slope, check_chudnovsky,
-                             check_support_step, check_symbolic_step,
-                             run_suite, scan)
+from symbpow.harness import ScanConfig, check, run_suite, scan
 from symbpow.invariants import alpha, waldschmidt
 from symbpow.monomial import Monomial, power
 from symbpow.symbolic import symbolic_power
@@ -67,7 +65,7 @@ def test_c02_support_step_on_four_variables():
     start = time.perf_counter()
     ok = big_height(TRIPLES4) == 2 and sigma(TRIPLES4) == 3
     for r in (1, 2, 3):
-        ok = ok and check_support_step(TRIPLES4, r).verdict == R.HOLDS
+        ok = ok and check("support_step", TRIPLES4, {"r": r}).verdict == R.HOLDS
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 10.0
     conclude("02 support-step", ok, f"{elapsed:.2f}s, budget 10s")
@@ -156,11 +154,11 @@ def test_c08_step_and_slope_theorems():
     ok = True
     for I in mixed_corpus():
         for r in (1, 2, 3):
-            if check_symbolic_step(I, r).classify() == "bug":
+            if check("symbolic_step", I, {"r": r}).classify() == "bug":
                 ok = False
-            if check_support_step(I, r).classify() == "bug":
+            if check("support_step", I, {"r": r}).classify() == "bug":
                 ok = False
-            if check_alpha_slope(I, r).classify() == "bug":
+            if check("alpha_slope", I, {"r": r}).classify() == "bug":
                 ok = False
     conclude("08 step-and-slope", ok, "zero tolerance over the mixed corpus")
 
@@ -168,11 +166,11 @@ def test_c08_step_and_slope_theorems():
 def test_c09_chudnovsky_and_candidate_flags():
     ok = True
     for I, _fam in random_squarefree_corpus(60, 91):
-        if check_chudnovsky(I).verdict != R.HOLDS:
+        if check("chudnovsky", I).verdict != R.HOLDS:
             ok = False  # proven for square-free: a failure is a bug
     candidates = 0
     for I in random_general_corpus(40, 92):
-        res = check_chudnovsky(I)
+        res = check("chudnovsky", I)
         if res.verdict == R.FAILS:
             candidates += 1
             if res.classify() != "candidate":

@@ -124,6 +124,25 @@ def test_missing_file_is_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["alpha", "{dir}"],
+    ["alpha", "{latin1}"],
+    ["alpha", "{rot3}", "--output", "{dir}/missing/out.txt"],
+    ["scan", "--count", "1", "--findings", "{dir}"],
+], ids=["ideal-is-dir", "not-utf8", "output-dir-missing", "findings-is-dir"])
+def test_unreadable_file_is_exit_2(argv, rot3_file, tmp_path, capsys):
+    """Exit 1 means a proven statement failed; a file that cannot be read
+    or written is bad input, reported on one error line."""
+    latin1 = tmp_path / "latin1.ideal"
+    latin1.write_bytes(b"vars: x\ngens:\n  x # caf\xe9\n")
+    paths = {"dir": tmp_path, "latin1": latin1, "rot3": rot3_file}
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2
+    assert out == ""
+    lines = [line for line in err.splitlines() if not line.startswith("note: ")]
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_resource_limit_is_exit_3(tmp_path, capsys):
     # the edge ideal of the complete graph on 9 vertices: its symbolic
     # polyhedron has more vertices than the default ray budget allows

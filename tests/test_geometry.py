@@ -15,7 +15,7 @@ from symbpow.geometry import (NewtonPolyhedron, _optimize_over, alpha_polyhedron
                               newton_polyhedron, np_member,
                               realizing_denominator, stairs_member,
                               symbolic_polyhedron)
-from symbpow.harness import check_stairs_containment
+from symbpow.harness import check
 from symbpow.monomial import Monomial, MonomialIdeal, multiply, power
 
 from conftest import ideal_of, random_squarefree_corpus
@@ -445,13 +445,13 @@ def test_stairs_member():
 def test_stairs_containment(rot3, triples4):
     for I in (rot3, triples4):
         for r in (1, 2):
-            res = check_stairs_containment(I, r)
+            res = check("stairs", I, {"r": r})
             assert res.verdict == R.HOLDS
             assert not res.details["sampled_only"]
 
 
 def test_stairs_sampled_fallback(rot3):
-    res = check_stairs_containment(rot3, 1, sample_count=4, max_rays=1)
+    res = check("stairs", rot3, {"r": 1}, sample_count=4, max_rays=1)
     assert res.verdict == R.HOLDS
     assert res.details["sampled_only"]
 

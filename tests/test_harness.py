@@ -8,9 +8,8 @@ import symbpow.results as R
 from symbpow.decomposition import big_height
 from symbpow.errors import PowersCoincideWarning
 from symbpow.harness import (CHECK_NAMES, CHECKS, ScanConfig, SuiteRanges,
-                             check_polyhedron_bound, check_support_step,
-                             findings_jsonl, result_to_dict, run_suite, scan,
-                             scan_jsonl, suite_jsonl, suite_text)
+                             check, findings_jsonl, result_to_dict, run_suite,
+                             scan, scan_jsonl, suite_jsonl, suite_text)
 from symbpow.invariants import chudnovsky_bound, invariant_report
 from symbpow.monomial import Monomial, MonomialIdeal
 from symbpow.results import CheckResult, encode_value
@@ -36,7 +35,7 @@ def test_classification():
 
 def test_polyhedron_bound_check(rot3):
     for m in (1, 2, 3):
-        assert check_polyhedron_bound(rot3, m).verdict == R.HOLDS
+        assert check("polyhedron_bound", rot3, {"m": m}).verdict == R.HOLDS
 
 
 def test_run_suite_rot3(rot3):
@@ -161,6 +160,41 @@ def test_check_names_cover_plan():
         "integrally_closed_bound")
 
 
+ONES = SuiteRanges(m_max=1, t_max=1, r_max=1, alpha_m_cap=1)
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_check_gives_the_suite_result(name, triples4):
+    """check reaches every suite row, and at a grid point it gives what the
+    suite gives there."""
+    row = CHECKS[name]
+    got = check(name, triples4, row.points(ONES)[0], **row.options(ONES, 0))
+    suite = run_suite(triples4, checks=[name], ranges=ONES)
+    names = suite.names
+    assert [result_to_dict(got, names)] == [result_to_dict(res, names)
+                                            for res in suite.results]
+
+
+def test_check_rejects_an_unknown_name(rot3):
+    with pytest.raises(ValueError, match="unknown check 'stair'"):
+        check("stair", rot3, {"r": 1})
+
+
+@pytest.mark.parametrize("name, params, options", [
+    ("equigenerated_containment", {"r": 1, "q": 2}, {}),
+    ("integrally_closed_bound", {}, {"max_point": 10}),
+    ("alpha_slope", {"r": 1, "m": 1, "t": 2}, {}),
+    ("symbolic_in_mpower", {"m": 3, "s": 0}, {}),
+])
+def test_check_rejects_a_misspelled_argument(name, params, options):
+    """A TypeError, also where the hypothesis answers not_applicable before
+    the body runs: x^2, y^5 is not equigenerated, its alpha is too small for
+    the closure bound, and m = 1 is below the slope threshold 5/2."""
+    I = ideal_of(2, (2, 0), (0, 5))
+    with pytest.raises(TypeError):
+        check(name, I, params, **options)
+
+
 # seed 1 draws 3 two-variable ideals of 4 whose big height is 2
 SCAN_COINCIDING = ScanConfig(count=4, seed=1, num_vars=(2,),
                              checks=("symbolic_step",))
@@ -168,7 +202,7 @@ SCAN_COINCIDING = ScanConfig(count=4, seed=1, num_vars=(2,),
 
 @pytest.mark.parametrize("call", [run_suite, big_height, chudnovsky_bound,
                                   invariant_report,
-                                  lambda I: check_support_step(I, 1),
+                                  lambda I: check("support_step", I, {"r": 1}),
                                   lambda I: scan(SCAN_COINCIDING)],
                          ids=["run_suite", "big_height", "chudnovsky_bound",
                               "invariant_report", "check_support_step", "scan"])

@@ -4,17 +4,15 @@ import pytest
 
 import symbpow.results as R
 from symbpow.errors import ResourceLimitError
-from symbpow.harness import (check_alpha_equality, check_alpha_lower,
-                             check_alpha_slope, check_chudnovsky,
-                             check_equigenerated_containment,
-                             check_integrally_closed_bound)
-from symbpow.invariants import (alpha, alpha_equality_at_denominator, beta,
-                                chudnovsky_bound, invariant_report,
-                                is_equigenerated, is_integrally_closed,
-                                waldschmidt, waldschmidt_point)
+from symbpow.harness import check
+from symbpow.invariants import (alpha, beta, chudnovsky_bound,
+                                invariant_report, is_equigenerated,
+                                is_integrally_closed, waldschmidt,
+                                waldschmidt_point)
 from symbpow.monomial import MonomialIdeal, maximal_ideal, power
 
 from conftest import ideal_of
+from oracles import alpha_equality_at_denominator
 
 F = Fraction
 
@@ -49,7 +47,7 @@ def test_waldschmidt_of_prime_power():
 def test_chudnovsky(rot3, triples4, edges3):
     for I, bound in ((rot3, F(2)), (triples4, F(2)), (edges3, F(3, 2))):
         assert chudnovsky_bound(I) == bound
-        res = check_chudnovsky(I)
+        res = check("chudnovsky", I)
         assert res.verdict == R.HOLDS
         assert res.kind == R.CONJECTURE
         assert res.details["slack"] == 0
@@ -57,12 +55,12 @@ def test_chudnovsky(rot3, triples4, edges3):
 
 def test_alpha_lower(rot3):
     for m in (1, 2, 3, 4, 5, 6):
-        res = check_alpha_lower(rot3, m)
+        res = check("alpha_lower", rot3, {"m": m})
         assert res.verdict == R.HOLDS
     # equality exactly at multiples of the realizing denominator 3
-    assert check_alpha_lower(rot3, 3).details["equality"]
-    assert check_alpha_lower(rot3, 6).details["equality"]
-    assert not check_alpha_lower(rot3, 1).details["equality"]
+    assert check("alpha_lower", rot3, {"m": 3}).details["equality"]
+    assert check("alpha_lower", rot3, {"m": 6}).details["equality"]
+    assert not check("alpha_lower", rot3, {"m": 1}).details["equality"]
 
 
 def test_alpha_equality_at_denominator(rot3, triples4):
@@ -74,43 +72,44 @@ def test_alpha_equality_at_denominator(rot3, triples4):
 
 
 def test_alpha_slope(triples4):
-    res = check_alpha_slope(triples4, 1, m=2)
+    res = check("alpha_slope", triples4, {"r": 1, "m": 2})
     assert res.verdict == R.HOLDS
     assert res.params == {"r": 1, "m": 2}
     assert res.details["s"] == 1
-    below = check_alpha_slope(triples4, 1, m=1)
+    below = check("alpha_slope", triples4, {"r": 1, "m": 1})
     assert below.verdict == R.NOT_APPLICABLE
     assert not below.in_hypothesis
 
 
 def test_alpha_slope_auto_m(rot3):
-    res = check_alpha_slope(rot3, 1)
+    res = check("alpha_slope", rot3, {"r": 1})
     assert res.verdict == R.HOLDS
     assert res.params["m"] == 2  # threshold max(2, 3/2) = 2
 
 
 def test_alpha_slope_threshold_cap(rot3):
-    res = check_alpha_slope(rot3, 1, threshold_cap=1)
+    res = check("alpha_slope", rot3, {"r": 1}, threshold_cap=1)
     assert res.verdict == R.RESOURCE_LIMIT
 
 
 def test_equigenerated_containment(rot3, triples4):
     for I in (rot3, triples4):
         for r in (1, 2):
-            res = check_equigenerated_containment(I, r)
+            res = check("equigenerated_containment", I, {"r": r})
             assert res.verdict == R.HOLDS, (I, r)
     mixed = ideal_of(2, (2, 0), (0, 5))
-    assert check_equigenerated_containment(mixed, 1).verdict == R.NOT_APPLICABLE
+    res = check("equigenerated_containment", mixed, {"r": 1})
+    assert res.verdict == R.NOT_APPLICABLE
 
 
 def test_alpha_equality_check(edges3, rot3):
     # edges3: waldschmidt 3/2 != alpha 2 -> not applicable
-    assert check_alpha_equality(edges3, 1).verdict == R.NOT_APPLICABLE
+    assert check("alpha_equality", edges3, {"r": 1}).verdict == R.NOT_APPLICABLE
     # a prime power: waldschmidt equals alpha
-    res = check_alpha_equality(power(maximal_ideal(2), 3), 1)
+    res = check("alpha_equality", power(maximal_ideal(2), 3), {"r": 1})
     assert res.verdict == R.HOLDS
     assert res.details["containment_checked"]
-    assert check_alpha_equality(rot3, 1).verdict == R.NOT_APPLICABLE
+    assert check("alpha_equality", rot3, {"r": 1}).verdict == R.NOT_APPLICABLE
 
 
 def test_is_integrally_closed():
@@ -124,11 +123,11 @@ def test_is_integrally_closed():
 
 def test_integrally_closed_bound():
     I = power(maximal_ideal(3), 8)  # n = 2, alpha = 8: hypothesis boundary
-    res = check_integrally_closed_bound(I)
+    res = check("integrally_closed_bound", I)
     assert res.verdict == R.HOLDS
     assert res.details["bound"] == F(9, 2)
     small = power(maximal_ideal(3), 3)
-    assert check_integrally_closed_bound(small).verdict == R.NOT_APPLICABLE
+    assert check("integrally_closed_bound", small).verdict == R.NOT_APPLICABLE
 
 
 def test_invariant_report(rot3):

@@ -10,11 +10,7 @@ from symbpow.decomposition import (associated_primes,
                                    irreducible_decomposition, localize,
                                    max_associated_primes)
 from symbpow.monomial import Monomial, contains, intersect, power, subset
-from symbpow.harness import (_random_squarefree,
-                             check_equal_exponent_containment,
-                             check_refined_containment,
-                             check_squarefree_containment, check_support_step,
-                             check_symbolic_in_mpower, check_symbolic_step)
+from symbpow.harness import _random_squarefree, check
 from symbpow.rng import SplitRng
 from symbpow.symbolic import (equal_exponent_condition,
                               symbolic_equals_ordinary, symbolic_power)
@@ -78,7 +74,7 @@ def test_ordinary_inside_symbolic(rot3, triples4):
 
 
 def test_squarefree_containment_requires_squarefree(rot3):
-    res = check_squarefree_containment(rot3, 1, 1, 1)
+    res = check("squarefree_containment", rot3, {"m": 1, "t": 1, "r": 1})
     assert res.verdict == R.NOT_APPLICABLE
     assert not res.in_hypothesis
 
@@ -87,7 +83,8 @@ def test_squarefree_containment_grid(triples4):
     for m_ in (1, 2):
         for t in (1, 2):
             for r in (1, 2):
-                res = check_squarefree_containment(triples4, m_, t, r)
+                res = check("squarefree_containment", triples4,
+                            {"m": m_, "t": t, "r": r})
                 assert res.verdict == R.HOLDS, (m_, t, r)
                 assert res.kind == R.THEOREM
 
@@ -95,26 +92,26 @@ def test_squarefree_containment_grid(triples4):
 def test_equal_exponent_condition(triples4, edges3):
     assert equal_exponent_condition(triples4)
     assert equal_exponent_condition(edges3)
-    res = check_equal_exponent_containment(triples4, 2, 1, 2)
+    res = check("equal_exponent_containment", triples4, {"m": 2, "t": 1, "r": 2})
     assert res.verdict == R.HOLDS
 
 
 def test_symbolic_step(rot3, triples4):
     for I in (rot3, triples4):
         for r in (1, 2, 3):
-            assert check_symbolic_step(I, r).verdict == R.HOLDS
+            assert check("symbolic_step", I, {"r": r}).verdict == R.HOLDS
 
 
 def test_support_step(triples4):
     """I^(r+e) inside m^sigma * I^(r) with e = 2, sigma = 3."""
     for r in (1, 2, 3):
-        res = check_support_step(triples4, r)
+        res = check("support_step", triples4, {"r": r})
         assert res.verdict == R.HOLDS
         assert res.details["sigma"] == 3
 
 
 def test_refined_containment_flags_rot3(rot3):
-    res = check_refined_containment(rot3, 2)
+    res = check("refined_containment", rot3, {"r": 2})
     assert res.kind == R.CONJECTURE  # rot3 is not square-free
     assert res.verdict == R.FAILS
     assert res.classify() == "candidate"
@@ -124,15 +121,15 @@ def test_refined_containment_flags_rot3(rot3):
 
 def test_refined_containment_on_squarefree(triples4):
     for r in (1, 2, 3):
-        res = check_refined_containment(triples4, r)
+        res = check("refined_containment", triples4, {"r": r})
         assert res.kind == R.THEOREM
         assert res.verdict == R.HOLDS
 
 
 def test_exploratory_containment(rot3):
-    good = check_symbolic_in_mpower(rot3, 3, 0, 2)
+    good = check("symbolic_in_mpower", rot3, {"m": 3, "s": 0, "r": 2})
     assert good.verdict == R.HOLDS and good.kind == R.EXPLORATION
-    bad = check_symbolic_in_mpower(rot3, 3, 1, 2)
+    bad = check("symbolic_in_mpower", rot3, {"m": 3, "s": 1, "r": 2})
     assert bad.verdict == R.FAILS
     assert bad.witness == Monomial((2, 2, 2))
 
