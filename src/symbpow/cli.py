@@ -272,7 +272,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
     # an unreadable or unwritable file is bad input, not a failed statement
-    except (ParseError, OSError, UnicodeDecodeError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceLimitError as exc:

@@ -7,18 +7,22 @@ Newton polyhedra of the localizations of I at its maximal associated
 primes, stored V-style: one generator matrix per component prime.
 
 Everything here is exact, and rests on two integer routines: the
-certified LP of lp.py and one double-description routine.  Membership
-questions are LP feasibility; alpha (the least coordinate sum over the
-polyhedron) is one simplex solve; a Caratheodory decomposition is a basic
-feasible point, reduced when needed by one more LP.  Facets and vertices
-come from the double description (Motzkin et al. 1953; Fukuda and Prodon
-1996), whose intermediate ray count has an explicit budget
-(ResourceLimitError, never truncation).
+certified LP of lp.py and one double-description routine.  Alpha (the
+least coordinate sum over the polyhedron) is one simplex solve; a
+Caratheodory decomposition is a basic feasible point, reduced when needed
+by one more LP.  Facets and vertices come from the double description
+(Motzkin et al. 1953; Fukuda and Prodon 1996), whose intermediate ray
+count has an explicit budget (ResourceLimitError, never truncation).
 
-A fast path recognizes components that are powers of monomial primes
-(P_S)^m, whose polyhedron is exactly {a >= 0 : sum of a over S >= m}; for
-square-free input every component has this shape, which is what makes the
-large randomized sweeps affordable.
+Membership is integer dot products against one facet table per Newton
+polyhedron, the H-description {a >= 0 : normal.a >= offset per facet}.  A
+component that is a power of a monomial prime (P_S)^m has the closed form
+{a >= 0 : sum of a over S >= m}; for square-free input every component has
+this shape.  Any other table comes from the double description and is
+certified in both directions before it is stored: N lies in H because
+every facet is valid on the generators and tight at one of them, and H
+lies in N because every vertex of H, enumerated by the same double
+description, is a generator (H and N share the orthant as recession cone).
 """
 
 from __future__ import annotations
@@ -56,6 +60,17 @@ class NewtonPolyhedron:
         """(sorted S, m) when this is the polyhedron of P^m for the prime on S."""
         return as_prime_power(self.gens)
 
+    @cached_property
+    def facets(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(normal, offset) integer pairs with N = {a >= 0 : normal.a >=
+        offset for every pair}: the closed form (1_S, m) for (P_S)^m, else
+        the double-description table, certified before it is stored."""
+        sp = self.simplex_power
+        if sp is not None:
+            s_vars, m = sp
+            return ((tuple(int(i in s_vars) for i in range(self.ambient_dim)), m),)
+        return _certified_facets(self, _facet_rays(self, DEFAULT_MAX_RAYS))
+
 
 def newton_polyhedron(I: MonomialIdeal) -> NewtonPolyhedron:
     if I.is_zero:
@@ -87,20 +102,49 @@ def _as_point(a, dim: int) -> tuple[Fraction, ...]:
     return pt
 
 
+def _as_integers(a, dim: int) -> tuple[list[int], int]:
+    """The point a as integer numerators over one positive common
+    denominator; integer and Fraction coordinates are read as they are."""
+    pt = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in a]
+    if len(pt) != dim:
+        raise ValueError(f"point has {len(pt)} coordinates, expected {dim}")
+    den = lcm(*(x.denominator for x in pt))
+    return [x.numerator * (den // x.denominator) for x in pt], den
+
+
+def _certified_facets(N: NewtonPolyhedron, table) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The table as N's H-description, once both inclusions hold.  N in H:
+    every normal is non-negative, every offset positive, and the least
+    value of normal.g over the generators is the offset.  H in N: every
+    vertex x / t of H, a ray (x, t) with t > 0 of its homogenization, is a
+    generator; H's recession cone is the orthant, as N's is."""
+    table = tuple(table)
+    for normal, offset in table:
+        if min(normal) < 0 or offset <= 0 or min(
+                sum(n * e for n, e in zip(normal, g)) for g in N.gens) != offset:
+            raise VerificationError(f"facet {normal} >= {offset} is not a "
+                                    f"tight valid inequality of {N.gens}")
+    gens = set(N.gens)
+    rows = [normal + (-offset,) for normal, offset in table]
+    for *x, t in _cone_rays(N.ambient_dim + 1, rows, DEFAULT_MAX_RAYS):
+        if t > 0 and (any(e % t for e in x) or tuple(e // t for e in x) not in gens):
+            raise VerificationError(f"the facets of {N.gens} admit the vertex "
+                                    f"{tuple(Fraction(e, t) for e in x)}")
+    return table
+
+
+def _satisfies(facets, v: list[int], den: int) -> bool:
+    """Does v / den satisfy normal.a >= offset on every facet?"""
+    return all(sum(n * x for n, x in zip(normal, v)) >= offset * den
+               for normal, offset in facets)
+
+
 def np_member(N: NewtonPolyhedron, a) -> bool:
-    """Exact membership of a rational point in the Newton polyhedron:
-    feasibility of  G lambda <= a, sum lambda = 1, lambda >= 0."""
-    pt = _as_point(a, N.ambient_dim)
-    if any(x < 0 for x in pt):
-        return False
-    sp = N.simplex_power
-    if sp is not None:
-        s_vars, m = sp
-        return sum(pt[i] for i in s_vars) >= m
-    matrix = [[g[i] for g in N.gens] for i in range(N.ambient_dim)]
-    matrix.append([1] * len(N.gens))
-    senses = [lp.LE] * N.ambient_dim + [lp.EQ]
-    return lp.feasible_point(matrix, pt + (1,), senses) is not None
+    """Exact membership of a rational point in the Newton polyhedron: a
+    non-negative point whose numerators v over the common denominator den
+    satisfy normal.v >= offset * den on every row of N.facets."""
+    v, den = _as_integers(a, N.ambient_dim)
+    return min(v, default=0) >= 0 and _satisfies(N.facets, v, den)
 
 
 def member_scaled(Q: SymbolicPolyhedron, a, m) -> bool:
@@ -108,8 +152,12 @@ def member_scaled(Q: SymbolicPolyhedron, a, m) -> bool:
     m = Fraction(m)
     if m <= 0:
         raise ValueError("scale must be positive")
-    pt = tuple(x / m for x in _as_point(a, Q.ambient_dim))
-    return all(np_member(N, pt) for _, N in Q.components)
+    v, den = _as_integers(a, Q.ambient_dim)
+    if min(v, default=0) < 0:
+        return False
+    # a/m is (m.denominator * v) / (m.numerator * den)
+    v = [m.denominator * x for x in v]
+    return all(_satisfies(N.facets, v, m.numerator * den) for _, N in Q.components)
 
 
 # ---------------------------------------------------------------------------

@@ -117,25 +117,30 @@ class Check:
     def run(self, I: MonomialIdeal, params: dict, **options) -> CheckResult:
         """This check on I at one parameter point, with no proper-ideal
         check and no warning: `check` makes them once per call, a suite
-        once for all its rows."""
+        once for all its rows.  A budget exceeded anywhere in the row is
+        its verdict, resource_limit, with the budget's message as reason."""
         if any(v < self.low for v in params.values()):
             raise ValueError(f"{', '.join(params)} must be at least {self.low}")
         start = time.perf_counter()
         kind, witness = self.kind, None
-        details = self.hypothesis(I, **params, **options)
-        if details is not None:
-            verdict = R.NOT_APPLICABLE
-        else:
-            out = self.body(I, **params, **options)
-            if isinstance(out, Outcome):
-                verdict, details, witness = out
+        try:
+            details = self.hypothesis(I, **params, **options)
+            if details is not None:
+                verdict = R.NOT_APPLICABLE
             else:
-                witness = containment_witness(out.lhs, out.rhs, out.s)
-                verdict, details = _holds(witness is None), out.details
-                if witness is not None and out.probe_witness:
-                    details |= {"witness_in_symbolic_power": True,
-                                "witness_in_plain_power": contains(out.rhs, witness)}
-                params, kind = out.params or params, out.kind or kind
+                out = self.body(I, **params, **options)
+                if isinstance(out, Outcome):
+                    verdict, details, witness = out
+                else:
+                    witness = containment_witness(out.lhs, out.rhs, out.s)
+                    verdict, details = _holds(witness is None), out.details
+                    if witness is not None and out.probe_witness:
+                        details |= {"witness_in_symbolic_power": True,
+                                    "witness_in_plain_power": contains(out.rhs, witness)}
+                    params, kind = out.params or params, out.kind or kind
+        except ResourceLimitError as exc:
+            return CheckResult(name=self.name, verdict=R.RESOURCE_LIMIT,
+                               params=params, details={"reason": str(exc)})
         return CheckResult(
             name=self.name, verdict=verdict, kind=kind, params=params,
             details=details, witness=witness,
@@ -444,12 +449,7 @@ def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
     for name in selected:
         row = CHECKS[name]
         for params in row.points(ranges):
-            try:
-                results.append(row.run(I, params, **row.options(ranges, seed)))
-            except ResourceLimitError as exc:
-                results.append(CheckResult(
-                    name=name, verdict=R.RESOURCE_LIMIT, params=params,
-                    details={"reason": str(exc)}))
+            results.append(row.run(I, params, **row.options(ranges, seed)))
     if names is None:
         names = default_names(I.ambient_dim)
     return SuiteReport(I, tuple(names), tuple(results), label)

@@ -23,8 +23,8 @@ sign each sense asks for and satisfy A^T y <= c and b.y == c.x.  An
 infeasible verdict must come with a Farkas ray.  The checks raise
 VerificationError rather than assert, so they also hold under `python -O`.
 
-This tableau is the package's only exact linear solver: membership, alpha
-and the Caratheodory reduction in geometry.py are all LPs built from plain
+This tableau is the package's only exact linear solver: alpha and the
+Caratheodory decomposition in geometry.py are LPs built from plain
 integers, and LinearProgram.make is where their entries become rationals.
 """
 
@@ -82,7 +82,8 @@ class _Tableau:
     """Columns: structural, one slack per LE/GE row, one artificial per
     GE/EQ row (both in row order), the right-hand side, then the cost rows'
     scale entry.  A row whose right-hand side is negative is negated first,
-    so every starting basic value is non-negative."""
+    so every starting basic value is non-negative.  Phase 2 keeps only the
+    artificials of EQ rows."""
 
     def __init__(self, lp: LinearProgram):
         nstruct = len(lp.objective)
@@ -211,18 +212,19 @@ class _Tableau:
         return tuple(y)
 
     def solve(self) -> LPResult:
-        rhs = self.ncols
         if self.phase1 is not None:
             if self._iterate(self.phase1, self.ncols) != OPTIMAL:
                 raise VerificationError("phase 1 reported unbounded, but it "
                                         "is bounded below by 0")
-            if self.phase1[rhs] != 0:
+            if self.phase1[self.ncols] != 0:
                 ray = self._multipliers(self.phase1, art_cost=1)
                 return LPResult(INFEASIBLE, None, None, ray)
             self.phase1 = None
             self._purge_artificials()
+            self._drop_dead_artificials()
         if self._iterate(self.phase2, self.n_free) == UNBOUNDED:
             return LPResult(UNBOUNDED, None, None)
+        rhs = self.ncols
         x = [Fraction(0)] * self.nstruct
         for row, b in zip(self.rows, self.basis):
             if b < self.nstruct:
@@ -244,6 +246,22 @@ class _Tableau:
                 del self.basis[r]
             else:
                 self._pivot(r, col)
+
+    def _drop_dead_artificials(self):
+        """Delete the artificial columns of GE rows, which phase 2 never
+        reads: such a row's multiplier comes from its slack.  Only an EQ
+        row's artificial stays, for its multiplier.  The kept columns keep
+        their order, so Bland's rule takes the same path."""
+        dead = {art for art, sense in zip(self.art_col, self.senses) if sense == GE}
+        if not dead:
+            return
+        keep = [j for j in range(len(self.phase2)) if j not in dead]
+        for row in self.rows + [self.phase2]:
+            row[:] = [row[j] for j in keep]
+        moved = {j: i for i, j in enumerate(keep)}
+        self.art_col = [None if art is None or art in dead else moved[art]
+                        for art in self.art_col]
+        self.ncols -= len(dead)
 
 
 def _dual_signs_ok(lp: LinearProgram, y) -> bool:

@@ -130,9 +130,16 @@ def parse_ideal(text: str, label: str | None = None) -> IdealDocument:
 
 
 def load_ideal(path) -> IdealDocument:
+    """Parse a UTF-8 ideal file; bytes that are not UTF-8 are a ParseError
+    naming the file and the line of the first bad byte."""
     path = Path(path)
-    doc = parse_ideal(path.read_text(), label=path.stem)
-    return doc
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text, byte 0x{data[exc.start]:02x} "
+                         f"cannot be decoded", data.count(b"\n", 0, exc.start) + 1) from None
+    return parse_ideal(text, label=path.stem)
 
 
 def format_ideal(I: MonomialIdeal, names: tuple[str, ...] | None = None) -> str:

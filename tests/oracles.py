@@ -5,8 +5,8 @@ from functools import reduce
 
 from symbpow import lp
 from symbpow.decomposition import irreducible_decomposition
-from symbpow.geometry import (alpha_polyhedron, realizing_denominator,
-                              symbolic_polyhedron)
+from symbpow.geometry import (NewtonPolyhedron, _as_point, alpha_polyhedron,
+                              realizing_denominator, symbolic_polyhedron)
 from symbpow.invariants import alpha
 from symbpow.monomial import (Monomial, MonomialIdeal, _compositions,
                               intersect, is_squarefree, power, require_proper)
@@ -30,6 +30,18 @@ def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:
     comps = [power(c.to_ideal(), m) for c in irreducible_decomposition(I)]
     comps.sort(key=lambda c: len(c.vectors))
     return reduce(intersect, comps)
+
+
+def np_member_lp(N: NewtonPolyhedron, a) -> bool:
+    """Exact membership of a rational point in the Newton polyhedron:
+    feasibility of  G lambda <= a, sum lambda = 1, lambda >= 0."""
+    pt = _as_point(a, N.ambient_dim)
+    if any(x < 0 for x in pt):
+        return False
+    matrix = [[g[i] for g in N.gens] for i in range(N.ambient_dim)]
+    matrix.append([1] * len(N.gens))
+    senses = [lp.LE] * N.ambient_dim + [lp.EQ]
+    return lp.feasible_point(matrix, pt + (1,), senses) is not None
 
 
 def alpha_equality_at_denominator(I: MonomialIdeal, cap: int = 12) -> dict:

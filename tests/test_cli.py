@@ -141,6 +141,8 @@ def test_unreadable_file_is_exit_2(argv, rot3_file, tmp_path, capsys):
     assert out == ""
     lines = [line for line in err.splitlines() if not line.startswith("note: ")]
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if "{latin1}" in argv:
+        assert str(latin1) in lines[0] and "(line 3)" in lines[0]
 
 
 def test_resource_limit_is_exit_3(tmp_path, capsys):

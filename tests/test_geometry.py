@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbpow.results as R
-from symbpow import geometry, lp
+from symbpow import cli, geometry, lp
 from symbpow.decomposition import MonomialPrime
 from symbpow.errors import ResourceLimitError, VerificationError
 from symbpow.geometry import (NewtonPolyhedron, _optimize_over, alpha_polyhedron,
@@ -19,6 +19,7 @@ from symbpow.harness import check
 from symbpow.monomial import Monomial, MonomialIdeal, multiply, power
 
 from conftest import ideal_of, random_squarefree_corpus
+from oracles import np_member_lp
 
 F = Fraction
 
@@ -33,10 +34,11 @@ def test_simplex_power_membership():
     assert not np_member(N, (-1, 3, 0))
 
 
-def test_general_membership_via_lp():
+def test_general_membership_via_facets():
     # conv{(2,0), (0,1)} + orthant:  x + 2y >= 2
     N = newton_polyhedron(ideal_of(2, (2, 0), (0, 1)))
     assert N.simplex_power is None
+    assert N.facets == (((1, 2), 2),)
     assert np_member(N, (2, 0))
     assert np_member(N, (1, F(1, 2)))
     assert np_member(N, (0, 10))
@@ -531,12 +533,78 @@ def test_double_description_against_oracles(I, weights):
         rows += facets
     verts = enumerate_vertices(Q)
     for v in verts:
-        assert all(np_member(N, v) for _, N in Q.components)
+        assert all(np_member_lp(N, v) for _, N in Q.components)
         tight = [list(n) for n, c in rows if sum(a * x for a, x in zip(n, v)) == c]
         assert _rank(tight) == d
     objective = weights[:d]
     assert (min(sum(c * x for c, x in zip(objective, v)) for v in verts)
             == _optimize_over(Q, objective)[0])
+
+
+def _prime_powers():
+    """(P_S)^m for a random variable subset S of 2-5 variables, m <= 3."""
+    return st.integers(min_value=2, max_value=5).flatmap(lambda d: st.tuples(
+        st.sets(st.integers(min_value=0, max_value=d - 1), min_size=1),
+        st.integers(min_value=1, max_value=3)).map(lambda sm: power(
+            ideal_of(d, *(tuple(int(i == j) for i in range(d)) for j in sm[0])),
+            sm[1])))
+
+
+@given(st.one_of(_ideals(3), _prime_powers()), st.data())
+@settings(max_examples=100, deadline=None)
+def test_membership_against_lp_oracle(I, data):
+    """np_member and member_scaled agree with one LP per point, on random
+    points and on boundary points: generators, midpoints of two of them,
+    and both shifted by +-1/k on one coordinate."""
+    N = newton_polyhedron(I)
+    d = N.ambient_dim
+    g, h = data.draw(st.sampled_from(N.gens)), data.draw(st.sampled_from(N.gens))
+    mid = tuple(F(a + b, 2) for a, b in zip(g, h))
+    i = data.draw(st.integers(min_value=0, max_value=d - 1))
+    step = F(data.draw(st.sampled_from((-1, 1))), data.draw(st.integers(1, 4)))
+    shifted = [p[:i] + (p[i] + step,) + p[i + 1:] for p in (g, mid)]
+    rand = tuple(data.draw(st.fractions(min_value=-1, max_value=6, max_denominator=6))
+                 for _ in range(d))
+    m = data.draw(st.fractions(min_value=F(1, 3), max_value=4, max_denominator=3))
+    Q = symbolic_polyhedron(I)
+    for p in [g, mid, rand, *shifted]:
+        assert np_member(N, p) == np_member_lp(N, p), p
+        assert member_scaled(Q, [m * x for x in p], m) == all(
+            np_member_lp(C, p) for _, C in Q.components), (p, m)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda table: table[1:],
+    lambda table: [(table[0][0], table[0][1] + 1)] + table[1:],
+    lambda table: table + [((-1,) + table[0][0][1:], table[0][1])],
+], ids=["drop-facet", "raise-offset", "negative-normal"])
+def test_tampered_facet_table_raises(monkeypatch, tamper):
+    """The certificate rejects a table that is not N's H-description at
+    the first membership query."""
+    real = geometry._facet_rays
+    monkeypatch.setattr(geometry, "_facet_rays",
+                        lambda N, max_rays: tamper(real(N, max_rays)))
+    N = newton_polyhedron(TRIANGLE)
+    with pytest.raises(VerificationError):
+        np_member(N, (1, 1, 0))
+
+
+def test_facet_table_over_budget_is_a_resource_limit(monkeypatch, tmp_path):
+    def over_budget(N, max_rays):
+        raise ResourceLimitError("double-description rays", max_rays + 1, max_rays)
+
+    monkeypatch.setattr(geometry, "_facet_rays", over_budget)
+    with pytest.raises(ResourceLimitError):
+        np_member(newton_polyhedron(TRIANGLE), (1, 1, 0))
+    # fresh polyhedra: the cached ones may hold a facet table already
+    symbolic_polyhedron.cache_clear()
+    res = check("polyhedron_bound", TRIANGLE, {"m": 2})
+    assert res.verdict == R.RESOURCE_LIMIT
+    assert "double-description rays" in res.details["reason"]
+    # vertex enumeration meets the same budget, and the CLI exits 3
+    path = tmp_path / "triangle.ideal"
+    path.write_text("vars: x y z\ngens:\n  y^3\n  x*y\n  x^3\n")
+    assert cli.main(["polyhedron", str(path), "--vertices"]) == 3
 
 
 @pytest.mark.parametrize("seed", [3])

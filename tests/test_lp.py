@@ -147,6 +147,19 @@ def test_purge_pivots_on_a_negative_entry(monkeypatch):
     assert any(p < 0 for p in pivots)
 
 
+def test_phase_2_keeps_only_eq_artificials():
+    """Once phase 1 ends, a GE row's artificial column is deleted, since its
+    multiplier comes from its slack; an EQ row keeps its artificial."""
+    # min x + y  s.t.  -x - y <= -2 (flipped to GE),  x - y >= 0,  x + 2y == 3
+    prog = make_lp([[-1, -1], [1, -1], [1, 2]], [-2, 0, 3],
+                   [lp.LE, lp.GE, lp.EQ], [1, 1])
+    tableau = lp._Tableau(prog)
+    assert tableau.ncols == tableau.n_free + 3
+    assert tableau.solve() == textbook_simplex(prog)
+    assert tableau.ncols == tableau.n_free + 1
+    assert all(len(row) == tableau.ncols + 2 for row in tableau.rows + [tableau.phase2])
+
+
 @given(st.lists(st.tuples(st.lists(mixed_entry, min_size=3, max_size=3),
                           mixed_entry, sense), min_size=1, max_size=5),
        st.lists(st.integers(min_value=-2, max_value=5), min_size=3, max_size=3),
