@@ -449,18 +449,24 @@ def probe_points(Q: SymbolicPolyhedron, sample_count: int, rng,
     """Points of Q to test a statement on: every vertex plus sample_count
     pseudo-random convex combinations of them.  If vertex enumeration is
     over budget, sample_count LP optima of random positive objectives
-    instead.  Returns (points, vertex count, sampled_only)."""
+    instead.  Returns (points, vertex count, sampled_only), each point as
+    integer numerators over a positive denominator.  The vertices share
+    the lcm L of their denominators; a combination with raw weights of
+    total T is the same integer sum of their numerators over T * L."""
     d = Q.ambient_dim
     verts = _probe_vertices(Q, max_rays)
     if verts is None:
         points = []
         for _ in range(sample_count):
             objective = [rng.randint(1, 64) for _ in range(d)]
-            points.append(_optimize_over(Q, objective)[1])
+            v, den = _as_integers(_optimize_over(Q, objective)[1], d)
+            points.append((tuple(v), den))
         return points, 0, True
-    points = list(verts)
+    den = lcm(*(x.denominator for v in verts for x in v))
+    nums = [tuple(x.numerator * (den // x.denominator) for x in v) for v in verts]
+    points = [(v, den) for v in nums]
     for _ in range(sample_count):
-        w = rng.convex_weights(len(verts))
-        points.append(tuple(sum(wi * v[i] for wi, v in zip(w, verts))
-                            for i in range(d)))
+        w = rng.raw_weights(len(verts))
+        points.append((tuple(sum(wi * v[i] for wi, v in zip(w, nums)) for i in range(d)),
+                       sum(w) * den))
     return points, len(verts), False

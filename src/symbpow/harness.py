@@ -35,7 +35,7 @@ from .decomposition import (MonomialPrime, _big_height, associated_primes,
                             warn_if_powers_coincide)
 from .errors import PowersCoincideWarning, ResourceLimitError
 from .geometry import (DEFAULT_MAX_RAYS, member_scaled, probe_points,
-                       stairs_member, symbolic_polyhedron)
+                       symbolic_polyhedron)
 from .invariants import (DEFAULT_CLOSURE_BUDGET, _chudnovsky_bound, alpha,
                          beta, is_equigenerated, is_integrally_closed,
                          waldschmidt)
@@ -231,12 +231,15 @@ def _stairs(I, r, sample_count=8, seed=0, max_rays=DEFAULT_MAX_RAYS):
     Ir = power(I, r)
     points, vertex_count, sampled_only = probe_points(
         symbolic_polyhedron(I), sample_count, SplitRng(seed, ("stairs", r)), max_rays)
-    bad = next((pt for pt in points
-                if not stairs_member(Ir, tuple(e * r * x for x in pt))), None)
+    # e*r*v/den lies above g exactly when g*den <= e*r*v, in integers
+    bad = next(((v, den) for v, den in points
+                if not any(all(a * den <= e * r * x for a, x in zip(g, v))
+                           for g in Ir.vectors)), None)
     details = {"e": e, "vertices": vertex_count, "samples": sample_count,
                "sampled_only": sampled_only, "seed": seed}
     if bad is not None:
-        details["witness_point"] = [str(x) for x in bad]
+        v, den = bad
+        details["witness_point"] = [str(Fraction(x, den)) for x in v]
     return Outcome(_holds(bad is None), details)
 
 

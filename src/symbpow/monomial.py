@@ -9,23 +9,29 @@ only at the edges: validated outside input for `MonomialIdeal.make`,
 containment witnesses, and rendering through the derived `gens`.
 
 Divisibility scans (minimalization, the containment kernel, the key
-comparisons of a prime-power intersection) go through one bitset
+comparisons of an intersection) go through one bitset
 divisibility index, in the spirit of Frobby (Roune, J. Symbolic Comput.
 2009): per coordinate the distinct values are rank-compressed, and over
 those ranks a Python int holds the bitmask of the rows whose entry is at
 most that value.  The rows dividing a point are the AND of one such mask
 per coordinate, so every exponent stays an exact integer of any size.
-Products and general intersections minimalize their candidates that way.
-Powers of a prime power and intersections with one never make a dominated
-candidate: both go through one prime-power kernel, `_meet_simplex_power`,
-(P^m)^t as the zero vector (the unit ideal) met with P^(mt).  The kernel
-takes minimal exponent vectors in any order and returns the minimal
-generators of the meet unsorted; it holds the degree-m part of each group
-of generators as a bitmask over ranked compositions, so each minimal
-generator comes out once, with no scan.  `intersect` and `power` sort each
-call's output into an ideal; `symbolic_power` chains the kernel over the
-prime-power localizations of an ideal (all of them, for a square-free
-ideal) and sorts only the end result.
+Products minimalize all pairwise sums that way.  A general intersection
+forms an lcm only for the pairs that can give a minimal generator
+(`_meet_candidates`): a generator of one side inside the other is one
+already, and the others are grouped by their exponents on the variables
+their side alone uses, so that a generator a lower group divides on the
+shared variables makes no candidate there; only what is left is
+minimalized.  Powers of a prime power and intersections with one never
+make a dominated candidate: both go through one prime-power kernel,
+`_meet_simplex_power`, (P^m)^t as the zero vector (the unit ideal) met
+with P^(mt).  The kernel takes minimal exponent vectors in any order and
+returns the minimal generators of the meet unsorted; it holds the
+degree-m part of each group of generators as a bitmask over ranked
+compositions, so each minimal generator comes out once, with no scan.
+`intersect` and `power` sort each call's output into an ideal;
+`symbolic_power` chains the kernel over the prime-power localizations of
+an ideal (all of them, for a square-free ideal) and sorts only the end
+result.
 """
 
 from __future__ import annotations
@@ -215,14 +221,15 @@ def _canonical_key(v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
 def minimal_vectors(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Divisibility-minimal subset, sorted by (total degree, lex).
 
-    Candidates are visited in that order, so every proper divisor of one
-    comes earlier, and a candidate is kept unless some kept vector divides
-    it.  The kept vectors sit in a divisibility index: the exponent values
-    are rank-compressed, and per coordinate a Fenwick tree over the ranks
-    holds prefix ORs of the kept bits, so both the query and the insertion
-    of a kept vector cost O(log V) big-int ORs per coordinate.
+    Candidates are visited in plain tuple order: a proper divisor of a
+    vector is lexicographically smaller, so it comes earlier, and a
+    candidate is kept unless some kept vector divides it.  Only the kept
+    vectors are sorted canonically.  They sit in a divisibility index: the
+    exponent values are rank-compressed, and per coordinate a Fenwick tree
+    over the ranks holds prefix ORs of the kept bits, so both the query and
+    the insertion of a kept vector cost O(log V) big-int ORs per coordinate.
     """
-    uniq = sorted(set(vectors), key=_canonical_key)
+    uniq = sorted(set(vectors))
     values = sorted(set(itertools.chain.from_iterable(uniq)))
     rank = dict(zip(values, range(1, len(values) + 1)))
     size = len(values) + 1
@@ -250,6 +257,7 @@ def minimal_vectors(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]
             while r < size:
                 tree[r] |= bit
                 r += r & -r
+    kept.sort(key=_canonical_key)
     return kept
 
 
@@ -262,11 +270,6 @@ def _any_divisor_mask(targets: Sequence[tuple[int, ...]],
     """
     index = [_prefix_masks(col) for col in (*zip(*divisors), list(map(sum, divisors)))]
     return [bool(_rows_below(index, (*t, sum(t) - min_gap))) for t in targets]
-
-
-def _pairwise_combine(avecs, bvecs, op) -> list[tuple[int, ...]]:
-    f = max if op == "lcm" else operator.add
-    return [tuple(map(f, a, b)) for a in avecs for b in bvecs]
 
 
 @lru_cache(maxsize=512)
@@ -371,6 +374,92 @@ def _meet_simplex_power(vectors: Iterable[tuple[int, ...]], dim: int, s_vars,
     return out
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of a mask, lowest first."""
+    out = []
+    while mask:
+        low_bit = mask & -mask
+        mask ^= low_bit
+        out.append(low_bit.bit_length() - 1)
+    return out
+
+
+def _key_groups(columns: Sequence[Sequence[int]], key_vars: Sequence[int]):
+    """The rows of a set of vectors, given by its columns, grouped by their
+    key, their exponents on key_vars: for each distinct key the bitmask of
+    its rows, and the bitmask of the rows whose key lies strictly below it."""
+    full = (1 << len(columns[0])) - 1
+    if not key_vars:
+        return [full], [0]
+    index = [_prefix_masks(columns[i]) for i in key_vars]
+    rows_of: dict[tuple[int, ...], int] = {}
+    for j, key in enumerate(zip(*(columns[i] for i in key_vars))):
+        rows_of[key] = rows_of.get(key, 0) | 1 << j
+    return (list(rows_of.values()),
+            [(_rows_below(index, k) & full) ^ rows for k, rows in rows_of.items()])
+
+
+def _live_rows(vectors, divisors, others, groups, out: list) -> list[int]:
+    """For each key of the groups of `others`, the bitmask of the vectors
+    that meet its rows pair by pair.  divisors[j] is the bitmask of the
+    rows of `others` whose shared part divides that of vectors[j].  If a
+    row of a lower key is one, vectors[j] makes nothing at this key; if a
+    row of this key is one, their lcm goes to out and is all it makes."""
+    live = []
+    for own, lower in zip(*groups):
+        mask = 0
+        for j, (v, d) in enumerate(zip(vectors, divisors)):
+            if d & lower:
+                continue
+            if d & own:
+                d &= own
+                out.append(tuple(map(max, others[(d & -d).bit_length() - 1], v)))
+            else:
+                mask |= 1 << j
+        live.append(mask)
+    return live
+
+
+def _meet_candidates(avecs: Sequence[tuple[int, ...]],
+                     bvecs: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Candidates, each in the meet and together holding its minimal
+    generators, for the meet of the ideals A and B of two sets of minimal
+    exponent vectors.
+
+    Split the variables of the supports into T, those of both, and the
+    private ones of A and of B.  A row a of A has key a_A, its exponents
+    on A's private variables, and so for B.  A minimal generator h of the
+    meet is lcm(a, b) = (max(a_T, b_T), a_A, b_B) for rows a of key a_A =
+    h_A and b of key h_B.  If b_T is divisible by a'_T for a row a' of a
+    key below h_A, then (b_T, a'_A, b_B) is in the meet strictly below h:
+    b makes nothing at key h_A.  If a row a' of key h_A does, h is
+    lcm(a', b).  Only the remaining pairs of the two keys need an lcm, and
+    the same holds with A and B swapped.  With no private variables there
+    is one empty key per side, so a row of one side inside the other
+    comes out as it is and meets nothing.
+    """
+    a_cols, b_cols = list(zip(*avecs)), list(zip(*bvecs))
+    a_on = {i for i, col in enumerate(a_cols) if any(col)}
+    b_on = {i for i, col in enumerate(b_cols) if any(col)}
+    shared = sorted(a_on & b_on)
+    a_groups = _key_groups(a_cols, sorted(a_on - b_on))
+    b_groups = _key_groups(b_cols, sorted(b_on - a_on))
+    a_index = [_prefix_masks(a_cols[i]) for i in shared]
+    b_index = [_prefix_masks(b_cols[i]) for i in shared]
+    out: list[tuple[int, ...]] = []
+    live_b = _live_rows(bvecs, [_rows_below(a_index, [v[i] for i in shared]) for v in bvecs],
+                        avecs, a_groups, out)
+    live_a = _live_rows(avecs, [_rows_below(b_index, [v[i] for i in shared]) for v in avecs],
+                        bvecs, b_groups, out)
+    for a_rows, b_live in zip(a_groups[0], live_b):
+        for b_rows, a_live in zip(b_groups[0], live_a):
+            a_pair = [avecs[j] for j in _bits(a_live & a_rows)]
+            if a_pair:
+                out.extend(tuple(map(max, a, bvecs[j]))
+                           for j in _bits(b_live & b_rows) for a in a_pair)
+    return out
+
+
 def _canonical(dim: int, minimal: list[tuple[int, ...]]) -> MonomialIdeal:
     """The ideal of a minimal set of exponent vectors, sorted in place into
     canonical order."""
@@ -398,13 +487,14 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
         sp = B.simplex_power
         if sp is not None:
             return _canonical(A.ambient_dim, _meet_simplex_power(A.vectors, A.ambient_dim, *sp))
-    return _from_vectors(I.ambient_dim, _pairwise_combine(I.vectors, J.vectors, "lcm"))
+    return _from_vectors(I.ambient_dim, _meet_candidates(I.vectors, J.vectors))
 
 
 def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     if (trivial := _trivial_combine(I, J)) is not None:
         return trivial
-    return _from_vectors(I.ambient_dim, _pairwise_combine(I.vectors, J.vectors, "add"))
+    return _from_vectors(I.ambient_dim, [tuple(map(operator.add, a, b))
+                                         for a in I.vectors for b in J.vectors])
 
 
 @lru_cache(maxsize=512)

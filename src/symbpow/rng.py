@@ -51,10 +51,16 @@ class SplitRng:
         picked.sort(key=order.__getitem__)
         return picked
 
-    def convex_weights(self, count: int, granularity: int = 12) -> list[Fraction]:
-        """Random exact convex weights (sum to 1) over `count` slots."""
+    def raw_weights(self, count: int, granularity: int = 12) -> list[int]:
+        """Random integers in [0, granularity] over `count` slots, not all
+        zero: convex weights before they are divided by their total."""
         while True:
             raw = [self.randint(0, granularity) for _ in range(count)]
-            total = sum(raw)
-            if total:
-                return [Fraction(r, total) for r in raw]
+            if any(raw):
+                return raw
+
+    def convex_weights(self, count: int, granularity: int = 12) -> list[Fraction]:
+        """Random exact convex weights (sum to 1) over `count` slots."""
+        raw = self.raw_weights(count, granularity)
+        total = sum(raw)
+        return [Fraction(r, total) for r in raw]

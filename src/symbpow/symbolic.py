@@ -10,16 +10,22 @@ localization that is a prime power Q^k is never built out to Q^(km): it is
 a prime step, one call of the prime-power kernel on the running exponent
 vectors, which lists the minimal generators of the meet with Q^(km)
 directly.  Any other localization is a general component, its power formed
-with minimalization after every product and met through `intersect`.  The
-steps run smallest component first, starting from the unit ideal; the
-running vectors are sorted only before a general step and at the end.  For
-a square-free I every step is a prime step, so no component is built and
-nothing is minimalized.
+with minimalization after every product.  The general components are met
+pairwise through `intersect`, each time the two (components or meets
+already formed) whose variable sets differ in the fewest variables, then
+the two with the fewest lcm pairs: a variable that only one side uses
+multiplies the size of a meet, so this keeps the intermediate ideals
+small.  The prime steps then run on the meet of the general ones (on the
+unit ideal if there is none), smallest first, and the vectors are sorted
+once at the end.  The meet is a canonical ideal, so the order changes no
+generator.  For a square-free I every step is a prime step, so no
+component is built and nothing is minimalized.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations
 from math import comb
 
 from .decomposition import (irreducible_decomposition, localize,
@@ -40,22 +46,24 @@ def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
     if m == 1:
         return I
     dim = I.ambient_dim
-    steps = []  # (generator count, general component or prime step (S, n))
+    general = []  # (variables of P, (I localized at P)^m), later of meets
+    prime_steps = []  # (generator count, S, n) for a localization Q^k, n = km
     for P in max_associated_primes(I):
         L = localize(I, P)
         if L.simplex_power is None:
-            C = power(L, m)
-            steps.append((len(C.vectors), C))
+            general.append((frozenset(P.variables), power(L, m)))
         else:
             s_vars, k = L.simplex_power
-            steps.append((comb(k * m + len(s_vars) - 1, len(s_vars) - 1), (s_vars, k * m)))
-    steps.sort(key=lambda step: step[0])
-    running = [(0,) * dim]  # the unit ideal
-    for _, step in steps:
-        if isinstance(step, MonomialIdeal):
-            running = list(ideal_intersect(_canonical(dim, running), step).vectors)
-        else:
-            running = _meet_simplex_power(running, dim, *step)
+            prime_steps.append((comb(k * m + len(s_vars) - 1, len(s_vars) - 1), s_vars, k * m))
+    while len(general) > 1:
+        i, j = min(combinations(range(len(general)), 2), key=lambda pair: (
+            len(general[pair[0]][0] ^ general[pair[1]][0]),
+            len(general[pair[0]][1].vectors) * len(general[pair[1]][1].vectors)))
+        (U, A), (V, B) = general[i], general.pop(j)
+        general[i] = (U | V, ideal_intersect(A, B))
+    running = list(general[0][1].vectors) if general else [(0,) * dim]
+    for _, s_vars, n in sorted(prime_steps, key=lambda step: step[0]):
+        running = _meet_simplex_power(running, dim, s_vars, n)
     return _canonical(dim, running)
 
 

@@ -18,6 +18,12 @@ def degree_monomials(ambient_dim: int, degree: int) -> list[Monomial]:
     return [Monomial(c) for c in _compositions(degree, ambient_dim)]
 
 
+def pairwise_lcms(avecs, bvecs) -> list[tuple[int, ...]]:
+    """The lcm of every pair of exponent vectors, one from each side: the
+    literal candidate set of an intersection, before minimalization."""
+    return [tuple(map(max, a, b)) for a in avecs for b in bvecs]
+
+
 def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:
     """Independent route for square-free ideals: intersect the m-th powers
     of the minimal primes coming straight out of the irreducible

@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import symbpow.results as R
-from symbpow import cli, geometry, lp
-from symbpow.decomposition import MonomialPrime
+from symbpow import cli, geometry, harness, lp
+from symbpow.decomposition import MonomialPrime, _big_height
 from symbpow.errors import ResourceLimitError, VerificationError
 from symbpow.geometry import (NewtonPolyhedron, _optimize_over, alpha_polyhedron,
                               caratheodory_decompose, component_facets,
                               enumerate_vertices, member_scaled,
-                              newton_polyhedron, np_member,
+                              newton_polyhedron, np_member, probe_points,
                               realizing_denominator, stairs_member,
                               symbolic_polyhedron)
 from symbpow.harness import check
 from symbpow.monomial import Monomial, MonomialIdeal, multiply, power
+from symbpow.rng import SplitRng
 
 from conftest import ideal_of, random_squarefree_corpus
 from oracles import np_member_lp
@@ -442,6 +443,39 @@ def test_stairs_member():
     assert stairs_member(I, (2, 0))
     assert stairs_member(I, (F(5, 2), F(1, 2)))
     assert not stairs_member(I, (F(3, 2), F(1, 2)))
+
+
+def test_probe_points_are_exact_convex_combinations(rot3):
+    """Integer numerators over a denominator: every vertex, then convex
+    combinations with the weights convex_weights draws from the same
+    stream; over the ray budget, LP optima of the same objectives."""
+    Q = symbolic_polyhedron(rot3)
+    verts = enumerate_vertices(Q)
+    rng = SplitRng(0, ("stairs", 2))
+    combos = [tuple(sum(wi * v[i] for wi, v in zip(w, verts)) for i in range(3))
+              for w in (rng.convex_weights(len(verts)) for _ in range(8))]
+    points, count, sampled = probe_points(Q, 8, SplitRng(0, ("stairs", 2)))
+    assert (count, sampled) == (len(verts), False)
+    assert [tuple(F(x, den) for x in v) for v, den in points] == list(verts) + combos
+    rng = SplitRng(0, ("stairs", 1))
+    optima = [_optimize_over(Q, [rng.randint(1, 64) for _ in range(3)])[1] for _ in range(4)]
+    points, count, sampled = probe_points(Q, 4, SplitRng(0, ("stairs", 1)), max_rays=1)
+    assert (count, sampled) == (0, True)
+    assert [tuple(F(x, den) for x in v) for v, den in points] == optima
+
+
+def test_stairs_witness_is_the_first_point_outside(monkeypatch, rot3):
+    """With I^r swapped for I^(r+1) the stairs row fails, and its witness is
+    the first probe point p with e*r*p outside that staircase, found here
+    with Fractions."""
+    monkeypatch.setattr(harness, "power", lambda I, r: power(I, r + 1))
+    res = check("stairs", rot3, {"r": 1})
+    assert res.verdict == R.FAILS
+    points, _, _ = probe_points(symbolic_polyhedron(rot3), 8, SplitRng(0, ("stairs", 1)))
+    e, J = _big_height(rot3), power(rot3, 2)
+    bad = next(p for p in ([F(x, den) for x in v] for v, den in points)
+               if not stairs_member(J, [e * x for x in p]))
+    assert res.details["witness_point"] == [str(x) for x in bad]
 
 
 def test_stairs_containment(rot3, triples4):

@@ -8,14 +8,14 @@ from hypothesis import strategies as st
 from symbpow import monomial
 from symbpow.errors import DimensionMismatchError
 from symbpow.monomial import (Monomial, MonomialIdeal, _any_divisor_mask,
-                              _from_vectors, _pairwise_combine,
+                              _from_vectors,
                               containment_witness, minimal_vectors,
                               contains, intersect,
                               is_squarefree, maximal_ideal, multiply, power,
                               radical, subset)
 
 from conftest import ideal_of
-from oracles import degree_monomials
+from oracles import degree_monomials, pairwise_lcms
 
 
 def m(*exps):
@@ -300,11 +300,6 @@ def _brute_mask(targets, divisors, s):
             for t in targets]
 
 
-def _brute_combine(avecs, bvecs, op):
-    f = max if op == "lcm" else (lambda x, y: x + y)
-    return [tuple(f(x, y) for x, y in zip(a, b)) for a in avecs for b in bvecs]
-
-
 # exponents small enough to make divisibility common, or spread up to 2**70
 # around the 2**31 and 2**63 word limits
 _exponent = st.one_of(
@@ -344,8 +339,6 @@ def test_vector_kernels_match_brute_force(case, s):
     assert minimal_vectors(avecs + bvecs) == _brute_minimal(avecs + bvecs)
     assert _any_divisor_mask(avecs, bvecs, s) == _brute_mask(avecs, bvecs, s)
     assert _any_divisor_mask(bvecs, avecs, s) == _brute_mask(bvecs, avecs, s)
-    for op in ("lcm", "add"):
-        assert _pairwise_combine(avecs, bvecs, op) == _brute_combine(avecs, bvecs, op)
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +374,95 @@ def ideal_and_support(draw):
 def test_intersect_with_prime_power_matches_pairwise_lcm(case, m_):
     I, s_vars = case
     Pm = power(prime_on(I.ambient_dim, s_vars), m_)
-    oracle = _from_vectors(I.ambient_dim,
-                           _pairwise_combine(list(I.vectors), list(Pm.vectors), "lcm"))
+    oracle = _from_vectors(I.ambient_dim, pairwise_lcms(I.vectors, Pm.vectors))
     got = intersect(I, Pm)
     assert got == oracle
     assert got.vectors == canonical(got.vectors)
+
+
+# ---------------------------------------------------------------------------
+# general intersections against the literal pairwise-lcm oracle
+
+
+@st.composite
+def meet_case(draw):
+    """Two ideals in 2-5 variables.  The first lives on a random variable
+    set.  The second is, by the drawn kind: a random ideal on a set of its
+    own, so that the two have private and shared variables; a power of the
+    first's localization at a proper variable set, which lives on that
+    set; an ideal inside the first (its product with a random ideal); or
+    the first itself.  On a drawn flag, every non-zero exponent e of both
+    becomes 2**64 + e - 1, which keeps supports and divisibility."""
+    dim = draw(st.integers(min_value=2, max_value=5))
+    var_set = st.sets(st.integers(min_value=0, max_value=dim - 1), min_size=1)
+
+    def on(support):
+        vec = st.tuples(*(st.integers(min_value=0, max_value=3) if i in support
+                          else st.just(0) for i in range(dim)))
+        return _from_vectors(dim, draw(st.lists(vec, min_size=1, max_size=6)))
+
+    I = on(draw(var_set))
+    kind = draw(st.sampled_from(["own support", "localized power", "inside", "equal"]))
+    if kind == "own support":
+        J = on(draw(var_set))
+    elif kind == "localized power":
+        S = draw(st.sets(st.integers(min_value=0, max_value=dim - 1),
+                         min_size=1, max_size=dim - 1))
+        L = _from_vectors(dim, [tuple(e * (i in S) for i, e in enumerate(v)) for v in I.vectors])
+        J = power(L, draw(st.integers(min_value=1, max_value=3)))
+    elif kind == "inside":
+        J = multiply(I, on(range(dim)))
+    else:
+        J = I
+    if draw(st.booleans()):
+        I, J = (_from_vectors(dim, [tuple(e and 2 ** 64 + e - 1 for e in v) for v in A.vectors])
+                for A in (I, J))
+    return I, J
+
+
+# x0*x2 (key x2 = 1) and x1*x2^2 (key 2) against a component on {x0, x1}
+@example((ideal_of(3, (1, 0, 1), (0, 1, 2)), ideal_of(3, (2, 0, 0), (1, 1, 0), (0, 3, 0))))
+# x1 meets x0^2*x2 at key (1, 0) though x3, of the incomparable key
+# (0, 1), divides it on the shared variables {x0, x1}
+@example((ideal_of(4, (2, 0, 1, 0), (0, 0, 0, 1), (0, 5, 6, 0)),
+          ideal_of(4, (0, 1, 0, 0), (3, 0, 0, 0))))
+# two private variables each, two shared
+@example((ideal_of(4, (1, 2, 3, 0), (2, 0, 1, 0), (0, 1, 0, 2)),
+          ideal_of(4, (0, 3, 0, 1), (2, 1, 0, 0), (1, 1, 2, 0))))
+@given(meet_case())
+@settings(max_examples=300, deadline=None)
+def test_intersect_matches_pairwise_lcm_oracle(case):
+    I, J = case
+    oracle = _from_vectors(I.ambient_dim, pairwise_lcms(I.vectors, J.vectors))
+    got = intersect(I, J)
+    assert got == oracle == intersect(J, I)
+    assert got.vectors == canonical(got.vectors)
+
+
+def test_general_meet_skips_dominated_pairs(monkeypatch):
+    """Candidates that reach minimalization: a row of one side inside the
+    other is passed as it is, and a generator of C on {x0, x1} that a row
+    of a lower key outside {x0, x1} divides makes no candidate there."""
+    seen = []
+
+    def recorded(vectors):
+        vectors = list(vectors)
+        seen.append(sorted(set(vectors)))
+        return minimal_vectors(vectors)
+
+    monkeypatch.setattr(monomial, "minimal_vectors", recorded)
+    R = ideal_of(3, (1, 0, 1), (0, 1, 2))
+    C = ideal_of(3, (2, 0, 0), (1, 1, 0), (0, 3, 0))
+    # x0^2 and x0*x1 are divisible by x0 of the lower key x2: nothing at x2^2;
+    # x1^3 is divisible by x1 at key x2^2 itself, so only x1^3*x2^2 there
+    assert intersect(R, C).vectors == ((1, 1, 1), (2, 0, 1), (0, 3, 2))
+    assert seen.pop() == [(0, 3, 2), (1, 1, 1), (1, 3, 1), (2, 0, 1)]
+    I = ideal_of(3, (2, 1, 0), (0, 2, 1), (1, 0, 2))
+    inside = multiply(I, ideal_of(3, (1, 1, 0), (0, 0, 2)))
+    seen.clear()
+    assert intersect(I, inside) == inside
+    assert intersect(I, I) == I
+    assert seen == [sorted(inside.vectors), sorted(I.vectors)]
 
 
 @pytest.mark.parametrize("dim, s_vars, t", [(1, [0], 4), (3, [0, 1, 2], 5),
@@ -423,7 +500,7 @@ def test_kernel_and_make_give_equal_ideals_with_equal_hashes():
     P3 = power(P, 3)
     on_s = [Monomial((a, 0, b, c)) for a, b, c in
             (g.exponents for g in degree_monomials(3, 3))]
-    lcms = _pairwise_combine(list(I.vectors), list(P3.vectors), "lcm")
+    lcms = pairwise_lcms(I.vectors, P3.vectors)
     pairs = [(P3, MonomialIdeal.make(4, reversed(on_s))),
              (intersect(I, P3), MonomialIdeal.make(4, map(Monomial, lcms))),
              (power(P3, 2), MonomialIdeal.make(4, multiply(P3, P3).gens[::-1]))]

@@ -1,3 +1,4 @@
+import hashlib
 from functools import reduce
 
 import pytest
@@ -212,6 +213,36 @@ def test_mixed_example_has_both_kinds_of_component():
 @settings(max_examples=100, deadline=None)
 def test_symbolic_power_matches_definition(I, m_):
     assert symbolic_power(I, m_) == by_definition(I, m_)
+
+
+# the slow ideals of the 6-variable scans of seeds 3 and 4: four and seven
+# general components, on primes of three and four variables
+SEED3 = ideal_of(6, (2, 1, 0, 0, 0, 0), (0, 2, 0, 3, 0, 3), (0, 2, 2, 2, 1, 1),
+                 (1, 3, 1, 1, 3, 0))
+SEED4 = ideal_of(6, (0, 0, 0, 2, 3, 4), (1, 4, 0, 4, 0, 2), (2, 2, 3, 1, 1, 2),
+                 (3, 3, 1, 0, 3, 2))
+
+
+@pytest.mark.parametrize("I, m_", [
+    (SEED3, 4), (SEED4, 3),
+    # four general components and two prime powers
+    (ideal_of(5, (4, 1, 1, 0, 0), (3, 3, 0, 1, 1)), 3)], ids=["seed3", "seed4", "mixed"])
+def test_symbolic_power_does_not_depend_on_fold_order(I, m_):
+    """symbolic_power folds the components in its own order; a plain fold
+    in the order of the primes and in the reverse one gives the same ideal."""
+    comps = [power(localize(I, P), m_) for P in max_associated_primes(I)]
+    assert len(comps) >= 3
+    got = symbolic_power(I, m_)
+    assert got == reduce(intersect, comps) == reduce(intersect, reversed(comps))
+
+
+def test_seed_3_symbolic_power_is_pinned():
+    """I^(12) of the seed-3 ideal, as the smallest-first fold over all lcm
+    pairs computed it: 455 generators and the sha256 of their vectors."""
+    got = symbolic_power(SEED3, 12).vectors
+    assert len(got) == 455
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "94f1c8c3d361230296dce9efb14cdaf830921bcb0d6f58ddfcdf1d3170c327ae")
 
 
 @pytest.mark.parametrize("seed", [1, 2])
