@@ -1,6 +1,8 @@
 """Exact symbolic powers, symbolic polyhedra and containment checks for
 monomial ideals."""
 
+from __future__ import annotations
+
 from .decomposition import (IrreducibleComponent, MonomialPrime,
                             associated_primes, big_height,
                             irreducible_decomposition, localize,

@@ -5,7 +5,8 @@ exposes the library as batch subcommands.  Output goes to stdout (or
 --output FILE) as human text or line-delimited JSON; rationals are always
 exact "p/q" strings.  Exit codes: 0 success, 1 a proven statement failed
 (a bug somewhere), 2 usage or parse error or an unreadable file, 3
-resource budget exceeded, 4 a computed result failed its own verification.
+resource budget exceeded, 4 a computed result failed its own verification,
+5 an internal error (any other exception, reported in one line).
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ def _common(parser):
     parser.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
     parser.add_argument("--output", metavar="FILE",
                         help="write the report here instead of stdout")
+
+
+def _timings(parser):
+    """The flag of the commands that print one line per check."""
     parser.add_argument("--timings", action="store_true",
                         help="append wall-clock timings (text format only)")
 
@@ -113,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", type=_int_at_least(1), default=3)
     p.add_argument("--t-max", type=_int_at_least(1), default=3)
     p.add_argument("--r-max", type=_int_at_least(1), default=3)
+    _timings(p)
     p = cmd("scan", "run suites against pseudo-random ideals", needs_file=False)
     p.add_argument("--count", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
@@ -125,6 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checks", type=_check_list, default=None)
     p.add_argument("--findings", metavar="FILE",
                    help="write bug/candidate findings to this JSONL file")
+    _timings(p)
     return parser
 
 
@@ -281,6 +288,12 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 4
+    # a crash is not a failed statement (exit 1): the program's boundary
+    # reports it in one line with its own code
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 5
     return code
 
 

@@ -23,37 +23,44 @@ radical is spurious.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import (NonAssociatedPrimeWarning, PowersCoincideWarning,
                      VerificationError)
-from .monomial import (MonomialIdeal, _canonical, _from_vectors, intersect,
-                       minimal_vectors, require_proper)
+from .monomial import (MonomialIdeal, _canonical, _from_vectors, _Frozen,
+                       intersect, minimal_vectors, require_proper)
 
 _DECOMP_CACHE_SIZE = 1024
 
 
-@dataclass(frozen=True)
-class MonomialPrime:
+class MonomialPrime(_Frozen):
     """A prime monomial ideal: the ideal of a non-empty set of variables."""
 
-    ambient_dim: int
-    variables: tuple[int, ...]
+    _fields = ("ambient_dim", "variables")
 
-    def __post_init__(self):
-        vs = tuple(sorted(set(int(v) for v in self.variables)))
+    def __init__(self, ambient_dim: int, variables: tuple[int, ...]):
+        vs = tuple(sorted(set(int(v) for v in variables)))
         if not vs:
             raise ValueError("a monomial prime needs at least one variable")
-        if vs[0] < 0 or vs[-1] >= self.ambient_dim:
-            raise ValueError(f"variable index out of range for dim {self.ambient_dim}")
-        object.__setattr__(self, "variables", vs)
+        if vs[0] < 0 or vs[-1] >= ambient_dim:
+            raise ValueError(f"variable index out of range for dim {ambient_dim}")
+        fields = self.__dict__
+        fields["ambient_dim"] = ambient_dim
+        fields["variables"] = vs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.variables == other.variables
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.variables))
 
     @property
     def height(self) -> int:
         return len(self.variables)
 
-    def contains(self, other: "MonomialPrime") -> bool:
+    def contains(self, other: MonomialPrime) -> bool:
         return set(other.variables) <= set(self.variables)
 
     def to_ideal(self) -> MonomialIdeal:
@@ -72,22 +79,31 @@ class MonomialPrime:
         return self.render()
 
 
-@dataclass(frozen=True)
-class IrreducibleComponent:
-    """An irreducible monomial ideal (x_i^{a_i} : i in supp), a_i >= 1."""
+class IrreducibleComponent(_Frozen):
+    """An irreducible monomial ideal (x_i^{a_i} : i in supp), a_i >= 1;
+    powers are its sorted (variable, exponent) pairs."""
 
-    ambient_dim: int
-    powers: tuple[tuple[int, int], ...]  # sorted (variable, exponent) pairs
+    _fields = ("ambient_dim", "powers")
 
-    def __post_init__(self):
-        ps = tuple(sorted((int(v), int(e)) for v, e in self.powers))
+    def __init__(self, ambient_dim: int, powers: tuple[tuple[int, int], ...]):
+        ps = tuple(sorted((int(v), int(e)) for v, e in powers))
         if not ps:
             raise ValueError("an irreducible component needs at least one variable power")
         if any(e < 1 for _, e in ps):
             raise ValueError("variable powers must be at least 1")
         if len({v for v, _ in ps}) != len(ps):
             raise ValueError("repeated variable in component")
-        object.__setattr__(self, "powers", ps)
+        fields = self.__dict__
+        fields["ambient_dim"] = ambient_dim
+        fields["powers"] = ps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.powers == other.powers
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.powers))
 
     @property
     def radical(self) -> MonomialPrime:

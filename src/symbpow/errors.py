@@ -1,5 +1,7 @@
 """Shared exception and warning types."""
 
+from __future__ import annotations
+
 
 class DimensionMismatchError(ValueError):
     """Operands live in polynomial rings with different variable counts."""

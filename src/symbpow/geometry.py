@@ -27,7 +27,7 @@ description, is a generator (H and N share the orthant as recession cone).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -35,25 +35,34 @@ from math import gcd, lcm
 from . import lp
 from .decomposition import MonomialPrime, localize, max_associated_primes
 from .errors import ResourceLimitError, VerificationError
-from .monomial import MonomialIdeal, above_some, as_prime_power, require_proper
+from .monomial import (MonomialIdeal, _Frozen, above_some, as_prime_power,
+                       require_proper)
 from .symbolic import symbolic_power
 
 DEFAULT_MAX_RAYS = 256
 
 
-@dataclass(frozen=True)
-class NewtonPolyhedron:
+class NewtonPolyhedron(_Frozen):
     """conv(generator exponent vectors) + non-negative orthant."""
 
-    ambient_dim: int
-    gens: tuple[tuple[int, ...], ...]
+    _fields = ("ambient_dim", "gens")
 
-    def __post_init__(self):
-        if not self.gens:
+    def __init__(self, ambient_dim: int, gens: tuple[tuple[int, ...], ...]):
+        if not gens:
             raise ValueError("a Newton polyhedron needs at least one generator")
-        if any(len(g) != self.ambient_dim for g in self.gens):
+        if any(len(g) != ambient_dim for g in gens):
             raise ValueError("generator dimension mismatch")
-        object.__setattr__(self, "gens", tuple(sorted(self.gens)))
+        fields = self.__dict__
+        fields["ambient_dim"] = ambient_dim
+        fields["gens"] = tuple(sorted(gens))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.gens == other.gens
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.gens))
 
     @cached_property
     def simplex_power(self) -> tuple[tuple[int, ...], int] | None:
@@ -78,10 +87,24 @@ def newton_polyhedron(I: MonomialIdeal) -> NewtonPolyhedron:
     return NewtonPolyhedron(I.ambient_dim, I.vectors)
 
 
-@dataclass(frozen=True)
-class SymbolicPolyhedron:
-    ambient_dim: int
-    components: tuple[tuple[MonomialPrime, NewtonPolyhedron], ...]
+class SymbolicPolyhedron(_Frozen):
+    """One (prime, Newton polyhedron) pair per maximal associated prime."""
+
+    _fields = ("ambient_dim", "components")
+
+    def __init__(self, ambient_dim: int,
+                 components: tuple[tuple[MonomialPrime, NewtonPolyhedron], ...]):
+        fields = self.__dict__
+        fields["ambient_dim"] = ambient_dim
+        fields["components"] = components
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.components == other.components
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.components))
 
 
 @lru_cache(maxsize=512)
@@ -235,14 +258,13 @@ def alpha_polyhedron(Q: SymbolicPolyhedron) -> tuple[Fraction, tuple[Fraction, .
 # Caratheodory decomposition and realizing denominators
 
 
-@dataclass(frozen=True)
-class CaratheodoryDecomposition:
+class CaratheodoryDecomposition(namedtuple("CaratheodoryDecomposition",
+                                           "point weights cone")):
     """a = sum of weight * vertex + cone, with at most height(P) non-zero
-    convex weights over the component's generator exponent vectors."""
+    convex weights over the component's generator exponent vectors:
+    point and cone are Fraction tuples, weights (vector, Fraction) pairs."""
 
-    point: tuple[Fraction, ...]
-    weights: tuple[tuple[tuple[int, ...], Fraction], ...]
-    cone: tuple[Fraction, ...]
+    __slots__ = ()
 
     def reconstruction(self) -> tuple[Fraction, ...]:
         total = list(self.cone)

@@ -19,15 +19,14 @@ rerun with the same seed is byte-identical.
 
 from __future__ import annotations
 
-import inspect
 import json
 import time
 import warnings
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Callable
 from fractions import Fraction
 from itertools import product
 from math import ceil
-from typing import Callable, NamedTuple
 
 from . import results as R
 from .decomposition import (MonomialPrime, _big_height, associated_primes,
@@ -48,65 +47,62 @@ from .rng import SplitRng
 from .symbolic import equal_exponent_condition, symbolic_power
 
 
-@dataclass(frozen=True)
-class SuiteRanges:
-    m_max: int = 3
-    t_max: int = 3
-    r_max: int = 3
-    alpha_m_cap: int = 6
+class SuiteRanges(namedtuple("SuiteRanges", "m_max t_max r_max alpha_m_cap",
+                             defaults=(3, 3, 3, 6))):
+    """The largest value of each grid parameter a suite runs."""
+
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # the check table
 
 
-class Containment(NamedTuple):
-    """A body's question for the kernel: does lhs sit inside m^s * rhs?
+class Containment(namedtuple("Containment",
+                             "lhs rhs s details probe_witness params kind",
+                             defaults=(False, None, None))):
+    """A body's question for the kernel: does the ideal lhs sit inside
+    m^s * rhs?  details is the result's dict.
 
     probe_witness: on failure, also record whether the witness lies in rhs
     itself.  params and kind, when set, replace the requested params and
     the row's kind in the result."""
 
-    lhs: MonomialIdeal
-    rhs: MonomialIdeal
-    s: int
-    details: dict
-    probe_witness: bool = False
-    params: dict | None = None
-    kind: str | None = None
+    __slots__ = ()
 
 
-class Outcome(NamedTuple):
+class Outcome(namedtuple("Outcome", "verdict details witness", defaults=(None,))):
     """A body's own verdict, for checks that are not one containment; it is
-    not_applicable when part of the hypothesis is decided in the body."""
+    not_applicable when part of the hypothesis is decided in the body.
+    witness is a failing Monomial or None."""
 
-    verdict: str
-    details: dict
-    witness: Monomial | None = None
+    __slots__ = ()
 
 
 def _holds(ok: bool) -> str:
     return R.HOLDS if ok else R.FAILS
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(namedtuple("Check", "name kind body grid hypothesis options low")):
     """One row of the check table.
 
     grid maps each parameter to the SuiteRanges field holding its largest
-    value, and options(ranges, seed) gives the keyword arguments a suite
-    adds.  hypothesis(I, **params, **options) returns the not-applicable
-    details, or None when the statement applies; body(I, **params,
-    **options) returns a Containment or an Outcome.  Every parameter must
-    be at least low."""
+    value (a new empty dict by default), and options(ranges, seed) gives
+    the keyword arguments a suite adds.  hypothesis(I, **params, **options)
+    returns the not-applicable details, or None when the statement applies;
+    body(I, **params, **options) returns a Containment or an Outcome.
+    Every parameter must be at least low."""
 
-    name: str
-    kind: str
-    body: Callable[..., Containment | Outcome]
-    grid: dict[str, str] = field(default_factory=dict)
-    hypothesis: Callable[..., dict | None] = lambda I, **_: None
-    options: Callable[[SuiteRanges, int], dict] = lambda ranges, seed: {}
-    low: int = 1
+    __slots__ = ()
+
+    def __new__(cls, name: str, kind: str,
+                body: Callable[..., Containment | Outcome],
+                grid: dict[str, str] | None = None,
+                hypothesis: Callable[..., dict | None] = lambda I, **_: None,
+                options: Callable[[SuiteRanges, int], dict] = lambda ranges, seed: {},
+                low: int = 1):
+        return super().__new__(cls, name, kind, body, {} if grid is None else grid,
+                               hypothesis, options, low)
 
     def points(self, ranges: SuiteRanges) -> list[dict]:
         """Every assignment of 1..largest to each parameter, the last one
@@ -395,6 +391,21 @@ SYMBOLIC_IN_MPOWER = Check("symbolic_in_mpower", R.EXPLORATION,
                            _symbolic_in_mpower, low=0)
 
 
+def _require_binding(body, names) -> None:
+    """TypeError unless body(I, **{name: ...}) binds for these keyword
+    names: each must be a parameter after I, and every parameter after I
+    without a default must be among them.  The bodies take plain
+    parameters, none positional-only, keyword-only or variadic."""
+    code = body.__code__
+    accepted = code.co_varnames[1:code.co_argcount]
+    for name in names:
+        if name not in accepted:
+            raise TypeError(f"{body.__name__}() got an unexpected keyword argument {name!r}")
+    for name in accepted[:len(accepted) - len(body.__defaults__ or ())]:
+        if name not in names:
+            raise TypeError(f"{body.__name__}() missing a required argument: {name!r}")
+
+
 def check(name: str, I: MonomialIdeal, params: dict | None = None,
           **options) -> CheckResult:
     """The check `name`, a CHECKS row or "symbolic_in_mpower", on I at one
@@ -407,7 +418,7 @@ def check(name: str, I: MonomialIdeal, params: dict | None = None,
     if row is None:
         raise ValueError(f"unknown check {name!r}")
     params = params or {}
-    inspect.signature(row.body).bind(I, **params, **options)
+    _require_binding(row.body, [*params, *options])
     require_proper(I)
     warn_if_powers_coincide(I)
     return row.run(I, params, **options)
@@ -418,12 +429,12 @@ _TALLY_KEYS = ("holds", "bug", "candidate", "fails", "not_applicable",
                "resource_limit")
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    ideal: MonomialIdeal
-    names: tuple[str, ...]
-    results: tuple[CheckResult, ...]
-    label: str | None = None
+class SuiteReport(namedtuple("SuiteReport", "ideal names results label",
+                             defaults=(None,))):
+    """One suite over an ideal: its variable names, its CheckResults and
+    its label."""
+
+    __slots__ = ()
 
     @property
     def summary(self) -> dict:
@@ -462,16 +473,15 @@ def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
 # randomized scans
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    count: int = 20
-    seed: int = 0
-    num_vars: tuple[int, ...] = (3, 4)
-    max_exp: int = 4
-    max_gens: int = 6
-    squarefree_only: bool = False
-    checks: tuple[str, ...] | None = None
-    ranges: SuiteRanges = field(default_factory=SuiteRanges)
+class ScanConfig(namedtuple("ScanConfig", "count seed num_vars max_exp max_gens "
+                                         "squarefree_only checks ranges",
+                            defaults=(20, 0, (3, 4), 4, 6, False, None, SuiteRanges()))):
+    """A scan: count ideals drawn from seed, each in one of num_vars
+    variables, with exponents up to max_exp and up to max_gens generators,
+    square-free ones only if squarefree_only; checks (None for all) run
+    over ranges."""
+
+    __slots__ = ()
 
 
 def _random_prime_family(rng: SplitRng, nvars: int):
@@ -528,10 +538,10 @@ def _ass_oracle_result(I: MonomialIdeal, fam) -> CheckResult:
         elapsed=time.perf_counter() - start)
 
 
-@dataclass(frozen=True)
-class ScanReport:
-    config: ScanConfig
-    suites: tuple[SuiteReport, ...]
+class ScanReport(namedtuple("ScanReport", "config suites")):
+    """A scan's config and one SuiteReport per ideal."""
+
+    __slots__ = ()
 
     @property
     def summary(self) -> dict:

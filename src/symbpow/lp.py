@@ -30,7 +30,7 @@ integers, and LinearProgram.make is where their entries become rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -43,15 +43,14 @@ UNBOUNDED = "unbounded"
 LE, GE, EQ = "<=", ">=", "=="
 
 
-@dataclass(frozen=True)
-class LinearProgram:
-    matrix: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-    senses: tuple[str, ...]
-    objective: tuple[Fraction, ...]
+class LinearProgram(namedtuple("LinearProgram", "matrix rhs senses objective")):
+    """Rows of Fractions, right-hand sides, senses (LE, GE or EQ) and the
+    objective, as tuples; `make` checks their shapes."""
+
+    __slots__ = ()
 
     @staticmethod
-    def make(matrix, rhs, senses, objective) -> "LinearProgram":
+    def make(matrix, rhs, senses, objective) -> LinearProgram:
         mat = tuple(tuple(Fraction(x) for x in row) for row in matrix)
         b = tuple(Fraction(x) for x in rhs)
         c = tuple(Fraction(x) for x in objective)
@@ -65,17 +64,15 @@ class LinearProgram:
         return LinearProgram(mat, b, senses, c)
 
 
-@dataclass(frozen=True)
-class LPResult:
-    """`dual` is the certificate, one entry per constraint, with y_i <= 0
-    on LE rows and y_i >= 0 on GE rows.  For OPTIMAL it is a dual optimum
-    (A^T y <= c, b.y == value); for INFEASIBLE a Farkas ray (A^T y <= 0,
-    b.y > 0).  UNBOUNDED carries none."""
+class LPResult(namedtuple("LPResult", "status value solution dual", defaults=(None,))):
+    """`value` (a Fraction), `solution` and `dual` (Fraction tuples) are
+    None where the status gives none.  `dual` is the certificate, one
+    entry per constraint, with y_i <= 0 on LE rows and y_i >= 0 on GE
+    rows.  For OPTIMAL it is a dual optimum (A^T y <= c, b.y == value);
+    for INFEASIBLE a Farkas ray (A^T y <= 0, b.y > 0).  UNBOUNDED carries
+    none."""
 
-    status: str
-    value: Fraction | None
-    solution: tuple[Fraction, ...] | None
-    dual: tuple[Fraction, ...] | None = None
+    __slots__ = ()
 
 
 class _Tableau:

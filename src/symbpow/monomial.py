@@ -39,29 +39,57 @@ from __future__ import annotations
 import itertools
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError
 
 
-@dataclass(frozen=True)
-class Monomial:
+class _Frozen:
+    """Base of the package's immutable value types.  A subclass names its
+    fields in _fields and stores them in __init__ straight into the
+    instance dict, which is cheaper than object.__setattr__; it writes
+    __eq__ (same class, equal fields) and __hash__ (of the field tuple)
+    by hand, since these sit on cache lookups.  Assigning or deleting an
+    attribute raises AttributeError; cached_property still works, as it
+    writes the instance dict too."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Monomial(_Frozen):
     """An exponent vector of non-negative integers, none rounded or
     converted.  The all-zero vector is the monomial 1."""
 
-    exponents: tuple[int, ...]
+    _fields = ("exponents",)
 
-    def __post_init__(self):
+    def __init__(self, exponents: tuple[int, ...]):
         try:
-            exps = tuple(map(operator.index, self.exponents))
+            exps = tuple(map(operator.index, exponents))
         except TypeError:
-            raise ValueError(f"non-integer exponent in {self.exponents!r}") from None
+            raise ValueError(f"non-integer exponent in {exponents!r}") from None
         if exps and min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
-        object.__setattr__(self, "exponents", exps)
+        self.__dict__["exponents"] = exps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.exponents == other.exponents
+
+    def __hash__(self):
+        return hash((self.exponents,))
 
     def render(self, names: Sequence[str] | None = None) -> str:
         if names is None:
@@ -78,8 +106,7 @@ class Monomial:
         return self.render()
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(_Frozen):
     """A monomial ideal, held by the exponent vectors of its minimal
     generators in canonical (degree, lex) order.
 
@@ -90,11 +117,20 @@ class MonomialIdeal:
     `gens` derives the same generators as `Monomial`s.
     """
 
-    ambient_dim: int
-    vectors: tuple[tuple[int, ...], ...]
+    _fields = ("ambient_dim", "vectors")
+
+    def __init__(self, ambient_dim: int, vectors: tuple[tuple[int, ...], ...]):
+        fields = self.__dict__
+        fields["ambient_dim"] = ambient_dim
+        fields["vectors"] = vectors
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.vectors == other.vectors
 
     @staticmethod
-    def make(ambient_dim: int, gens: Iterable[Monomial]) -> "MonomialIdeal":
+    def make(ambient_dim: int, gens: Iterable[Monomial]) -> MonomialIdeal:
         gens = list(gens)
         if ambient_dim < 1:
             raise ValueError("ambient_dim must be at least 1")
@@ -105,11 +141,11 @@ class MonomialIdeal:
         return _from_vectors(ambient_dim, [g.exponents for g in gens])
 
     @staticmethod
-    def zero(ambient_dim: int) -> "MonomialIdeal":
+    def zero(ambient_dim: int) -> MonomialIdeal:
         return MonomialIdeal(ambient_dim, ())
 
     @staticmethod
-    def unit(ambient_dim: int) -> "MonomialIdeal":
+    def unit(ambient_dim: int) -> MonomialIdeal:
         return MonomialIdeal(ambient_dim, ((0,) * ambient_dim,))
 
     @cached_property

@@ -17,9 +17,9 @@ means ``x^2``.
 
 from __future__ import annotations
 
+import os
 import re
-from dataclasses import dataclass
-from pathlib import Path
+from collections import namedtuple
 
 from .monomial import Monomial, MonomialIdeal
 
@@ -41,11 +41,11 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
-@dataclass(frozen=True)
-class IdealDocument:
-    names: tuple[str, ...]
-    ideal: MonomialIdeal
-    label: str | None = None
+class IdealDocument(namedtuple("IdealDocument", "names ideal label", defaults=(None,))):
+    """A parsed file: the variable names, the ideal, and a label (the file
+    name without its extension, for a loaded file)."""
+
+    __slots__ = ()
 
 
 def default_names(dim: int) -> tuple[str, ...]:
@@ -132,14 +132,18 @@ def parse_ideal(text: str, label: str | None = None) -> IdealDocument:
 def load_ideal(path) -> IdealDocument:
     """Parse a UTF-8 ideal file; bytes that are not UTF-8 are a ParseError
     naming the file and the line of the first bad byte."""
-    path = Path(path)
-    data = path.read_bytes()
+    path = os.fspath(path)
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text, byte 0x{data[exc.start]:02x} "
                          f"cannot be decoded", data.count(b"\n", 0, exc.start) + 1) from None
-    return parse_ideal(text, label=path.stem)
+    # the label is the file name without its last suffix, as in pathlib
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    return parse_ideal(text, label=name[:dot] if 0 < dot < len(name) - 1 else name)
 
 
 def format_ideal(I: MonomialIdeal, names: tuple[str, ...] | None = None) -> str:

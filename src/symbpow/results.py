@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
-from typing import Any
 
 from .monomial import Monomial
 
@@ -18,8 +17,8 @@ CONJECTURE = "conjecture"
 EXPLORATION = "exploration"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name verdict kind params details "
+                                           "witness in_hypothesis elapsed")):
     """Outcome of one check instance.
 
     verdict: holds / fails / not_applicable / resource_limit.
@@ -29,17 +28,20 @@ class CheckResult:
           (then a failure contradicts nothing).
     params are the requested inputs; details carry every computed exponent
     and flag; witness is a failing monomial when one exists.  elapsed is
-    wallclock and never enters serialized reports.
+    wallclock and never enters serialized reports.  params and details
+    default to a new empty dict per result.
     """
 
-    name: str
-    verdict: str
-    kind: str = THEOREM
-    params: dict[str, Any] = field(default_factory=dict)
-    details: dict[str, Any] = field(default_factory=dict)
-    witness: Monomial | None = None
-    in_hypothesis: bool = True
-    elapsed: float = 0.0
+    __slots__ = ()
+
+    def __new__(cls, name: str, verdict: str, kind: str = THEOREM,
+                params: dict | None = None, details: dict | None = None,
+                witness: Monomial | None = None, in_hypothesis: bool = True,
+                elapsed: float = 0.0):
+        return super().__new__(cls, name, verdict, kind,
+                               {} if params is None else params,
+                               {} if details is None else details,
+                               witness, in_hypothesis, elapsed)
 
     def classify(self) -> str:
         """Reporting bucket: holds | bug | candidate | fails |

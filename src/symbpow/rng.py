@@ -8,7 +8,6 @@ what makes scan reports byte-identical across runs and platforms.
 
 from __future__ import annotations
 
-import hashlib
 from fractions import Fraction
 
 _BLOCK_BITS = 128
@@ -20,11 +19,14 @@ class SplitRng:
         self.path = tuple(str(p) for p in path)
         self._counter = 0
 
-    def child(self, *labels) -> "SplitRng":
+    def child(self, *labels) -> SplitRng:
         """Independent substream; consuming it does not advance this one."""
         return SplitRng(self.seed, self.path + tuple(str(x) for x in labels))
 
     def _block(self) -> int:
+        # imported at the first draw, not with the package: hashlib loads
+        # OpenSSL, a few milliseconds that a command drawing nothing skips
+        import hashlib
         tag = f"{self.seed}|{'/'.join(self.path)}|{self._counter}"
         self._counter += 1
         digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=16).digest()

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import symbpow
-from symbpow import lp
+from symbpow import cli, lp
 from symbpow.cli import main
 from symbpow.geometry import alpha_polyhedron
 
@@ -168,6 +168,20 @@ def test_verification_failure_is_exit_4(rot3_file, capsys, monkeypatch):
     assert err == "verification failed: LP point escapes a component\n"
 
 
+def test_internal_error_is_exit_5(rot3_file, capsys, monkeypatch):
+    """Exit 1 means a proven statement failed; a crash anywhere else is
+    exit 5, reported on one line and without a traceback."""
+    def crash(Q):
+        return 1 // 0
+
+    monkeypatch.setattr(cli, "alpha_polyhedron", crash)
+    code, out, err = run_cli(capsys, "waldschmidt", rot3_file)
+    assert code == 5
+    assert out == ""
+    assert err.splitlines() == [
+        "internal error: ZeroDivisionError: integer division or modulo by zero"]
+
+
 def test_polyhedron_vertices_in_7_variables(tmp_path, capsys):
     names = " ".join(f"x{i}" for i in range(7))
     gens = "\n".join(f"  x{i}" for i in range(7))
@@ -249,11 +263,47 @@ def test_cli_import_leaves_numpy_out():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["symbpow.cli", "symbpow.harness"])
+def test_import_leaves_heavy_stdlib_out(module):
+    """The command line and the scan machinery (a bench worker's import)
+    load no dataclasses, inspect, typing, pathlib or hashlib: start-up
+    costs every command.  -S keeps site (and any .pth file) from loading
+    them first."""
+    src = str(Path(symbpow.__file__).resolve().parent.parent)
+    heavy = ("dataclasses", "inspect", "typing", "pathlib", "hashlib")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+         f"print(sorted(m for m in sys.modules if m in {heavy!r}))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_timings_flag(rot3_file, capsys):
     code, out, _ = run_cli(capsys, "suite", rot3_file, "--checks", "chudnovsky",
                            "--timings")
     assert code == 0
     assert "[" in out and "s]" in out
+
+
+def test_scan_timings_flag(capsys):
+    code, out, _ = run_cli(capsys, "scan", "--count", "1", "--checks", "chudnovsky",
+                           "--timings")
+    assert code == 0
+    assert "[" in out and "s]" in out
+
+
+@pytest.mark.parametrize("argv", [["info"], ["waldschmidt"], ["symbolic", "-m", "2"],
+                                  ["polyhedron"], ["alpha"],
+                                  ["containment", "--m", "2", "--s", "0", "--r", "1"]])
+def test_timings_flag_only_where_it_times(argv, rot3_file, capsys):
+    """Only suite and scan print per-check lines to time; elsewhere the flag
+    is a usage error, not silently ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, rot3_file, "--timings"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --timings" in capsys.readouterr().err
 
 
 def test_scan_one_variable_is_usage_error(capsys):

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -92,7 +91,7 @@ def test_tampered_alpha_lp_raises(request, monkeypatch, ideal, status, solution)
         if not callable(solution):
             return lp.LPResult(status, F(0), solution)
         result = solve(prog)
-        return replace(result, solution=solution(result.solution))
+        return result._replace(solution=solution(result.solution))
 
     monkeypatch.setattr(lp, "solve", tampered)
     with pytest.raises(VerificationError):

@@ -7,7 +7,7 @@ import pytest
 import symbpow.results as R
 from symbpow.decomposition import big_height
 from symbpow.errors import PowersCoincideWarning
-from symbpow.harness import (CHECK_NAMES, CHECKS, ScanConfig, SuiteRanges,
+from symbpow.harness import (CHECK_NAMES, CHECKS, Check, ScanConfig, SuiteRanges,
                              check, findings_jsonl, result_to_dict, run_suite,
                              scan, scan_jsonl, suite_jsonl, suite_text)
 from symbpow.invariants import chudnovsky_bound, invariant_report
@@ -31,6 +31,23 @@ def test_classification():
     assert CheckResult("x", R.FAILS, kind=R.CONJECTURE).classify() == "candidate"
     assert CheckResult("x", R.NOT_APPLICABLE).classify() == "not_applicable"
     assert CheckResult("x", R.RESOURCE_LIMIT).classify() == "resource_limit"
+
+
+def test_records_are_immutable_and_share_no_default():
+    """Records are named tuples: compared by fields, immutable, and each
+    gets its own empty params, details and grid dicts."""
+    a, b = CheckResult("x", R.HOLDS), CheckResult(name="x", verdict=R.HOLDS)
+    assert a == b == CheckResult("x", R.HOLDS, R.THEOREM, {}, {}, None, True, 0.0)
+    assert a.params is not b.params and a.details is not b.details
+    a.details["seen"] = True
+    assert b.details == {}
+    with pytest.raises(AttributeError):
+        a.verdict = R.FAILS
+    assert a._replace(verdict=R.FAILS).classify() == "bug"
+    rows = [Check("x", R.THEOREM, lambda I: None) for _ in range(2)]
+    assert rows[0].grid == {} and rows[0].grid is not rows[1].grid
+    assert SuiteRanges() == SuiteRanges(3, 3, 3, 6)
+    assert ScanConfig(count=5).ranges == SuiteRanges()
 
 
 def test_polyhedron_bound_check(rot3):

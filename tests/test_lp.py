@@ -1,6 +1,5 @@
 """Exact simplex solver tests, including a float cross-check against scipy."""
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -51,14 +50,14 @@ def _known_optimum():
 
 
 @pytest.mark.parametrize("tamper", [
-    lambda r: replace(r, value=r.value + 1),
-    lambda r: replace(r, solution=(F(0), F(0)), value=F(0)),
+    lambda r: r._replace(value=r.value + 1),
+    lambda r: r._replace(solution=(F(0), F(0)), value=F(0)),
     # feasible but not optimal: only the dual certificate catches it
-    lambda r: replace(r, solution=(F(2), F(0)), value=F(2)),
-    lambda r: replace(r, dual=None),
-    lambda r: replace(r, dual=(F(-1, 3), F(1, 3))),  # wrong sign for >=
-    lambda r: replace(r, dual=(F(1), F(0))),  # A^T y exceeds c
-    lambda r: replace(r, dual=(F(0), F(0))),  # duality gap
+    lambda r: r._replace(solution=(F(2), F(0)), value=F(2)),
+    lambda r: r._replace(dual=None),
+    lambda r: r._replace(dual=(F(-1, 3), F(1, 3))),  # wrong sign for >=
+    lambda r: r._replace(dual=(F(1), F(0))),  # A^T y exceeds c
+    lambda r: r._replace(dual=(F(0), F(0))),  # duality gap
     lambda r: lp.LPResult(lp.INFEASIBLE, None, None, (F(1), F(1))),
 ])
 def test_tampered_result_raises(tamper):
@@ -70,7 +69,7 @@ def test_tampered_result_raises(tamper):
 
 def test_solve_rejects_a_wrong_tableau_answer(monkeypatch):
     prog, good = _known_optimum()
-    suboptimal = replace(good, solution=(F(2), F(0)), value=F(2))
+    suboptimal = good._replace(solution=(F(2), F(0)), value=F(2))
     monkeypatch.setattr(lp._Tableau, "solve", lambda self: suboptimal)
     with pytest.raises(VerificationError):
         lp.solve(prog)

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symbpow import monomial
+from symbpow.decomposition import IrreducibleComponent, MonomialPrime
 from symbpow.errors import DimensionMismatchError
+from symbpow.geometry import NewtonPolyhedron, SymbolicPolyhedron
 from symbpow.monomial import (Monomial, MonomialIdeal, _any_divisor_mask,
                               _from_vectors,
                               containment_witness, minimal_vectors,
@@ -42,6 +44,48 @@ def test_monomial_rejects_non_integer(bad):
     (0, 1), and make(2, [it]) the ideal (y)."""
     with pytest.raises(ValueError, match=re.escape(f"non-integer exponent in {(bad, 1)!r}")):
         Monomial((bad, 1))
+
+
+VALUES = {
+    "Monomial": lambda: Monomial((1, 2)),
+    "MonomialIdeal": lambda: MonomialIdeal(2, ((1, 0), (0, 2))),
+    "MonomialPrime": lambda: MonomialPrime(3, (2, 0)),
+    "IrreducibleComponent": lambda: IrreducibleComponent(3, ((2, 1), (0, 2))),
+    "NewtonPolyhedron": lambda: NewtonPolyhedron(2, ((0, 2), (1, 0))),
+    "SymbolicPolyhedron": lambda: SymbolicPolyhedron(2, (
+        (MonomialPrime(2, (0, 1)), NewtonPolyhedron(2, ((1, 0), (0, 2)))),)),
+}
+
+
+@pytest.mark.parametrize("make", VALUES.values(), ids=VALUES)
+def test_value_types_are_immutable_values(make):
+    """Equal fields give equal objects with equal hashes, the hash of the
+    field tuple; no field can be assigned or deleted."""
+    a, b = make(), make()
+    fields = tuple(getattr(a, name) for name in a._fields)
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) == hash(fields)
+    assert a != fields
+    for name in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert tuple(getattr(a, name) for name in a._fields) == fields
+
+
+def test_value_types_of_two_classes_differ():
+    """The same field values in two classes are two different values."""
+    I, N = ideal_of(2, (1, 0), (0, 1)), NewtonPolyhedron(2, ((1, 0), (0, 1)))
+    assert (I.ambient_dim, I.vectors) == (N.ambient_dim, N.gens)
+    assert I != N and N != I and len({I, N}) == 2
+
+
+def test_value_types_print_their_fields():
+    assert repr(Monomial((1, 2))) == "Monomial(exponents=(1, 2))"
+    assert repr(MonomialPrime(3, (2, 0))) == "MonomialPrime(ambient_dim=3, variables=(0, 2))"
+    assert repr(ideal_of(2, (0, 2), (1, 0))) == (
+        "MonomialIdeal(ambient_dim=2, vectors=((1, 0), (0, 2)))")
 
 
 def test_render():
