@@ -11,8 +11,7 @@ from .errors import (DimensionMismatchError, NonAssociatedPrimeWarning,
                      PowersCoincideWarning, ResourceLimitError,
                      VerificationError)
 from .geometry import (NewtonPolyhedron, SymbolicPolyhedron, alpha_polyhedron,
-                       caratheodory_decompose, enumerate_vertices,
-                       newton_polyhedron, np_member, realizing_denominator,
+                       enumerate_vertices, newton_polyhedron, np_member,
                        symbolic_polyhedron)
 from .invariants import alpha, beta, chudnovsky_bound, waldschmidt
 from .monomial import (Monomial, MonomialIdeal, contains, intersect,
@@ -30,11 +29,9 @@ __all__ = [
     "PowersCoincideWarning", "ResourceLimitError", "SymbolicPolyhedron",
     "VerificationError",
     "alpha", "alpha_polyhedron", "associated_primes", "beta", "big_height",
-    "caratheodory_decompose", "chudnovsky_bound", "contains",
-    "enumerate_vertices", "format_ideal", "intersect",
-    "irreducible_decomposition", "load_ideal", "localize",
+    "chudnovsky_bound", "contains", "enumerate_vertices", "format_ideal",
+    "intersect", "irreducible_decomposition", "load_ideal", "localize",
     "max_associated_primes", "maximal_ideal", "multiply",
     "newton_polyhedron", "np_member", "parse_ideal", "power", "radical",
-    "realizing_denominator", "sigma", "subset", "symbolic_polyhedron",
-    "symbolic_power", "waldschmidt",
+    "sigma", "subset", "symbolic_polyhedron", "symbolic_power", "waldschmidt",
 ]

@@ -48,14 +48,6 @@ class MonomialPrime(_Frozen):
         fields["ambient_dim"] = ambient_dim
         fields["variables"] = vs
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.variables == other.variables
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.variables))
-
     @property
     def height(self) -> int:
         return len(self.variables)
@@ -96,14 +88,6 @@ class IrreducibleComponent(_Frozen):
         fields = self.__dict__
         fields["ambient_dim"] = ambient_dim
         fields["powers"] = ps
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.powers == other.powers
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.powers))
 
     @property
     def radical(self) -> MonomialPrime:

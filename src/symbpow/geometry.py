@@ -8,11 +8,11 @@ primes, stored V-style: one generator matrix per component prime.
 
 Everything here is exact, and rests on two integer routines: the
 certified LP of lp.py and one double-description routine.  Alpha (the
-least coordinate sum over the polyhedron) is one simplex solve; a
-Caratheodory decomposition is a basic feasible point, reduced when needed
-by one more LP.  Facets and vertices come from the double description
-(Motzkin et al. 1953; Fukuda and Prodon 1996), whose intermediate ray
-count has an explicit budget (ResourceLimitError, never truncation).
+least coordinate sum over the polyhedron) is one simplex solve.  Facets
+and vertices come from the double description (Motzkin et al. 1953;
+Fukuda and Prodon 1996), whose intermediate ray count has an explicit
+budget (ResourceLimitError, never truncation).  Q's vertices are
+enumerated over the rows of its components' facet tables, described next.
 
 Membership is integer dot products against one facet table per Newton
 polyhedron, the H-description {a >= 0 : normal.a >= offset per facet}.  A
@@ -27,7 +27,6 @@ description, is a generator (H and N share the orthant as recession cone).
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -35,9 +34,7 @@ from math import gcd, lcm
 from . import lp
 from .decomposition import MonomialPrime, localize, max_associated_primes
 from .errors import ResourceLimitError, VerificationError
-from .monomial import (MonomialIdeal, _Frozen, above_some, as_prime_power,
-                       require_proper)
-from .symbolic import symbolic_power
+from .monomial import MonomialIdeal, _Frozen, as_prime_power, require_proper
 
 DEFAULT_MAX_RAYS = 256
 
@@ -55,14 +52,6 @@ class NewtonPolyhedron(_Frozen):
         fields = self.__dict__
         fields["ambient_dim"] = ambient_dim
         fields["gens"] = tuple(sorted(gens))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.gens == other.gens
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.gens))
 
     @cached_property
     def simplex_power(self) -> tuple[tuple[int, ...], int] | None:
@@ -98,14 +87,6 @@ class SymbolicPolyhedron(_Frozen):
         fields["ambient_dim"] = ambient_dim
         fields["components"] = components
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.components == other.components
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self.components))
-
 
 @lru_cache(maxsize=512)
 def symbolic_polyhedron(I: MonomialIdeal) -> SymbolicPolyhedron:
@@ -116,13 +97,6 @@ def symbolic_polyhedron(I: MonomialIdeal) -> SymbolicPolyhedron:
     for P in max_associated_primes(I):
         comps.append((P, newton_polyhedron(localize(I, P))))
     return SymbolicPolyhedron(I.ambient_dim, tuple(comps))
-
-
-def _as_point(a, dim: int) -> tuple[Fraction, ...]:
-    pt = tuple(Fraction(x) for x in a)
-    if len(pt) != dim:
-        raise ValueError(f"point has {len(pt)} coordinates, expected {dim}")
-    return pt
 
 
 def _as_integers(a, dim: int) -> tuple[list[int], int]:
@@ -255,120 +229,6 @@ def alpha_polyhedron(Q: SymbolicPolyhedron) -> tuple[Fraction, tuple[Fraction, .
 
 
 # ---------------------------------------------------------------------------
-# Caratheodory decomposition and realizing denominators
-
-
-class CaratheodoryDecomposition(namedtuple("CaratheodoryDecomposition",
-                                           "point weights cone")):
-    """a = sum of weight * vertex + cone, with at most height(P) non-zero
-    convex weights over the component's generator exponent vectors:
-    point and cone are Fraction tuples, weights (vector, Fraction) pairs."""
-
-    __slots__ = ()
-
-    def reconstruction(self) -> tuple[Fraction, ...]:
-        total = list(self.cone)
-        for vec, w in self.weights:
-            for i, e in enumerate(vec):
-                total[i] += w * e
-        return tuple(total)
-
-    def denominator(self) -> int:
-        dens = [w.denominator for _, w in self.weights]
-        dens += [c.denominator for c in self.cone]
-        return lcm(*dens) if dens else 1
-
-
-def caratheodory_decompose(N: NewtonPolyhedron, P: MonomialPrime, a) -> CaratheodoryDecomposition:
-    """Exact decomposition of a point of N as a convex combination of at
-    most height(P) generator exponent vectors plus an orthant part.
-
-    Starts from a basic feasible solution of the transportation system
-    (at most height(P) + 1 non-zero entries, on linearly independent
-    columns).  When all height(P) + 1 of them are convex weights, the point
-    lies in the simplex of their vectors, and one more certified LP rides
-    the first coordinate ray of the prime down to that simplex's boundary:
-    the ride's length t lands in the orthant part and retires a weight.
-    """
-    pt = _as_point(a, N.ambient_dim)
-    pvars = list(P.variables)
-    h = len(pvars)
-    outside = [i for i in range(N.ambient_dim) if i not in set(pvars)]
-    for g in N.gens:
-        if any(g[i] for i in outside):
-            raise ValueError("component generators must be supported inside the prime")
-    if any(pt[i] < 0 for i in outside):
-        raise ValueError("point is outside the Newton polyhedron")
-
-    k = len(N.gens)
-    # variables: lambda_0..lambda_{k-1}, then c_i for i in pvars; with the
-    # generators inside the prime, this phase 1 alone decides membership on
-    # the prime's coordinates (an infeasible verdict carries a Farkas ray)
-    matrix = [[g[i] for g in N.gens] + [int(j == idx) for j in range(h)]
-              for idx, i in enumerate(pvars)]
-    matrix.append([1] * k + [0] * h)
-    rhs = [pt[i] for i in pvars] + [1]
-    base = lp.feasible_point(matrix, rhs, [lp.EQ] * (h + 1))
-    if base is None:
-        raise ValueError("point is outside the Newton polyhedron")
-    lam = list(base[:k])
-    act = [j for j in range(k) if lam[j] > 0]
-    if len(act) > h:
-        # the basic point spends all h + 1 non-zeros on weights, so the
-        # orthant part is 0; maximize t in G_A lambda + t e_{p0} = a_P,
-        # sum lambda = 1: barycentric coordinates in a simplex are unique,
-        # so lambda is a function of t and the optimum is the ride
-        ride = [[N.gens[j][i] for j in act] + [int(idx == 0)]
-                for idx, i in enumerate(pvars)]
-        ride.append([1] * len(act) + [0])
-        result = lp.solve(lp.LinearProgram.make(
-            ride, rhs, [lp.EQ] * (h + 1), [0] * len(act) + [-1]))
-        if result.status != lp.OPTIMAL:
-            raise VerificationError(f"Caratheodory ride LP ended {result.status}")
-        for j, w in zip(act, result.solution):
-            lam[j] = w
-        act = [j for j in act if lam[j] > 0]
-        if len(act) > h:
-            raise VerificationError("the ride retired no convex weight")
-
-    cone = list(pt)
-    for j in act:
-        for i in range(N.ambient_dim):
-            cone[i] -= lam[j] * N.gens[j][i]
-    if any(c < 0 for c in cone):
-        raise VerificationError("negative orthant part")
-    if sum(lam[j] for j in act) != 1:
-        raise VerificationError("convex weights do not sum to 1")
-    weights = tuple((N.gens[j], lam[j]) for j in act)
-    deco = CaratheodoryDecomposition(pt, weights, tuple(cone))
-    if deco.reconstruction() != pt:
-        raise VerificationError("decomposition does not reconstruct the point")
-    return deco
-
-
-def realizing_denominator(I: MonomialIdeal, a) -> int:
-    """Least common denominator b of Caratheodory decompositions of a over
-    every component of the symbolic polyhedron; x^(b*a) then lies in the
-    b-th symbolic power, which is verified before returning."""
-    Q = symbolic_polyhedron(I)
-    pt = _as_point(a, I.ambient_dim)
-    if not member_scaled(Q, pt, 1):
-        raise ValueError("point is outside the symbolic polyhedron")
-    b = 1
-    decos = []
-    for P, N in Q.components:
-        deco = caratheodory_decompose(N, P, pt)
-        decos.append(deco)
-        b = lcm(b, deco.denominator())
-    scaled = [b * x for x in pt]
-    if any(x.denominator != 1 for x in scaled):
-        raise VerificationError(f"b = {b} does not clear the denominators of {pt}")
-    if not above_some(symbolic_power(I, b).vectors, scaled):
-        raise VerificationError("certificate monomial escapes the symbolic power")
-    return b
-
-
-# ---------------------------------------------------------------------------
 # facet / vertex enumeration (double description, budgeted)
 
 
@@ -419,24 +279,14 @@ def _facet_rays(N: NewtonPolyhedron, max_rays: int) -> list[tuple[tuple[int, ...
             if offset > 0]
 
 
-def component_facets(N: NewtonPolyhedron, max_rays: int = DEFAULT_MAX_RAYS):
-    """The facets of N from _facet_rays, each scaled so that its first
-    non-zero normal entry is 1, sorted."""
-    facets = []
-    for normal, offset in _facet_rays(N, max_rays):
-        lead = next(x for x in normal if x != 0)
-        facets.append((tuple(Fraction(x, lead) for x in normal), Fraction(offset, lead)))
-    return sorted(facets)
-
-
 def enumerate_vertices(Q: SymbolicPolyhedron, max_rays: int = DEFAULT_MAX_RAYS) -> tuple:
     """All vertices of Q, exactly, sorted.  Q is homogenized by one row
-    (normal, -offset) per component facet; the rays (x, t) with t > 0 of
-    that cone are the vertices x / t.  Each vertex is re-checked against
-    every component.  An intermediate ray count over max_rays raises
-    ResourceLimitError."""
-    rows = {normal + (-offset,) for _, N in Q.components
-            for normal, offset in _facet_rays(N, max_rays)}
+    (normal, -offset) per row of a component's certified N.facets; the
+    rays (x, t) with t > 0 of that cone are the vertices x / t.  Each
+    vertex is re-checked against every component.  An intermediate ray
+    count over max_rays in that cone raises ResourceLimitError; the
+    component tables have the default budget, as for membership."""
+    rows = {normal + (-offset,) for _, N in Q.components for normal, offset in N.facets}
     rays = _cone_rays(Q.ambient_dim + 1, sorted(rows), max_rays)
     vertices = sorted(tuple(Fraction(x, t) for x in ray) for *ray, t in rays if t > 0)
     if not vertices:
@@ -449,11 +299,6 @@ def enumerate_vertices(Q: SymbolicPolyhedron, max_rays: int = DEFAULT_MAX_RAYS) 
 
 # ---------------------------------------------------------------------------
 # staircase membership and probe points
-
-
-def stairs_member(J: MonomialIdeal, point) -> bool:
-    """Is the rational point in the up-closure of J's generator exponents?"""
-    return above_some(J.vectors, _as_point(point, J.ambient_dim))
 
 
 @lru_cache(maxsize=512)

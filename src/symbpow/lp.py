@@ -23,9 +23,9 @@ sign each sense asks for and satisfy A^T y <= c and b.y == c.x.  An
 infeasible verdict must come with a Farkas ray.  The checks raise
 VerificationError rather than assert, so they also hold under `python -O`.
 
-This tableau is the package's only exact linear solver: alpha and the
-Caratheodory decomposition in geometry.py are LPs built from plain
-integers, and LinearProgram.make is where their entries become rationals.
+This tableau is the package's only exact linear solver, and `solve` its
+only entry point: the alpha LP of geometry.py is built from plain
+integers, and LinearProgram.make is where its entries become rationals.
 """
 
 from __future__ import annotations
@@ -319,9 +319,3 @@ def solve(lp: LinearProgram) -> LPResult:
         _verify(lp, result)
     return result
 
-
-def feasible_point(matrix, rhs, senses) -> tuple[Fraction, ...] | None:
-    """A basic feasible point of the system, or None (phase 1 only)."""
-    lp = LinearProgram.make(matrix, rhs, senses, [0] * len(matrix[0]))
-    result = solve(lp)
-    return result.solution if result.status == OPTIMAL else None

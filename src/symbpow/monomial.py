@@ -49,13 +49,26 @@ from .errors import DimensionMismatchError
 class _Frozen:
     """Base of the package's immutable value types.  A subclass names its
     fields in _fields and stores them in __init__ straight into the
-    instance dict, which is cheaper than object.__setattr__; it writes
-    __eq__ (same class, equal fields) and __hash__ (of the field tuple)
-    by hand, since these sit on cache lookups.  Assigning or deleting an
-    attribute raises AttributeError; cached_property still works, as it
-    writes the instance dict too."""
+    instance dict, which is cheaper than object.__setattr__.  Two values
+    are equal when they have the same class and equal fields, and the
+    hash is that of the field tuple, read by one attrgetter built per
+    subclass.  Assigning or deleting an attribute raises AttributeError;
+    cached_property still works, as it writes the instance dict too."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = operator.attrgetter(*cls._fields)
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -82,14 +95,6 @@ class Monomial(_Frozen):
         if exps and min(exps) < 0:
             raise ValueError(f"negative exponent in {exps}")
         self.__dict__["exponents"] = exps
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.exponents == other.exponents
-
-    def __hash__(self):
-        return hash((self.exponents,))
 
     def render(self, names: Sequence[str] | None = None) -> str:
         if names is None:
@@ -124,11 +129,6 @@ class MonomialIdeal(_Frozen):
         fields["ambient_dim"] = ambient_dim
         fields["vectors"] = vectors
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.vectors == other.vectors
-
     @staticmethod
     def make(ambient_dim: int, gens: Iterable[Monomial]) -> MonomialIdeal:
         gens = list(gens)
@@ -154,7 +154,7 @@ class MonomialIdeal(_Frozen):
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.ambient_dim, self.vectors))
+        return super().__hash__()
 
     def __hash__(self) -> int:
         """Hashed once per instance: an lru_cache lookup with an ideal as
@@ -540,6 +540,15 @@ def _powers_of(I: MonomialIdeal) -> list[MonomialIdeal]:
     return [I]
 
 
+def as_exponent(t) -> int:
+    """t as an int, through operator.index: 2.0, 2.5, Fraction(2) and "2"
+    are refused, as a Monomial refuses them."""
+    try:
+        return operator.index(t)
+    except TypeError:
+        raise ValueError(f"non-integer exponent {t!r}") from None
+
+
 def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
     """t-th power.  For a prime power, (P^m)^t = P^(mt) is every degree-mt
     monomial on P's variables, listed directly by the prime-power kernel.
@@ -547,6 +556,7 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
     generator sets never carry redundant elements; lower powers come from a
     per-ideal cache, so a run of powers of one ideal multiplies by I once
     per step, with no recursion however large t is."""
+    t = as_exponent(t)
     if t < 0:
         raise ValueError("negative power of an ideal")
     if t == 0:

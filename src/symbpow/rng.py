@@ -8,8 +8,6 @@ what makes scan reports byte-identical across runs and platforms.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 _BLOCK_BITS = 128
 
 
@@ -61,8 +59,3 @@ class SplitRng:
             if any(raw):
                 return raw
 
-    def convex_weights(self, count: int, granularity: int = 12) -> list[Fraction]:
-        """Random exact convex weights (sum to 1) over `count` slots."""
-        raw = self.raw_weights(count, granularity)
-        total = sum(raw)
-        return [Fraction(r, total) for r in raw]

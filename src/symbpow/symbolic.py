@@ -31,13 +31,15 @@ from math import comb
 from .decomposition import (irreducible_decomposition, localize,
                             max_associated_primes)
 from .monomial import (MonomialIdeal, _canonical, _meet_simplex_power,
-                       power, require_proper)
+                       as_exponent, power, require_proper)
 from .monomial import intersect as ideal_intersect
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=512, typed=True)
 def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
-    """The m-th symbolic power (m = 0 gives the unit ideal)."""
+    """The m-th symbolic power (m = 0 gives the unit ideal).  The cache is
+    typed, so 2.0 never finds the entry of 2 and is refused like 2.5."""
+    m = as_exponent(m)
     require_proper(I)
     if m < 0:
         raise ValueError("negative symbolic power")

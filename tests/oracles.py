@@ -1,14 +1,20 @@
-"""Independent slow routes that the tests compare the package against."""
+"""Independent slow routes that the tests compare the package against,
+and the exact routines that only the tests use: a phase-1 feasible point,
+staircase membership, convex weights, and Caratheodory decompositions
+with the realizing denominator they give."""
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
+from math import lcm
 
 from symbpow import lp
-from symbpow.decomposition import irreducible_decomposition
-from symbpow.geometry import (NewtonPolyhedron, _as_point, alpha_polyhedron,
-                              realizing_denominator, symbolic_polyhedron)
+from symbpow.decomposition import MonomialPrime, irreducible_decomposition
+from symbpow.errors import VerificationError
+from symbpow.geometry import (NewtonPolyhedron, alpha_polyhedron, member_scaled,
+                              symbolic_polyhedron)
 from symbpow.invariants import alpha
-from symbpow.monomial import (Monomial, MonomialIdeal, _compositions,
+from symbpow.monomial import (Monomial, MonomialIdeal, _compositions, above_some,
                               intersect, is_squarefree, power, require_proper)
 from symbpow.symbolic import symbolic_power
 
@@ -38,6 +44,20 @@ def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:
     return reduce(intersect, comps)
 
 
+def _as_point(a, dim: int) -> tuple[Fraction, ...]:
+    pt = tuple(Fraction(x) for x in a)
+    if len(pt) != dim:
+        raise ValueError(f"point has {len(pt)} coordinates, expected {dim}")
+    return pt
+
+
+def feasible_point(matrix, rhs, senses) -> tuple[Fraction, ...] | None:
+    """A basic feasible point of the system, or None (phase 1 only)."""
+    prog = lp.LinearProgram.make(matrix, rhs, senses, [0] * len(matrix[0]))
+    result = lp.solve(prog)
+    return result.solution if result.status == lp.OPTIMAL else None
+
+
 def np_member_lp(N: NewtonPolyhedron, a) -> bool:
     """Exact membership of a rational point in the Newton polyhedron:
     feasibility of  G lambda <= a, sum lambda = 1, lambda >= 0."""
@@ -47,7 +67,127 @@ def np_member_lp(N: NewtonPolyhedron, a) -> bool:
     matrix = [[g[i] for g in N.gens] for i in range(N.ambient_dim)]
     matrix.append([1] * len(N.gens))
     senses = [lp.LE] * N.ambient_dim + [lp.EQ]
-    return lp.feasible_point(matrix, pt + (1,), senses) is not None
+    return feasible_point(matrix, pt + (1,), senses) is not None
+
+
+def stairs_member(J: MonomialIdeal, point) -> bool:
+    """Is the rational point in the up-closure of J's generator exponents?"""
+    return above_some(J.vectors, _as_point(point, J.ambient_dim))
+
+
+def convex_weights(rng, count: int, granularity: int = 12) -> list[Fraction]:
+    """Random exact convex weights (sum to 1) over `count` slots, from the
+    raw weights of a SplitRng."""
+    raw = rng.raw_weights(count, granularity)
+    total = sum(raw)
+    return [Fraction(r, total) for r in raw]
+
+
+class CaratheodoryDecomposition(namedtuple("CaratheodoryDecomposition",
+                                           "point weights cone")):
+    """a = sum of weight * vertex + cone, with at most height(P) non-zero
+    convex weights over the component's generator exponent vectors:
+    point and cone are Fraction tuples, weights (vector, Fraction) pairs."""
+
+    __slots__ = ()
+
+    def reconstruction(self) -> tuple[Fraction, ...]:
+        total = list(self.cone)
+        for vec, w in self.weights:
+            for i, e in enumerate(vec):
+                total[i] += w * e
+        return tuple(total)
+
+    def denominator(self) -> int:
+        dens = [w.denominator for _, w in self.weights]
+        dens += [c.denominator for c in self.cone]
+        return lcm(*dens) if dens else 1
+
+
+def caratheodory_decompose(N: NewtonPolyhedron, P: MonomialPrime, a) -> CaratheodoryDecomposition:
+    """Exact decomposition of a point of N as a convex combination of at
+    most height(P) generator exponent vectors plus an orthant part.
+
+    Starts from a basic feasible solution of the transportation system
+    (at most height(P) + 1 non-zero entries, on linearly independent
+    columns).  When all height(P) + 1 of them are convex weights, the point
+    lies in the simplex of their vectors, and one more certified LP rides
+    the first coordinate ray of the prime down to that simplex's boundary:
+    the ride's length t lands in the orthant part and retires a weight.
+    """
+    pt = _as_point(a, N.ambient_dim)
+    pvars = list(P.variables)
+    h = len(pvars)
+    outside = [i for i in range(N.ambient_dim) if i not in set(pvars)]
+    for g in N.gens:
+        if any(g[i] for i in outside):
+            raise ValueError("component generators must be supported inside the prime")
+    if any(pt[i] < 0 for i in outside):
+        raise ValueError("point is outside the Newton polyhedron")
+
+    k = len(N.gens)
+    # variables: lambda_0..lambda_{k-1}, then c_i for i in pvars; with the
+    # generators inside the prime, this phase 1 alone decides membership on
+    # the prime's coordinates (an infeasible verdict carries a Farkas ray)
+    matrix = [[g[i] for g in N.gens] + [int(j == idx) for j in range(h)]
+              for idx, i in enumerate(pvars)]
+    matrix.append([1] * k + [0] * h)
+    rhs = [pt[i] for i in pvars] + [1]
+    base = feasible_point(matrix, rhs, [lp.EQ] * (h + 1))
+    if base is None:
+        raise ValueError("point is outside the Newton polyhedron")
+    lam = list(base[:k])
+    act = [j for j in range(k) if lam[j] > 0]
+    if len(act) > h:
+        # the basic point spends all h + 1 non-zeros on weights, so the
+        # orthant part is 0; maximize t in G_A lambda + t e_{p0} = a_P,
+        # sum lambda = 1: barycentric coordinates in a simplex are unique,
+        # so lambda is a function of t and the optimum is the ride
+        ride = [[N.gens[j][i] for j in act] + [int(idx == 0)]
+                for idx, i in enumerate(pvars)]
+        ride.append([1] * len(act) + [0])
+        result = lp.solve(lp.LinearProgram.make(
+            ride, rhs, [lp.EQ] * (h + 1), [0] * len(act) + [-1]))
+        if result.status != lp.OPTIMAL:
+            raise VerificationError(f"Caratheodory ride LP ended {result.status}")
+        for j, w in zip(act, result.solution):
+            lam[j] = w
+        act = [j for j in act if lam[j] > 0]
+        if len(act) > h:
+            raise VerificationError("the ride retired no convex weight")
+
+    cone = list(pt)
+    for j in act:
+        for i in range(N.ambient_dim):
+            cone[i] -= lam[j] * N.gens[j][i]
+    if any(c < 0 for c in cone):
+        raise VerificationError("negative orthant part")
+    if sum(lam[j] for j in act) != 1:
+        raise VerificationError("convex weights do not sum to 1")
+    weights = tuple((N.gens[j], lam[j]) for j in act)
+    deco = CaratheodoryDecomposition(pt, weights, tuple(cone))
+    if deco.reconstruction() != pt:
+        raise VerificationError("decomposition does not reconstruct the point")
+    return deco
+
+
+def realizing_denominator(I: MonomialIdeal, a) -> int:
+    """Least common denominator b of Caratheodory decompositions of a over
+    every component of the symbolic polyhedron; x^(b*a) then lies in the
+    b-th symbolic power, which is verified before returning."""
+    Q = symbolic_polyhedron(I)
+    pt = _as_point(a, I.ambient_dim)
+    if not member_scaled(Q, pt, 1):
+        raise ValueError("point is outside the symbolic polyhedron")
+    b = 1
+    for P, N in Q.components:
+        b = lcm(b, caratheodory_decompose(N, P, pt).denominator())
+    scaled = [b * x for x in pt]
+    if any(x.denominator != 1 for x in scaled):
+        raise VerificationError(f"b = {b} does not clear the denominators of {pt}")
+    if not above_some(symbolic_power(I, b).vectors, scaled):
+        raise VerificationError("certificate monomial escapes the symbolic power")
+    return b
 
 
 def alpha_equality_at_denominator(I: MonomialIdeal, cap: int = 12) -> dict:

@@ -13,8 +13,7 @@ from fractions import Fraction
 import symbpow.results as R
 from symbpow.cli import main
 from symbpow.geometry import (alpha_polyhedron, enumerate_vertices,
-                              member_scaled, realizing_denominator,
-                              symbolic_polyhedron)
+                              member_scaled, symbolic_polyhedron)
 from symbpow.harness import ScanConfig, check, run_suite, scan
 from symbpow.invariants import alpha, waldschmidt
 from symbpow.monomial import Monomial, power
@@ -22,7 +21,7 @@ from symbpow.symbolic import symbolic_power
 
 from conftest import (ideal_of, random_general_corpus, random_primary_corpus,
                       random_squarefree_corpus)
-from oracles import symbolic_power_oracle_sqfree
+from oracles import realizing_denominator, symbolic_power_oracle_sqfree
 
 ROT3 = ideal_of(3, (1, 2, 0), (0, 1, 2), (2, 0, 1), (1, 1, 1))
 TRIPLES4 = ideal_of(4, (1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1))

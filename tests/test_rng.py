@@ -2,6 +2,8 @@ from fractions import Fraction
 
 from symbpow.rng import SplitRng
 
+from oracles import convex_weights
+
 
 def test_reproducible():
     a = SplitRng(42, ("suite",))
@@ -40,7 +42,7 @@ def test_subset_is_order_stable():
 def test_convex_weights_sum_to_one():
     rng = SplitRng(3)
     for n in (1, 2, 5):
-        w = rng.convex_weights(n)
+        w = convex_weights(rng, n)
         assert len(w) == n
         assert sum(w) == Fraction(1)
         assert all(x >= 0 for x in w)

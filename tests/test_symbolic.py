@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 from functools import reduce
 
 import pytest
@@ -25,6 +26,19 @@ def test_symbolic_power_edge_cases(rot3):
     assert symbolic_power(rot3, 1) == rot3
     with pytest.raises(ValueError):
         symbolic_power(rot3, -1)
+
+
+def test_non_integer_exponent_is_refused_whatever_the_cache_holds(rot3):
+    """2.0 once found the cached entry of 2; a cold cache failed with a
+    TypeError.  Exponents are read through operator.index, so every
+    non-integer is a ValueError, warm cache or cold."""
+    symbolic_power(rot3, 2)
+    for m in (2.0, 2.5, Fraction(2)):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            symbolic_power(rot3, m)
+    for t in (2.5, "2"):
+        with pytest.raises(ValueError, match="non-integer exponent"):
+            power(rot3, t)
 
 
 def test_symbolic_equals_ordinary_for_primary():
