@@ -1,16 +1,19 @@
 """Batch machinery: the check table, suites over one ideal, randomized scans.
 
 Every named check is one row of the check table (CHECKS): a parameter grid
-read from SuiteRanges, a hypothesis predicate, and a body that either asks
-the containment kernel whether lhs sits inside m^s * rhs or returns a
-verdict of its own.  A suite runs a selection of rows over their grids
-against one ideal and tallies the outcomes.  A scan generates a
-pseudo-random corpus (square-free ideals come from intersecting a minimal
-family of monomial primes, which doubles as a free oracle for the
-associated primes) and runs a suite on each member, collecting failures of
-proven statements (bugs) and failures of conjectured ones (candidate
-counterexamples) into a findings list with enough detail to reproduce each
-one.
+read from SuiteRanges and a body that decides the statement's hypothesis
+and returns one Outcome, not_applicable when the hypothesis fails; a
+containment goes to the kernel through `_contained`, which asks whether
+lhs sits inside m^s * rhs.  `Check.run` alone turns an Outcome into a
+CheckResult, for the suite rows, the command-line containment and the
+scan's associated-primes oracle alike.  A suite runs a selection of rows
+over their grids against one ideal and tallies the outcomes.  A scan
+generates a pseudo-random corpus (square-free ideals come from
+intersecting a minimal family of monomial primes, which doubles as a free
+oracle for the associated primes) and runs a suite on each member,
+collecting failures of proven statements (bugs) and failures of
+conjectured ones (candidate counterexamples) into a findings list with
+enough detail to reproduce each one.
 
 Reports serialize two ways: human-oriented text, and line-delimited JSON
 with sorted keys, exact "p/q" rationals, and no wall-clock timings, so a
@@ -58,23 +61,11 @@ class SuiteRanges(namedtuple("SuiteRanges", "m_max t_max r_max alpha_m_cap",
 # the check table
 
 
-class Containment(namedtuple("Containment",
-                             "lhs rhs s details probe_witness params kind",
-                             defaults=(False, None, None))):
-    """A body's question for the kernel: does the ideal lhs sit inside
-    m^s * rhs?  details is the result's dict.
-
-    probe_witness: on failure, also record whether the witness lies in rhs
-    itself.  params and kind, when set, replace the requested params and
-    the row's kind in the result."""
-
-    __slots__ = ()
-
-
-class Outcome(namedtuple("Outcome", "verdict details witness", defaults=(None,))):
-    """A body's own verdict, for checks that are not one containment; it is
-    not_applicable when part of the hypothesis is decided in the body.
-    witness is a failing Monomial or None."""
+class Outcome(namedtuple("Outcome", "verdict details witness params kind",
+                         defaults=(None, None, None))):
+    """A body's verdict, not_applicable when the hypothesis fails.  witness
+    is a failing Monomial or None; params and kind, when set, replace the
+    requested params and the row's kind in the result."""
 
     __slots__ = ()
 
@@ -83,26 +74,34 @@ def _holds(ok: bool) -> str:
     return R.HOLDS if ok else R.FAILS
 
 
-class Check(namedtuple("Check", "name kind body grid hypothesis options low")):
+def _contained(lhs, rhs, s, details, probe_witness=False, params=None, kind=None):
+    """Whether the ideal lhs sits inside m^s * rhs, by the containment
+    kernel.  probe_witness: on failure, also record whether the witness
+    lies in rhs itself."""
+    witness = containment_witness(lhs, rhs, s)
+    if witness is not None and probe_witness:
+        details |= {"witness_in_symbolic_power": True,
+                    "witness_in_plain_power": contains(rhs, witness)}
+    return Outcome(_holds(witness is None), details, witness, params, kind)
+
+
+class Check(namedtuple("Check", "name kind body grid options low")):
     """One row of the check table.
 
     grid maps each parameter to the SuiteRanges field holding its largest
     value (a new empty dict by default), and options(ranges, seed) gives
-    the keyword arguments a suite adds.  hypothesis(I, **params, **options)
-    returns the not-applicable details, or None when the statement applies;
-    body(I, **params, **options) returns a Containment or an Outcome.
-    Every parameter must be at least low."""
+    the keyword arguments a suite adds.  body(I, **params, **options)
+    decides the hypothesis and returns an Outcome.  Every parameter must be
+    at least low."""
 
     __slots__ = ()
 
-    def __new__(cls, name: str, kind: str,
-                body: Callable[..., Containment | Outcome],
+    def __new__(cls, name: str, kind: str, body: Callable[..., Outcome],
                 grid: dict[str, str] | None = None,
-                hypothesis: Callable[..., dict | None] = lambda I, **_: None,
                 options: Callable[[SuiteRanges, int], dict] = lambda ranges, seed: {},
                 low: int = 1):
         return super().__new__(cls, name, kind, body, {} if grid is None else grid,
-                               hypothesis, options, low)
+                               options, low)
 
     def points(self, ranges: SuiteRanges) -> list[dict]:
         """Every assignment of 1..largest to each parameter, the last one
@@ -115,32 +114,19 @@ class Check(namedtuple("Check", "name kind body grid hypothesis options low")):
         check and no warning: `check` makes them once per call, a suite
         once for all its rows.  A budget exceeded anywhere in the row is
         its verdict, resource_limit, with the budget's message as reason."""
-        if any(v < self.low for v in params.values()):
-            raise ValueError(f"{', '.join(params)} must be at least {self.low}")
+        low = [name for name, v in params.items() if v < self.low]
+        if low:
+            raise ValueError(f"{', '.join(low)} must be at least {self.low}")
         start = time.perf_counter()
-        kind, witness = self.kind, None
         try:
-            details = self.hypothesis(I, **params, **options)
-            if details is not None:
-                verdict = R.NOT_APPLICABLE
-            else:
-                out = self.body(I, **params, **options)
-                if isinstance(out, Outcome):
-                    verdict, details, witness = out
-                else:
-                    witness = containment_witness(out.lhs, out.rhs, out.s)
-                    verdict, details = _holds(witness is None), out.details
-                    if witness is not None and out.probe_witness:
-                        details |= {"witness_in_symbolic_power": True,
-                                    "witness_in_plain_power": contains(out.rhs, witness)}
-                    params, kind = out.params or params, out.kind or kind
+            out = self.body(I, **params, **options)
         except ResourceLimitError as exc:
             return CheckResult(name=self.name, verdict=R.RESOURCE_LIMIT,
                                params=params, details={"reason": str(exc)})
         return CheckResult(
-            name=self.name, verdict=verdict, kind=kind, params=params,
-            details=details, witness=witness,
-            in_hypothesis=verdict != R.NOT_APPLICABLE,
+            name=self.name, verdict=out.verdict, kind=out.kind or self.kind,
+            params=out.params or params, details=out.details, witness=out.witness,
+            in_hypothesis=out.verdict != R.NOT_APPLICABLE,
             elapsed=time.perf_counter() - start)
 
 
@@ -153,21 +139,36 @@ def _main_theorem(I, m, t, r):
     e = _big_height(I)
     lhs_exp = t * (m + e - 1) - e + r
     s = (t - 1) * (e - 1) + r - 1
-    return Containment(
+    return _contained(
         symbolic_power(I, lhs_exp), power(symbolic_power(I, m), t), s,
         {"e": e, "lhs_symbolic_exponent": lhs_exp, "maximal_ideal_exponent": s})
 
 
+def _squarefree_containment(I, m, t, r):
+    """The main theorem where it is proven: I square-free."""
+    if not is_squarefree(I):
+        return Outcome(R.NOT_APPLICABLE, {"reason": "ideal is not square-free"})
+    return _main_theorem(I, m, t, r)
+
+
+def _equal_exponent_containment(I, m, t, r):
+    """The main theorem where it transfers: one exponent per variable."""
+    if not equal_exponent_condition(I):
+        return Outcome(R.NOT_APPLICABLE, {
+            "reason": "some variable occurs with two different exponents"})
+    return _main_theorem(I, m, t, r)
+
+
 def _symbolic_step(I, r):
     """I^(r+1) <= m * I^(r) for every r >= 1 (unconditional theorem)."""
-    return Containment(symbolic_power(I, r + 1), symbolic_power(I, r), 1, {})
+    return _contained(symbolic_power(I, r + 1), symbolic_power(I, r), 1, {})
 
 
 def _support_step(I, r):
     """I^(r+e) <= m^sigma(I) * I^(r) with e the big height (theorem)."""
     e, s = _big_height(I), sigma(I)
-    return Containment(symbolic_power(I, r + e), symbolic_power(I, r), s,
-                       {"e": e, "sigma": s})
+    return _contained(symbolic_power(I, r + e), symbolic_power(I, r), s,
+                      {"e": e, "sigma": s})
 
 
 def _refined_containment(I, r):
@@ -182,7 +183,7 @@ def _refined_containment(I, r):
     sqfree = is_squarefree(I)
     m_exp = r * e - e + 1
     s = (r - 1) * (e - 1)
-    return Containment(
+    return _contained(
         symbolic_power(I, m_exp), power(I, r), s,
         {"e": e, "lhs_symbolic_exponent": m_exp, "maximal_ideal_exponent": s,
          "squarefree": sqfree},
@@ -193,9 +194,9 @@ def _refined_containment(I, r):
 def _symbolic_in_mpower(I, m, s, r):
     """Exploratory membership check I^(m) <= m^s * I^r."""
     lhs, rhs = symbolic_power(I, m), power(I, r)
-    return Containment(lhs, rhs, s,
-                       {"lhs_gens": len(lhs.vectors), "rhs_gens": len(rhs.vectors)},
-                       probe_witness=True)
+    return _contained(lhs, rhs, s,
+                      {"lhs_gens": len(lhs.vectors), "rhs_gens": len(rhs.vectors)},
+                      probe_witness=True)
 
 
 def _polyhedron_bound(I, m):
@@ -239,21 +240,6 @@ def _stairs(I, r, sample_count=8, seed=0, max_rays=DEFAULT_MAX_RAYS):
     return Outcome(_holds(bad is None), details)
 
 
-def _slope_threshold(I, r):
-    """(waldschmidt, I^r, max(e*r, beta(I^r)/waldschmidt))."""
-    w, Ir = waldschmidt(I), power(I, r)
-    return w, Ir, max(Fraction(_big_height(I) * r), Fraction(beta(Ir)) / w)
-
-
-def _slope_hypothesis(I, r, m=None, **_):
-    if m is None:
-        return None  # the body picks the least m above the threshold
-    threshold = _slope_threshold(I, r)[2]
-    if m < threshold:
-        return {"threshold": threshold, "reason": "m below threshold"}
-    return None
-
-
 def _alpha_slope(I, r, m=None, threshold_cap=12):
     """For m at least max(e*r, beta(I^r)/waldschmidt), the m-th symbolic
     power sits in m^s * I^r with s = ceil(waldschmidt * m) - beta(I^r).
@@ -262,15 +248,19 @@ def _alpha_slope(I, r, m=None, threshold_cap=12):
     if that exceeds threshold_cap the check reports a resource limit
     instead of computing an enormous symbolic power.
     """
-    w, Ir, threshold = _slope_threshold(I, r)
+    w, Ir = waldschmidt(I), power(I, r)
+    br = beta(Ir)
+    threshold = max(Fraction(_big_height(I) * r), Fraction(br) / w)
     if m is None:
         m = ceil(threshold)
         if m > threshold_cap:
             return Outcome(R.RESOURCE_LIMIT, {"threshold": threshold,
                                               "threshold_cap": threshold_cap})
-    br = beta(Ir)
+    elif m < threshold:
+        return Outcome(R.NOT_APPLICABLE, {"threshold": threshold,
+                                          "reason": "m below threshold"})
     s = ceil(w * m) - br
-    return Containment(
+    return _contained(
         symbolic_power(I, m), Ir, max(s, 0),
         {"s": max(s, 0), "clamped": s < 0, "threshold": threshold,
          "beta_power": br, "waldschmidt": w},
@@ -287,52 +277,37 @@ def _chudnovsky(I):
                     "bound": bound, "slack": w - bound})
 
 
-def _equigenerated_hypothesis(I, **_):
-    if not is_equigenerated(I):
-        return {"reason": "not equigenerated"}
-    if waldschmidt(I) < _chudnovsky_bound(I):
-        return {"reason": "degree bound hypothesis fails"}
-    return None
-
-
 def _equigenerated_containment(I, r):
     """When I is generated in one degree and the Chudnovsky-style bound
     holds for it, I^(e*r) sits in m^((e-1)*r) * I^r."""
+    if not is_equigenerated(I):
+        return Outcome(R.NOT_APPLICABLE, {"reason": "not equigenerated"})
+    if waldschmidt(I) < _chudnovsky_bound(I):
+        return Outcome(R.NOT_APPLICABLE, {"reason": "degree bound hypothesis fails"})
     e = _big_height(I)
     s = (e - 1) * r
-    return Containment(symbolic_power(I, e * r), power(I, r), s, {"e": e, "s": s})
-
-
-def _alpha_equality_hypothesis(I, **_):
-    a, w = alpha(I), waldschmidt(I)
-    if w != a:
-        return {"alpha": a, "waldschmidt": w,
-                "reason": "waldschmidt differs from alpha"}
-    return None
+    return _contained(symbolic_power(I, e * r), power(I, r), s, {"e": e, "s": s})
 
 
 def _alpha_equality(I, r):
     """When the Waldschmidt constant equals alpha(I): the Chudnovsky-style
     bound follows, and if additionally beta(I) <= e * alpha(I) so does
     I^(e*r) inside m^((e-1)*r) * I^r."""
-    a, e = alpha(I), _big_height(I)
-    holds = waldschmidt(I) >= _chudnovsky_bound(I)
+    a, w = alpha(I), waldschmidt(I)
+    if w != a:
+        return Outcome(R.NOT_APPLICABLE, {"alpha": a, "waldschmidt": w,
+                                          "reason": "waldschmidt differs from alpha"})
+    e = _big_height(I)
+    holds = w >= _chudnovsky_bound(I)
     details = {"alpha": a, "e": e, "chudnovsky_holds": holds}
     if beta(I) > e * a:
         return Outcome(_holds(holds), details | {
             "containment_checked": False,
             "reason_skipped": "beta exceeds e * alpha"})
-    c = _equigenerated_containment(I, r)
-    bad = containment_witness(c.lhs, c.rhs, c.s)
-    return Outcome(_holds(holds and bad is None),
-                   details | {"containment_checked": True, "s": c.s}, bad)
-
-
-def _closure_hypothesis(I, **_):
-    n, a = I.ambient_dim - 1, alpha(I)
-    if (n >= 3 and a >= n + 4) or (n == 2 and a >= 8):
-        return None
-    return {"n": n, "alpha": a, "reason": "alpha too small for this n"}
+    s = (e - 1) * r
+    out = _contained(symbolic_power(I, e * r), power(I, r), s,
+                     details | {"containment_checked": True, "s": s})
+    return out if holds else out._replace(verdict=R.FAILS)
 
 
 def _integrally_closed_bound(I, max_points=DEFAULT_CLOSURE_BUDGET):
@@ -342,8 +317,10 @@ def _integrally_closed_bound(I, max_points=DEFAULT_CLOSURE_BUDGET):
     Waldschmidt constant is at least (alpha(I) + n - 1) / n."""
     n, a = I.ambient_dim - 1, alpha(I)
     details = {"n": n, "alpha": a}
-    # the closure test of the hypothesis has a budget, so it runs here,
-    # where going over it can be reported as a resource limit
+    if not ((n >= 3 and a >= n + 4) or (n == 2 and a >= 8)):
+        return Outcome(R.NOT_APPLICABLE, details | {"reason": "alpha too small for this n"})
+    # going over the closure test's budget is this row's verdict, with the
+    # details so far, not a bare resource limit
     try:
         for P in max_associated_primes(I):
             if not is_integrally_closed(localize(I, P), max_points):
@@ -358,14 +335,10 @@ def _integrally_closed_bound(I, max_points=DEFAULT_CLOSURE_BUDGET):
 
 # The suite runs these rows in this order; CHECK_NAMES is their key order.
 CHECKS: dict[str, Check] = {c.name: c for c in (
-    Check("squarefree_containment", R.THEOREM, _main_theorem,
-          grid={"m": "m_max", "t": "t_max", "r": "r_max"},
-          hypothesis=lambda I, **_: None if is_squarefree(I) else {
-              "reason": "ideal is not square-free"}),
-    Check("equal_exponent_containment", R.THEOREM, _main_theorem,
-          grid={"m": "m_max", "t": "t_max", "r": "r_max"},
-          hypothesis=lambda I, **_: None if equal_exponent_condition(I) else {
-              "reason": "some variable occurs with two different exponents"}),
+    Check("squarefree_containment", R.THEOREM, _squarefree_containment,
+          grid={"m": "m_max", "t": "t_max", "r": "r_max"}),
+    Check("equal_exponent_containment", R.THEOREM, _equal_exponent_containment,
+          grid={"m": "m_max", "t": "t_max", "r": "r_max"}),
     Check("symbolic_step", R.THEOREM, _symbolic_step, grid={"r": "r_max"}),
     Check("support_step", R.THEOREM, _support_step, grid={"r": "r_max"}),
     Check("refined_containment", R.THEOREM, _refined_containment,
@@ -374,15 +347,12 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
     Check("alpha_lower", R.THEOREM, _alpha_lower, grid={"m": "alpha_m_cap"}),
     Check("stairs", R.THEOREM, _stairs, grid={"r": "r_max"},
           options=lambda ranges, seed: {"seed": seed}),
-    Check("alpha_slope", R.THEOREM, _alpha_slope, grid={"r": "r_max"},
-          hypothesis=_slope_hypothesis),
+    Check("alpha_slope", R.THEOREM, _alpha_slope, grid={"r": "r_max"}),
     Check("chudnovsky", R.CONJECTURE, _chudnovsky),
     Check("equigenerated_containment", R.THEOREM, _equigenerated_containment,
-          grid={"r": "r_max"}, hypothesis=_equigenerated_hypothesis),
-    Check("alpha_equality", R.THEOREM, _alpha_equality, grid={"r": "r_max"},
-          hypothesis=_alpha_equality_hypothesis),
-    Check("integrally_closed_bound", R.THEOREM, _integrally_closed_bound,
-          hypothesis=_closure_hypothesis),
+          grid={"r": "r_max"}),
+    Check("alpha_equality", R.THEOREM, _alpha_equality, grid={"r": "r_max"}),
+    Check("integrally_closed_bound", R.THEOREM, _integrally_closed_bound),
 )}
 CHECK_NAMES = tuple(CHECKS)
 
@@ -391,37 +361,20 @@ SYMBOLIC_IN_MPOWER = Check("symbolic_in_mpower", R.EXPLORATION,
                            _symbolic_in_mpower, low=0)
 
 
-def _require_binding(body, names) -> None:
-    """TypeError unless body(I, **{name: ...}) binds for these keyword
-    names: each must be a parameter after I, and every parameter after I
-    without a default must be among them.  The bodies take plain
-    parameters, none positional-only, keyword-only or variadic."""
-    code = body.__code__
-    accepted = code.co_varnames[1:code.co_argcount]
-    for name in names:
-        if name not in accepted:
-            raise TypeError(f"{body.__name__}() got an unexpected keyword argument {name!r}")
-    for name in accepted[:len(accepted) - len(body.__defaults__ or ())]:
-        if name not in names:
-            raise TypeError(f"{body.__name__}() missing a required argument: {name!r}")
-
-
 def check(name: str, I: MonomialIdeal, params: dict | None = None,
           **options) -> CheckResult:
     """The check `name`, a CHECKS row or "symbolic_in_mpower", on I at one
     parameter point.  params holds the row's parameters, e.g. {"r": 1} or
     {"r": 1, "m": 4} for alpha_slope; options are its body's keywords, such
     as sample_count or threshold_cap.  A parameter or option the body does
-    not take raises TypeError, even where the hypothesis answers first.  It
-    warns once, naming the line that called it."""
+    not take raises TypeError.  It warns once, naming the line that called
+    it."""
     row = SYMBOLIC_IN_MPOWER if name == SYMBOLIC_IN_MPOWER.name else CHECKS.get(name)
     if row is None:
         raise ValueError(f"unknown check {name!r}")
-    params = params or {}
-    _require_binding(row.body, [*params, *options])
     require_proper(I)
     warn_if_powers_coincide(I)
-    return row.run(I, params, **options)
+    return row.run(I, params or {}, **options)
 
 
 # every classification a result can get, the keys of a report's summary
@@ -524,18 +477,17 @@ def _random_general(rng: SplitRng, nvars: int, max_exp: int, max_gens: int):
     raise RuntimeError("could not draw a proper ideal")
 
 
-def _ass_oracle_result(I: MonomialIdeal, fam) -> CheckResult:
+def _ass_oracle(I: MonomialIdeal, family) -> Outcome:
     """The associated primes of an intersection of a minimal prime family
     must be exactly that family; anything else is a bug."""
-    start = time.perf_counter()
-    expected = sorted(tuple(p) for p in fam)
+    expected = sorted(tuple(p) for p in family)
     got = sorted(P.variables for P in associated_primes(I))
-    return CheckResult(
-        name="ass_oracle",
-        verdict=R.HOLDS if expected == got else R.FAILS,
-        details={"expected": [list(p) for p in expected],
-                 "got": [list(p) for p in got]},
-        elapsed=time.perf_counter() - start)
+    return Outcome(_holds(expected == got), {"expected": [list(p) for p in expected],
+                                             "got": [list(p) for p in got]})
+
+
+# The scan's oracle for its square-free ideals: same runner, not a suite row.
+ASS_ORACLE = Check("ass_oracle", R.THEOREM, _ass_oracle)
 
 
 class ScanReport(namedtuple("ScanReport", "config suites")):
@@ -576,7 +528,7 @@ def _scan_suite(rng: SplitRng, i: int, config: ScanConfig) -> SuiteReport:
     extra = []
     if sqfree:
         I, fam = _random_squarefree(rng.child("sqfree"), nvars)
-        extra.append(_ass_oracle_result(I, fam))
+        extra.append(ASS_ORACLE.run(I, {}, family=fam))
     else:
         I = _random_general(rng.child("general"), nvars,
                             config.max_exp, config.max_gens)

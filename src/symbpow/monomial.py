@@ -52,8 +52,11 @@ class _Frozen:
     instance dict, which is cheaper than object.__setattr__.  Two values
     are equal when they have the same class and equal fields, and the
     hash is that of the field tuple, read by one attrgetter built per
-    subclass.  Assigning or deleting an attribute raises AttributeError;
-    cached_property still works, as it writes the instance dict too."""
+    subclass.  The hash is computed once per instance and kept in the
+    instance dict: an lru_cache keyed by an ideal or a polyhedron would
+    otherwise hash every generator again on each lookup.  Assigning or
+    deleting an attribute raises AttributeError; cached_property still
+    works, as it writes the instance dict too."""
 
     _fields: tuple[str, ...] = ()
 
@@ -68,7 +71,10 @@ class _Frozen:
         return self._values(self) == other._values(other)
 
     def __hash__(self):
-        return hash(self._values(self))
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash(self._values(self))
+        return h
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -151,15 +157,6 @@ class MonomialIdeal(_Frozen):
     @cached_property
     def gens(self) -> tuple[Monomial, ...]:
         return tuple(map(Monomial, self.vectors))
-
-    @cached_property
-    def _hash(self) -> int:
-        return super().__hash__()
-
-    def __hash__(self) -> int:
-        """Hashed once per instance: an lru_cache lookup with an ideal as
-        argument would otherwise hash every generator again."""
-        return self._hash
 
     @property
     def is_zero(self) -> bool:

@@ -130,11 +130,13 @@ def parse_ideal(text: str, label: str | None = None) -> IdealDocument:
 
 
 def load_ideal(path) -> IdealDocument:
-    """Parse a UTF-8 ideal file; bytes that are not UTF-8 are a ParseError
-    naming the file and the line of the first bad byte."""
+    """Parse a UTF-8 ideal file, with or without a leading byte order mark;
+    bytes that are not UTF-8 are a ParseError naming the file and the line
+    of the first bad byte."""
     path = os.fspath(path)
     with open(path, "rb") as fh:
-        data = fh.read()
+        # not the utf-8-sig codec: its error offsets omit the mark's 3 bytes
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -62,6 +62,22 @@ def test_symbolic_polyhedron_components(rot3):
     assert Q.components[0][1].gens == ((0, 1, 0), (2, 0, 0))
 
 
+def test_a_polyhedron_reads_its_fields_for_one_hash_only(rot3, monkeypatch):
+    """alpha_polyhedron and _probe_vertices are lru_caches keyed by Q: a
+    second hash(Q) must not hash every component again.  The value is the
+    hash of the field tuple, so an equal polyhedron hashes equal."""
+    Q = symbolic_polyhedron(rot3)
+    Q_type = type(Q)
+    values = Q_type._values
+    first = hash(Q)
+    assert first == hash(values(Q)) == hash(Q_type(Q.ambient_dim, Q.components))
+    reads = []
+    monkeypatch.setattr(Q_type, "_values",
+                        staticmethod(lambda obj: reads.append(obj) or values(obj)))
+    assert hash(Q) == first
+    assert reads == []
+
+
 def test_alpha_rot3(rot3):
     value, point = alpha_polyhedron(symbolic_polyhedron(rot3))
     assert value == F(2)

@@ -12,6 +12,7 @@ from symbpow.harness import (CHECK_NAMES, CHECKS, Check, ScanConfig, SuiteRanges
                              scan, scan_jsonl, suite_jsonl, suite_text)
 from symbpow.invariants import chudnovsky_bound, invariant_report
 from symbpow.monomial import Monomial, MonomialIdeal
+from symbpow.parsing import default_names
 from symbpow.results import CheckResult, encode_value
 
 from conftest import ideal_of
@@ -190,6 +191,52 @@ def test_check_gives_the_suite_result(name, triples4):
     names = suite.names
     assert [result_to_dict(got, names)] == [result_to_dict(res, names)
                                             for res in suite.results]
+
+
+# ic4 reaches integrally_closed_bound's localization that is not integrally
+# closed, and be4 alpha_equality's skipped containment
+IC4 = ideal_of(4, (2, 4, 4, 0), (3, 4, 1, 4), (4, 1, 3, 0), (3, 2, 4, 4), (1, 4, 3, 3))
+BE4 = ideal_of(4, (2, 1, 1, 3), (2, 0, 3, 4), (0, 1, 2, 0))
+
+# sha256 of the check() results below, recorded before each row's body
+# decided its own hypothesis
+CHECK_ROWS_SHA256 = "91d9dd037884187732dd27f050c825ee925822cd59bd2592b58f526e4b3888e2"
+
+
+@pytest.mark.filterwarnings("ignore::symbpow.errors.PowersCoincideWarning")
+def test_every_row_and_its_rare_branches_are_pinned(rot3, triples4, edges3):
+    """check() on six ideals: every CHECKS row at its first grid point, and
+    the branches no scan pin reaches: alpha_slope below its threshold and
+    over its threshold_cap, the closure test over its budget, and
+    symbolic_in_mpower with its witness probe."""
+    calls = [(name, CHECKS[name].points(ONES)[0], CHECKS[name].options(ONES, 0))
+             for name in CHECK_NAMES]
+    calls += [("alpha_slope", {"r": 1, "m": 1}, {}),
+              ("alpha_slope", {"r": 1}, {"threshold_cap": 1}),
+              ("integrally_closed_bound", {}, {"max_points": 1}),
+              ("symbolic_in_mpower", {"m": 3, "s": 1, "r": 2}, {})]
+    ideals = (rot3, triples4, edges3, ideal_of(2, (2, 0), (0, 5)), IC4, BE4)
+    rows = [result_to_dict(check(name, I, params, **options), default_names(I.ambient_dim))
+            for I in ideals for name, params, options in calls]
+    details = [row["details"] for row in rows]
+    assert {"threshold": "5/2", "reason": "m below threshold"} in details
+    assert {"threshold": "5/2", "threshold_cap": 1} in details
+    assert {"n": 3, "alpha": 8, "prime": "(x0,x1,x2)",
+            "reason": "a localization is not integrally closed"} in details
+    assert sum(d.get("reason_skipped") == "beta exceeds e * alpha" for d in details) == 2
+    assert sum("witness_in_plain_power" in d for d in details) == 1
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == CHECK_ROWS_SHA256
+
+
+@pytest.mark.parametrize("name, params, message", [
+    ("alpha_slope", {"r": 1, "m": 0}, "^m must be at least 1$"),
+    ("squarefree_containment", {"m": 0, "t": 2, "r": 0}, "^m, r must be at least 1$"),
+    ("symbolic_in_mpower", {"m": 2, "s": -1, "r": -2}, "^s, r must be at least 0$"),
+])
+def test_check_names_only_the_parameters_below_the_minimum(name, params, message, rot3):
+    with pytest.raises(ValueError, match=message):
+        check(name, rot3, params)
 
 
 def test_check_rejects_an_unknown_name(rot3):

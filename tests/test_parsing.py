@@ -84,6 +84,27 @@ def test_load_ideal_sets_label(tmp_path):
     assert doc.ideal == ideal_of(2, (1, 1))
 
 
+def test_load_ideal_skips_a_byte_order_mark(tmp_path):
+    """A UTF-8 file that starts with a byte order mark, as some editors
+    write it, parses to the same document as the file without it."""
+    text = b"vars: x y z\ngens:\n  x*y^2\n  [0 1 2]\n"
+    plain, marked = tmp_path / "rot.ideal", tmp_path / "marked" / "rot.ideal"
+    marked.parent.mkdir()
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    assert load_ideal(marked) == load_ideal(plain)
+
+
+def test_load_ideal_names_the_bad_byte_after_a_byte_order_mark(tmp_path):
+    p = tmp_path / "latin1.ideal"
+    p.write_bytes(b"\xef\xbb\xbfvars: x\ngens:\n  x # caf\xe9\n")
+    with pytest.raises(ParseError) as err:
+        load_ideal(p)
+    assert err.value.line == 3
+    assert str(err.value) == (f"{p}: not UTF-8 text, byte 0xe9 cannot be decoded"
+                              " (line 3)")
+
+
 def test_default_names():
     assert default_names(3) == ("x", "y", "z")
     assert default_names(5)[:2] == ("x0", "x1")
