@@ -113,7 +113,8 @@ class Check(namedtuple("Check", "name kind body grid options low")):
         """This check on I at one parameter point, with no proper-ideal
         check and no warning: `check` makes them once per call, a suite
         once for all its rows.  A budget exceeded anywhere in the row is
-        its verdict, resource_limit, with the budget's message as reason."""
+        its verdict, resource_limit, with the budget's message as reason;
+        the result keeps the row's kind and the time the row took."""
         low = [name for name, v in params.items() if v < self.low]
         if low:
             raise ValueError(f"{', '.join(low)} must be at least {self.low}")
@@ -121,8 +122,9 @@ class Check(namedtuple("Check", "name kind body grid options low")):
         try:
             out = self.body(I, **params, **options)
         except ResourceLimitError as exc:
-            return CheckResult(name=self.name, verdict=R.RESOURCE_LIMIT,
-                               params=params, details={"reason": str(exc)})
+            return CheckResult(name=self.name, verdict=R.RESOURCE_LIMIT, kind=self.kind,
+                               params=params, details={"reason": str(exc)},
+                               elapsed=time.perf_counter() - start)
         return CheckResult(
             name=self.name, verdict=out.verdict, kind=out.kind or self.kind,
             params=out.params or params, details=out.details, witness=out.witness,

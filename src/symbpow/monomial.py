@@ -15,13 +15,17 @@ divisibility index, in the spirit of Frobby (Roune, J. Symbolic Comput.
 those ranks a Python int holds the bitmask of the rows whose entry is at
 most that value.  The rows dividing a point are the AND of one such mask
 per coordinate, so every exponent stays an exact integer of any size.
-Products minimalize all pairwise sums that way.  A general intersection
-forms an lcm only for the pairs that can give a minimal generator
-(`_meet_candidates`): a generator of one side inside the other is one
-already, and the others are grouped by their exponents on the variables
-their side alone uses, so that a generator a lower group divides on the
-shared variables makes no candidate there; only what is left is
-minimalized.  Powers of a prime power and intersections with one never
+Products minimalize all pairwise sums that way.  The containment kernel
+answers each (lhs, rhs, s) once per process and builds the index of an
+rhs, its generator columns plus their degrees, once for every lhs and s
+asked against it; both memos are keyed by value, so rows of the check
+table that ask the same question share one answer.  A general
+intersection forms an lcm only for the pairs that can give a minimal
+generator (`_meet_candidates`): a generator of one side inside the
+other is one already, and the others are grouped by their exponents on
+the variables their side alone uses, so that a generator a lower group
+divides on the shared variables makes no candidate there; only what is
+left is minimalized.  Powers of a prime power and intersections with one never
 make a dominated candidate: both go through one prime-power kernel,
 `_meet_simplex_power`, (P^m)^t as the zero vector (the unit ideal) met
 with P^(mt).  The kernel takes minimal exponent vectors in any order and
@@ -294,17 +298,6 @@ def minimal_vectors(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]
     return kept
 
 
-def _any_divisor_mask(targets: Sequence[tuple[int, ...]],
-                      divisors: Sequence[tuple[int, ...]], min_gap: int = 0) -> list[bool]:
-    """For each target, is there a divisor with degree gap >= min_gap?
-
-    One index over the divisors, with their degree as one more column,
-    answers each target t by the columns of t and deg(t) - min_gap.
-    """
-    index = [_prefix_masks(col) for col in (*zip(*divisors), list(map(sum, divisors)))]
-    return [bool(_rows_below(index, (*t, sum(t) - min_gap))) for t in targets]
-
-
 @lru_cache(maxsize=512)
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     """All ways to write `total` as an ordered sum of `parts` naturals."""
@@ -570,6 +563,17 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
     return powers[t - 1]
 
 
+@lru_cache(maxsize=128)
+def _divisor_index(rhs: MonomialIdeal) -> tuple:
+    """The divisibility index over the generators of rhs, with their
+    degree as one more column: a point (*f, deg f - s) lies above the row
+    of h exactly when h divides f with deg f - deg h >= s.  Built once per
+    rhs, keyed by its value."""
+    vectors = rhs.vectors
+    return tuple(_prefix_masks(col) for col in (*zip(*vectors), list(map(sum, vectors))))
+
+
+@lru_cache(maxsize=512, typed=True)
 def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monomial | None:
     """The first minimal generator of lhs, in canonical order, outside
     m^s * rhs, where m is the maximal ideal of the variables, as a
@@ -578,14 +582,21 @@ def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monom
     This is the only containment kernel: every containment check reduces
     membership of f in m^s * rhs to "some minimal generator h of rhs
     divides f with deg f - deg h >= s", which is exact integer arithmetic.
-    One divisibility index over rhs answers every generator of lhs.
+    The generators of lhs are asked in order against the index of rhs, up
+    to the first one outside.  Each (lhs, rhs, s) is answered once per
+    process, keyed by value like `symbolic_power`.  The memo is typed, so
+    s = 1.0 never finds the entry of s = 1 and is refused like 1.5: past
+    2^53 a float gap would round the degree test.
     """
     _check_same_ring(lhs, rhs)
+    s = as_exponent(s)
     if s < 0:
         raise ValueError("s must be non-negative")
-    inside = _any_divisor_mask(lhs.vectors, rhs.vectors, min_gap=s)
-    bad = next((f for f, ok in zip(lhs.vectors, inside) if not ok), None)
-    return None if bad is None else Monomial(bad)
+    index = _divisor_index(rhs)
+    for f in lhs.vectors:
+        if not _rows_below(index, (*f, sum(f) - s)):
+            return Monomial(f)
+    return None
 
 
 def subset(I: MonomialIdeal, J: MonomialIdeal) -> bool:

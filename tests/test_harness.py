@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 import symbpow.results as R
+from symbpow import harness, monomial
 from symbpow.decomposition import big_height
-from symbpow.errors import PowersCoincideWarning
+from symbpow.errors import PowersCoincideWarning, ResourceLimitError
 from symbpow.harness import (CHECK_NAMES, CHECKS, Check, ScanConfig, SuiteRanges,
                              check, findings_jsonl, result_to_dict, run_suite,
                              scan, scan_jsonl, suite_jsonl, suite_text)
@@ -285,3 +286,30 @@ def test_scan_warning_names_its_ideals():
     with pytest.warns(PowersCoincideWarning, match=r"^3 of 4 scanned ideals "
                                                    r"\(first scan-1-000\)"):
         scan(SCAN_COINCIDING)
+
+
+def test_a_resource_limit_keeps_its_rows_kind_and_time(monkeypatch, rot3):
+    """A budget exceeded inside a body is the row's resource_limit: the
+    chudnovsky row stays a conjecture, and its time is measured."""
+    def over_budget(I):
+        raise ResourceLimitError("vertex candidates", 11, 10)
+
+    monkeypatch.setattr(harness, "waldschmidt", over_budget)
+    res = check("chudnovsky", rot3)
+    assert (res.verdict, res.kind) == (R.RESOURCE_LIMIT, R.CONJECTURE)
+    assert res.classify() == "resource_limit" and res.elapsed > 0
+    assert res.details == {"reason": "vertex candidates: needs 11, budget is 10"}
+
+
+def test_equal_exponent_rows_reuse_the_squarefree_answers(monkeypatch, triples4):
+    """On a square-free ideal the equal-exponent rows ask the square-free
+    rows' 27 questions again, and the kernel answers them from its memo."""
+    first = run_suite(triples4, checks=["squarefree_containment"])
+    queries, real = [], monomial._rows_below
+    monkeypatch.setattr(monomial, "_rows_below",
+                        lambda *args: queries.append(args) or real(*args))
+    again = run_suite(triples4, checks=["equal_exponent_containment"])
+    assert queries == []
+    assert len(again.results) == 27
+    assert ([(r.verdict, r.details, r.witness) for r in again.results]
+            == [(r.verdict, r.details, r.witness) for r in first.results])

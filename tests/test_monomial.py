@@ -9,8 +9,8 @@ from symbpow import monomial
 from symbpow.decomposition import IrreducibleComponent, MonomialPrime
 from symbpow.errors import DimensionMismatchError
 from symbpow.geometry import NewtonPolyhedron, SymbolicPolyhedron
-from symbpow.monomial import (Monomial, MonomialIdeal, _any_divisor_mask,
-                              _from_vectors,
+from symbpow.monomial import (Monomial, MonomialIdeal, _divisor_index,
+                              _from_vectors, _rows_below,
                               containment_witness, minimal_vectors,
                               contains, intersect,
                               is_squarefree, maximal_ideal, multiply, power,
@@ -289,6 +289,16 @@ def test_containment_with_m_matches_literal_product(I, vec, s):
     assert _in_m_power_times(f, I, s) == contains(literal, f)
 
 
+@pytest.mark.parametrize("s", [1.0, 1.5, Fraction(1), "1"])
+def test_containment_refuses_a_gap_that_is_not_an_int(s):
+    """A float gap would round the degree test: x^(2^60) is not in
+    m * (x^(2^60)), but deg - 1.0 rounds back up to 2^60."""
+    A = ideal_of(1, (2 ** 60,))
+    assert containment_witness(A, A, 1) == m(2 ** 60)
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        containment_witness(A, A, s)
+
+
 # all monomials of one degree 11..14 in three variables but at most ten:
 # 68 to 120 generators, so the divisibility index over rhs holds masks of
 # that many bits and each lhs generator meets many candidate divisors
@@ -321,8 +331,35 @@ def _literal_witness(lhs, rhs, s):
 def test_containment_witness_matches_literal_product(lhs, rhs, s):
     expected = _literal_witness(lhs, rhs, s)
     assert containment_witness(lhs, rhs, s) == expected
+    assert containment_witness(lhs, rhs, s) == expected  # asked again
     if s == 0:
         assert subset(lhs, rhs) == (expected is None)
+
+
+def _spy(monkeypatch, name):
+    """Every call of monomial.<name>, recorded by its arguments."""
+    calls, real = [], getattr(monomial, name)
+    monkeypatch.setattr(monomial, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_containment_is_answered_once_per_question(monkeypatch):
+    """A repeated (lhs, rhs, s), even from new ideal objects of the same
+    value, makes no index query; another s against the same rhs queries
+    the index built for the first."""
+    lhs = power(maximal_ideal(3), 14)
+    containment_witness.cache_clear()
+    _divisor_index.cache_clear()
+    queries, builds = _spy(monkeypatch, "_rows_below"), _spy(monkeypatch, "_prefix_masks")
+    witness = containment_witness(lhs, HOLE, 4)
+    asked, built = len(queries), len(builds)
+    assert witness == m(7, 7, 0) and asked and built
+    assert containment_witness(lhs, HOLE, 4) == witness
+    assert containment_witness(MonomialIdeal(3, lhs.vectors),
+                               MonomialIdeal(3, HOLE.vectors), 4) == witness
+    assert len(queries) == asked
+    assert containment_witness(lhs, HOLE, 0) == witness
+    assert len(queries) > asked and len(builds) == built
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +374,14 @@ def _brute_minimal(vectors):
     uniq = set(vectors)
     keep = [v for v in uniq if not any(u != v and _divides(u, v) for u in uniq)]
     return sorted(keep, key=lambda v: (sum(v), v))
+
+
+def _divisor_mask(dim, targets, divisors, s):
+    """The containment kernel's index and query: for each target, is
+    there a divisor with degree gap >= s?  The divisors go in as they
+    are, repeated or not minimal."""
+    index = _divisor_index(MonomialIdeal(dim, tuple(divisors)))
+    return [bool(_rows_below(index, (*t, sum(t) - s))) for t in targets]
 
 
 def _brute_mask(targets, divisors, s):
@@ -372,17 +417,17 @@ def vector_family(draw, dim):
 @st.composite
 def kernel_case(draw):
     dim = draw(st.integers(min_value=1, max_value=6))
-    return draw(vector_family(dim)), draw(vector_family(dim))
+    return dim, draw(vector_family(dim)), draw(vector_family(dim))
 
 
 @given(kernel_case(), st.integers(min_value=0, max_value=4))
 @settings(max_examples=300, deadline=None)
 def test_vector_kernels_match_brute_force(case, s):
-    avecs, bvecs = case
+    dim, avecs, bvecs = case
     assert minimal_vectors(avecs) == _brute_minimal(avecs)
     assert minimal_vectors(avecs + bvecs) == _brute_minimal(avecs + bvecs)
-    assert _any_divisor_mask(avecs, bvecs, s) == _brute_mask(avecs, bvecs, s)
-    assert _any_divisor_mask(bvecs, avecs, s) == _brute_mask(bvecs, avecs, s)
+    assert _divisor_mask(dim, avecs, bvecs, s) == _brute_mask(avecs, bvecs, s)
+    assert _divisor_mask(dim, bvecs, avecs, s) == _brute_mask(bvecs, avecs, s)
 
 
 # ---------------------------------------------------------------------------
