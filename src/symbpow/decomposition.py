@@ -159,16 +159,16 @@ def _big_height(I: MonomialIdeal) -> int:
     return max(p.height for p in associated_primes(I))
 
 
-def warn_if_powers_coincide(I: MonomialIdeal, stacklevel: int = 2) -> None:
+def warn_if_powers_coincide(I: MonomialIdeal) -> None:
     """PowersCoincideWarning when the big height equals the variable count:
     the graded maximal ideal is then associated, and symbolic powers
-    coincide with ordinary powers.  Public entry points call it once;
-    stacklevel counts frames from theirs, as in warnings.warn."""
+    coincide with ordinary powers.  Public entry points call it once, and
+    the warning names the line that called them."""
     if _big_height(I) == I.ambient_dim:
         warnings.warn(
             "big-height equals the number of variables: symbolic powers "
             "of this ideal are its ordinary powers",
-            PowersCoincideWarning, stacklevel=stacklevel + 1)
+            PowersCoincideWarning, stacklevel=3)
 
 
 def big_height(I: MonomialIdeal) -> int:

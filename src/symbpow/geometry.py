@@ -11,7 +11,7 @@ certified LP of lp.py and one double-description routine.  Alpha (the
 least coordinate sum over the polyhedron) is one simplex solve.  Facets
 and vertices come from the double description (Motzkin et al. 1953;
 Fukuda and Prodon 1996), whose intermediate ray count has an explicit
-budget (ResourceLimitError, never truncation).  Q's vertices are
+budget, MAX_RAYS (ResourceLimitError, never truncation).  Q's vertices are
 enumerated over the rows of its components' facet tables, described next.
 
 Membership is integer dot products against one facet table per Newton
@@ -27,6 +27,7 @@ description, is a generator (H and N share the orthant as recession cone).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -36,7 +37,8 @@ from .decomposition import MonomialPrime, localize, max_associated_primes
 from .errors import ResourceLimitError, VerificationError
 from .monomial import MonomialIdeal, _Frozen, as_prime_power, require_proper
 
-DEFAULT_MAX_RAYS = 256
+MAX_RAYS = 256  # the most rays the double description keeps after a cut
+PROBE_SAMPLES = 8  # the convex combinations probe_points adds to Q's vertices
 
 
 class NewtonPolyhedron(_Frozen):
@@ -67,7 +69,7 @@ class NewtonPolyhedron(_Frozen):
         if sp is not None:
             s_vars, m = sp
             return ((tuple(int(i in s_vars) for i in range(self.ambient_dim)), m),)
-        return _certified_facets(self, _facet_rays(self, DEFAULT_MAX_RAYS))
+        return _certified_facets(self, _facet_rays(self))
 
 
 def newton_polyhedron(I: MonomialIdeal) -> NewtonPolyhedron:
@@ -101,8 +103,12 @@ def symbolic_polyhedron(I: MonomialIdeal) -> SymbolicPolyhedron:
 
 def _as_integers(a, dim: int) -> tuple[list[int], int]:
     """The point a as integer numerators over one positive common
-    denominator; integer and Fraction coordinates are read as they are."""
-    pt = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in a]
+    denominator.  A coordinate is a Fraction or what operator.index reads:
+    a float or a string raises ValueError."""
+    try:
+        pt = [x if isinstance(x, (int, Fraction)) else operator.index(x) for x in a]
+    except TypeError:
+        raise ValueError(f"inexact number in {a!r}: give ints or Fractions") from None
     if len(pt) != dim:
         raise ValueError(f"point has {len(pt)} coordinates, expected {dim}")
     den = lcm(*(x.denominator for x in pt))
@@ -123,7 +129,7 @@ def _certified_facets(N: NewtonPolyhedron, table) -> tuple[tuple[tuple[int, ...]
                                     f"tight valid inequality of {N.gens}")
     gens = set(N.gens)
     rows = [normal + (-offset,) for normal, offset in table]
-    for *x, t in _cone_rays(N.ambient_dim + 1, rows, DEFAULT_MAX_RAYS):
+    for *x, t in _cone_rays(N.ambient_dim + 1, rows):
         if t > 0 and (any(e % t for e in x) or tuple(e // t for e in x) not in gens):
             raise VerificationError(f"the facets of {N.gens} admit the vertex "
                                     f"{tuple(Fraction(e, t) for e in x)}")
@@ -145,16 +151,16 @@ def np_member(N: NewtonPolyhedron, a) -> bool:
 
 
 def member_scaled(Q: SymbolicPolyhedron, a, m) -> bool:
-    """Is a/m in every component of Q?  m is a positive integer or rational."""
-    m = Fraction(m)
-    if m <= 0:
+    """Is a/m in every component of Q?  m is a positive int or Fraction."""
+    (num,), m_den = _as_integers((m,), 1)
+    if num <= 0:
         raise ValueError("scale must be positive")
     v, den = _as_integers(a, Q.ambient_dim)
     if min(v, default=0) < 0:
         return False
-    # a/m is (m.denominator * v) / (m.numerator * den)
-    v = [m.denominator * x for x in v]
-    return all(_satisfies(N.facets, v, m.numerator * den) for _, N in Q.components)
+    # a/m is (m_den * v) / (num * den)
+    v = [m_den * x for x in v]
+    return all(_satisfies(N.facets, v, num * den) for _, N in Q.components)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +238,7 @@ def alpha_polyhedron(Q: SymbolicPolyhedron) -> tuple[Fraction, tuple[Fraction, .
 # facet / vertex enumeration (double description, budgeted)
 
 
-def _cone_rays(dim: int, rows, max_rays: int) -> list[tuple[int, ...]]:
+def _cone_rays(dim: int, rows) -> list[tuple[int, ...]]:
     """Extreme rays of {x >= 0 : row.x >= 0 for every row} as primitive
     integer vectors, by Motzkin's double description: start from the
     orthant's unit vectors and cut by one row at a time.  A ray on the
@@ -262,32 +268,32 @@ def _cone_rays(dim: int, rows, max_rays: int) -> list[tuple[int, ...]]:
                 vec = [sp * b - sn * a for a, b in zip(vp, vn)]
                 g = gcd(*vec)
                 kept.append((tuple(x // g for x in vec), common | bit))
-                if len(kept) > max_rays:
-                    raise ResourceLimitError("double-description rays", len(kept), max_rays)
+                if len(kept) > MAX_RAYS:
+                    raise ResourceLimitError("double-description rays", len(kept), MAX_RAYS)
         rays = kept
     return sorted(vec for vec, _ in rays)
 
 
-def _facet_rays(N: NewtonPolyhedron, max_rays: int) -> list[tuple[tuple[int, ...], int]]:
+def _facet_rays(N: NewtonPolyhedron) -> list[tuple[tuple[int, ...], int]]:
     """The facet inequalities normal.x >= offset of N other than the
     coordinate halfspaces, as primitive integer (normal, offset) pairs.
     By polarity they are the rays with offset > 0 of the cone of valid
     inequalities, cut by one row (v, -1) per generator v."""
     return [(tuple(normal), offset)
             for *normal, offset in _cone_rays(N.ambient_dim + 1,
-                                              [v + (-1,) for v in N.gens], max_rays)
+                                              [v + (-1,) for v in N.gens])
             if offset > 0]
 
 
-def enumerate_vertices(Q: SymbolicPolyhedron, max_rays: int = DEFAULT_MAX_RAYS) -> tuple:
+def enumerate_vertices(Q: SymbolicPolyhedron) -> tuple:
     """All vertices of Q, exactly, sorted.  Q is homogenized by one row
     (normal, -offset) per row of a component's certified N.facets; the
     rays (x, t) with t > 0 of that cone are the vertices x / t.  Each
     vertex is re-checked against every component.  An intermediate ray
-    count over max_rays in that cone raises ResourceLimitError; the
-    component tables have the default budget, as for membership."""
+    count over MAX_RAYS, in that cone or in a component's table, raises
+    ResourceLimitError."""
     rows = {normal + (-offset,) for _, N in Q.components for normal, offset in N.facets}
-    rays = _cone_rays(Q.ambient_dim + 1, sorted(rows), max_rays)
+    rays = _cone_rays(Q.ambient_dim + 1, sorted(rows))
     vertices = sorted(tuple(Fraction(x, t) for x in ray) for *ray, t in rays if t > 0)
     if not vertices:
         raise VerificationError("a pointed non-empty polyhedron must have a vertex")
@@ -302,29 +308,29 @@ def enumerate_vertices(Q: SymbolicPolyhedron, max_rays: int = DEFAULT_MAX_RAYS) 
 
 
 @lru_cache(maxsize=512)
-def _probe_vertices(Q: SymbolicPolyhedron, max_rays: int) -> tuple | None:
+def _probe_vertices(Q: SymbolicPolyhedron) -> tuple | None:
     """The vertices of Q, or None when their enumeration is over budget:
-    enumerated once per polyhedron, though a check probes Q at every r."""
+    enumerated once per polyhedron (under the MAX_RAYS of the first call),
+    though a check probes Q at every r."""
     try:
-        return enumerate_vertices(Q, max_rays)
+        return enumerate_vertices(Q)
     except ResourceLimitError:
         return None
 
 
-def probe_points(Q: SymbolicPolyhedron, sample_count: int, rng,
-                 max_rays: int = DEFAULT_MAX_RAYS):
-    """Points of Q to test a statement on: every vertex plus sample_count
+def probe_points(Q: SymbolicPolyhedron, rng):
+    """Points of Q to test a statement on: every vertex plus PROBE_SAMPLES
     pseudo-random convex combinations of them.  If vertex enumeration is
-    over budget, sample_count LP optima of random positive objectives
+    over budget, PROBE_SAMPLES LP optima of random positive objectives
     instead.  Returns (points, vertex count, sampled_only), each point as
     integer numerators over a positive denominator.  The vertices share
     the lcm L of their denominators; a combination with raw weights of
     total T is the same integer sum of their numerators over T * L."""
     d = Q.ambient_dim
-    verts = _probe_vertices(Q, max_rays)
+    verts = _probe_vertices(Q)
     if verts is None:
         points = []
-        for _ in range(sample_count):
+        for _ in range(PROBE_SAMPLES):
             objective = [rng.randint(1, 64) for _ in range(d)]
             v, den = _as_integers(_optimize_over(Q, objective)[1], d)
             points.append((tuple(v), den))
@@ -332,7 +338,7 @@ def probe_points(Q: SymbolicPolyhedron, sample_count: int, rng,
     den = lcm(*(x.denominator for v in verts for x in v))
     nums = [tuple(x.numerator * (den // x.denominator) for x in v) for v in verts]
     points = [(v, den) for v in nums]
-    for _ in range(sample_count):
+    for _ in range(PROBE_SAMPLES):
         w = rng.raw_weights(len(verts))
         points.append((tuple(sum(wi * v[i] for wi, v in zip(w, nums)) for i in range(d)),
                        sum(w) * den))

@@ -1,19 +1,20 @@
 """Batch machinery: the check table, suites over one ideal, randomized scans.
 
-Every named check is one row of the check table (CHECKS): a parameter grid
-read from SuiteRanges and a body that decides the statement's hypothesis
-and returns one Outcome, not_applicable when the hypothesis fails; a
-containment goes to the kernel through `_contained`, which asks whether
-lhs sits inside m^s * rhs.  `Check.run` alone turns an Outcome into a
-CheckResult, for the suite rows, the command-line containment and the
-scan's associated-primes oracle alike.  A suite runs a selection of rows
-over their grids against one ideal and tallies the outcomes.  A scan
-generates a pseudo-random corpus (square-free ideals come from
-intersecting a minimal family of monomial primes, which doubles as a free
-oracle for the associated primes) and runs a suite on each member,
-collecting failures of proven statements (bugs) and failures of
-conjectured ones (candidate counterexamples) into a findings list with
-enough detail to reproduce each one.
+Every named check is one row of the check table (CHECKS): a parameter
+grid read from SuiteRanges and a body that decides the statement's
+hypothesis and returns one Outcome, not_applicable when the hypothesis
+fails; a containment goes to the kernel through `_contained`, which asks
+whether lhs sits inside m^s * rhs.  `Check.run` alone turns an Outcome
+into a CheckResult, for the suite rows, the command-line containment and
+the scan's associated-primes oracle alike.  A row takes its parameters
+only: budgets and sample sizes are module constants, read where they
+bind.  A suite runs a selection of rows over their grids against one
+ideal and tallies the outcomes.  A scan generates a pseudo-random corpus
+(square-free ideals come from intersecting a minimal family of monomial
+primes, which doubles as a free oracle for the associated primes) and
+runs a suite on each member, collecting failures of proven statements
+(bugs) and failures of conjectured ones (candidate counterexamples) into
+a findings list with enough detail to reproduce each one.
 
 Reports serialize two ways: human-oriented text, and line-delimited JSON
 with sorted keys, exact "p/q" rationals, and no wall-clock timings, so a
@@ -36,11 +37,9 @@ from .decomposition import (MonomialPrime, _big_height, associated_primes,
                             localize, max_associated_primes, sigma,
                             warn_if_powers_coincide)
 from .errors import PowersCoincideWarning, ResourceLimitError
-from .geometry import (DEFAULT_MAX_RAYS, member_scaled, probe_points,
-                       symbolic_polyhedron)
-from .invariants import (DEFAULT_CLOSURE_BUDGET, _chudnovsky_bound, alpha,
-                         beta, is_equigenerated, is_integrally_closed,
-                         waldschmidt)
+from .geometry import member_scaled, probe_points, symbolic_polyhedron
+from .invariants import (_chudnovsky_bound, alpha, beta, is_equigenerated,
+                         is_integrally_closed, waldschmidt)
 from .monomial import (Monomial, MonomialIdeal, _from_vectors,
                        containment_witness, contains, intersect, is_squarefree,
                        power, require_proper)
@@ -89,16 +88,16 @@ class Check(namedtuple("Check", "name kind body grid options low")):
     """One row of the check table.
 
     grid maps each parameter to the SuiteRanges field holding its largest
-    value (a new empty dict by default), and options(ranges, seed) gives
-    the keyword arguments a suite adds.  body(I, **params, **options)
-    decides the hypothesis and returns an Outcome.  Every parameter must be
-    at least low."""
+    value (a new empty dict by default), and options(seed) gives the
+    keyword arguments a suite adds (the stairs row's seed).  body(I,
+    **params, **options) decides the hypothesis and returns an Outcome.
+    Every parameter must be at least low."""
 
     __slots__ = ()
 
     def __new__(cls, name: str, kind: str, body: Callable[..., Outcome],
                 grid: dict[str, str] | None = None,
-                options: Callable[[SuiteRanges, int], dict] = lambda ranges, seed: {},
+                options: Callable[[int], dict] = lambda seed: {},
                 low: int = 1):
         return super().__new__(cls, name, kind, body, {} if grid is None else grid,
                                options, low)
@@ -221,20 +220,20 @@ def _alpha_lower(I, m):
                     "equality": am == m * w})
 
 
-def _stairs(I, r, sample_count=8, seed=0, max_rays=DEFAULT_MAX_RAYS):
+def _stairs(I, r, seed=0):
     """e*r*Q sits inside the staircase region of I^r: checked on every
     vertex of Q plus pseudo-random convex combinations; if vertex
     enumeration is over budget, on sampled LP optima of random positive
-    objectives instead (flagged sampled_only)."""
+    objectives instead (flagged sampled_only), drawn from seed."""
     e = _big_height(I)
     Ir = power(I, r)
     points, vertex_count, sampled_only = probe_points(
-        symbolic_polyhedron(I), sample_count, SplitRng(seed, ("stairs", r)), max_rays)
+        symbolic_polyhedron(I), SplitRng(seed, ("stairs", r)))
     # e*r*v/den lies above g exactly when g*den <= e*r*v, in integers
     bad = next(((v, den) for v, den in points
                 if not any(all(a * den <= e * r * x for a, x in zip(g, v))
                            for g in Ir.vectors)), None)
-    details = {"e": e, "vertices": vertex_count, "samples": sample_count,
+    details = {"e": e, "vertices": vertex_count, "samples": len(points) - vertex_count,
                "sampled_only": sampled_only, "seed": seed}
     if bad is not None:
         v, den = bad
@@ -242,12 +241,15 @@ def _stairs(I, r, sample_count=8, seed=0, max_rays=DEFAULT_MAX_RAYS):
     return Outcome(_holds(bad is None), details)
 
 
-def _alpha_slope(I, r, m=None, threshold_cap=12):
+THRESHOLD_CAP = 12  # the largest m that alpha_slope picks for itself
+
+
+def _alpha_slope(I, r, m=None):
     """For m at least max(e*r, beta(I^r)/waldschmidt), the m-th symbolic
     power sits in m^s * I^r with s = ceil(waldschmidt * m) - beta(I^r).
 
     With m omitted, the least integer satisfying the hypothesis is used;
-    if that exceeds threshold_cap the check reports a resource limit
+    if that exceeds THRESHOLD_CAP the check reports a resource limit
     instead of computing an enormous symbolic power.
     """
     w, Ir = waldschmidt(I), power(I, r)
@@ -255,9 +257,9 @@ def _alpha_slope(I, r, m=None, threshold_cap=12):
     threshold = max(Fraction(_big_height(I) * r), Fraction(br) / w)
     if m is None:
         m = ceil(threshold)
-        if m > threshold_cap:
+        if m > THRESHOLD_CAP:
             return Outcome(R.RESOURCE_LIMIT, {"threshold": threshold,
-                                              "threshold_cap": threshold_cap})
+                                              "threshold_cap": THRESHOLD_CAP})
     elif m < threshold:
         return Outcome(R.NOT_APPLICABLE, {"threshold": threshold,
                                           "reason": "m below threshold"})
@@ -312,7 +314,7 @@ def _alpha_equality(I, r):
     return out if holds else out._replace(verdict=R.FAILS)
 
 
-def _integrally_closed_bound(I, max_points=DEFAULT_CLOSURE_BUDGET):
+def _integrally_closed_bound(I):
     """For ideals in n+1 variables whose localizations at the maximal
     associated primes are all integrally closed, with alpha(I) large
     relative to n (alpha >= n+4 for n >= 3, alpha >= 8 for n = 2), the
@@ -325,7 +327,7 @@ def _integrally_closed_bound(I, max_points=DEFAULT_CLOSURE_BUDGET):
     # details so far, not a bare resource limit
     try:
         for P in max_associated_primes(I):
-            if not is_integrally_closed(localize(I, P), max_points):
+            if not is_integrally_closed(localize(I, P)):
                 return Outcome(R.NOT_APPLICABLE, details | {
                     "reason": "a localization is not integrally closed",
                     "prime": P.render()})
@@ -348,7 +350,7 @@ CHECKS: dict[str, Check] = {c.name: c for c in (
     Check("polyhedron_bound", R.THEOREM, _polyhedron_bound, grid={"m": "m_max"}),
     Check("alpha_lower", R.THEOREM, _alpha_lower, grid={"m": "alpha_m_cap"}),
     Check("stairs", R.THEOREM, _stairs, grid={"r": "r_max"},
-          options=lambda ranges, seed: {"seed": seed}),
+          options=lambda seed: {"seed": seed}),
     Check("alpha_slope", R.THEOREM, _alpha_slope, grid={"r": "r_max"}),
     Check("chudnovsky", R.CONJECTURE, _chudnovsky),
     Check("equigenerated_containment", R.THEOREM, _equigenerated_containment,
@@ -363,20 +365,18 @@ SYMBOLIC_IN_MPOWER = Check("symbolic_in_mpower", R.EXPLORATION,
                            _symbolic_in_mpower, low=0)
 
 
-def check(name: str, I: MonomialIdeal, params: dict | None = None,
-          **options) -> CheckResult:
+def check(name: str, I: MonomialIdeal, params: dict | None = None) -> CheckResult:
     """The check `name`, a CHECKS row or "symbolic_in_mpower", on I at one
     parameter point.  params holds the row's parameters, e.g. {"r": 1} or
-    {"r": 1, "m": 4} for alpha_slope; options are its body's keywords, such
-    as sample_count or threshold_cap.  A parameter or option the body does
-    not take raises TypeError.  It warns once, naming the line that called
-    it."""
+    {"r": 1, "m": 4} for alpha_slope; a parameter the body does not take
+    raises TypeError.  The stairs row samples with seed 0, as a suite does
+    by default.  It warns once, naming the line that called it."""
     row = SYMBOLIC_IN_MPOWER if name == SYMBOLIC_IN_MPOWER.name else CHECKS.get(name)
     if row is None:
         raise ValueError(f"unknown check {name!r}")
     require_proper(I)
     warn_if_powers_coincide(I)
-    return row.run(I, params or {}, **options)
+    return row.run(I, params or {})
 
 
 # every classification a result can get, the keys of a report's summary
@@ -406,6 +406,9 @@ class SuiteReport(namedtuple("SuiteReport", "ideal names results label",
 def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
               seed: int = 0, names=None, label: str | None = None) -> SuiteReport:
     require_proper(I)
+    names = default_names(I.ambient_dim) if names is None else tuple(names)
+    if len(names) != I.ambient_dim:
+        raise ValueError(f"{len(names)} variable names for {I.ambient_dim} variables")
     ranges = ranges or SuiteRanges()
     selected = CHECK_NAMES if checks is None else tuple(checks)
     if not selected:
@@ -418,10 +421,8 @@ def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
     for name in selected:
         row = CHECKS[name]
         for params in row.points(ranges):
-            results.append(row.run(I, params, **row.options(ranges, seed)))
-    if names is None:
-        names = default_names(I.ambient_dim)
-    return SuiteReport(I, tuple(names), tuple(results), label)
+            results.append(row.run(I, params, **row.options(seed)))
+    return SuiteReport(I, names, tuple(results), label)
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +430,12 @@ def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
 
 
 class ScanConfig(namedtuple("ScanConfig", "count seed num_vars max_exp max_gens "
-                                         "squarefree_only checks ranges",
-                            defaults=(20, 0, (3, 4), 4, 6, False, None, SuiteRanges()))):
+                                         "squarefree_only checks",
+                            defaults=(20, 0, (3, 4), 4, 6, False, None))):
     """A scan: count ideals drawn from seed, each in one of num_vars
     variables, with exponents up to max_exp and up to max_gens generators,
     square-free ones only if squarefree_only; checks (None for all) run
-    over ranges."""
+    over the default SuiteRanges."""
 
     __slots__ = ()
 
@@ -535,10 +536,8 @@ def _scan_suite(rng: SplitRng, i: int, config: ScanConfig) -> SuiteReport:
         I = _random_general(rng.child("general"), nvars,
                             config.max_exp, config.max_gens)
     label = f"scan-{config.seed}-{i:03d}"
-    suite = run_suite(I, checks=config.checks, ranges=config.ranges,
-                      seed=config.seed, label=label)
-    return SuiteReport(suite.ideal, suite.names,
-                       tuple(extra) + suite.results, label)
+    suite = run_suite(I, checks=config.checks, seed=config.seed, label=label)
+    return suite._replace(results=tuple(extra) + suite.results)
 
 
 def scan(config: ScanConfig) -> ScanReport:
@@ -631,12 +630,8 @@ def scan_text(report: ScanReport, timings: bool = False) -> str:
 
 
 def scan_jsonl(report: ScanReport) -> str:
-    lines = []
-    for suite in report.suites:
-        lines.append(suite_jsonl(suite).rstrip("\n"))
-    lines.append(json.dumps({"type": "scan_summary"} | report.summary,
-                            sort_keys=True))
-    return "\n".join(lines) + "\n"
+    summary = json.dumps({"type": "scan_summary"} | report.summary, sort_keys=True)
+    return "".join(map(suite_jsonl, report.suites)) + summary + "\n"
 
 
 def findings_jsonl(report: ScanReport) -> str:

@@ -21,7 +21,7 @@ from .monomial import (MonomialIdeal, above_some, is_squarefree, iter_box,
                        require_proper)
 from .symbolic import symbolic_equals_ordinary
 
-DEFAULT_CLOSURE_BUDGET = 200_000
+CLOSURE_BUDGET = 200_000  # the most lattice points is_integrally_closed scans
 
 
 def alpha(I: MonomialIdeal) -> int:
@@ -69,17 +69,17 @@ def _chudnovsky_bound(I: MonomialIdeal) -> Fraction:
 # integral closure
 
 
-def is_integrally_closed(I: MonomialIdeal,
-                         max_points: int = DEFAULT_CLOSURE_BUDGET) -> bool:
+def is_integrally_closed(I: MonomialIdeal) -> bool:
     """Whether every lattice point of the Newton polyhedron lies in the
     staircase of I.  It suffices to scan the box up to the componentwise
     maximum M of the generators: clamping a counterexample to the box keeps
-    it inside the polyhedron and outside the staircase."""
+    it inside the polyhedron and outside the staircase.  A box of more than
+    CLOSURE_BUDGET points raises ResourceLimitError."""
     require_proper(I)
     corner = tuple(map(max, zip(*I.vectors)))
     volume = prod(c + 1 for c in corner)
-    if volume > max_points:
-        raise ResourceLimitError("integral closure box", volume, max_points)
+    if volume > CLOSURE_BUDGET:
+        raise ResourceLimitError("integral closure box", volume, CLOSURE_BUDGET)
     N = newton_polyhedron(I)
     for pt in iter_box(corner):
         if not above_some(I.vectors, pt) and np_member(N, pt):

@@ -107,14 +107,11 @@ class Monomial(_Frozen):
         self.__dict__["exponents"] = exps
 
     def render(self, names: Sequence[str] | None = None) -> str:
-        if names is None:
-            names = [f"x{i}" for i in range(len(self.exponents))]
-        parts = []
-        for name, e in zip(names, self.exponents):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
+        exps = self.exponents
+        names = [f"x{i}" for i in range(len(exps))] if names is None else names
+        if len(names) != len(exps):
+            raise ValueError(f"{len(names)} variable names for {len(exps)} variables")
+        parts = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
         return "*".join(parts) if parts else "1"
 
     def __str__(self):

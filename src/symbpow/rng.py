@@ -9,6 +9,7 @@ what makes scan reports byte-identical across runs and platforms.
 from __future__ import annotations
 
 _BLOCK_BITS = 128
+WEIGHT_GRANULARITY = 12  # the largest raw weight
 
 
 class SplitRng:
@@ -51,11 +52,11 @@ class SplitRng:
         picked.sort(key=order.__getitem__)
         return picked
 
-    def raw_weights(self, count: int, granularity: int = 12) -> list[int]:
-        """Random integers in [0, granularity] over `count` slots, not all
-        zero: convex weights before they are divided by their total."""
+    def raw_weights(self, count: int) -> list[int]:
+        """Random integers in [0, WEIGHT_GRANULARITY] over `count` slots,
+        not all zero: convex weights before they are divided by their total."""
         while True:
-            raw = [self.randint(0, granularity) for _ in range(count)]
+            raw = [self.randint(0, WEIGHT_GRANULARITY) for _ in range(count)]
             if any(raw):
                 return raw
 

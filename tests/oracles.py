@@ -75,10 +75,10 @@ def stairs_member(J: MonomialIdeal, point) -> bool:
     return above_some(J.vectors, _as_point(point, J.ambient_dim))
 
 
-def convex_weights(rng, count: int, granularity: int = 12) -> list[Fraction]:
+def convex_weights(rng, count: int) -> list[Fraction]:
     """Random exact convex weights (sum to 1) over `count` slots, from the
     raw weights of a SplitRng."""
-    raw = rng.raw_weights(count, granularity)
+    raw = rng.raw_weights(count)
     total = sum(raw)
     return [Fraction(r, total) for r in raw]
 

@@ -12,7 +12,7 @@ from symbpow.geometry import (NewtonPolyhedron, _optimize_over, alpha_polyhedron
                               enumerate_vertices, member_scaled,
                               newton_polyhedron, np_member, probe_points,
                               symbolic_polyhedron)
-from symbpow.harness import check
+from symbpow.harness import check, run_suite
 from symbpow.monomial import Monomial, MonomialIdeal, multiply, power
 from symbpow.rng import SplitRng
 
@@ -22,6 +22,18 @@ from oracles import (caratheodory_decompose, convex_weights, np_member_lp,
                      realizing_denominator, stairs_member)
 
 F = Fraction
+
+
+@pytest.fixture
+def lower_max_rays(monkeypatch):
+    """A setter of geometry.MAX_RAYS for one test.  _probe_vertices is
+    keyed by Q alone and would keep a verdict reached under another
+    budget, so its memo is cleared at each setting and on the way out."""
+    def lower(value):
+        geometry._probe_vertices.cache_clear()
+        monkeypatch.setattr(geometry, "MAX_RAYS", value)
+    yield lower
+    geometry._probe_vertices.cache_clear()
 
 
 def test_simplex_power_membership():
@@ -150,15 +162,16 @@ def test_vertex_escaping_a_component_raises(rot3, monkeypatch):
         enumerate_vertices(Q)
 
 
-def test_vertex_enumeration_budget():
+def test_vertex_enumeration_budget(lower_max_rays):
     # the edge ideal of the complete graph on 6 vertices: more than 16
     # vertices, so more than 16 rays; the budget raises instead of truncating
     I = ideal_of(6, *(tuple(int(k in (i, j)) for k in range(6))
                       for i in range(6) for j in range(i + 1, 6)))
     Q = symbolic_polyhedron(I)
     assert len(enumerate_vertices(Q)) > 16
+    lower_max_rays(16)
     with pytest.raises(ResourceLimitError) as exc:
-        enumerate_vertices(Q, max_rays=16)
+        enumerate_vertices(Q)
     assert exc.value.what == "double-description rays"
     assert exc.value.limit == 16
 
@@ -169,9 +182,9 @@ def test_vertex_enumeration_reads_the_certified_tables(monkeypatch, rot3):
     calls = []
     real = geometry._facet_rays
 
-    def counting(N, max_rays):
+    def counting(N):
         calls.append(N)
-        return real(N, max_rays)
+        return real(N)
 
     monkeypatch.setattr(geometry, "_facet_rays", counting)
     Q = symbolic_polyhedron(rot3)
@@ -474,6 +487,42 @@ def test_realizing_denominator(rot3, triples4):
     assert realizing_denominator(triples4, (F(1, 2),) * 4) == 2
 
 
+class _Index:
+    """An exact integer that is no int: operator.index reads it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("call", [
+    lambda N, Q: np_member(N, (0.1, 1, 1)),
+    lambda N, Q: np_member(N, ("1", 1, 1)),
+    lambda N, Q: np_member(N, (1.0, 1, 1)),
+    lambda N, Q: member_scaled(Q, (1, 1, 1), 0.5),
+    lambda N, Q: member_scaled(Q, (2, 2, 2), "3"),
+    lambda N, Q: member_scaled(Q, (F(1, 2), 2.5, 2), 1),
+], ids=["float", "string", "integral-float", "float-scale", "string-scale",
+        "float-coordinate"])
+def test_geometry_refuses_inexact_numbers(rot3, call):
+    """A coordinate or scale is a Fraction or what operator.index reads, as
+    an exponent of a Monomial is: a float or a string is refused, not read
+    through Fraction."""
+    Q = symbolic_polyhedron(rot3)
+    with pytest.raises(ValueError, match="inexact number"):
+        call(Q.components[0][1], Q)
+
+
+def test_geometry_reads_what_operator_index_reads(rot3):
+    Q = symbolic_polyhedron(rot3)
+    N = Q.components[0][1]
+    assert np_member(N, (_Index(2), 0, 0)) == np_member(N, (2, 0, 0)) is True
+    assert member_scaled(Q, (2, 2, 2), _Index(3)) == member_scaled(Q, (2, 2, 2), 3)
+    assert member_scaled(Q, (_Index(1), 1, 1), F(3, 2))
+
+
 def test_stairs_member():
     I = ideal_of(2, (2, 0), (0, 1))
     assert stairs_member(I, (2, 0))
@@ -481,7 +530,7 @@ def test_stairs_member():
     assert not stairs_member(I, (F(3, 2), F(1, 2)))
 
 
-def test_probe_points_are_exact_convex_combinations(rot3):
+def test_probe_points_are_exact_convex_combinations(rot3, monkeypatch, lower_max_rays):
     """Integer numerators over a denominator: every vertex, then convex
     combinations with the weights convex_weights draws from the same
     stream; over the ray budget, LP optima of the same objectives."""
@@ -490,12 +539,14 @@ def test_probe_points_are_exact_convex_combinations(rot3):
     rng = SplitRng(0, ("stairs", 2))
     combos = [tuple(sum(wi * v[i] for wi, v in zip(w, verts)) for i in range(3))
               for w in (convex_weights(rng, len(verts)) for _ in range(8))]
-    points, count, sampled = probe_points(Q, 8, SplitRng(0, ("stairs", 2)))
+    points, count, sampled = probe_points(Q, SplitRng(0, ("stairs", 2)))
     assert (count, sampled) == (len(verts), False)
     assert [tuple(F(x, den) for x in v) for v, den in points] == list(verts) + combos
     rng = SplitRng(0, ("stairs", 1))
     optima = [_optimize_over(Q, [rng.randint(1, 64) for _ in range(3)])[1] for _ in range(4)]
-    points, count, sampled = probe_points(Q, 4, SplitRng(0, ("stairs", 1)), max_rays=1)
+    monkeypatch.setattr(geometry, "PROBE_SAMPLES", 4)
+    lower_max_rays(1)
+    points, count, sampled = probe_points(Q, SplitRng(0, ("stairs", 1)))
     assert (count, sampled) == (0, True)
     assert [tuple(F(x, den) for x in v) for v, den in points] == optima
 
@@ -507,11 +558,36 @@ def test_stairs_witness_is_the_first_point_outside(monkeypatch, rot3):
     monkeypatch.setattr(harness, "power", lambda I, r: power(I, r + 1))
     res = check("stairs", rot3, {"r": 1})
     assert res.verdict == R.FAILS
-    points, _, _ = probe_points(symbolic_polyhedron(rot3), 8, SplitRng(0, ("stairs", 1)))
+    points, _, _ = probe_points(symbolic_polyhedron(rot3), SplitRng(0, ("stairs", 1)))
     e, J = _big_height(rot3), power(rot3, 2)
     bad = next(p for p in ([F(x, den) for x in v] for v, den in points)
                if not stairs_member(J, [e * x for x in p]))
     assert res.details["witness_point"] == [str(x) for x in bad]
+
+
+def test_the_suite_seed_reaches_every_stairs_row(monkeypatch, rot3):
+    """run_suite(seed=5) samples the stairs row at r from SplitRng(5,
+    ("stairs", r)) and reports the seed on every row; with I^r swapped for
+    I^(r+1), a failing row's witness is the first of those probe points p
+    with e*r*p outside the staircase."""
+    monkeypatch.setattr(harness, "power", lambda I, r: power(I, r + 1))
+    streams = []
+    monkeypatch.setattr(harness, "probe_points",
+                        lambda Q, rng: streams.append((rng.seed, rng.path))
+                        or probe_points(Q, rng))
+    report = run_suite(rot3, checks=("stairs",), seed=5)
+    assert [res.details["seed"] for res in report.results] == [5, 5, 5]
+    assert streams == [(5, ("stairs", str(r))) for r in (1, 2, 3)]
+    Q, e = symbolic_polyhedron(rot3), _big_height(rot3)
+    failed = [res for res in report.results if res.verdict == R.FAILS]
+    assert failed
+    for res in failed:
+        r = res.params["r"]
+        points, _, _ = probe_points(Q, SplitRng(5, ("stairs", r)))
+        J = power(rot3, r + 1)
+        bad = next(p for p in ([F(x, den) for x in v] for v, den in points)
+                   if not stairs_member(J, [e * r * x for x in p]))
+        assert res.details["witness_point"] == [str(x) for x in bad]
 
 
 def test_stairs_containment(rot3, triples4):
@@ -522,10 +598,13 @@ def test_stairs_containment(rot3, triples4):
             assert not res.details["sampled_only"]
 
 
-def test_stairs_sampled_fallback(rot3):
-    res = check("stairs", rot3, {"r": 1}, sample_count=4, max_rays=1)
+def test_stairs_sampled_fallback(rot3, monkeypatch, lower_max_rays):
+    monkeypatch.setattr(geometry, "PROBE_SAMPLES", 4)
+    lower_max_rays(1)
+    res = check("stairs", rot3, {"r": 1})
     assert res.verdict == R.HOLDS
     assert res.details["sampled_only"]
+    assert res.details["samples"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -652,18 +731,14 @@ def test_tampered_facet_table_raises(monkeypatch, tamper):
     """The certificate rejects a table that is not N's H-description at
     the first membership query."""
     real = geometry._facet_rays
-    monkeypatch.setattr(geometry, "_facet_rays",
-                        lambda N, max_rays: tamper(real(N, max_rays)))
+    monkeypatch.setattr(geometry, "_facet_rays", lambda N: tamper(real(N)))
     N = newton_polyhedron(TRIANGLE)
     with pytest.raises(VerificationError):
         np_member(N, (1, 1, 0))
 
 
-def test_facet_table_over_budget_is_a_resource_limit(monkeypatch, tmp_path):
-    def over_budget(N, max_rays):
-        raise ResourceLimitError("double-description rays", max_rays + 1, max_rays)
-
-    monkeypatch.setattr(geometry, "_facet_rays", over_budget)
+def test_facet_table_over_budget_is_a_resource_limit(lower_max_rays, tmp_path):
+    lower_max_rays(1)
     with pytest.raises(ResourceLimitError):
         np_member(newton_polyhedron(TRIANGLE), (1, 1, 0))
     # fresh polyhedra: the cached ones may hold a facet table already

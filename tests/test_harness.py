@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import symbpow.results as R
-from symbpow import harness, monomial
+from symbpow import harness, invariants, monomial
 from symbpow.decomposition import big_height
 from symbpow.errors import PowersCoincideWarning, ResourceLimitError
 from symbpow.harness import (CHECK_NAMES, CHECKS, Check, ScanConfig, SuiteRanges,
@@ -49,7 +49,6 @@ def test_records_are_immutable_and_share_no_default():
     rows = [Check("x", R.THEOREM, lambda I: None) for _ in range(2)]
     assert rows[0].grid == {} and rows[0].grid is not rows[1].grid
     assert SuiteRanges() == SuiteRanges(3, 3, 3, 6)
-    assert ScanConfig(count=5).ranges == SuiteRanges()
 
 
 def test_polyhedron_bound_check(rot3):
@@ -66,6 +65,18 @@ def test_run_suite_rot3(rot3):
     flagged = [res for res in report.results if res.classify() == "candidate"]
     assert flagged[0].name == "refined_containment"
     assert flagged[0].witness == Monomial((2, 2, 2))
+
+
+def test_run_suite_refuses_a_wrong_number_of_names(rot3, monkeypatch):
+    """Names are paired with exponents, so two names for rot3's three
+    variables would report it as (y, x*y, x*y^2, x^2) with the witness
+    x^2*y^2: run_suite refuses them before any row runs."""
+    ran = []
+    monkeypatch.setattr(Check, "run", lambda *args, **kwargs: ran.append(args))
+    for names in (("x", "y"), ("x", "y", "z", "w")):
+        with pytest.raises(ValueError, match="variable names for 3 variables"):
+            run_suite(rot3, names=names)
+    assert ran == []
 
 
 def test_run_suite_subset_of_checks(triples4):
@@ -187,7 +198,7 @@ def test_check_gives_the_suite_result(name, triples4):
     """check reaches every suite row, and at a grid point it gives what the
     suite gives there."""
     row = CHECKS[name]
-    got = check(name, triples4, row.points(ONES)[0], **row.options(ONES, 0))
+    got = check(name, triples4, row.points(ONES)[0])
     suite = run_suite(triples4, checks=[name], ranges=ONES)
     names = suite.names
     assert [result_to_dict(got, names)] == [result_to_dict(res, names)
@@ -205,20 +216,27 @@ CHECK_ROWS_SHA256 = "91d9dd037884187732dd27f050c825ee925822cd59bd2592b58f526e4b3
 
 
 @pytest.mark.filterwarnings("ignore::symbpow.errors.PowersCoincideWarning")
-def test_every_row_and_its_rare_branches_are_pinned(rot3, triples4, edges3):
+def test_every_row_and_its_rare_branches_are_pinned(rot3, triples4, edges3, monkeypatch):
     """check() on six ideals: every CHECKS row at its first grid point, and
     the branches no scan pin reaches: alpha_slope below its threshold and
-    over its threshold_cap, the closure test over its budget, and
-    symbolic_in_mpower with its witness probe."""
-    calls = [(name, CHECKS[name].points(ONES)[0], CHECKS[name].options(ONES, 0))
-             for name in CHECK_NAMES]
-    calls += [("alpha_slope", {"r": 1, "m": 1}, {}),
-              ("alpha_slope", {"r": 1}, {"threshold_cap": 1}),
-              ("integrally_closed_bound", {}, {"max_points": 1}),
-              ("symbolic_in_mpower", {"m": 3, "s": 1, "r": 2}, {})]
+    over THRESHOLD_CAP, the closure test over CLOSURE_BUDGET, and
+    symbolic_in_mpower with its witness probe.  A limit is lowered for its
+    own call only."""
+    calls = [(name, CHECKS[name].points(ONES)[0], ()) for name in CHECK_NAMES]
+    calls += [("alpha_slope", {"r": 1, "m": 1}, ()),
+              ("alpha_slope", {"r": 1}, ((harness, "THRESHOLD_CAP", 1),)),
+              ("integrally_closed_bound", {}, ((invariants, "CLOSURE_BUDGET", 1),)),
+              ("symbolic_in_mpower", {"m": 3, "s": 1, "r": 2}, ())]
     ideals = (rot3, triples4, edges3, ideal_of(2, (2, 0), (0, 5)), IC4, BE4)
-    rows = [result_to_dict(check(name, I, params, **options), default_names(I.ambient_dim))
-            for I in ideals for name, params, options in calls]
+
+    def run(name, I, params, limits):
+        with monkeypatch.context() as patch:
+            for module, limit, value in limits:
+                patch.setattr(module, limit, value)
+            return result_to_dict(check(name, I, params), default_names(I.ambient_dim))
+
+    rows = [run(name, I, params, limits)
+            for I in ideals for name, params, limits in calls]
     details = [row["details"] for row in rows]
     assert {"threshold": "5/2", "reason": "m below threshold"} in details
     assert {"threshold": "5/2", "threshold_cap": 1} in details
@@ -250,11 +268,18 @@ def test_check_rejects_an_unknown_name(rot3):
     ("integrally_closed_bound", {}, {"max_point": 10}),
     ("alpha_slope", {"r": 1, "m": 1, "t": 2}, {}),
     ("symbolic_in_mpower", {"m": 3, "s": 0}, {}),
+    ("integrally_closed_bound", {"max_points": 10}, {}),
+    ("alpha_slope", {"r": 1, "threshold_cap": 1}, {}),
+    ("alpha_slope", {"r": 1}, {"threshold_cap": 1}),
+    ("stairs", {"r": 1, "sample_count": 4}, {}),
+    ("stairs", {"r": 1}, {"max_rays": 1}),
 ])
 def test_check_rejects_a_misspelled_argument(name, params, options):
     """A TypeError, also where the hypothesis answers not_applicable before
     the body runs: x^2, y^5 is not equigenerated, its alpha is too small for
-    the closure bound, and m = 1 is below the slope threshold 5/2."""
+    the closure bound, and m = 1 is below the slope threshold 5/2.  A budget
+    or a sample size is neither a parameter nor an option: check takes
+    none."""
     I = ideal_of(2, (2, 0), (0, 5))
     with pytest.raises(TypeError):
         check(name, I, params, **options)

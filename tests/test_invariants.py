@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import symbpow.results as R
+from symbpow import harness, invariants
 from symbpow.errors import ResourceLimitError
 from symbpow.harness import check
 from symbpow.invariants import (alpha, beta, chudnovsky_bound,
@@ -87,8 +88,9 @@ def test_alpha_slope_auto_m(rot3):
     assert res.params["m"] == 2  # threshold max(2, 3/2) = 2
 
 
-def test_alpha_slope_threshold_cap(rot3):
-    res = check("alpha_slope", rot3, {"r": 1}, threshold_cap=1)
+def test_alpha_slope_threshold_cap(rot3, monkeypatch):
+    monkeypatch.setattr(harness, "THRESHOLD_CAP", 1)
+    res = check("alpha_slope", rot3, {"r": 1})
     assert res.verdict == R.RESOURCE_LIMIT
 
 
@@ -112,13 +114,14 @@ def test_alpha_equality_check(edges3, rot3):
     assert check("alpha_equality", rot3, {"r": 1}).verdict == R.NOT_APPLICABLE
 
 
-def test_is_integrally_closed():
+def test_is_integrally_closed(monkeypatch):
     assert is_integrally_closed(ideal_of(2, (2, 0), (0, 1)))
     assert is_integrally_closed(power(maximal_ideal(3), 4))
     # (x^2, y^2) misses x*y which lies in the Newton polyhedron
     assert not is_integrally_closed(ideal_of(2, (2, 0), (0, 2)))
+    monkeypatch.setattr(invariants, "CLOSURE_BUDGET", 100)
     with pytest.raises(ResourceLimitError):
-        is_integrally_closed(ideal_of(2, (40, 0), (0, 40)), max_points=100)
+        is_integrally_closed(ideal_of(2, (40, 0), (0, 40)))
 
 
 def test_integrally_closed_bound():

@@ -93,6 +93,17 @@ def test_render():
     assert m(0, 0).render() == "1"
 
 
+def test_render_refuses_a_wrong_number_of_names(rot3):
+    """Two names for three exponents would render rot3 as
+    (b, a*b, a*b^2, a^2): the name count must match the variable count."""
+    assert rot3.render(["a", "b", "c"]) == "(b*c^2, a*b*c, a*b^2, a^2*c)"
+    for names in (["a", "b"], ["a", "b", "c", "d"]):
+        with pytest.raises(ValueError, match="variable names for 3 variables"):
+            rot3.render(names)
+        with pytest.raises(ValueError, match="variable names for 3 variables"):
+            m(1, 0, 2).render(names)
+
+
 # ---------------------------------------------------------------------------
 # ideal construction and minimal generators
 
