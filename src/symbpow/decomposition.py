@@ -15,6 +15,13 @@ which the divisibility index of `minimal_vectors` finds on flipped
 exponent vectors.  What is left is the unique irredundant irreducible
 decomposition, sorted by its variable powers.
 
+The decomposition is checked before it is returned, by meeting its
+components again, one at a time from the unit ideal, with none of the
+build's code: a prime component through the prime-power kernel of
+monomial.py, any other by the elementary rule for a meet with
+(x_j^b_j : j in T) (see _check_recombines).  Unless the meet is I,
+VerificationError is raised.
+
 Associated primes are the radicals of those components; grouping
 components by radical gives an irredundant primary decomposition, so no
 radical is spurious.
@@ -23,12 +30,13 @@ radical is spurious.
 from __future__ import annotations
 
 import warnings
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import (NonAssociatedPrimeWarning, PowersCoincideWarning,
                      VerificationError)
 from .monomial import (MonomialIdeal, _canonical, _from_vectors, _Frozen,
-                       intersect, minimal_vectors, require_proper)
+                       _meet_simplex_power, _prefix_masks, _rows_below,
+                       minimal_vectors, require_proper)
 
 _DECOMP_CACHE_SIZE = 1024
 
@@ -65,6 +73,8 @@ class MonomialPrime(_Frozen):
     def render(self, names=None) -> str:
         if names is None:
             names = [f"x{i}" for i in range(self.ambient_dim)]
+        if len(names) != self.ambient_dim:
+            raise ValueError(f"{len(names)} variable names for {self.ambient_dim} variables")
         return "(" + ",".join(names[i] for i in self.variables) + ")"
 
     def __str__(self):
@@ -133,11 +143,47 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
                                   tuple((j, top - x) for j, x in enumerate(f) if x))
              for f in flips]
     comps.sort(key=lambda c: c.powers)
-    recombined = reduce(intersect, (c.to_ideal() for c in comps))
-    if recombined != I:
+    _check_recombines(I, comps)
+    return tuple(comps)
+
+
+def _check_recombines(I: MonomialIdeal, comps) -> None:
+    """Raise VerificationError unless the components meet in exactly I.
+
+    The meet is folded over the components from the unit ideal.  A prime
+    component goes through the prime-power kernel at m = 1.  Any other,
+    Q = (x_j^b_j : j in T), follows the elementary rule: a minimal
+    generator g of the meet that lies in Q (some g_j >= b_j) stays, and
+    any other gives way to its copies g' with g_j raised to b_j, one per
+    j in T.  No copy divides a generator that stays, so only copies can be
+    redundant.  A copy g' is redundant exactly when another generator h of
+    the meet divides it: then h stays, or its own copy raised in j divides
+    g' (a generator that stays may equal g').  So one divisibility index
+    over the meet tests every copy, and the new set needs no
+    minimalization."""
+    dim = I.ambient_dim
+    meet = [(0,) * dim]
+    # sorted order backwards: on six 5- and 6-variable scan corpora its
+    # partial meets held 1.1-2.2 times fewer generators in all
+    for comp in reversed(comps):
+        powers = comp.powers
+        if all(b == 1 for _, b in powers):
+            meet = _meet_simplex_power(meet, dim, [j for j, _ in powers], 1)
+            continue
+        index = [_prefix_masks(col) for col in zip(*meet)]
+        grown = []
+        for n, g in enumerate(meet):
+            if any(g[j] >= b for j, b in powers):
+                grown.append(g)
+                continue
+            for j, b in powers:
+                raised = g[:j] + (b,) + g[j + 1:]
+                if _rows_below(index, raised) == 1 << n:
+                    grown.append(raised)
+        meet = grown
+    if _canonical(dim, meet) != I:
         raise VerificationError(
             f"irreducible decomposition does not recombine to the input: {I}")
-    return tuple(comps)
 
 
 @lru_cache(maxsize=_DECOMP_CACHE_SIZE)

@@ -4,9 +4,11 @@ minimize c.x  subject to  A x (<= | >= | ==) b,  x >= 0.
 
 Every row is kept as integers at a positive scale of its own: a constraint
 row is its rational tableau row times its entry in its basic column, so a
-basic value is row[rhs] / row[basis].  A pivot on the entry p in column c of
-row r keeps row r and every row with a zero in column c as they are; any
-other row becomes p * row - row[c] * row_r over the gcd of its entries.  The
+basic value is row[rhs] / row[basis].  Rows are sparse, a dict from column
+to non-zero entry, since the alpha LP's rows are mostly zeros.  A pivot on
+the entry p in column c of row r keeps row r and every row with a zero in
+column c as they are; any other row becomes p * row - row[c] * row_r over
+the gcd of its entries, which touches only row r's non-zero columns.  The
 purge of artificials may pivot on a negative entry, and negates row r first.
 The two reduced-cost rows take the same step and end with their own scale,
 an entry that is 0 in every constraint row.  After each pivot, column c must
@@ -24,8 +26,9 @@ infeasible verdict must come with a Farkas ray.  The checks raise
 VerificationError rather than assert, so they also hold under `python -O`.
 
 This tableau is the package's only exact linear solver, and `solve` its
-only entry point: the alpha LP of geometry.py is built from plain
-integers, and LinearProgram.make is where its entries become rationals.
+only entry point.  LinearProgram.make keeps an int entry as an int and
+makes a Fraction of any other; the alpha LP of geometry.py is all ints, so
+no Fraction is made of its entries.
 """
 
 from __future__ import annotations
@@ -44,16 +47,17 @@ LE, GE, EQ = "<=", ">=", "=="
 
 
 class LinearProgram(namedtuple("LinearProgram", "matrix rhs senses objective")):
-    """Rows of Fractions, right-hand sides, senses (LE, GE or EQ) and the
-    objective, as tuples; `make` checks their shapes."""
+    """Rows, right-hand sides, senses (LE, GE or EQ) and the objective, as
+    tuples.  `make` keeps an int entry as it is, makes a Fraction of any
+    other, and checks the shapes."""
 
     __slots__ = ()
 
     @staticmethod
     def make(matrix, rhs, senses, objective) -> LinearProgram:
-        mat = tuple(tuple(Fraction(x) for x in row) for row in matrix)
-        b = tuple(Fraction(x) for x in rhs)
-        c = tuple(Fraction(x) for x in objective)
+        mat = tuple(tuple(map(_exact, row)) for row in matrix)
+        b = tuple(map(_exact, rhs))
+        c = tuple(map(_exact, objective))
         senses = tuple(senses)
         if len(mat) != len(b) or len(mat) != len(senses):
             raise ValueError("inconsistent row counts")
@@ -62,6 +66,11 @@ class LinearProgram(namedtuple("LinearProgram", "matrix rhs senses objective")):
         if any(s not in (LE, GE, EQ) for s in senses):
             raise ValueError("bad sense")
         return LinearProgram(mat, b, senses, c)
+
+
+def _exact(x) -> int | Fraction:
+    """x itself if it is an int, else the Fraction of x."""
+    return x if type(x) is int else Fraction(x)
 
 
 class LPResult(namedtuple("LPResult", "status value solution dual", defaults=(None,))):
@@ -75,11 +84,24 @@ class LPResult(namedtuple("LPResult", "status value solution dual", defaults=(No
     __slots__ = ()
 
 
+def _subtract(row: dict, f: int, support) -> None:
+    """row -= f * support in place, for a non-zero f and the non-zero
+    (column, entry) pairs of support; an entry that reaches 0 goes."""
+    for j, b in support:
+        v = row.get(j, 0) - f * b
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+
+
 class _Tableau:
     """Columns: structural, one slack per LE/GE row, one artificial per
-    GE/EQ row (both in row order), the right-hand side, then the cost rows'
-    scale entry.  A row whose right-hand side is negative is negated first,
-    so every starting basic value is non-negative.  Phase 2 keeps only the
+    GE/EQ row (both in row order), the right-hand side at index ncols,
+    then the cost rows' scale entry at ncols + 1.  Every row is sparse, a
+    dict from column to its non-zero integer entry; a column it lacks
+    holds 0.  A row whose right-hand side is negative is negated first, so
+    every starting basic value is non-negative.  Phase 2 keeps only the
     artificials of EQ rows."""
 
     def __init__(self, lp: LinearProgram):
@@ -96,12 +118,12 @@ class _Tableau:
         self.slack_col: list[int | None] = []
         self.art_col: list[int | None] = []
         self.basis: list[int] = []
-        self.rows = []
+        self.rows: list[dict[int, int]] = []
         next_slack, next_art = nstruct, self.n_free
         for arow, bval, sense, flip in zip(lp.matrix, lp.rhs, senses, self.flipped):
             d = lcm(bval.denominator, *(x.denominator for x in arow))
-            row = self._integers(list(arow) + [bval], -d if flip else d) + [0]
-            row[nstruct:nstruct] = [0] * (self.ncols - nstruct)
+            row = self._integers([*enumerate(arow), (self.ncols, bval)],
+                                 -d if flip else d)
             slack = art = None
             if sense != EQ:
                 slack, next_slack = next_slack, next_slack + 1
@@ -117,94 +139,96 @@ class _Tableau:
         # a reduced-cost row holds scale * (cost - c_B * tableau), then
         # -scale * (objective value), then the positive integer scale
         scale = lcm(*(c.denominator for c in lp.objective))
-        self.phase2 = (self._integers(lp.objective, scale)
-                       + [0] * (self.ncols - nstruct) + [0, scale])
+        self.phase2 = self._integers(enumerate(lp.objective), scale)
+        self.phase2[self.ncols + 1] = scale
         self.phase1 = None
         if n_art:
             art_rows = [(row, row[b]) for row, b in zip(self.rows, self.basis)
                         if b >= self.n_free]
             scale = lcm(*(s for _, s in art_rows))
-            phase1 = [0] * self.n_free + [scale] * n_art + [0, scale]
+            phase1 = dict.fromkeys([*range(self.n_free, self.ncols), self.ncols + 1], scale)
             for row, s in art_rows:
-                k = scale // s
-                phase1 = [x - k * y for x, y in zip(phase1, row)]
+                _subtract(phase1, scale // s, row.items())
             self.phase1 = phase1
 
     @staticmethod
-    def _integers(values, scale: int) -> list[int]:
-        """scale * values, for a scale that every denominator divides."""
-        return [x.numerator * (scale // x.denominator) for x in values]
+    def _integers(entries, scale: int) -> dict[int, int]:
+        """The sparse row of scale * x over the (column, x) entries, for a
+        scale that every denominator divides."""
+        return {j: x.numerator * (scale // x.denominator) for j, x in entries if x}
 
     def _cost_rows(self):
         return [row for row in (self.phase1, self.phase2) if row is not None]
 
     def _pivot(self, r: int, c: int):
         """Scaled-row step, as q * row - f * pivot_row with q and f the pivot
-        and row[c] over their gcd; the subtraction touches only the few
-        columns where the pivot row is non-zero."""
+        and row[c] over their gcd; the subtraction touches only the
+        pivot row's non-zero columns."""
         prow = self.rows[r]
         p = prow[c]
         if p < 0:  # only the purge of artificials pivots on a negative entry
-            prow[:] = [-a for a in prow]
+            for j in prow:
+                prow[j] = -prow[j]
             p = -p
-        support = [(j, b) for j, b in enumerate(prow) if b]
+        support = list(prow.items())
         for row in self.rows + self._cost_rows():
-            f = row[c]
+            f = row.get(c)
             if f and row is not prow:
                 g = gcd(p, f)
                 q, f = p // g, f // g
                 if q != 1:
-                    row[:] = [q * a for a in row]
-                for j, b in support:
-                    row[j] -= f * b
-                g = gcd(*row)
+                    for j in row:
+                        row[j] *= q
+                _subtract(row, f, support)
+                g = gcd(*row.values())
                 if g > 1:
-                    row[:] = [a // g for a in row]
+                    for j in row:
+                        row[j] //= g
         self.basis[r] = c
         # the O(rows) guard of the step: column c is a unit column again,
         # and every row keeps a positive scale
         for i, row in enumerate(self.rows):
-            if row[self.basis[i]] <= 0 or (i != r and row[c]):
+            if row.get(self.basis[i], 0) <= 0 or (i != r and c in row):
                 raise VerificationError(f"pivot on ({r}, {c}) broke row {i}")
-        if any(row[c] or row[-1] <= 0 for row in self._cost_rows()):
+        if any(c in row or row.get(self.ncols + 1, 0) <= 0 for row in self._cost_rows()):
             raise VerificationError(f"pivot on ({r}, {c}) broke a cost row")
 
-    def _iterate(self, cost: list[int], allowed: int) -> str:
+    def _iterate(self, cost: dict[int, int], allowed: int) -> str:
         """Pivot until no column below `allowed` has a negative reduced
         cost.  Ratios are compared by cross-multiplication."""
         rhs = self.ncols
         while True:
-            enter = next((j for j in range(allowed) if cost[j] < 0), None)
+            enter = min((j for j, a in cost.items() if a < 0 and j < allowed), default=None)
             if enter is None:
                 return OPTIMAL
             leave = None
             for i, row in enumerate(self.rows):
-                a = row[enter]
+                a = row.get(enter, 0)
                 if a > 0:
                     if leave is None:
-                        leave, num, den = i, row[rhs], a
+                        leave, num, den = i, row.get(rhs, 0), a
                         continue
-                    lhs, best = row[rhs] * den, num * a
+                    lhs, best = row.get(rhs, 0) * den, num * a
                     if lhs < best or (lhs == best and self.basis[i] < self.basis[leave]):
-                        leave, num, den = i, row[rhs], a
+                        leave, num, den = i, row.get(rhs, 0), a
             if leave is None:
                 return UNBOUNDED
             self._pivot(leave, enter)
 
-    def _multipliers(self, cost: list[int], art_cost: int):
+    def _multipliers(self, cost: dict[int, int], art_cost: int):
         """Simplex multipliers pi (one per row of the sign-normalised
         system) read off a reduced-cost row through its scale, then y with
         the row flips undone.  The reduced cost of a slack with coefficient
         +-1 is -+pi_i; that of an artificial is art_cost - pi_i."""
-        scale = cost[-1]
+        scale = cost[self.ncols + 1]
         y = []
         for slack, art, sense, flip in zip(self.slack_col, self.art_col,
                                            self.senses, self.flipped):
             if slack is not None:
-                red = Fraction(cost[slack], scale)
+                red = Fraction(cost.get(slack, 0), scale)
                 pi = -red if sense == LE else red
             else:
-                pi = art_cost - Fraction(cost[art], scale)
+                pi = art_cost - Fraction(cost.get(art, 0), scale)
             y.append(-pi if flip else pi)
         return tuple(y)
 
@@ -213,7 +237,7 @@ class _Tableau:
             if self._iterate(self.phase1, self.ncols) != OPTIMAL:
                 raise VerificationError("phase 1 reported unbounded, but it "
                                         "is bounded below by 0")
-            if self.phase1[self.ncols] != 0:
+            if self.phase1.get(self.ncols, 0) != 0:
                 ray = self._multipliers(self.phase1, art_cost=1)
                 return LPResult(INFEASIBLE, None, None, ray)
             self.phase1 = None
@@ -225,8 +249,8 @@ class _Tableau:
         x = [Fraction(0)] * self.nstruct
         for row, b in zip(self.rows, self.basis):
             if b < self.nstruct:
-                x[b] = Fraction(row[rhs], row[b])
-        value = Fraction(-self.phase2[rhs], self.phase2[-1])
+                x[b] = Fraction(row.get(rhs, 0), row[b])
+        value = Fraction(-self.phase2.get(rhs, 0), self.phase2[rhs + 1])
         y = self._multipliers(self.phase2, art_cost=0)
         return LPResult(OPTIMAL, value, tuple(x), y)
 
@@ -236,8 +260,7 @@ class _Tableau:
         for r in range(len(self.rows) - 1, -1, -1):
             if self.basis[r] < self.n_free:
                 continue
-            row = self.rows[r]
-            col = next((j for j in range(self.n_free) if row[j] != 0), None)
+            col = min((j for j in self.rows[r] if j < self.n_free), default=None)
             if col is None:
                 del self.rows[r]
                 del self.basis[r]
@@ -252,10 +275,11 @@ class _Tableau:
         dead = {art for art, sense in zip(self.art_col, self.senses) if sense == GE}
         if not dead:
             return
-        keep = [j for j in range(len(self.phase2)) if j not in dead]
-        for row in self.rows + [self.phase2]:
-            row[:] = [row[j] for j in keep]
+        keep = [j for j in range(self.ncols + 2) if j not in dead]
         moved = {j: i for i, j in enumerate(keep)}
+        self.rows = [{moved[j]: a for j, a in row.items() if j in moved}
+                     for row in self.rows]
+        self.phase2 = {moved[j]: a for j, a in self.phase2.items() if j in moved}
         self.art_col = [None if art is None or art in dead else moved[art]
                         for art in self.art_col]
         self.ncols -= len(dead)

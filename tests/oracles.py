@@ -222,7 +222,8 @@ def textbook_simplex(prog: lp.LinearProgram) -> lp.LPResult:
     rows, basis = [], []
     for i, (arow, b) in enumerate(zip(prog.matrix, prog.rhs)):
         sign = -1 if flip[i] else 1
-        row = [sign * a for a in arow] + [Fraction(0)] * (ncols - n) + [sign * b]
+        row = ([sign * Fraction(a) for a in arow] + [Fraction(0)] * (ncols - n)
+               + [sign * Fraction(b)])
         if i in slack_rows:
             col = n + slack_rows.index(i)
             row[col] = Fraction(1 if senses[i] == lp.LE else -1)
@@ -275,7 +276,7 @@ def textbook_simplex(prog: lp.LinearProgram) -> lp.LPResult:
                     del rows[r], basis[r]
                 else:
                     pivot(r, col)
-    cost = list(prog.objective) + [Fraction(0)] * (ncols - n)
+    cost = [Fraction(c) for c in prog.objective] + [Fraction(0)] * (ncols - n)
     if run(cost, n_free) == lp.UNBOUNDED:
         return lp.LPResult(lp.UNBOUNDED, None, None)
     x = [Fraction(0)] * n

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symbpow.decomposition import (MonomialPrime, associated_primes,
+from symbpow.decomposition import (IrreducibleComponent, MonomialPrime,
+                                   _check_recombines, associated_primes,
                                    big_height, irreducible_decomposition,
                                    localize, max_associated_primes, sigma)
-from symbpow.errors import NonAssociatedPrimeWarning, PowersCoincideWarning
+from symbpow.errors import (NonAssociatedPrimeWarning, PowersCoincideWarning,
+                            VerificationError)
 from symbpow.monomial import (Monomial, MonomialIdeal, contains, intersect,
                               subset)
 
@@ -20,6 +22,9 @@ def test_prime_basics():
     P = MonomialPrime(3, (0, 2))
     assert P.height == 2
     assert P.render(("x", "y", "z")) == "(x,z)"
+    for names in (("a", "b"), ("a", "b", "c", "d", "e")):
+        with pytest.raises(ValueError, match="variable names"):
+            P.render(names)
     assert P.to_ideal().vectors == ((0, 0, 1), (1, 0, 0))
     assert MonomialPrime(3, (0, 1, 2)).contains(P)
 
@@ -138,6 +143,47 @@ def test_components_contain_ideal(I):
     for c in irreducible_decomposition(I):
         J = c.to_ideal()
         assert all(contains(J, g) for g in I.gens)
+
+
+# the edge ideal of the 5-cycle, whose components are all primes, and a
+# general ideal with two prime and two other components
+C5 = ideal_of(5, *[[int(i in (k, (k + 1) % 5)) for i in range(5)] for k in range(5)])
+MIXED = ideal_of(4, (2, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 3))
+
+
+def _mutants(comps):
+    """Each decomposition with one component dropped, then each with one
+    exponent of one component raised by 1."""
+    for k in range(len(comps)):
+        yield comps[:k] + comps[k + 1:]
+    for k, c in enumerate(comps):
+        for i, (v, e) in enumerate(c.powers):
+            powers = c.powers[:i] + ((v, e + 1),) + c.powers[i + 1:]
+            yield comps[:k] + (IrreducibleComponent(c.ambient_dim, powers),) + comps[k + 1:]
+
+
+@pytest.mark.parametrize("I, primes", [(C5, 5), (MIXED, 2)], ids=["c5", "mixed"])
+def test_recombination_check_catches_every_mutant(I, primes):
+    """Dropping a component enlarges the meet and raising an exponent
+    shrinks it (the irredundant decomposition is unique), so the check
+    refuses each mutant; on a prime the raise also takes the other route."""
+    comps = irreducible_decomposition(I)
+    assert sum(all(e == 1 for _, e in c.powers) for c in comps) == primes
+    _check_recombines(I, comps)
+    mutants = list(_mutants(comps))
+    assert len(mutants) == len(comps) + sum(len(c.powers) for c in comps)
+    for mutant in mutants:
+        with pytest.raises(VerificationError, match="does not recombine"):
+            _check_recombines(I, mutant)
+
+
+@given(proper_ideal())
+@settings(max_examples=40)
+def test_recombination_check_catches_mutants_of_random_ideals(I):
+    comps = irreducible_decomposition(I)
+    for mutant in _mutants(comps):
+        with pytest.raises(VerificationError, match="does not recombine"):
+            _check_recombines(I, mutant)
 
 
 @given(proper_ideal())

@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -11,6 +13,7 @@ from symbpow.invariants import (alpha, beta, chudnovsky_bound,
                                 is_integrally_closed, waldschmidt,
                                 waldschmidt_point)
 from symbpow.monomial import MonomialIdeal, maximal_ideal, power
+from symbpow.rng import SplitRng
 
 from conftest import ideal_of
 from oracles import alpha_equality_at_denominator
@@ -143,6 +146,55 @@ def test_invariant_report(rot3):
     assert rep["squarefree"] is False
     assert rep["symbolic_equals_ordinary"] is False
     assert rep["integrally_closed"] is True
+
+
+def test_invariant_report_checks_the_name_count(rot3):
+    with pytest.raises(ValueError, match="variable names"):
+        invariant_report(rot3, ("a", "b"))
+
+
+def squarefree_ideal(n, supports):
+    return ideal_of(n, *[[int(i in s) for i in range(n)] for s in supports])
+
+
+# Closed forms of the Waldschmidt constant of square-free ideals (Bocci,
+# Cooper, Guardo, Harbourne, Janssen, Nagel, Seceleanu, Van Tuyl and Vu,
+# "The Waldschmidt constant for squarefree monomial ideals", J. Algebraic
+# Combin. 44 (2016)): (2k+1)/(k+1) for the edge ideal of the odd cycle
+# C_{2k+1}, n/(n-1) for that of the complete graph K_n, and n/(n-k+1) for
+# the ideal of all square-free degree-k monomials in n variables.  They
+# hold whichever LP computes the constant; the (10, 5) ideal has 210
+# components.
+CLOSED_FORMS = (
+    [(f"C{n}", n, [(k, (k + 1) % n) for k in range(n)], F(n, (n + 1) // 2))
+     for n in (5, 7, 9)]
+    + [(f"K{n}", n, list(combinations(range(n), 2)), F(n, n - 1)) for n in (4, 6, 8)]
+    + [(f"{k}-of-{n}", n, list(combinations(range(n), k)), F(n, n - k + 1))
+       for n, k in ((7, 3), (8, 4), (9, 3), (10, 5))])
+
+
+@pytest.mark.parametrize("n, supports, value", [row[1:] for row in CLOSED_FORMS],
+                         ids=[row[0] for row in CLOSED_FORMS])
+def test_waldschmidt_closed_forms(n, supports, value):
+    assert waldschmidt(squarefree_ideal(n, supports)) == value
+
+
+# sha256 of repr([(str(waldschmidt(I)), [str(x) for x in waldschmidt_point(I)])])
+# over the benchmark's Waldschmidt corpus: the ideals
+# _random_general(SplitRng(1309, ("waldschmidt-general",)).child(n, i), n, 5, 6)
+# for n = 5, i < 24, then n = 6, i = 0.  A change that moves a pivot of
+# the alpha LP fails here.
+WALD_CORPUS_SHA256 = "2e16ff1a6891f79503c5dc8a80a1ff59a29a20007478e1f3d13bad09f7b471a2"
+
+
+def test_waldschmidt_corpus_is_pinned():
+    root = SplitRng(1309, ("waldschmidt-general",))
+    rows = []
+    for n, count in ((5, 24), (6, 1)):
+        for i in range(count):
+            I = harness._random_general(root.child(n, i), n, 5, 6)
+            rows.append((str(waldschmidt(I)), [str(x) for x in waldschmidt_point(I)]))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == WALD_CORPUS_SHA256
 
 
 # waldschmidt_point as the Fraction-tableau simplex returned it, before the

@@ -156,7 +156,11 @@ def test_phase_2_keeps_only_eq_artificials():
     assert tableau.ncols == tableau.n_free + 3
     assert tableau.solve() == textbook_simplex(prog)
     assert tableau.ncols == tableau.n_free + 1
-    assert all(len(row) == tableau.ncols + 2 for row in tableau.rows + [tableau.phase2])
+    # rows are sparse: every key lies below ncols + 2 (the rhs, then the
+    # scale), so none names a deleted GE artificial, and the one artificial
+    # column left is the EQ row's
+    assert tableau.art_col == [None, None, tableau.n_free]
+    assert all(key < tableau.ncols + 2 for row in tableau.rows + [tableau.phase2] for key in row)
 
 
 @given(st.lists(st.tuples(st.lists(mixed_entry, min_size=3, max_size=3),
