@@ -35,7 +35,8 @@ from math import gcd, lcm
 from . import lp
 from .decomposition import MonomialPrime, localize, max_associated_primes
 from .errors import ResourceLimitError, VerificationError
-from .monomial import MonomialIdeal, _Frozen, as_prime_power, require_proper
+from .monomial import (MonomialIdeal, _Frozen, _naturals, as_prime_power,
+                       require_proper)
 
 MAX_RAYS = 256  # the most rays the double description keeps after a cut
 PROBE_SAMPLES = 8  # the convex combinations probe_points adds to Q's vertices
@@ -47,13 +48,14 @@ class NewtonPolyhedron(_Frozen):
     _fields = ("ambient_dim", "gens")
 
     def __init__(self, ambient_dim: int, gens: tuple[tuple[int, ...], ...]):
+        gens = tuple(sorted(_naturals(g, "exponent") for g in gens))
         if not gens:
             raise ValueError("a Newton polyhedron needs at least one generator")
         if any(len(g) != ambient_dim for g in gens):
             raise ValueError("generator dimension mismatch")
         fields = self.__dict__
         fields["ambient_dim"] = ambient_dim
-        fields["gens"] = tuple(sorted(gens))
+        fields["gens"] = gens
 
     @cached_property
     def simplex_power(self) -> tuple[tuple[int, ...], int] | None:

@@ -40,7 +40,7 @@ from .errors import PowersCoincideWarning, ResourceLimitError
 from .geometry import member_scaled, probe_points, symbolic_polyhedron
 from .invariants import (_chudnovsky_bound, alpha, beta, is_equigenerated,
                          is_integrally_closed, waldschmidt)
-from .monomial import (Monomial, MonomialIdeal, _from_vectors,
+from .monomial import (Monomial, MonomialIdeal, _from_vectors, _in_staircase,
                        containment_witness, contains, intersect, is_squarefree,
                        power, require_proper)
 from .parsing import default_names, format_ideal
@@ -229,10 +229,9 @@ def _stairs(I, r, seed=0):
     Ir = power(I, r)
     points, vertex_count, sampled_only = probe_points(
         symbolic_polyhedron(I), SplitRng(seed, ("stairs", r)))
-    # e*r*v/den lies above g exactly when g*den <= e*r*v, in integers
+    # an integer g lies below e*r*v/den exactly when it lies below its floor
     bad = next(((v, den) for v, den in points
-                if not any(all(a * den <= e * r * x for a, x in zip(g, v))
-                           for g in Ir.vectors)), None)
+                if not _in_staircase(Ir, [e * r * x // den for x in v])), None)
     details = {"e": e, "vertices": vertex_count, "samples": len(points) - vertex_count,
                "sampled_only": sampled_only, "seed": seed}
     if bad is not None:

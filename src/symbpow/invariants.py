@@ -9,6 +9,7 @@ exact LP.  The suite's checks compare these invariants against each other
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 from .decomposition import (_big_height, associated_primes,
@@ -17,8 +18,7 @@ from .decomposition import (_big_height, associated_primes,
 from .errors import ResourceLimitError
 from .geometry import (alpha_polyhedron, newton_polyhedron, np_member,
                        symbolic_polyhedron)
-from .monomial import (MonomialIdeal, above_some, is_squarefree, iter_box,
-                       require_proper)
+from .monomial import MonomialIdeal, _in_staircase, is_squarefree, require_proper
 from .symbolic import symbolic_equals_ordinary
 
 CLOSURE_BUDGET = 200_000  # the most lattice points is_integrally_closed scans
@@ -81,8 +81,8 @@ def is_integrally_closed(I: MonomialIdeal) -> bool:
     if volume > CLOSURE_BUDGET:
         raise ResourceLimitError("integral closure box", volume, CLOSURE_BUDGET)
     N = newton_polyhedron(I)
-    for pt in iter_box(corner):
-        if not above_some(I.vectors, pt) and np_member(N, pt):
+    for pt in product(*(range(c + 1) for c in corner)):
+        if not _in_staircase(I, pt) and np_member(N, pt):
             return False
     return True
 

@@ -8,18 +8,19 @@ every kernel reads and writes such bare vectors.  `Monomial` objects exist
 only at the edges: validated outside input for `MonomialIdeal.make`,
 containment witnesses, and rendering through the derived `gens`.
 
-Divisibility scans (minimalization, the containment kernel, the key
-comparisons of an intersection) go through one bitset
-divisibility index, in the spirit of Frobby (Roune, J. Symbolic Comput.
-2009): per coordinate the distinct values are rank-compressed, and over
-those ranks a Python int holds the bitmask of the rows whose entry is at
-most that value.  The rows dividing a point are the AND of one such mask
-per coordinate, so every exponent stays an exact integer of any size.
-Products minimalize all pairwise sums that way.  The containment kernel
-answers each (lhs, rhs, s) once per process and builds the index of an
-rhs, its generator columns plus their degrees, once for every lhs and s
-asked against it; both memos are keyed by value, so rows of the check
-table that ask the same question share one answer.  A general
+Divisibility queries against a fixed set (the containment kernel, which
+also answers staircase membership, and the key comparisons of an
+intersection) go through one bitset index, in the spirit of Frobby (Roune,
+J. Symbolic Comput. 2009): per coordinate the distinct values are
+rank-compressed, and over those ranks a Python int holds the bitmask of
+the rows whose entry is at most that value.  The rows dividing a point are
+the AND of one mask per coordinate, so every exponent stays an exact
+integer of any size.  Minimalization, whose set grows, keeps those masks
+as Fenwick trees of prefix ORs; products minimalize all pairwise sums so.
+The containment kernel answers each (lhs, rhs, s) once per process and
+builds the index of an rhs, its generator columns plus their degrees, once
+for every lhs and s asked against it; both memos are keyed by value, so
+check rows asking one question share one answer.  A general
 intersection forms an lcm only for the pairs that can give a minimal
 generator (`_meet_candidates`): a generator of one side inside the
 other is one already, and the others are grouped by their exponents on
@@ -91,6 +92,18 @@ class _Frozen:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _naturals(values: Iterable, what: str) -> tuple[int, ...]:
+    """The entries as non-negative ints, read through operator.index, so a
+    float, a string or a negative entry raises ValueError, never rounds."""
+    try:
+        out = tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"non-integer {what} in {values!r}") from None
+    if out and min(out) < 0:
+        raise ValueError(f"negative {what} in {out}")
+    return out
+
+
 class Monomial(_Frozen):
     """An exponent vector of non-negative integers, none rounded or
     converted.  The all-zero vector is the monomial 1."""
@@ -98,13 +111,7 @@ class Monomial(_Frozen):
     _fields = ("exponents",)
 
     def __init__(self, exponents: tuple[int, ...]):
-        try:
-            exps = tuple(map(operator.index, exponents))
-        except TypeError:
-            raise ValueError(f"non-integer exponent in {exponents!r}") from None
-        if exps and min(exps) < 0:
-            raise ValueError(f"negative exponent in {exps}")
-        self.__dict__["exponents"] = exps
+        self.__dict__["exponents"] = _naturals(exponents, "exponent")
 
     def render(self, names: Sequence[str] | None = None) -> str:
         exps = self.exponents
@@ -311,17 +318,11 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 # ideal operations
 
 
-def above_some(vectors: Iterable[Sequence[int]], point: Sequence) -> bool:
-    """Whether some vector lies componentwise at or below `point`, whose
-    entries may be any exact numbers: membership in the staircase."""
-    return any(all(map(operator.le, g, point)) for g in vectors)
-
-
 def contains(I: MonomialIdeal, m: Monomial) -> bool:
     """Ideal membership: some minimal generator divides m."""
     if len(m.exponents) != I.ambient_dim:
         raise DimensionMismatchError("monomial and ideal disagree on ring")
-    return above_some(I.vectors, m.exponents)
+    return _in_staircase(I, m.exponents)
 
 
 def _from_vectors(dim: int, vectors: Iterable[tuple[int, ...]]) -> MonomialIdeal:
@@ -341,9 +342,6 @@ def _upper_mask(m: int, low: tuple[int, ...]) -> int:
     h = len(low)
     if h == 1:
         return int(low[0] <= m)
-    if h == 2:  # the rank is the first part
-        top = m - low[1]
-        return (1 << top + 1) - (1 << low[0]) if low[0] <= top else 0
     total = comb(m + h - 1, h - 1)
     mask = 0
     for first in range(low[0], m - sum(low[1:]) + 1):
@@ -570,6 +568,12 @@ def _divisor_index(rhs: MonomialIdeal) -> tuple:
     return tuple(_prefix_masks(col) for col in (*zip(*vectors), list(map(sum, vectors))))
 
 
+def _in_staircase(I: MonomialIdeal, point: Sequence[int]) -> bool:
+    """Whether some minimal generator of I divides the integer point: the
+    containment kernel's question at s = 0, asked of its cached index."""
+    return bool(_rows_below(_divisor_index(I), (*point, sum(point))))
+
+
 @lru_cache(maxsize=512, typed=True)
 def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monomial | None:
     """The first minimal generator of lhs, in canonical order, outside
@@ -578,7 +582,8 @@ def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monom
 
     This is the only containment kernel: every containment check reduces
     membership of f in m^s * rhs to "some minimal generator h of rhs
-    divides f with deg f - deg h >= s", which is exact integer arithmetic.
+    divides f with deg f - deg h >= s", which is exact integer arithmetic;
+    its index also answers point membership at s = 0 (`_in_staircase`).
     The generators of lhs are asked in order against the index of rhs, up
     to the first one outside.  Each (lhs, rhs, s) is answered once per
     process, keyed by value like `symbolic_power`.  The memo is typed, so
@@ -616,8 +621,3 @@ def is_squarefree(I: MonomialIdeal) -> bool:
 def maximal_ideal(ambient_dim: int) -> MonomialIdeal:
     return _canonical(ambient_dim, [tuple(int(j == i) for j in range(ambient_dim))
                                     for i in range(ambient_dim)])
-
-
-def iter_box(corner: Sequence[int]):
-    """Iterate every exponent vector 0 <= v <= corner componentwise."""
-    return itertools.product(*(range(c + 1) for c in corner))

@@ -7,6 +7,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from math import lcm
+from operator import le
 
 from symbpow import lp
 from symbpow.decomposition import MonomialPrime, irreducible_decomposition
@@ -14,8 +15,8 @@ from symbpow.errors import VerificationError
 from symbpow.geometry import (NewtonPolyhedron, alpha_polyhedron, member_scaled,
                               symbolic_polyhedron)
 from symbpow.invariants import alpha
-from symbpow.monomial import (Monomial, MonomialIdeal, _compositions, above_some,
-                              intersect, is_squarefree, power, require_proper)
+from symbpow.monomial import (Monomial, MonomialIdeal, _compositions, intersect,
+                              is_squarefree, power, require_proper)
 from symbpow.symbolic import symbolic_power
 
 
@@ -70,6 +71,13 @@ def np_member_lp(N: NewtonPolyhedron, a) -> bool:
     return feasible_point(matrix, pt + (1,), senses) is not None
 
 
+def above_some(vectors, point) -> bool:
+    """Whether some vector lies componentwise at or below `point`, whose
+    entries may be any exact numbers: membership in the staircase by a
+    linear scan, the reference for the package's divisibility index."""
+    return any(all(map(le, g, point)) for g in vectors)
+
+
 def stairs_member(J: MonomialIdeal, point) -> bool:
     """Is the rational point in the up-closure of J's generator exponents?"""
     return above_some(J.vectors, _as_point(point, J.ambient_dim))
@@ -122,7 +130,7 @@ def caratheodory_decompose(N: NewtonPolyhedron, P: MonomialPrime, a) -> Caratheo
     for g in N.gens:
         if any(g[i] for i in outside):
             raise ValueError("component generators must be supported inside the prime")
-    if any(pt[i] < 0 for i in outside):
+    if any(x < 0 for x in pt):
         raise ValueError("point is outside the Newton polyhedron")
 
     k = len(N.gens)
@@ -142,12 +150,14 @@ def caratheodory_decompose(N: NewtonPolyhedron, P: MonomialPrime, a) -> Caratheo
         # the basic point spends all h + 1 non-zeros on weights, so the
         # orthant part is 0; maximize t in G_A lambda + t e_{p0} = a_P,
         # sum lambda = 1: barycentric coordinates in a simplex are unique,
-        # so lambda is a function of t and the optimum is the ride
+        # so lambda is a function of t and the optimum is the ride.  As
+        # t = a_p0 - sum_j g_{j,p0} lambda_j, the LP minimizes that sum,
+        # a non-negative cost, with cost 0 on t
         ride = [[N.gens[j][i] for j in act] + [int(idx == 0)]
                 for idx, i in enumerate(pvars)]
         ride.append([1] * len(act) + [0])
         result = lp.solve(lp.LinearProgram.make(
-            ride, rhs, [lp.EQ] * (h + 1), [0] * len(act) + [-1]))
+            ride, rhs, [lp.EQ] * (h + 1), [N.gens[j][pvars[0]] for j in act] + [0]))
         if result.status != lp.OPTIMAL:
             raise VerificationError(f"Caratheodory ride LP ended {result.status}")
         for j, w in zip(act, result.solution):
@@ -207,12 +217,11 @@ def alpha_equality_at_denominator(I: MonomialIdeal, cap: int = 12) -> dict:
 def textbook_simplex(prog: lp.LinearProgram) -> lp.LPResult:
     """Two-phase simplex on a Fraction tableau with Bland's rule, in the
     column layout of lp.py: structural, one slack per LE/GE row, one
-    artificial per GE/EQ row, rows with a negative right-hand side negated
-    first.  Each pivot divides the pivot row by its entry; reduced costs and
-    multipliers pi = c_B B^-1 are recomputed from the basis every time."""
-    flip = [b < 0 for b in prog.rhs]
-    senses = [{lp.LE: lp.GE, lp.GE: lp.LE, lp.EQ: lp.EQ}[s] if f else s
-              for s, f in zip(prog.senses, flip)]
+    artificial per GE/EQ row.  Each pivot divides the pivot row by its
+    entry; reduced costs and multipliers pi = c_B B^-1 are recomputed from
+    the basis every time.  Right-hand sides and costs are non-negative, as
+    LinearProgram.make requires, so neither phase is unbounded."""
+    senses = prog.senses
     n, n_rows = len(prog.objective), len(prog.rhs)
     slack_rows = [i for i in range(n_rows) if senses[i] != lp.EQ]
     art_rows = [i for i in range(n_rows) if senses[i] != lp.LE]
@@ -221,9 +230,7 @@ def textbook_simplex(prog: lp.LinearProgram) -> lp.LPResult:
     start = {}  # row -> the column of its starting basic variable
     rows, basis = [], []
     for i, (arow, b) in enumerate(zip(prog.matrix, prog.rhs)):
-        sign = -1 if flip[i] else 1
-        row = ([sign * Fraction(a) for a in arow] + [Fraction(0)] * (ncols - n)
-               + [sign * Fraction(b)])
+        row = [Fraction(a) for a in arow] + [Fraction(0)] * (ncols - n) + [Fraction(b)]
         if i in slack_rows:
             col = n + slack_rows.index(i)
             row[col] = Fraction(1 if senses[i] == lp.LE else -1)
@@ -249,20 +256,19 @@ def textbook_simplex(prog: lp.LinearProgram) -> lp.LPResult:
                        for j in range(allowed)]
             enter = next((j for j in range(allowed) if reduced[j] < 0), None)
             if enter is None:
-                return lp.OPTIMAL
+                return
             ratios = [(row[-1] / row[enter], b, i)
                       for i, (row, b) in enumerate(zip(rows, basis)) if row[enter] > 0]
             if not ratios:
-                return lp.UNBOUNDED
+                raise AssertionError("unbounded, though the costs are non-negative")
             pivot(min(ratios)[2], enter)
 
     def value(cost):
         return sum(cost[b] * row[-1] for row, b in zip(rows, basis))
 
     def dual(cost):
-        pi = [sum(cost[b] * row[start[i]] for row, b in zip(rows, basis))
-              for i in range(n_rows)]
-        return tuple(-p if f else p for p, f in zip(pi, flip))
+        return tuple(sum(cost[b] * row[start[i]] for row, b in zip(rows, basis))
+                     for i in range(n_rows))
 
     if art_rows:
         phase1 = [Fraction(0)] * n_free + [Fraction(1)] * len(art_rows)
@@ -277,8 +283,7 @@ def textbook_simplex(prog: lp.LinearProgram) -> lp.LPResult:
                 else:
                     pivot(r, col)
     cost = [Fraction(c) for c in prog.objective] + [Fraction(0)] * (ncols - n)
-    if run(cost, n_free) == lp.UNBOUNDED:
-        return lp.LPResult(lp.UNBOUNDED, None, None)
+    run(cost, n_free)
     x = [Fraction(0)] * n
     for row, b in zip(rows, basis):
         if b < n:

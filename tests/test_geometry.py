@@ -103,7 +103,7 @@ def _first_block(solution, transform):
 
 
 @pytest.mark.parametrize("ideal, status, solution", [
-    ("edges3", lp.UNBOUNDED, None),
+    ("edges3", lp.INFEASIBLE, None),
     ("edges3", lp.OPTIMAL, (F(0), F(0), F(0))),  # a point outside every component
     # the λ block sums to 1/2, so G·λ stays below the point
     ("rot3", lp.OPTIMAL, lambda x: _first_block(x, lambda lam: tuple(w / 2 for w in lam))),
@@ -111,7 +111,7 @@ def _first_block(solution, transform):
     ("rot3", lp.OPTIMAL, lambda x: _first_block(x, lambda lam: (F(1), F(0)))),
     ("rot3", lp.OPTIMAL, lambda x: x[:3]),  # the point without its λ blocks
     ("rot3", lp.OPTIMAL, lambda x: x + (F(0),)),  # one entry too many
-], ids=["unbounded-None", "optimal-solution1", "lambda-sum", "lambda-above-point",
+], ids=["infeasible-None", "optimal-solution1", "lambda-sum", "lambda-above-point",
         "only-d-entries", "extra-entry"])
 def test_tampered_alpha_lp_raises(request, monkeypatch, ideal, status, solution):
     Q = symbolic_polyhedron(request.getfixturevalue(ideal))
@@ -605,6 +605,22 @@ def test_stairs_sampled_fallback(rot3, monkeypatch, lower_max_rays):
     assert res.verdict == R.HOLDS
     assert res.details["sampled_only"]
     assert res.details["samples"] == 4
+
+
+@pytest.mark.parametrize("num, verdict", [(2 * 10 ** 20 - 1, R.FAILS), (2 * 10 ** 20, R.HOLDS)],
+                         ids=["just-below", "on"])
+def test_stairs_floors_a_point_just_below_an_integer(monkeypatch, rot3, num, verdict):
+    """The stairs row asks the staircase at the floor of e*r*p.  Here e*r*p
+    is (num / 10^20, 0, 0): 2 - 10^-20 lies above no generator, though
+    a float would round it to 2, which does."""
+    e = _big_height(rot3)
+    monkeypatch.setattr(harness, "power", lambda I, r: ideal_of(3, (2, 0, 0), (0, 1, 1)))
+    monkeypatch.setattr(harness, "probe_points",
+                        lambda Q, rng: ([((num, 0, 0), e * 10 ** 20)], 1, False))
+    res = check("stairs", rot3, {"r": 1})
+    assert res.verdict == verdict
+    if verdict == R.FAILS:
+        assert res.details["witness_point"] == [str(F(num, e * 10 ** 20)), "0", "0"]
 
 
 # ---------------------------------------------------------------------------

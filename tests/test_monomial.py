@@ -17,7 +17,7 @@ from symbpow.monomial import (Monomial, MonomialIdeal, _divisor_index,
                               radical, subset)
 
 from conftest import ideal_of
-from oracles import degree_monomials, pairwise_lcms
+from oracles import above_some, degree_monomials, pairwise_lcms
 
 
 def m(*exps):
@@ -44,6 +44,30 @@ def test_monomial_rejects_non_integer(bad):
     (0, 1), and make(2, [it]) the ideal (y)."""
     with pytest.raises(ValueError, match=re.escape(f"non-integer exponent in {(bad, 1)!r}")):
         Monomial((bad, 1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: MonomialPrime(3, (1.5, 2.9)),  # once (x1, x2)
+    lambda: MonomialPrime(3, ("1",)),
+    lambda: MonomialPrime(3, (-1, 2)),
+    lambda: MonomialPrime(3, (3,)),
+    lambda: IrreducibleComponent(3, ((0, 2.7),)),  # once powers ((0, 2),)
+    lambda: IrreducibleComponent(3, ((0, "2"),)),
+    lambda: IrreducibleComponent(3, ((-1, 2),)),
+    lambda: IrreducibleComponent(3, ((5, 2),)),  # once rendered as (1)
+    lambda: IrreducibleComponent(3, ((0, 0),)),
+    lambda: NewtonPolyhedron(2, ((0.5, 1), (2, 0))),  # once a TypeError in np_member
+    lambda: NewtonPolyhedron(2, ((-1, 3), (2, 0))),  # once a VerificationError
+    lambda: NewtonPolyhedron(2, (("1", 3),)),
+], ids=["prime-float", "prime-str", "prime-negative", "prime-out-of-range",
+        "component-float", "component-str", "component-negative",
+        "component-out-of-range", "component-zero-power", "newton-float",
+        "newton-negative", "newton-str"])
+def test_value_types_refuse_what_is_not_a_natural_in_range(make):
+    """Every value type reads its integers as Monomial does: through
+    operator.index, non-negative, and a variable inside the ring."""
+    with pytest.raises(ValueError):
+        make()
 
 
 VALUES = {
@@ -130,6 +154,28 @@ def test_contains_membership():
     assert not contains(I, m(1, 0))
     assert not contains(MonomialIdeal.zero(2), m(1, 0))
     assert contains(MonomialIdeal.unit(2), m(0, 0))
+
+
+# exponents up to and past 2^64, and the zero and unit ideals
+huge = st.one_of(st.integers(min_value=0, max_value=4),
+                 st.integers(min_value=2 ** 64 - 2, max_value=2 ** 64 + 2))
+huge_ideal = st.one_of(
+    st.lists(st.lists(huge, min_size=3, max_size=3), min_size=1, max_size=6).map(
+        lambda vs: MonomialIdeal.make(3, [Monomial(tuple(v)) for v in vs])),
+    st.just(MonomialIdeal.zero(3)), st.just(MonomialIdeal.unit(3)))
+
+
+@given(huge_ideal, st.lists(huge, min_size=3, max_size=3))
+@example(MonomialIdeal.zero(3), [0, 0, 0])
+@example(MonomialIdeal.unit(3), [0, 0, 0])
+@example(ideal_of(3, (2 ** 64, 0, 1)), [2 ** 64 - 1, 0, 1])
+@example(ideal_of(3, (2 ** 64, 0, 1)), [2 ** 64, 0, 1])
+def test_staircase_kernel_matches_linear_scan(I, point):
+    """contains and _in_staircase ask the containment kernel's index; the
+    oracle scans every generator."""
+    expected = above_some(I.vectors, point)
+    assert monomial._in_staircase(I, point) == expected
+    assert contains(I, Monomial(tuple(point))) == expected
 
 
 def test_dimension_mismatch():
@@ -297,7 +343,7 @@ def test_containment_with_m_matches_literal_product(I, vec, s):
         return
     f = Monomial(tuple(vec))
     literal = multiply(power(maximal_ideal(3), s), I)
-    assert _in_m_power_times(f, I, s) == contains(literal, f)
+    assert _in_m_power_times(f, I, s) == above_some(literal.vectors, f.exponents)
 
 
 @pytest.mark.parametrize("s", [1.0, 1.5, Fraction(1), "1"])
@@ -326,7 +372,7 @@ HOLE = MonomialIdeal.make(3, [g for g in degree_monomials(3, 10)
 def _literal_witness(lhs, rhs, s):
     """First generator of lhs outside the literal product m^s * rhs."""
     literal = multiply(power(maximal_ideal(3), s), rhs)
-    return next((f for f in lhs.gens if not contains(literal, f)), None)
+    return next((f for f in lhs.gens if not above_some(literal.vectors, f.exponents)), None)
 
 
 # the degree gap: x0^2*x1 has one spare degree over x0*x1, x0*x1 has none
