@@ -32,8 +32,8 @@ from __future__ import annotations
 import warnings
 from functools import lru_cache
 
-from .errors import (NonAssociatedPrimeWarning, PowersCoincideWarning,
-                     VerificationError)
+from .errors import (DimensionMismatchError, NonAssociatedPrimeWarning,
+                     PowersCoincideWarning, VerificationError)
 from .monomial import (MonomialIdeal, _canonical, _from_vectors, _Frozen,
                        _meet_simplex_power, _naturals, _prefix_masks,
                        _rows_below, minimal_vectors, require_proper)
@@ -234,7 +234,7 @@ def localize(I: MonomialIdeal, P: MonomialPrime) -> MonomialIdeal:
     variables outside P and minimalize.  Warns when P is not associated
     (the result is still well defined)."""
     if I.ambient_dim != P.ambient_dim:
-        raise ValueError("ideal and prime disagree on the ambient ring")
+        raise DimensionMismatchError("ideal and prime disagree on the ambient ring")
     require_proper(I)
     if P not in associated_primes(I):
         warnings.warn(

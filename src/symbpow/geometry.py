@@ -74,7 +74,11 @@ class NewtonPolyhedron(_Frozen):
         return _certified_facets(self, _facet_rays(self))
 
 
+@lru_cache(maxsize=512)
 def newton_polyhedron(I: MonomialIdeal) -> NewtonPolyhedron:
+    """The Newton polyhedron of I, one per ideal value, as
+    `symbolic_polyhedron` is: every caller asking about one ideal reads
+    the facet table certified at the first membership query."""
     if I.is_zero:
         raise ValueError("the zero ideal has an empty Newton polyhedron")
     return NewtonPolyhedron(I.ambient_dim, I.vectors)

@@ -409,6 +409,10 @@ def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
     if len(names) != I.ambient_dim:
         raise ValueError(f"{len(names)} variable names for {I.ambient_dim} variables")
     ranges = ranges or SuiteRanges()
+    # a top below 1 would leave its rows' grids empty, and the rows missing
+    low = [field for field, top in ranges._asdict().items() if top < 1]
+    if low:
+        raise ValueError(f"{', '.join(low)} must be at least 1")
     selected = CHECK_NAMES if checks is None else tuple(checks)
     if not selected:
         raise ValueError("empty check selection; pass checks=None for every check")

@@ -10,8 +10,8 @@ from symbpow.decomposition import (IrreducibleComponent, MonomialPrime,
                                    _check_recombines, associated_primes,
                                    big_height, irreducible_decomposition,
                                    localize, max_associated_primes, sigma)
-from symbpow.errors import (NonAssociatedPrimeWarning, PowersCoincideWarning,
-                            VerificationError)
+from symbpow.errors import (DimensionMismatchError, NonAssociatedPrimeWarning,
+                            PowersCoincideWarning, VerificationError)
 from symbpow.monomial import (Monomial, MonomialIdeal, contains, intersect,
                               subset)
 
@@ -96,6 +96,13 @@ def test_localize():
 def test_localize_at_maxass_fixes_rot3(rot3):
     P = MonomialPrime(3, (0, 1))
     assert localize(rot3, P).vectors == ((0, 1, 0), (2, 0, 0))
+
+
+def test_localize_refuses_a_prime_of_another_ring(rot3):
+    """A ring mismatch is the DimensionMismatchError that contains,
+    intersect and containment_witness raise."""
+    with pytest.raises(DimensionMismatchError):
+        localize(rot3, MonomialPrime(4, (0,)))
 
 
 def test_localize_warns_off_support(rot3):

@@ -13,6 +13,7 @@ from symbpow.geometry import (NewtonPolyhedron, _optimize_over, alpha_polyhedron
                               newton_polyhedron, np_member, probe_points,
                               symbolic_polyhedron)
 from symbpow.harness import check, run_suite
+from symbpow.invariants import is_integrally_closed
 from symbpow.monomial import Monomial, MonomialIdeal, multiply, power
 from symbpow.rng import SplitRng
 
@@ -193,6 +194,28 @@ def test_vertex_enumeration_reads_the_certified_tables(monkeypatch, rot3):
     before = len(calls)
     assert enumerate_vertices(Q)
     assert len(calls) == before
+
+
+def test_one_certified_facet_table_per_ideal(monkeypatch):
+    """newton_polyhedron is keyed by value: three closure tests of one
+    ideal certify its facet table once, and integrally_closed_bound reads
+    the tables its localizations got as components of the symbolic
+    polyhedron."""
+    calls = []
+    real = geometry._certified_facets
+    monkeypatch.setattr(geometry, "_certified_facets",
+                        lambda N, table: calls.append(N) or real(N, table))
+    newton_polyhedron.cache_clear()
+    symbolic_polyhedron.cache_clear()
+    ic4 = ideal_of(4, (2, 4, 4, 0), (3, 4, 1, 4), (4, 1, 3, 0), (3, 2, 4, 4), (1, 4, 3, 3))
+    for _ in range(3):
+        is_integrally_closed(ic4)
+    assert len(calls) == 1
+    for _, N in symbolic_polyhedron(ic4).components:
+        assert N.facets
+    calls.clear()
+    assert check("integrally_closed_bound", ic4).verdict == R.NOT_APPLICABLE
+    assert calls == []
 
 
 def _units(dim, scale=1):
@@ -748,6 +771,7 @@ def test_tampered_facet_table_raises(monkeypatch, tamper):
     the first membership query."""
     real = geometry._facet_rays
     monkeypatch.setattr(geometry, "_facet_rays", lambda N: tamper(real(N)))
+    newton_polyhedron.cache_clear()  # a cached polyhedron may hold its table
     N = newton_polyhedron(TRIANGLE)
     with pytest.raises(VerificationError):
         np_member(N, (1, 1, 0))
@@ -755,9 +779,10 @@ def test_tampered_facet_table_raises(monkeypatch, tamper):
 
 def test_facet_table_over_budget_is_a_resource_limit(lower_max_rays, tmp_path):
     lower_max_rays(1)
+    # fresh polyhedra: the cached ones may hold a facet table already
+    newton_polyhedron.cache_clear()
     with pytest.raises(ResourceLimitError):
         np_member(newton_polyhedron(TRIANGLE), (1, 1, 0))
-    # fresh polyhedra: the cached ones may hold a facet table already
     symbolic_polyhedron.cache_clear()
     res = check("polyhedron_bound", TRIANGLE, {"m": 2})
     assert res.verdict == R.RESOURCE_LIMIT

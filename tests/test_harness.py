@@ -79,6 +79,20 @@ def test_run_suite_refuses_a_wrong_number_of_names(rot3, monkeypatch):
     assert ran == []
 
 
+def test_run_suite_refuses_a_grid_top_below_1(rot3, monkeypatch):
+    """A top below 1 empties the grid of every row it bounds: m_max = 0
+    would drop the squarefree_containment, equal_exponent_containment and
+    polyhedron_bound rows from a clean-looking report.  run_suite names
+    each such field before any row runs."""
+    ran = []
+    monkeypatch.setattr(Check, "run", lambda *args, **kwargs: ran.append(args))
+    with pytest.raises(ValueError, match="^m_max, t_max must be at least 1$"):
+        run_suite(rot3, ranges=SuiteRanges(m_max=0, t_max=-2, r_max=1))
+    with pytest.raises(ValueError, match="^alpha_m_cap must be at least 1$"):
+        run_suite(rot3, ranges=SuiteRanges(alpha_m_cap=0))
+    assert ran == []
+
+
 def test_run_suite_subset_of_checks(triples4):
     report = run_suite(triples4, checks=("chudnovsky", "symbolic_step"))
     assert {res.name for res in report.results} == {"chudnovsky", "symbolic_step"}

@@ -9,7 +9,7 @@ from symbpow import monomial
 from symbpow.decomposition import IrreducibleComponent, MonomialPrime
 from symbpow.errors import DimensionMismatchError
 from symbpow.geometry import NewtonPolyhedron, SymbolicPolyhedron
-from symbpow.monomial import (Monomial, MonomialIdeal, _divisor_index,
+from symbpow.monomial import (Monomial, MonomialIdeal, _bits, _divisor_index,
                               _from_vectors, _rows_below,
                               containment_witness, minimal_vectors,
                               contains, intersect,
@@ -485,6 +485,28 @@ def test_vector_kernels_match_brute_force(case, s):
     assert minimal_vectors(avecs + bvecs) == _brute_minimal(avecs + bvecs)
     assert _divisor_mask(dim, avecs, bvecs, s) == _brute_mask(avecs, bvecs, s)
     assert _divisor_mask(dim, bvecs, avecs, s) == _brute_mask(bvecs, avecs, s)
+
+
+@st.composite
+def bit_masks(draw):
+    """A mask of up to 10^5 bits: random dense bits, a few set positions,
+    or both."""
+    width = draw(st.integers(min_value=0, max_value=10 ** 5))
+    dense = draw(st.booleans())
+    mask = draw(st.randoms(use_true_random=False)).getrandbits(width) if dense else 0
+    for p in draw(st.lists(st.integers(min_value=0, max_value=width), max_size=40)):
+        mask |= 1 << p
+    return mask
+
+
+@given(bit_masks())
+@example(0)
+@example(1)
+@example(1 << 99_999)
+@example((1 << 10 ** 5) - 1)
+@settings(max_examples=25, deadline=None)
+def test_bits_lists_every_set_bit_lowest_first(mask):
+    assert _bits(mask) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 # ---------------------------------------------------------------------------

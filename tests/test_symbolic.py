@@ -259,6 +259,19 @@ def test_seed_3_symbolic_power_is_pinned():
         "94f1c8c3d361230296dce9efb14cdaf830921bcb0d6f58ddfcdf1d3170c327ae")
 
 
+def test_wide_prime_power_meet_is_pinned():
+    """I^(12) of (x1, ..., x6, x0*x7), which is P{0..6} meet P{1..7} in 8
+    variables: 18,564 generators, so the prime-power kernel walks masks
+    that wide.  The sha256 of their vectors was recorded when the kernel
+    still cleared one set bit at a time."""
+    I = ideal_of(8, *[[int(j == i) for j in range(8)] for i in range(1, 7)],
+                 (1, 0, 0, 0, 0, 0, 0, 1))
+    got = symbolic_power(I, 12).vectors
+    assert len(got) == 18_564
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "bdb0eef55e0bec4d78710d9dd7a3d0f1026a52a2369960a05518c9932d114fe3")
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_squarefree_symbolic_power_builds_no_component(monkeypatch, seed):
     """On a square-free ideal every localization is a prime, so no power
