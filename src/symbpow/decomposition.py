@@ -105,12 +105,6 @@ class IrreducibleComponent(_Frozen):
     def radical(self) -> MonomialPrime:
         return MonomialPrime(self.ambient_dim, tuple(v for v, _ in self.powers))
 
-    def exponent_of(self, variable: int) -> int | None:
-        for v, e in self.powers:
-            if v == variable:
-                return e
-        return None
-
     def to_ideal(self) -> MonomialIdeal:
         """Pure powers of distinct variables divide none of each other, so
         they are the minimal generators as they stand."""

@@ -121,14 +121,10 @@ class Check(namedtuple("Check", "name kind body grid options low")):
         try:
             out = self.body(I, **params, **options)
         except ResourceLimitError as exc:
-            return CheckResult(name=self.name, verdict=R.RESOURCE_LIMIT, kind=self.kind,
-                               params=params, details={"reason": str(exc)},
-                               elapsed=time.perf_counter() - start)
-        return CheckResult(
-            name=self.name, verdict=out.verdict, kind=out.kind or self.kind,
-            params=out.params or params, details=out.details, witness=out.witness,
-            in_hypothesis=out.verdict != R.NOT_APPLICABLE,
-            elapsed=time.perf_counter() - start)
+            out = Outcome(R.RESOURCE_LIMIT, {"reason": str(exc)})
+        return CheckResult(self.name, out.verdict, out.kind or self.kind,
+                           out.params or params, out.details, out.witness,
+                           time.perf_counter() - start)
 
 
 def _main_theorem(I, m, t, r):
@@ -378,11 +374,6 @@ def check(name: str, I: MonomialIdeal, params: dict | None = None) -> CheckResul
     return row.run(I, params or {})
 
 
-# every classification a result can get, the keys of a report's summary
-_TALLY_KEYS = ("holds", "bug", "candidate", "fails", "not_applicable",
-               "resource_limit")
-
-
 class SuiteReport(namedtuple("SuiteReport", "ideal names results label",
                              defaults=(None,))):
     """One suite over an ideal: its variable names, its CheckResults and
@@ -392,14 +383,23 @@ class SuiteReport(namedtuple("SuiteReport", "ideal names results label",
 
     @property
     def summary(self) -> dict:
-        tally = dict.fromkeys(_TALLY_KEYS, 0)
-        for res in self.results:
-            tally[res.classify()] += 1
-        return tally
+        return R.tally(self.results)
 
     @property
     def has_bug(self) -> bool:
-        return any(res.classify() == "bug" for res in self.results)
+        return self.summary["bug"] > 0
+
+
+def _selection(checks) -> tuple[str, ...]:
+    """The names of the rows to run: checks, or every row for None.  An
+    empty selection or an unknown name raises ValueError."""
+    selected = CHECK_NAMES if checks is None else tuple(checks)
+    if not selected:
+        raise ValueError("empty check selection; pass checks=None for every check")
+    for name in selected:
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}")
+    return selected
 
 
 def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
@@ -413,12 +413,7 @@ def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
     low = [field for field, top in ranges._asdict().items() if top < 1]
     if low:
         raise ValueError(f"{', '.join(low)} must be at least 1")
-    selected = CHECK_NAMES if checks is None else tuple(checks)
-    if not selected:
-        raise ValueError("empty check selection; pass checks=None for every check")
-    for name in selected:
-        if name not in CHECKS:
-            raise ValueError(f"unknown check {name!r}")
+    selected = _selection(checks)
     warn_if_powers_coincide(I)
     results = []
     for name in selected:
@@ -503,15 +498,12 @@ class ScanReport(namedtuple("ScanReport", "config suites")):
 
     @property
     def summary(self) -> dict:
-        tally = {"ideals": len(self.suites)} | dict.fromkeys(_TALLY_KEYS, 0)
-        for suite in self.suites:
-            for key, val in suite.summary.items():
-                tally[key] += val
-        return tally
+        return {"ideals": len(self.suites)} | R.tally(
+            res for suite in self.suites for res in suite.results)
 
     @property
     def has_bug(self) -> bool:
-        return any(s.has_bug for s in self.suites)
+        return self.summary["bug"] > 0
 
     def findings(self) -> list[dict]:
         out = []
@@ -546,7 +538,18 @@ def _scan_suite(rng: SplitRng, i: int, config: ScanConfig) -> SuiteReport:
 def scan(config: ScanConfig) -> ScanReport:
     """One suite per pseudo-random ideal.  The suites' own
     PowersCoincideWarnings are held back, and the scan gives one at its
-    caller's line, naming how many ideals it concerns."""
+    caller's line, naming how many ideals it concerns.  Before any draw,
+    a config it cannot draw from raises ValueError naming every field out
+    of range, and so does an empty or unknown check selection."""
+    # the draws need two variables, a positive exponent and two generators
+    bad = [f"{field} must be at least {least}"
+           for field, least in (("count", 0), ("max_exp", 1), ("max_gens", 2))
+           if getattr(config, field) < least]
+    if not config.num_vars or min(config.num_vars) < 2:
+        bad.append("num_vars must hold variable counts of at least 2")
+    if bad:
+        raise ValueError("; ".join(bad))
+    _selection(config.checks)
     root = SplitRng(config.seed, ("scan",))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", PowersCoincideWarning)

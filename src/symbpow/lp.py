@@ -104,7 +104,7 @@ class _Tableau:
     GE/EQ row (both in row order), the right-hand side at index ncols,
     then the cost rows' scale entry at ncols + 1.  Every row is sparse, a
     dict from column to its non-zero integer entry; a column it lacks
-    holds 0.  Phase 2 keeps only the artificials of EQ rows."""
+    holds 0.  After phase 1, only EQ rows' artificials keep entries."""
 
     def __init__(self, lp: LinearProgram):
         nstruct = len(lp.objective)
@@ -260,23 +260,17 @@ class _Tableau:
                 self._pivot(r, col)
 
     def _drop_dead_artificials(self):
-        """Delete the artificial columns of GE rows, which phase 2 never
-        reads: such a row's multiplier comes from its slack.  Only an EQ
-        row's artificial stays, for its multiplier.  The kept columns keep
-        their order, so Bland's rule takes the same path.  It pays: the alpha
-        LPs of ten 7- to 10-variable ideals took 5.8 s with it and 7.0 s
-        without (min of 5, 2 vCPU VM)."""
+        """Delete the entries of the artificial columns of GE rows, which
+        phase 2 never reads: it enters only columns below n_free, and such
+        a row's multiplier comes from its slack.  Only an EQ row's
+        artificial keeps its entries, for its multiplier.  No column is
+        renumbered, so Bland's rule takes the same path.  It pays: the alpha
+        LPs of ten 7- to 10-variable ideals took 4.8 s with it and 5.7 s
+        without (min of 8, interleaved in one process, 2 vCPU VM)."""
         dead = {art for art, sense in zip(self.art_col, self.senses) if sense == GE}
-        if not dead:
-            return
-        keep = [j for j in range(self.ncols + 2) if j not in dead]
-        moved = {j: i for i, j in enumerate(keep)}
-        self.rows = [{moved[j]: a for j, a in row.items() if j in moved}
-                     for row in self.rows]
-        self.phase2 = {moved[j]: a for j, a in self.phase2.items() if j in moved}
-        self.art_col = [None if art is None or art in dead else moved[art]
-                        for art in self.art_col]
-        self.ncols -= len(dead)
+        for row in self.rows + [self.phase2]:
+            for j in dead.intersection(row):
+                del row[j]
 
 
 def _dual_signs_ok(lp: LinearProgram, y) -> bool:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction
 
 from .monomial import Monomial
@@ -18,14 +18,13 @@ EXPLORATION = "exploration"
 
 
 class CheckResult(namedtuple("CheckResult", "name verdict kind params details "
-                                           "witness in_hypothesis elapsed")):
+                                           "witness elapsed")):
     """Outcome of one check instance.
 
-    verdict: holds / fails / not_applicable / resource_limit.
+    verdict: holds / fails / not_applicable / resource_limit; a check
+          reports not_applicable exactly when its hypothesis fails.
     kind: theorem (a failure is a bug), conjecture (a failure is a candidate
           counterexample), exploration (failures are informative only).
-    in_hypothesis: False when the check ran outside its theorem's hypothesis
-          (then a failure contradicts nothing).
     params are the requested inputs; details carry every computed exponent
     and flag; witness is a failing monomial when one exists.  elapsed is
     wallclock and never enters serialized reports.  params and details
@@ -36,37 +35,42 @@ class CheckResult(namedtuple("CheckResult", "name verdict kind params details "
 
     def __new__(cls, name: str, verdict: str, kind: str = THEOREM,
                 params: dict | None = None, details: dict | None = None,
-                witness: Monomial | None = None, in_hypothesis: bool = True,
-                elapsed: float = 0.0):
+                witness: Monomial | None = None, elapsed: float = 0.0):
         return super().__new__(cls, name, verdict, kind,
                                {} if params is None else params,
                                {} if details is None else details,
-                               witness, in_hypothesis, elapsed)
+                               witness, elapsed)
+
+    @property
+    def in_hypothesis(self) -> bool:
+        """False exactly when the verdict is not_applicable."""
+        return self.verdict != NOT_APPLICABLE
 
     def classify(self) -> str:
-        """Reporting bucket: holds | bug | candidate | fails |
-        not_applicable | resource_limit.
+        """Reporting bucket, one of BUCKETS: the verdict itself unless it is
+        fails, which the kind files as bug (theorem), candidate
+        (conjecture) or fails (exploration).  A check outside its
+        hypothesis reports not_applicable, so a failing theorem is always
+        a bug."""
+        if self.verdict != FAILS:
+            return self.verdict
+        return {THEOREM: "bug", CONJECTURE: "candidate"}.get(self.kind, FAILS)
 
-        A failing theorem inside its hypothesis is a bug; a failing
-        conjecture is a candidate counterexample; a failing exploration (or
-        a theorem probed outside its hypothesis) is just "fails".
-        """
-        if self.verdict == HOLDS:
-            return "holds"
-        if self.verdict == NOT_APPLICABLE:
-            return "not_applicable"
-        if self.verdict == RESOURCE_LIMIT:
-            return "resource_limit"
-        if self.kind == THEOREM and self.in_hypothesis:
-            return "bug"
-        if self.kind == CONJECTURE:
-            return "candidate"
-        return "fails"
+
+# every bucket `classify` gives, the keys of a report's summary in order
+BUCKETS = (HOLDS, "bug", "candidate", FAILS, NOT_APPLICABLE, RESOURCE_LIMIT)
+
+
+def tally(results) -> dict:
+    """How many of the results fall in each bucket, every bucket listed."""
+    counts = Counter(res.classify() for res in results)
+    return {bucket: counts[bucket] for bucket in BUCKETS}
 
 
 def encode_value(value):
     """JSON-safe encoding: Fractions become 'p/q' strings, monomials become
-    exponent lists, tuples become lists; never floats for exact data."""
+    exponent lists, tuples become lists; any other type, a float among
+    them, raises TypeError, so exact data never comes out inexact."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)
@@ -81,4 +85,4 @@ def encode_value(value):
         return {str(k): encode_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [encode_value(v) for v in value]
-    return str(value)
+    raise TypeError(f"cannot encode a {type(value).__name__} exactly: {value!r}")

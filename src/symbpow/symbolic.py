@@ -72,11 +72,11 @@ def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
 def equal_exponent_condition(I: MonomialIdeal) -> bool:
     """True when, for each variable, all irreducible components that involve
     it use one and the same exponent (square-free ideals trivially qualify)."""
-    comps = irreducible_decomposition(I)
-    for v in range(I.ambient_dim):
-        exps = {c.exponent_of(v) for c in comps} - {None}
-        if len(exps) > 1:
-            return False
+    exponent = {}
+    for comp in irreducible_decomposition(I):
+        for v, e in comp.powers:
+            if exponent.setdefault(v, e) != e:
+                return False
     return True
 
 

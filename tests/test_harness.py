@@ -25,21 +25,55 @@ def test_encode_value():
     assert encode_value(Monomial((1, 0, 2))) == [1, 0, 2]
     assert encode_value({"a": Fraction(1, 2), "b": [True, None]}) == {
         "a": "1/2", "b": [True, None]}
+    # what has no exact encoding is refused, not written as a string
+    for value in (0.5, {1, 2}, [Fraction(1, 2), 0.5]):
+        with pytest.raises(TypeError, match="cannot encode a (float|set)"):
+            encode_value(value)
+
+
+# the bucket of every verdict and kind: a verdict is its own bucket unless
+# it is fails, which the kind files
+BUCKET_OF = {
+    (R.HOLDS, R.THEOREM): "holds",
+    (R.HOLDS, R.CONJECTURE): "holds",
+    (R.HOLDS, R.EXPLORATION): "holds",
+    (R.FAILS, R.THEOREM): "bug",
+    (R.FAILS, R.CONJECTURE): "candidate",
+    (R.FAILS, R.EXPLORATION): "fails",
+    (R.NOT_APPLICABLE, R.THEOREM): "not_applicable",
+    (R.NOT_APPLICABLE, R.CONJECTURE): "not_applicable",
+    (R.NOT_APPLICABLE, R.EXPLORATION): "not_applicable",
+    (R.RESOURCE_LIMIT, R.THEOREM): "resource_limit",
+    (R.RESOURCE_LIMIT, R.CONJECTURE): "resource_limit",
+    (R.RESOURCE_LIMIT, R.EXPLORATION): "resource_limit",
+}
 
 
 def test_classification():
-    assert CheckResult("x", R.HOLDS).classify() == "holds"
-    assert CheckResult("x", R.FAILS, kind=R.THEOREM).classify() == "bug"
-    assert CheckResult("x", R.FAILS, kind=R.CONJECTURE).classify() == "candidate"
-    assert CheckResult("x", R.NOT_APPLICABLE).classify() == "not_applicable"
-    assert CheckResult("x", R.RESOURCE_LIMIT).classify() == "resource_limit"
+    """Each of the 12 verdict and kind pairs lands in its bucket, and
+    in_hypothesis is false exactly for not_applicable.  The kind defaults
+    to theorem, and the tally lists every bucket, in order."""
+    results = []
+    for (verdict, kind), bucket in BUCKET_OF.items():
+        res = CheckResult("x", verdict, kind=kind)
+        assert res.classify() == bucket, (verdict, kind)
+        assert res.in_hypothesis == (verdict != R.NOT_APPLICABLE), (verdict, kind)
+        results.append(res)
+    assert CheckResult("x", R.FAILS).classify() == "bug"
+    assert R.tally(results) == {"holds": 3, "bug": 1, "candidate": 1, "fails": 1,
+                                "not_applicable": 3, "resource_limit": 3}
+    assert tuple(R.tally([])) == R.BUCKETS == (
+        "holds", "bug", "candidate", "fails", "not_applicable", "resource_limit")
 
 
 def test_records_are_immutable_and_share_no_default():
     """Records are named tuples: compared by fields, immutable, and each
     gets its own empty params, details and grid dicts."""
     a, b = CheckResult("x", R.HOLDS), CheckResult(name="x", verdict=R.HOLDS)
-    assert a == b == CheckResult("x", R.HOLDS, R.THEOREM, {}, {}, None, True, 0.0)
+    assert a == b == CheckResult("x", R.HOLDS, R.THEOREM, {}, {}, None, 0.0)
+    assert len(a) == 7
+    with pytest.raises(TypeError):  # derived from the verdict, not stored
+        CheckResult("x", R.HOLDS, in_hypothesis=True)
     assert a.params is not b.params and a.details is not b.details
     a.details["seen"] = True
     assert b.details == {}
@@ -111,6 +145,25 @@ def test_run_suite_rejects_empty_selection(rot3):
         run_suite(rot3, checks=())
     with pytest.raises(ValueError, match="empty check selection"):
         scan(ScanConfig(count=1, checks=()))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"num_vars": (1,)}, "num_vars"),
+    ({"num_vars": ()}, "num_vars"),
+    ({"num_vars": (3, 1)}, "num_vars"),
+    ({"max_gens": 1}, "max_gens must be at least 2"),
+    ({"max_exp": 0}, "max_exp must be at least 1"),
+    ({"count": -1}, "count must be at least 0"),
+    ({"count": 0, "checks": ("nope",)}, "unknown check 'nope'"),
+    ({"count": 0, "checks": ()}, "empty check selection"),
+    ({"count": -1, "num_vars": (2, 1), "max_exp": 0, "max_gens": 1},
+     "^count must be at least 0; max_exp must be at least 1; max_gens must be "
+     "at least 2; num_vars must hold variable counts of at least 2$"),
+])
+def test_scan_refuses_a_config_it_cannot_draw_from(fields, message):
+    """One ValueError, before any draw, names every field out of range."""
+    with pytest.raises(ValueError, match=message):
+        scan(ScanConfig(**fields))
 
 
 def test_run_suite_rejects_unit():

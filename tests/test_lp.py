@@ -147,20 +147,22 @@ def test_purge_pivots_on_a_negative_entry(monkeypatch):
 
 
 def test_phase_2_keeps_only_eq_artificials():
-    """Once phase 1 ends, a GE row's artificial column is deleted, since its
-    multiplier comes from its slack; an EQ row keeps its artificial."""
+    """Once phase 1 ends, a GE row's artificial column loses its entries,
+    since its multiplier comes from its slack; an EQ row keeps its
+    artificial.  No column is renumbered."""
     # min x + y  s.t.  x + y >= 2,  x - y >= 0,  x + 2y == 3
     prog = make_lp([[1, 1], [1, -1], [1, 2]], [2, 0, 3],
                    [lp.GE, lp.GE, lp.EQ], [1, 1])
     tableau = lp._Tableau(prog)
-    assert tableau.ncols == tableau.n_free + 3
+    ncols, art_col = tableau.ncols, list(tableau.art_col)
+    assert ncols == tableau.n_free + 3
+    assert art_col == [tableau.n_free, tableau.n_free + 1, tableau.n_free + 2]
+    ge_arts = set(art_col[:2])
+    assert any(ge_arts & row.keys() for row in tableau.rows)
     assert tableau.solve() == textbook_simplex(prog)
-    assert tableau.ncols == tableau.n_free + 1
-    # rows are sparse: every key lies below ncols + 2 (the rhs, then the
-    # scale), so none names a deleted GE artificial, and the one artificial
-    # column left is the EQ row's
-    assert tableau.art_col == [None, None, tableau.n_free]
-    assert all(key < tableau.ncols + 2 for row in tableau.rows + [tableau.phase2] for key in row)
+    assert tableau.ncols == ncols and tableau.art_col == art_col
+    assert not any(ge_arts & row.keys()
+                   for row in tableau.rows + tableau._cost_rows())
 
 
 @given(st.lists(st.tuples(st.lists(mixed_entry, min_size=3, max_size=3),

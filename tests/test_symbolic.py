@@ -109,6 +109,17 @@ def test_equal_exponent_condition(triples4, edges3):
     assert equal_exponent_condition(edges3)
     res = check("equal_exponent_containment", triples4, {"m": 2, "t": 1, "r": 2})
     assert res.verdict == R.HOLDS
+    # (x^2, y^3) meet (y^3, z^2): y carries 3 in both components
+    met = intersect(ideal_of(3, (2, 0, 0), (0, 3, 0)), ideal_of(3, (0, 3, 0), (0, 0, 2)))
+    assert equal_exponent_condition(met)
+    res = check("equal_exponent_containment", met, {"m": 2, "t": 1, "r": 2})
+    assert res.verdict == R.HOLDS
+    # (x, y^2) meet (y, z): y carries 2 in one component and 1 in the other
+    unmet = intersect(ideal_of(3, (1, 0, 0), (0, 2, 0)), ideal_of(3, (0, 1, 0), (0, 0, 1)))
+    assert len(irreducible_decomposition(unmet)) == 2
+    assert not equal_exponent_condition(unmet)
+    res = check("equal_exponent_containment", unmet, {"m": 2, "t": 1, "r": 2})
+    assert res.verdict == R.NOT_APPLICABLE
 
 
 def test_symbolic_step(rot3, triples4):
