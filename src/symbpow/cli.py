@@ -12,9 +12,9 @@ resource budget exceeded, 4 a computed result failed its own verification,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import warnings
+from collections import namedtuple
 
 from . import harness
 from .decomposition import (associated_primes, big_height,
@@ -22,24 +22,12 @@ from .decomposition import (associated_primes, big_height,
 from .errors import ResourceLimitError, VerificationError
 from .geometry import (alpha_polyhedron, enumerate_vertices,
                        symbolic_polyhedron)
-from .invariants import alpha, beta, invariant_report, waldschmidt_point
+from .invariants import alpha, beta, invariant_report
 from .parsing import ParseError, format_ideal, load_ideal
-from .results import encode_value
+from .results import encode_value, json_line
 from .symbolic import symbolic_power
 
 TEXT, STRUCTURED = "text", "structured"
-
-
-def _common(parser):
-    parser.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
-    parser.add_argument("--output", metavar="FILE",
-                        help="write the report here instead of stdout")
-
-
-def _timings(parser):
-    """The flag of the commands that print one line per check."""
-    parser.add_argument("--timings", action="store_true",
-                        help="append wall-clock timings (text format only)")
 
 
 def _int_at_least(low: int):
@@ -78,199 +66,188 @@ def _check_list(text: str) -> tuple[str, ...]:
     return names
 
 
+def _given(args, fields) -> dict:
+    """The options among fields that the command line gave (see build_parser)."""
+    return {field: getattr(args, field) for field in fields if field in args}
+
+
+def _scalar(invariant):
+    """A command that prints one value of the ideal."""
+    def run(args, doc):
+        value = invariant(doc.ideal)
+        if args.format == STRUCTURED:
+            return json_line({args.command: value}), 0
+        return f"{encode_value(value)}\n", 0
+    return run
+
+
+def _primes(invariant):
+    """A command that prints a list of primes of the ideal."""
+    def run(args, doc):
+        primes, names = invariant(doc.ideal), doc.names
+        if args.format == STRUCTURED:
+            return json_line({args.command: [[names[i] for i in P.variables]
+                                             for P in primes]}), 0
+        return "".join(P.render(names) + "\n" for P in primes), 0
+    return run
+
+
+def _info(args, doc):
+    report = invariant_report(doc.ideal, doc.names)
+    if args.format == STRUCTURED:
+        return json_line(report), 0
+    return "".join(f"{k}: {encode_value(v)}\n" for k, v in report.items()), 0
+
+
+def _symbolic(args, doc):
+    sym, names = symbolic_power(doc.ideal, args.m), doc.names
+    if args.format == STRUCTURED:
+        return json_line({"m": args.m, "vars": names,
+                          "gens": [g.render(names) for g in sym.gens]}), 0
+    return format_ideal(sym, names), 0
+
+
+def _waldschmidt(args, doc):
+    value, point = alpha_polyhedron(symbolic_polyhedron(doc.ideal))
+    if args.format == STRUCTURED:
+        return json_line({"waldschmidt": value, "point": point}), 0
+    return f"{encode_value(value)}\n", 0
+
+
+def _polyhedron(args, doc):
+    Q, names = symbolic_polyhedron(doc.ideal), doc.names
+    value, point = alpha_polyhedron(Q)
+    vertices = enumerate_vertices(Q) if args.vertices else ()
+    if args.format == STRUCTURED:
+        record = {"alpha": value, "alpha_point": point, "components": [
+            {"prime": [names[i] for i in P.variables], "gens": N.gens}
+            for P, N in Q.components]}
+        return json_line(record | ({"vertices": vertices} if args.vertices else {})), 0
+    if args.dump:
+        lines = [line for P, N in Q.components
+                 for line in ("P " + " ".join(names[i] for i in P.variables),
+                              *("G " + " ".join(map(str, g)) for g in N.gens))]
+    else:
+        lines = [f"alpha: {encode_value(value)}"]
+        if not args.vertices:
+            lines += [f"alpha point: ({', '.join(encode_value(x) for x in point)})",
+                      f"components: {len(Q.components)}"]
+    lines.extend("V " + " ".join(encode_value(x) for x in v) for v in vertices)
+    return "\n".join(lines) + "\n", 0
+
+
+def _containment(args, doc):
+    res = harness.check("symbolic_in_mpower", doc.ideal,
+                        {"m": args.m, "s": args.s, "r": args.r})
+    if args.format == STRUCTURED:
+        return json_line(harness.result_to_dict(res, doc.names)), 0
+    line = f"I^({args.m}) <= m^{args.s} * I^{args.r}: {res.classify()}"
+    if res.witness is not None:
+        line += f"  witness={res.witness.render(doc.names)}"
+    return line + "\n", 0
+
+
+def _suite(args, doc):
+    ranges = harness.SuiteRanges(**_given(args, harness.SuiteRanges._fields))
+    report = harness.run_suite(doc.ideal, ranges=ranges, names=doc.names,
+                               label=doc.label, **_given(args, ("checks", "seed")))
+    return (harness.suite_jsonl(report) if args.format == STRUCTURED
+            else harness.suite_text(report, args.timings)), int(report.has_bug)
+
+
+def _scan(args, doc):
+    report = harness.scan(harness.ScanConfig(**_given(args, harness.ScanConfig._fields)))
+    if args.findings:
+        with open(args.findings, "w") as fh:
+            fh.write(harness.findings_jsonl(report))
+    return (harness.scan_jsonl(report) if args.format == STRUCTURED
+            else harness.scan_text(report, args.timings)), int(report.has_bug)
+
+
+# A command: its help line, run(args, doc) giving its report and exit code,
+# its own options as (flag, add_argument keywords) pairs, and whether it
+# reads an ideal file (doc, that file's IdealDocument, else None).
+Command = namedtuple("Command", "help run options file", defaults=((), True))
+_TIMINGS = ("--timings", dict(action="store_true", default=False,
+                              help="append wall-clock timings (text format only)"))
+
+COMMANDS = {
+    "info": Command("all scalar invariants of the ideal", _info),
+    "ass": Command("associated primes", _primes(associated_primes)),
+    "maxass": Command("maximal associated primes", _primes(max_associated_primes)),
+    "bigheight": Command("largest height of an associated prime", _scalar(big_height)),
+    "sigma": Command("smallest generator support size", _scalar(sigma)),
+    "symbolic": Command("minimal generators of a symbolic power", _symbolic, [
+        ("-m", dict(type=_int_at_least(0), required=True, metavar="M"))]),
+    "alpha": Command("least generator degree", _scalar(alpha)),
+    "beta": Command("largest generator degree", _scalar(beta)),
+    "waldschmidt": Command("Waldschmidt constant (exact rational)", _waldschmidt),
+    "polyhedron": Command("symbolic polyhedron summary", _polyhedron, [
+        ("--dump", dict(action="store_true", default=False, help="emit P/G component lines")),
+        ("--vertices", dict(action="store_true", default=False,
+                            help="also enumerate vertices (V lines)"))]),
+    "containment": Command("exploratory check I^(m) <= m^s I^r", _containment, [
+        (flag, dict(type=_int_at_least(0), required=True))
+        for flag in ("--m", "--s", "--r")]),
+    "suite": Command("run named checks against one ideal", _suite, [
+        ("--checks", dict(type=_check_list, help="comma-separated names (default: all)")),
+        ("--seed", dict(type=int)),
+        *((flag, dict(type=_int_at_least(1))) for flag in ("--m-max", "--t-max", "--r-max")),
+        _TIMINGS]),
+    "scan": Command("run suites against pseudo-random ideals", _scan, [
+        ("--count", dict(type=_int_at_least(0))),
+        ("--seed", dict(type=int)),
+        ("--vars", dict(type=_var_counts, dest="num_vars", metavar="VARS",
+                        help="ambient variable counts to draw from, e.g. 3,4")),
+        ("--max-exp", dict(type=_int_at_least(1))),
+        ("--max-gens", dict(type=_int_at_least(2))),
+        ("--sqfree", dict(action="store_true", dest="squarefree_only",
+                          help="generate only square-free ideals")),
+        ("--checks", dict(type=_check_list)),
+        ("--findings", dict(metavar="FILE", default=None,
+                            help="write bug/candidate findings to this JSONL file")),
+        _TIMINGS], file=False),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per row of COMMANDS.  An option not given is left out
+    of args, so the library's default applies, unless the option says its own."""
     parser = argparse.ArgumentParser(
         prog="symbpow",
         description="symbolic powers, symbolic polyhedra and containment "
                     "checks for monomial ideals")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_, needs_file=True):
-        p = sub.add_parser(name, help=help_)
-        if needs_file:
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help,
+                           argument_default=argparse.SUPPRESS)
+        if command.file:
             p.add_argument("file", help="ideal description file")
-        _common(p)
-        return p
-
-    cmd("info", "all scalar invariants of the ideal")
-    cmd("ass", "associated primes")
-    cmd("maxass", "maximal associated primes")
-    cmd("bigheight", "largest height of an associated prime")
-    cmd("sigma", "smallest generator support size")
-    p = cmd("symbolic", "minimal generators of a symbolic power")
-    p.add_argument("-m", type=_int_at_least(0), required=True, metavar="M")
-    cmd("alpha", "least generator degree")
-    cmd("beta", "largest generator degree")
-    cmd("waldschmidt", "Waldschmidt constant (exact rational)")
-    p = cmd("polyhedron", "symbolic polyhedron summary")
-    p.add_argument("--dump", action="store_true",
-                   help="emit P/G component lines")
-    p.add_argument("--vertices", action="store_true",
-                   help="also enumerate vertices (V lines)")
-    p = cmd("containment", "exploratory check I^(m) <= m^s I^r")
-    p.add_argument("--m", type=_int_at_least(0), required=True)
-    p.add_argument("--s", type=_int_at_least(0), required=True)
-    p.add_argument("--r", type=_int_at_least(0), required=True)
-    p = cmd("suite", "run named checks against one ideal")
-    p.add_argument("--checks", type=_check_list, default=None,
-                   help="comma-separated names (default: all)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--m-max", type=_int_at_least(1), default=3)
-    p.add_argument("--t-max", type=_int_at_least(1), default=3)
-    p.add_argument("--r-max", type=_int_at_least(1), default=3)
-    _timings(p)
-    p = cmd("scan", "run suites against pseudo-random ideals", needs_file=False)
-    p.add_argument("--count", type=_int_at_least(0), default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--vars", type=_var_counts, default=(3, 4),
-                   help="ambient variable counts to draw from, e.g. 3,4")
-    p.add_argument("--max-exp", type=_int_at_least(1), default=4)
-    p.add_argument("--max-gens", type=_int_at_least(2), default=6)
-    p.add_argument("--sqfree", action="store_true",
-                   help="generate only square-free ideals")
-    p.add_argument("--checks", type=_check_list, default=None)
-    p.add_argument("--findings", metavar="FILE",
-                   help="write bug/candidate findings to this JSONL file")
-    _timings(p)
+        p.add_argument("--format", choices=(TEXT, STRUCTURED), default=TEXT)
+        p.add_argument("--output", metavar="FILE", default=None,
+                       help="write the report here instead of stdout")
+        for flag, options in command.options:
+            p.add_argument(flag, **options)
     return parser
 
 
-def _scalar(args, key, value, names) -> str:
-    if args.format == STRUCTURED:
-        return json.dumps({key: encode_value(value)}, sort_keys=True) + "\n"
-    return f"{encode_value(value)}\n"
-
-
-def _primes_out(args, key, primes, names) -> str:
-    if args.format == STRUCTURED:
-        return json.dumps(
-            {key: [[names[i] for i in P.variables] for P in primes]},
-            sort_keys=True) + "\n"
-    return "".join(P.render(names) + "\n" for P in primes)
-
-
-# command -> (the invariant of the ideal it prints, how it prints it)
-_INVARIANT_COMMANDS = {
-    "ass": (associated_primes, _primes_out),
-    "maxass": (max_associated_primes, _primes_out),
-    "bigheight": (big_height, _scalar),
-    "sigma": (sigma, _scalar),
-    "alpha": (alpha, _scalar),
-    "beta": (beta, _scalar),
-}
-
-
-def _dispatch(args) -> tuple[str, int]:
-    if args.command == "scan":
-        config = harness.ScanConfig(
-            count=args.count, seed=args.seed, num_vars=args.vars,
-            max_exp=args.max_exp, max_gens=args.max_gens,
-            squarefree_only=args.sqfree, checks=args.checks)
-        report = harness.scan(config)
-        if args.findings:
-            with open(args.findings, "w") as fh:
-                fh.write(harness.findings_jsonl(report))
-        text = (harness.scan_jsonl(report) if args.format == STRUCTURED
-                else harness.scan_text(report, args.timings))
-        return text, (1 if report.has_bug else 0)
-
-    doc = load_ideal(args.file)
-    I, names = doc.ideal, doc.names
-    if I.is_zero or I.is_unit:
-        raise ParseError(f"{args.file}: every command needs a proper non-zero "
-                         f"ideal, this file gives the {'zero' if I.is_zero else 'unit'} ideal")
-
-    if args.command == "info":
-        report = invariant_report(I, names)
-        if args.format == STRUCTURED:
-            return json.dumps({k: encode_value(v) for k, v in report.items()},
-                              sort_keys=True) + "\n", 0
-        lines = [f"{k}: {encode_value(v)}" for k, v in report.items()]
-        return "\n".join(lines) + "\n", 0
-    if args.command in _INVARIANT_COMMANDS:
-        invariant, render = _INVARIANT_COMMANDS[args.command]
-        return render(args, args.command, invariant(I), names), 0
-    if args.command == "waldschmidt":
-        value, point = alpha_polyhedron(symbolic_polyhedron(I))
-        if args.format == STRUCTURED:
-            return json.dumps({"waldschmidt": encode_value(value),
-                               "point": [encode_value(x) for x in point]},
-                              sort_keys=True) + "\n", 0
-        return f"{encode_value(value)}\n", 0
-    if args.command == "symbolic":
-        sym = symbolic_power(I, args.m)
-        if args.format == STRUCTURED:
-            return json.dumps({"m": args.m, "vars": list(names),
-                               "gens": [g.render(names) for g in sym.gens]},
-                              sort_keys=True) + "\n", 0
-        return format_ideal(sym, names), 0
-    if args.command == "polyhedron":
-        return _polyhedron_cmd(args, I, names)
-    if args.command == "containment":
-        res = harness.check("symbolic_in_mpower", I,
-                            {"m": args.m, "s": args.s, "r": args.r})
-        if args.format == STRUCTURED:
-            return json.dumps(harness.result_to_dict(res, names),
-                              sort_keys=True) + "\n", 0
-        verdict = res.classify()
-        line = (f"I^({args.m}) <= m^{args.s} * I^{args.r}: {verdict}")
-        if res.witness is not None:
-            line += f"  witness={res.witness.render(names)}"
-        return line + "\n", 0
-    if args.command == "suite":
-        ranges = harness.SuiteRanges(m_max=args.m_max, t_max=args.t_max,
-                                     r_max=args.r_max)
-        report = harness.run_suite(I, checks=args.checks, ranges=ranges,
-                                   seed=args.seed, names=names,
-                                   label=doc.label)
-        text = (harness.suite_jsonl(report) if args.format == STRUCTURED
-                else harness.suite_text(report, args.timings))
-        return text, (1 if report.has_bug else 0)
-    raise AssertionError(f"unhandled command {args.command}")
-
-
-def _polyhedron_cmd(args, I, names) -> tuple[str, int]:
-    Q = symbolic_polyhedron(I)
-    value, point = alpha_polyhedron(Q)
-    vertices = enumerate_vertices(Q) if args.vertices else None
-    if args.format == STRUCTURED:
-        payload = {
-            "alpha": encode_value(value),
-            "alpha_point": [encode_value(x) for x in point],
-            "components": [
-                {"prime": [names[i] for i in P.variables],
-                 "gens": [list(g) for g in N.gens]}
-                for P, N in Q.components],
-        }
-        if vertices is not None:
-            payload["vertices"] = [[encode_value(x) for x in v]
-                                   for v in vertices]
-        return json.dumps(payload, sort_keys=True) + "\n", 0
-    lines = [f"alpha: {encode_value(value)}",
-             f"alpha point: ({', '.join(encode_value(x) for x in point)})",
-             f"components: {len(Q.components)}"]
-    if args.dump or args.vertices:
-        lines = []
-        for P, N in Q.components:
-            if args.dump:
-                lines.append("P " + " ".join(names[i] for i in P.variables))
-                lines.extend("G " + " ".join(str(e) for e in g)
-                             for g in N.gens)
-        if vertices is not None:
-            lines.extend("V " + " ".join(encode_value(x) for x in v)
-                         for v in vertices)
-        if not args.dump:
-            lines.insert(0, f"alpha: {encode_value(value)}")
-    return "\n".join(lines) + "\n", 0
+def _document(path):
+    """The ideal file at path; a zero or unit ideal is bad input."""
+    doc = load_ideal(path)
+    if doc.ideal.is_zero or doc.ideal.is_unit:
+        raise ParseError(f"{path}: every command needs a proper non-zero ideal, this "
+                         f"file gives the {'zero' if doc.ideal.is_zero else 'unit'} ideal")
+    return doc
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = COMMANDS[args.command]
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            text, code = _dispatch(args)
+            text, code = command.run(args, _document(args.file) if command.file else None)
         for message in dict.fromkeys(str(w.message) for w in caught):
             print(f"note: {message}", file=sys.stderr)
         if args.output:

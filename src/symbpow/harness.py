@@ -23,7 +23,7 @@ rerun with the same seed is byte-identical.
 
 from __future__ import annotations
 
-import json
+import operator
 import time
 import warnings
 from collections import namedtuple
@@ -69,6 +69,22 @@ class Outcome(namedtuple("Outcome", "verdict details witness params kind",
     __slots__ = ()
 
 
+def _integers(values: dict, lists=()) -> dict:
+    """values read through operator.index, which takes an int or a bool and
+    refuses a float or a string; a key in lists holds a sequence, read entry
+    by entry into a tuple.  One ValueError names every key that does not."""
+    read, bad = {}, []
+    for key, value in values.items():
+        try:
+            read[key] = (tuple(map(operator.index, value)) if key in lists
+                         else operator.index(value))
+        except TypeError:
+            bad.append(key)
+    if bad:
+        raise ValueError(f"not an integer: {', '.join(bad)}")
+    return read
+
+
 def _holds(ok: bool) -> str:
     return R.HOLDS if ok else R.FAILS
 
@@ -91,7 +107,7 @@ class Check(namedtuple("Check", "name kind body grid options low")):
     value (a new empty dict by default), and options(seed) gives the
     keyword arguments a suite adds (the stairs row's seed).  body(I,
     **params, **options) decides the hypothesis and returns an Outcome.
-    Every parameter must be at least low."""
+    Every parameter must be an integer of at least low."""
 
     __slots__ = ()
 
@@ -114,6 +130,7 @@ class Check(namedtuple("Check", "name kind body grid options low")):
         once for all its rows.  A budget exceeded anywhere in the row is
         its verdict, resource_limit, with the budget's message as reason;
         the result keeps the row's kind and the time the row took."""
+        params = _integers(params)
         low = [name for name, v in params.items() if v < self.low]
         if low:
             raise ValueError(f"{', '.join(low)} must be at least {self.low}")
@@ -408,7 +425,8 @@ def run_suite(I: MonomialIdeal, checks=None, ranges: SuiteRanges | None = None,
     names = default_names(I.ambient_dim) if names is None else tuple(names)
     if len(names) != I.ambient_dim:
         raise ValueError(f"{len(names)} variable names for {I.ambient_dim} variables")
-    ranges = ranges or SuiteRanges()
+    read = _integers((ranges or SuiteRanges())._asdict() | {"seed": seed})
+    seed, ranges = read.pop("seed"), SuiteRanges(**read)
     # a top below 1 would leave its rows' grids empty, and the rows missing
     low = [field for field, top in ranges._asdict().items() if top < 1]
     if low:
@@ -539,8 +557,13 @@ def scan(config: ScanConfig) -> ScanReport:
     """One suite per pseudo-random ideal.  The suites' own
     PowersCoincideWarnings are held back, and the scan gives one at its
     caller's line, naming how many ideals it concerns.  Before any draw,
-    a config it cannot draw from raises ValueError naming every field out
-    of range, and so does an empty or unknown check selection."""
+    a config it cannot draw from raises ValueError naming every field that
+    is not an integer or out of range, and so does an empty or unknown
+    check selection."""
+    config = config._replace(**_integers(
+        {field: getattr(config, field)
+         for field in ("count", "seed", "num_vars", "max_exp", "max_gens")},
+        lists=("num_vars",)))
     # the draws need two variables, a positive exponent and two generators
     bad = [f"{field} must be at least {least}"
            for field, least in (("count", 0), ("max_exp", 1), ("max_gens", 2))
@@ -615,17 +638,13 @@ def suite_text(report: SuiteReport, timings: bool = False) -> str:
 
 
 def suite_jsonl(report: SuiteReport) -> str:
-    lines = [json.dumps({
-        "type": "ideal",
-        "label": report.label,
-        "vars": list(report.names),
-        "gens": [g.render(report.names) for g in report.ideal.gens],
-    }, sort_keys=True)]
-    for res in report.results:
-        lines.append(json.dumps({"type": "check"} | result_to_dict(res, report.names),
-                                sort_keys=True))
-    lines.append(json.dumps({"type": "summary"} | report.summary, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    names = report.names
+    head = {"type": "ideal", "label": report.label, "vars": names,
+            "gens": [g.render(names) for g in report.ideal.gens]}
+    return "".join([R.json_line(head),
+                    *(R.json_line({"type": "check"} | result_to_dict(res, names))
+                      for res in report.results),
+                    R.json_line({"type": "summary"} | report.summary)])
 
 
 def scan_text(report: ScanReport, timings: bool = False) -> str:
@@ -636,10 +655,9 @@ def scan_text(report: ScanReport, timings: bool = False) -> str:
 
 
 def scan_jsonl(report: ScanReport) -> str:
-    summary = json.dumps({"type": "scan_summary"} | report.summary, sort_keys=True)
-    return "".join(map(suite_jsonl, report.suites)) + summary + "\n"
+    summary = R.json_line({"type": "scan_summary"} | report.summary)
+    return "".join(map(suite_jsonl, report.suites)) + summary
 
 
 def findings_jsonl(report: ScanReport) -> str:
-    return "".join(json.dumps(f, sort_keys=True) + "\n"
-                   for f in report.findings())
+    return "".join(map(R.json_line, report.findings()))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import Counter, namedtuple
 from fractions import Fraction
 
@@ -71,18 +72,23 @@ def encode_value(value):
     """JSON-safe encoding: Fractions become 'p/q' strings, monomials become
     exponent lists, tuples become lists; any other type, a float among
     them, raises TypeError, so exact data never comes out inexact."""
+    # leaves first: json_line walks records whose values are mostly
+    # strings and ints already encoded by result_to_dict
+    if value is None or isinstance(value, (int, str)):
+        return value
+    if isinstance(value, dict):
+        return {str(k): encode_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [encode_value(v) for v in value]
     if isinstance(value, Fraction):
         if value.denominator == 1:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, Monomial):
         return list(value.exponents)
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, str)):
-        return value
-    if isinstance(value, dict):
-        return {str(k): encode_value(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [encode_value(v) for v in value]
     raise TypeError(f"cannot encode a {type(value).__name__} exactly: {value!r}")
+
+
+def json_line(record) -> str:
+    """One line of structured output: record, encoded exactly, as sorted JSON."""
+    return json.dumps(encode_value(record), sort_keys=True) + "\n"

@@ -8,7 +8,7 @@ import symbpow.results as R
 from symbpow import cli, geometry, harness, lp
 from symbpow.decomposition import MonomialPrime, _big_height
 from symbpow.errors import ResourceLimitError, VerificationError
-from symbpow.geometry import (NewtonPolyhedron, _optimize_over, alpha_polyhedron,
+from symbpow.geometry import (_optimize_over, alpha_polyhedron,
                               enumerate_vertices, member_scaled,
                               newton_polyhedron, np_member, probe_points,
                               symbolic_polyhedron)

@@ -166,6 +166,65 @@ def test_scan_refuses_a_config_it_cannot_draw_from(fields, message):
         scan(ScanConfig(**fields))
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"count": 2, "max_exp": 2.5}, "max_exp"),
+    ({"count": 2.5, "max_gens": 4.5, "num_vars": (3.0,)}, "count, num_vars, max_gens"),
+    ({"count": "3"}, "count"),
+    ({"count": 1, "seed": 1.5}, "seed"),
+    ({"count": 1, "seed": "7", "num_vars": 3}, "seed, num_vars"),
+], ids=["float-exponent", "three-floats", "string-count", "float-seed",
+        "string-seed-and-scalar-vars"])
+def test_scan_reads_its_fields_as_integers(fields, named, monkeypatch):
+    """A float exponent would build ideals with float exponents, and a
+    float or string count fails inside range() or a comparison: one
+    ValueError names every field that is not an integer, before any draw."""
+    drawn = []
+    monkeypatch.setattr(harness, "run_suite", lambda *args, **kwargs: drawn.append(args))
+    with pytest.raises(ValueError, match=f"^not an integer: {named}$"):
+        scan(ScanConfig(**fields))
+    assert drawn == []
+
+
+def test_scan_reads_a_bool_as_an_integer():
+    as_bools = scan(ScanConfig(count=True, seed=False, num_vars=[3], max_exp=True + 2))
+    as_ints = scan(ScanConfig(count=1, seed=0, num_vars=(3,), max_exp=3))
+    assert as_bools.config == as_ints.config
+    assert [type(v) for v in as_bools.config[:5]] == [int, int, tuple, int, int]
+    assert scan_jsonl(as_bools) == scan_jsonl(as_ints)
+
+
+def test_run_suite_reads_its_tops_and_seed_as_integers(rot3, monkeypatch):
+    """A float seed would run the stairs rows with its floor and record the
+    float, which the encoder refuses, and a string top would fail in a
+    comparison: one ValueError names each before any row runs.  A bool
+    reads as 0 or 1."""
+    ran = []
+    with monkeypatch.context() as patch:
+        patch.setattr(Check, "run", lambda *args, **kwargs: ran.append(args))
+        with pytest.raises(ValueError, match="^not an integer: m_max, r_max, seed$"):
+            run_suite(rot3, ranges=SuiteRanges(m_max="3", r_max=None), seed=1.5)
+        with pytest.raises(ValueError, match="^not an integer: seed$"):
+            run_suite(rot3, seed="7")
+    assert ran == []
+    ranges = SuiteRanges(m_max=True, t_max=1, r_max=1, alpha_m_cap=1)
+    as_bool = run_suite(rot3, checks=("stairs",), ranges=ranges, seed=True)
+    as_int = run_suite(rot3, checks=("stairs",), ranges=SuiteRanges(1, 1, 1, 1), seed=1)
+    assert suite_jsonl(as_bool) == suite_jsonl(as_int)
+    assert '"seed": 1' in suite_jsonl(as_bool)
+
+
+def test_check_reads_its_parameters_as_integers(rot3):
+    with pytest.raises(ValueError, match="^not an integer: r$"):
+        check("symbolic_step", rot3, {"r": "2"})
+    with pytest.raises(ValueError, match="^not an integer: m, r$"):
+        check("squarefree_containment", rot3, {"m": 1.0, "t": 2, "r": None})
+    res = check("symbolic_step", rot3, {"r": True})
+    assert res.params == {"r": 1} and type(res.params["r"]) is int
+    names = ("x", "y", "z")
+    assert result_to_dict(res, names) == result_to_dict(
+        check("symbolic_step", rot3, {"r": 1}), names)
+
+
 def test_run_suite_rejects_unit():
     with pytest.raises(ValueError):
         run_suite(MonomialIdeal.unit(2))
@@ -229,7 +288,7 @@ def test_scan_squarefree_has_ass_oracle():
 
 def test_findings_output(rot3):
     """A suite containing the candidate shows up in findings form."""
-    from symbpow.harness import ScanReport, SuiteReport
+    from symbpow.harness import ScanReport
 
     suite = run_suite(rot3, checks=("refined_containment",), names=("x", "y", "z"),
                       label="direct")
