@@ -25,6 +25,12 @@ VerificationError is raised.
 Associated primes are the radicals of those components; grouping
 components by radical gives an irredundant primary decomposition, so no
 radical is spurious.
+
+The localization of I at P erases the exponents of the variables outside
+P.  `localizations` pairs each maximal associated prime with it, memoized
+by value: symbolic powers at every exponent, the symbolic polyhedron and
+the integral-closure row all read one ideal's localizations from there,
+so each is built once per ideal.
 """
 
 from __future__ import annotations
@@ -238,6 +244,14 @@ def localize(I: MonomialIdeal, P: MonomialPrime) -> MonomialIdeal:
     return _from_vectors(I.ambient_dim,
                          [tuple(e if i in inside else 0 for i, e in enumerate(g))
                           for g in I.vectors])
+
+
+@lru_cache(maxsize=_DECOMP_CACHE_SIZE)
+def localizations(I: MonomialIdeal) -> tuple[tuple[MonomialPrime, MonomialIdeal], ...]:
+    """(P, I localized at P) for each maximal associated prime P, in the
+    order of max_associated_primes; memoized by value, so a localization's
+    prime-power shape is found once however many exponents ask."""
+    return tuple((P, localize(I, P)) for P in max_associated_primes(I))
 
 
 def sigma(I: MonomialIdeal) -> int:

@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from . import lp
-from .decomposition import MonomialPrime, localize, max_associated_primes
+from .decomposition import MonomialPrime, localizations
 from .errors import ResourceLimitError, VerificationError
 from .monomial import (MonomialIdeal, _Frozen, _naturals, as_prime_power,
                        require_proper)
@@ -99,12 +99,11 @@ class SymbolicPolyhedron(_Frozen):
 @lru_cache(maxsize=512)
 def symbolic_polyhedron(I: MonomialIdeal) -> SymbolicPolyhedron:
     """One Newton polyhedron per maximal associated prime, in the order of
-    the primes."""
+    the primes: that of I localized there, read from `localizations`,
+    which the symbolic powers of I share."""
     require_proper(I)
-    comps = []
-    for P in max_associated_primes(I):
-        comps.append((P, newton_polyhedron(localize(I, P))))
-    return SymbolicPolyhedron(I.ambient_dim, tuple(comps))
+    return SymbolicPolyhedron(I.ambient_dim, tuple(
+        (P, newton_polyhedron(L)) for P, L in localizations(I)))
 
 
 def _as_integers(a, dim: int) -> tuple[list[int], int]:

@@ -34,9 +34,9 @@ from math import ceil
 
 from . import results as R
 from .decomposition import (MonomialPrime, _big_height, associated_primes,
-                            localize, max_associated_primes, sigma,
-                            warn_if_powers_coincide)
-from .errors import PowersCoincideWarning, ResourceLimitError
+                            localizations, sigma, warn_if_powers_coincide)
+from .errors import (PowersCoincideWarning, ResourceLimitError,
+                     VerificationError)
 from .geometry import member_scaled, probe_points, symbolic_polyhedron
 from .invariants import (_chudnovsky_bound, alpha, beta, is_equigenerated,
                          is_integrally_closed, waldschmidt)
@@ -91,12 +91,21 @@ def _holds(ok: bool) -> str:
 
 def _contained(lhs, rhs, s, details, probe_witness=False, params=None, kind=None):
     """Whether the ideal lhs sits inside m^s * rhs, by the containment
-    kernel.  probe_witness: on failure, also record whether the witness
-    lies in rhs itself."""
+    kernel.  A witness is re-tested before a fails verdict leaves, by a
+    plain scan over the generators of rhs and not the kernel's index: it
+    lies outside exactly when no generator h divides it with
+    deg f - deg h >= s; else VerificationError.  probe_witness: on
+    failure, also record whether the witness lies in rhs itself."""
     witness = containment_witness(lhs, rhs, s)
-    if witness is not None and probe_witness:
-        details |= {"witness_in_symbolic_power": True,
-                    "witness_in_plain_power": contains(rhs, witness)}
+    if witness is not None:
+        f = witness.exponents
+        if any(sum(h) <= sum(f) - s and all(map(operator.le, h, f))
+               for h in rhs.vectors):
+            raise VerificationError(f"the containment witness {witness} "
+                                    f"lies in m^{s} * rhs after all")
+        if probe_witness:
+            details |= {"witness_in_symbolic_power": True,
+                        "witness_in_plain_power": contains(rhs, witness)}
     return Outcome(_holds(witness is None), details, witness, params, kind)
 
 
@@ -338,8 +347,8 @@ def _integrally_closed_bound(I):
     # going over the closure test's budget is this row's verdict, with the
     # details so far, not a bare resource limit
     try:
-        for P in max_associated_primes(I):
-            if not is_integrally_closed(localize(I, P)):
+        for P, L in localizations(I):
+            if not is_integrally_closed(L):
                 return Outcome(R.NOT_APPLICABLE, details | {
                     "reason": "a localization is not integrally closed",
                     "prime": P.render()})

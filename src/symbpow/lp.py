@@ -280,10 +280,11 @@ def _dual_signs_ok(lp: LinearProgram, y) -> bool:
         for v, s in zip(y, lp.senses))
 
 
-def _dot(u, v) -> Fraction:
-    """Exact u.v, summed over one running denominator and reduced once."""
+def _dot(pairs) -> Fraction:
+    """Exact sum of a * b over the (a, b) pairs, summed over one running
+    denominator and reduced once."""
     num, den = 0, 1
-    for a, b in zip(u, v):
+    for a, b in pairs:
         if a and b:
             n, d = a.numerator * b.numerator, a.denominator * b.denominator
             if d == den:
@@ -300,8 +301,16 @@ def _verify(lp: LinearProgram, result: LPResult):
     if y is None or not _dual_signs_ok(lp, y):
         raise VerificationError(f"{result.status} result without a valid "
                                 f"dual certificate: {y}")
-    aty = [_dot((row[j] for row in lp.matrix), y) for j in range(len(lp.objective))]
-    by = _dot(lp.rhs, y)
+    # each row's non-zero (column, entry) pairs, listed once: the alpha
+    # LP's rows hold a few non-zeros each
+    nonzero = [[(j, a) for j, a in enumerate(row) if a] for row in lp.matrix]
+    columns = [[] for _ in lp.objective]
+    for pairs, v in zip(nonzero, y):
+        if v:
+            for j, a in pairs:
+                columns[j].append((a, v))
+    aty = [_dot(col) for col in columns]
+    by = _dot(zip(lp.rhs, y))
     if result.status == INFEASIBLE:
         if any(v > 0 for v in aty) or by <= 0:
             raise VerificationError(f"not a Farkas ray: A^T y = {aty}, b.y = {by}")
@@ -309,12 +318,12 @@ def _verify(lp: LinearProgram, result: LPResult):
     x = result.solution
     if x is None or len(x) != len(lp.objective) or any(v < 0 for v in x):
         raise VerificationError(f"solution is not a non-negative point: {x}")
-    for row, bval, sense in zip(lp.matrix, lp.rhs, lp.senses):
-        lhs = _dot(row, x)
+    for row, pairs, bval, sense in zip(lp.matrix, nonzero, lp.rhs, lp.senses):
+        lhs = _dot((a, x[j]) for j, a in pairs)
         ok = lhs <= bval if sense == LE else lhs >= bval if sense == GE else lhs == bval
         if not ok:
             raise VerificationError(f"solution violates {row} {sense} {bval}: got {lhs}")
-    val = _dot(lp.objective, x)
+    val = _dot(zip(lp.objective, x))
     if val != result.value:
         raise VerificationError(f"objective mismatch: c.x = {val}, reported {result.value}")
     if any(a > c for a, c in zip(aty, lp.objective)):

@@ -5,17 +5,19 @@ associated primes P, the m-th symbolic power is
 
     I^(m)  =  intersection over P in maxass(I) of (I localized at P)^m,
 
-computed here exactly: the localization erases exponents outside P.  A
-localization that is a prime power Q^k is never built out to Q^(km): it is
-a prime step, one call of the prime-power kernel on the running exponent
-vectors, which lists the minimal generators of the meet with Q^(km)
-directly.  Any other localization is a general component, its power formed
-with minimalization after every product.  The general components are met
-pairwise through `intersect`, each time the two (components or meets
-already formed) whose variable sets differ in the fewest variables, then
-the two with the fewest lcm pairs: a variable that only one side uses
-multiplies the size of a meet, so this keeps the intermediate ideals
-small.  The prime steps then run on the meet of the general ones (on the
+computed here exactly: the localization erases exponents outside P.  The
+localizations come from `decomposition.localizations`, memoized by value,
+so each is built and its prime-power shape found once per ideal, not once
+per exponent.  A localization that is a prime power Q^k is never built out
+to Q^(km): it is a prime step, one call of the prime-power kernel on the
+running exponent vectors, which lists the minimal generators of the meet
+with Q^(km) directly.  Any other localization is a general component,
+its power formed with minimalization after every product.  The general
+components are met pairwise through `intersect`, each time the two
+(components or meets already formed) whose variable sets differ in the
+fewest variables, then the two with the fewest lcm pairs: a variable that
+only one side uses multiplies the size of a meet, so this keeps the
+intermediate ideals small.  The prime steps then run on the meet of the general ones (on the
 unit ideal if there is none), smallest first, and the vectors are sorted
 once at the end.  The meet is a canonical ideal, so the order changes no
 generator.  For a square-free I every step is a prime step, so no
@@ -28,7 +30,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .decomposition import (irreducible_decomposition, localize,
+from .decomposition import (irreducible_decomposition, localizations,
                             max_associated_primes)
 from .monomial import (MonomialIdeal, _canonical, _meet_simplex_power,
                        as_exponent, power, require_proper)
@@ -50,8 +52,7 @@ def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
     dim = I.ambient_dim
     general = []  # (variables of P, (I localized at P)^m), later of meets
     prime_steps = []  # (generator count, S, n) for a localization Q^k, n = km
-    for P in max_associated_primes(I):
-        L = localize(I, P)
+    for P, L in localizations(I):
         if L.simplex_power is None:
             general.append((frozenset(P.variables), power(L, m)))
         else:

@@ -6,16 +6,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from symbpow import decomposition
 from symbpow.decomposition import (IrreducibleComponent, MonomialPrime,
                                    _check_recombines, associated_primes,
                                    big_height, irreducible_decomposition,
-                                   localize, max_associated_primes, sigma)
+                                   localizations, localize,
+                                   max_associated_primes, sigma)
 from symbpow.errors import (DimensionMismatchError, NonAssociatedPrimeWarning,
                             PowersCoincideWarning, VerificationError)
+from symbpow.geometry import symbolic_polyhedron
+from symbpow.harness import check
 from symbpow.monomial import (Monomial, MonomialIdeal, contains, intersect,
                               subset)
+from symbpow.symbolic import symbolic_power
 
 from conftest import ideal_of, random_general_corpus
+from test_symbolic import MIXED
+
+# a localization of ic4 is not integrally closed, and alpha(ic4) = 8 is
+# large enough for the integral-closure row to test them
+IC4 = ideal_of(4, (2, 4, 4, 0), (3, 4, 1, 4), (4, 1, 3, 0), (3, 2, 4, 4), (1, 4, 3, 3))
+CYCLE4 = ideal_of(4, (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))
 
 
 def test_prime_basics():
@@ -109,6 +120,34 @@ def test_localize_warns_off_support(rot3):
     stray = MonomialPrime(3, (0,))
     with pytest.warns(NonAssociatedPrimeWarning):
         localize(rot3, stray)
+
+
+def test_localizations_pair_each_maximal_prime_with_its_localization(rot3, triples4):
+    for I in (rot3, triples4, IC4, MIXED, CYCLE4):
+        assert localizations(I) == tuple(
+            (P, localize(I, P)) for P in max_associated_primes(I))
+
+
+def test_each_localization_is_built_once_per_ideal(monkeypatch):
+    """Symbolic powers at five exponents, the symbolic polyhedron and the
+    integral-closure row share one ideal's localizations: on cold caches,
+    localize runs once per maximal associated prime."""
+    for cached in (localizations, symbolic_power, symbolic_polyhedron):
+        cached.cache_clear()
+    built = []
+    real = decomposition.localize
+
+    def spy(I, P):
+        built.append(P)
+        return real(I, P)
+
+    monkeypatch.setattr(decomposition, "localize", spy)
+    for m in range(2, 7):
+        symbolic_power(IC4, m)
+    symbolic_polyhedron(IC4)
+    row = check("integrally_closed_bound", IC4)
+    assert row.details["reason"] == "a localization is not integrally closed"
+    assert built == list(max_associated_primes(IC4))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 import symbpow.results as R
 from symbpow import harness, invariants, monomial
 from symbpow.decomposition import big_height
-from symbpow.errors import PowersCoincideWarning, ResourceLimitError
+from symbpow.errors import (PowersCoincideWarning, ResourceLimitError,
+                            VerificationError)
 from symbpow.harness import (CHECK_NAMES, CHECKS, Check, ScanConfig, SuiteRanges,
                              check, findings_jsonl, result_to_dict, run_suite,
                              scan, scan_jsonl, suite_jsonl, suite_text)
@@ -464,3 +465,12 @@ def test_equal_exponent_rows_reuse_the_squarefree_answers(monkeypatch, triples4)
     assert len(again.results) == 27
     assert ([(r.verdict, r.details, r.witness) for r in again.results]
             == [(r.verdict, r.details, r.witness) for r in first.results])
+
+
+def test_a_witness_inside_the_right_hand_side_raises(rot3, monkeypatch):
+    """Every generator of rot3^(2) lies in m * rot3 (the symbolic step holds),
+    so a kernel that names one as a witness is caught before the verdict."""
+    monkeypatch.setattr(harness, "containment_witness",
+                        lambda lhs, rhs, s: Monomial(lhs.vectors[0]))
+    with pytest.raises(VerificationError, match="witness"):
+        check("symbolic_step", rot3, {"r": 1})
