@@ -53,6 +53,7 @@ class MonomialPrime(_Frozen):
     _fields = ("ambient_dim", "variables")
 
     def __init__(self, ambient_dim: int, variables: tuple[int, ...]):
+        (ambient_dim,) = _naturals((ambient_dim,), "ambient_dim")
         vs = tuple(sorted(set(_naturals(variables, "variable"))))
         if not vs:
             raise ValueError("a monomial prime needs at least one variable")
@@ -94,6 +95,7 @@ class IrreducibleComponent(_Frozen):
     _fields = ("ambient_dim", "powers")
 
     def __init__(self, ambient_dim: int, powers: tuple[tuple[int, int], ...]):
+        (ambient_dim,) = _naturals((ambient_dim,), "ambient_dim")
         ps = tuple(sorted(_naturals(p, "variable power") for p in powers))
         if not ps:
             raise ValueError("an irreducible component needs at least one variable power")

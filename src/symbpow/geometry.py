@@ -48,6 +48,7 @@ class NewtonPolyhedron(_Frozen):
     _fields = ("ambient_dim", "gens")
 
     def __init__(self, ambient_dim: int, gens: tuple[tuple[int, ...], ...]):
+        (ambient_dim,) = _naturals((ambient_dim,), "ambient_dim")
         gens = tuple(sorted(_naturals(g, "exponent") for g in gens))
         if not gens:
             raise ValueError("a Newton polyhedron needs at least one generator")

@@ -44,7 +44,7 @@ from .monomial import (Monomial, MonomialIdeal, _from_vectors, _in_staircase,
                        containment_witness, contains, intersect, is_squarefree,
                        power, require_proper)
 from .parsing import default_names, format_ideal
-from .results import CheckResult, encode_value
+from .results import CheckResult
 from .rng import SplitRng
 from .symbolic import equal_exponent_condition, symbolic_power
 
@@ -258,7 +258,7 @@ def _stairs(I, r, seed=0):
                "sampled_only": sampled_only, "seed": seed}
     if bad is not None:
         v, den = bad
-        details["witness_point"] = [str(Fraction(x, den)) for x in v]
+        details["witness_point"] = [Fraction(x, den) for x in v]
     return Outcome(_holds(bad is None), details)
 
 
@@ -603,14 +603,17 @@ def scan(config: ScanConfig) -> ScanReport:
 
 
 def result_to_dict(res: CheckResult, names) -> dict:
+    """One check row as a record: params and details as the row gave them,
+    encoded only by `results.json_line`, and the witness rendered with
+    the suite's names."""
     return {
         "check": res.name,
         "verdict": res.verdict,
         "kind": res.kind,
         "classification": res.classify(),
         "in_hypothesis": res.in_hypothesis,
-        "params": {k: encode_value(v) for k, v in sorted(res.params.items())},
-        "details": {k: encode_value(v) for k, v in sorted(res.details.items())},
+        "params": dict(res.params),
+        "details": dict(res.details),
         "witness": None if res.witness is None else res.witness.render(names),
     }
 
@@ -618,8 +621,7 @@ def result_to_dict(res: CheckResult, names) -> dict:
 def _result_line(res: CheckResult, names, timings: bool) -> str:
     bits = [res.name]
     if res.params:
-        bits.append(" ".join(f"{k}={encode_value(v)}"
-                             for k, v in sorted(res.params.items())))
+        bits.append(" ".join(f"{k}={v}" for k, v in sorted(res.params.items())))
     verdict = res.classify()
     line = f"  {' '.join(bits)}: {verdict}"
     if verdict == "candidate":

@@ -149,6 +149,7 @@ class MonomialIdeal(_Frozen):
     @staticmethod
     def make(ambient_dim: int, gens: Iterable[Monomial]) -> MonomialIdeal:
         gens = list(gens)
+        (ambient_dim,) = _naturals((ambient_dim,), "ambient_dim")
         if ambient_dim < 1:
             raise ValueError("ambient_dim must be at least 1")
         for g in gens:
@@ -527,15 +528,6 @@ def _powers_of(I: MonomialIdeal) -> list[MonomialIdeal]:
     return [I]
 
 
-def as_exponent(t) -> int:
-    """t as an int, through operator.index: 2.0, 2.5, Fraction(2) and "2"
-    are refused, as a Monomial refuses them."""
-    try:
-        return operator.index(t)
-    except TypeError:
-        raise ValueError(f"non-integer exponent {t!r}") from None
-
-
 def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
     """t-th power.  For a prime power, (P^m)^t = P^(mt) is every degree-mt
     monomial on P's variables, listed directly by the prime-power kernel.
@@ -543,9 +535,7 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
     generator sets never carry redundant elements; lower powers come from a
     per-ideal cache, so a run of powers of one ideal multiplies by I once
     per step, with no recursion however large t is."""
-    t = as_exponent(t)
-    if t < 0:
-        raise ValueError("negative power of an ideal")
+    (t,) = _naturals((t,), "exponent")
     if t == 0:
         return MonomialIdeal.unit(I.ambient_dim)
     if I.is_zero or I.is_unit or t == 1:
@@ -593,9 +583,7 @@ def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monom
     2^53 a float gap would round the degree test.
     """
     _check_same_ring(lhs, rhs)
-    s = as_exponent(s)
-    if s < 0:
-        raise ValueError("s must be non-negative")
+    (s,) = _naturals((s,), "exponent")
     index = _divisor_index(rhs)
     for f in lhs.vectors:
         if not _rows_below(index, (*f, sum(f) - s)):

@@ -8,13 +8,15 @@ what makes scan reports byte-identical across runs and platforms.
 
 from __future__ import annotations
 
+import operator
+
 _BLOCK_BITS = 128
 WEIGHT_GRANULARITY = 12  # the largest raw weight
 
 
 class SplitRng:
     def __init__(self, seed: int, path: tuple = ()):
-        self.seed = int(seed)
+        self.seed = operator.index(seed)  # 1.5 raises, not draws seed 1's stream
         self.path = tuple(str(p) for p in path)
         self._counter = 0
 

@@ -33,7 +33,7 @@ from math import comb
 from .decomposition import (irreducible_decomposition, localizations,
                             max_associated_primes)
 from .monomial import (MonomialIdeal, _canonical, _meet_simplex_power,
-                       as_exponent, power, require_proper)
+                       _naturals, power, require_proper)
 from .monomial import intersect as ideal_intersect
 
 
@@ -41,10 +41,8 @@ from .monomial import intersect as ideal_intersect
 def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
     """The m-th symbolic power (m = 0 gives the unit ideal).  The cache is
     typed, so 2.0 never finds the entry of 2 and is refused like 2.5."""
-    m = as_exponent(m)
+    (m,) = _naturals((m,), "exponent")
     require_proper(I)
-    if m < 0:
-        raise ValueError("negative symbolic power")
     if m == 0:
         return MonomialIdeal.unit(I.ambient_dim)
     if m == 1:

@@ -9,12 +9,17 @@ run it; two runners read the table:
                                 # subprocess of this interpreter
     pytest tests/test_cli_pins.py   # each command in-process, through cli.main
 
+`python tests/cli_pins.py --dump DIR` also writes each pin's joined stdout
+to DIR/<pin name>, so that two trees' outputs can be compared field by
+field.  The tier-1 digests that restate a pin read it from DIGESTS.
+
 A digest is never re-recorded to make a change pass: a pin that moves is a
 change of output.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import subprocess
 import sys
@@ -146,22 +151,48 @@ PINS = [
          "d88be7a5f17d0199885080267f14dfb8c167608968ee1c2b07ae92b4d56ae41b"),
 ]
 
+DIGESTS = {pin.name: pin.sha256 for pin in PINS}
+
 
 def write_inputs(directory: Path) -> None:
     for name, text in INPUTS.items():
         (Path(directory) / name).write_text(text)
 
 
+def output(pin: Pin, run) -> bytes:
+    """The joined stdout of pin's commands; run(argv) gives one command's
+    stdout as bytes, and raises if it does not exit 0."""
+    return b"".join(run(argv) for argv in pin.commands)
+
+
 def digest(pin: Pin, run) -> str:
-    """sha256 of the joined stdout of pin's commands; run(argv) gives one
-    command's stdout as bytes, and raises if it does not exit 0."""
-    return hashlib.sha256(b"".join(run(argv) for argv in pin.commands)).hexdigest()
+    return hashlib.sha256(output(pin, run)).hexdigest()
 
 
-def main() -> int:
-    """Every pin, each command as `python -m symbpow` in a
-    subprocess of this interpreter; one line per pin, exit 1 on a mismatch."""
+def check_pins(pins, run, dump: Path | None = None) -> int:
+    """Each pin's output against its digest, one line per pin, written to
+    dump/<pin name> as well when dump is set; the number of mismatches."""
+    if dump is not None:
+        dump.mkdir(parents=True, exist_ok=True)
     failed = 0
+    for pin in pins:
+        out = output(pin, run)
+        if dump is not None:
+            (dump / pin.name).write_bytes(out)
+        got = hashlib.sha256(out).hexdigest()
+        ok = got == pin.sha256
+        failed += not ok
+        print(f"{'ok' if ok else 'MISMATCH'}  {pin.name}  {got}", flush=True)
+    return failed
+
+
+def main(argv=None) -> int:
+    """Every pin, each command as `python -m symbpow` in a subprocess of
+    this interpreter; exit 1 on a mismatch."""
+    parser = argparse.ArgumentParser(description="Check the pinned CLI outputs.")
+    parser.add_argument("--dump", type=Path, metavar="DIR",
+                        help="also write each pin's joined stdout to DIR/<pin name>")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as directory:
         write_inputs(directory)
 
@@ -170,11 +201,7 @@ def main() -> int:
                                   cwd=directory, stdout=subprocess.PIPE,
                                   check=True).stdout
 
-        for pin in PINS:
-            got = digest(pin, run)
-            ok = got == pin.sha256
-            failed += not ok
-            print(f"{'ok' if ok else 'MISMATCH'}  {pin.name}  {got}", flush=True)
+        failed = check_pins(PINS, run, args.dump)
     return 1 if failed else 0
 
 

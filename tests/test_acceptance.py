@@ -19,6 +19,7 @@ from symbpow.invariants import alpha, waldschmidt
 from symbpow.monomial import Monomial, power
 from symbpow.symbolic import symbolic_power
 
+from cli_pins import DIGESTS
 from conftest import (ideal_of, random_general_corpus, random_primary_corpus,
                       random_squarefree_corpus)
 from oracles import realizing_denominator, symbolic_power_oracle_sqfree
@@ -182,9 +183,9 @@ def test_c09_chudnovsky_and_candidate_flags():
 
 
 # sha256 of the default structured scan (seed 7, 50 ideals, 1,148,863
-# bytes), recorded before the checks became one table; it equals the
-# scan-50 digest in deskbench/reference.json
-C10_SHA256 = "8f2b90ce4e4409561b57fb1374179c5d4caf3d52083fd3348a2c70b2afa8b0e5"
+# bytes), recorded before the checks became one table: the c10.jsonl pin
+# of the CLI table; it equals the scan-50 digest in deskbench/reference.json
+C10_SHA256 = DIGESTS["c10.jsonl"]
 
 
 def test_c10_byte_identical_scan(tmp_path):

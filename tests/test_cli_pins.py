@@ -3,11 +3,12 @@ this process through cli.main.  CI runs the same table again from a bare
 install, each command in a subprocess."""
 
 import contextlib
+import hashlib
 import io
 
 import pytest
 
-from cli_pins import PINS, digest, write_inputs
+from cli_pins import PINS, check_pins, digest, write_inputs
 from symbpow.cli import main
 
 
@@ -30,3 +31,15 @@ def run_in_process(argv) -> bytes:
 def test_pinned_output(pin, inputs, monkeypatch):
     monkeypatch.chdir(inputs)  # the pins name their files relative to it
     assert digest(pin, run_in_process) == pin.sha256
+
+
+def test_dump_writes_the_pinned_bytes(inputs, monkeypatch, tmp_path, capsys):
+    """`cli_pins.py --dump DIR` writes each pin's joined stdout to
+    DIR/<pin name>: here one pin, in this process, whose file hashes to
+    the table's digest."""
+    pin = next(pin for pin in PINS if pin.name == "rot3.jsonl")
+    monkeypatch.chdir(inputs)
+    assert check_pins([pin], run_in_process, tmp_path / "dump") == 0
+    dumped = (tmp_path / "dump" / pin.name).read_bytes()
+    assert hashlib.sha256(dumped).hexdigest() == pin.sha256
+    assert capsys.readouterr().out == f"ok  {pin.name}  {pin.sha256}\n"

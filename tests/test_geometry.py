@@ -585,7 +585,7 @@ def test_stairs_witness_is_the_first_point_outside(monkeypatch, rot3):
     e, J = _big_height(rot3), power(rot3, 2)
     bad = next(p for p in ([F(x, den) for x in v] for v, den in points)
                if not stairs_member(J, [e * x for x in p]))
-    assert res.details["witness_point"] == [str(x) for x in bad]
+    assert res.details["witness_point"] == bad
 
 
 def test_the_suite_seed_reaches_every_stairs_row(monkeypatch, rot3):
@@ -610,7 +610,7 @@ def test_the_suite_seed_reaches_every_stairs_row(monkeypatch, rot3):
         J = power(rot3, r + 1)
         bad = next(p for p in ([F(x, den) for x in v] for v, den in points)
                    if not stairs_member(J, [e * r * x for x in p]))
-        assert res.details["witness_point"] == [str(x) for x in bad]
+        assert res.details["witness_point"] == bad
 
 
 def test_stairs_containment(rot3, triples4):
@@ -643,7 +643,7 @@ def test_stairs_floors_a_point_just_below_an_integer(monkeypatch, rot3, num, ver
     res = check("stairs", rot3, {"r": 1})
     assert res.verdict == verdict
     if verdict == R.FAILS:
-        assert res.details["witness_point"] == [str(F(num, e * 10 ** 20)), "0", "0"]
+        assert res.details["witness_point"] == [F(num, e * 10 ** 20), F(0), F(0)]
 
 
 # ---------------------------------------------------------------------------

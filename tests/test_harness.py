@@ -17,18 +17,19 @@ from symbpow.monomial import Monomial, MonomialIdeal
 from symbpow.parsing import default_names
 from symbpow.results import CheckResult, encode_value
 
+from cli_pins import DIGESTS
 from conftest import ideal_of
 
 
 def test_encode_value():
     assert encode_value(Fraction(2, 3)) == "2/3"
     assert encode_value(Fraction(4, 1)) == "4"
-    assert encode_value(Monomial((1, 0, 2))) == [1, 0, 2]
     assert encode_value({"a": Fraction(1, 2), "b": [True, None]}) == {
         "a": "1/2", "b": [True, None]}
-    # what has no exact encoding is refused, not written as a string
-    for value in (0.5, {1, 2}, [Fraction(1, 2), 0.5]):
-        with pytest.raises(TypeError, match="cannot encode a (float|set)"):
+    # what has no exact encoding is refused, not written as a string; a
+    # witness reaches a record rendered, never as a Monomial
+    for value in (0.5, {1, 2}, [Fraction(1, 2), 0.5], Monomial((1, 0, 2))):
+        with pytest.raises(TypeError, match="cannot encode a (float|set|Monomial)"):
             encode_value(value)
 
 
@@ -261,8 +262,9 @@ def test_scan_deterministic():
 
 # sha256 of the structured half c03 sweep (the sweep-sqfree bench corpus:
 # seed 2026, 100 square-free ideals in 3-5 variables), recorded before
-# symbolic powers streamed through the prime-power kernel
-SWEEP_SHA256 = "05664d3c571b7d244af954a173b5c79e29860f9bb321ec5969432bc5a22a7211"
+# symbolic powers streamed through the prime-power kernel: the sweep.jsonl
+# pin of the CLI table
+SWEEP_SHA256 = DIGESTS["sweep.jsonl"]
 
 
 def test_squarefree_sweep_bytes_are_pinned():
@@ -287,25 +289,38 @@ def test_scan_squarefree_has_ass_oracle():
         assert "ass_oracle" in names
 
 
+# sha256 of the findings report below, the one structured writer that no
+# CLI pin and no bench scan reaches, recorded before check rows reached
+# json_line unencoded
+FINDINGS_SHA256 = "31029cc59b46e7157dd5d5d255f054d884f801e4e3fca330b877904c03e7348e"
+
+
 def test_findings_output(rot3):
-    """A suite containing the candidate shows up in findings form."""
+    """A suite containing the candidate shows up in findings form, byte for
+    byte."""
     from symbpow.harness import ScanReport
 
     suite = run_suite(rot3, checks=("refined_containment",), names=("x", "y", "z"),
                       label="direct")
     rep = ScanReport(ScanConfig(count=0), (suite,))
-    rows = [json.loads(line) for line in findings_jsonl(rep).splitlines()]
+    out = findings_jsonl(rep)
+    rows = [json.loads(line) for line in out.splitlines()]
     assert len(rows) == 1
     assert rows[0]["classification"] == "candidate"
     assert "vars: x y z" in rows[0]["ideal"]
     assert rows[0]["result"]["check"] == "refined_containment"
+    assert hashlib.sha256(out.encode()).hexdigest() == FINDINGS_SHA256
 
 
-def test_result_to_dict_encodes_params(rot3):
+def test_result_to_dict_keeps_values_raw(rot3):
+    """result_to_dict leaves params and details as the row gave them, and
+    json_line is the one pass that encodes them."""
     res = CheckResult("demo", R.HOLDS, params={"m": 2, "w": Fraction(1, 2)})
     d = result_to_dict(res, ("x", "y", "z"))
-    assert d["params"] == {"m": 2, "w": "1/2"}
+    assert d["params"] == {"m": 2, "w": Fraction(1, 2)}
+    assert type(d["params"]["w"]) is Fraction
     assert d["witness"] is None
+    assert json.loads(R.json_line(d))["params"] == {"m": 2, "w": "1/2"}
 
 
 def test_check_names_cover_plan():
@@ -360,7 +375,8 @@ def test_every_row_and_its_rare_branches_are_pinned(rot3, triples4, edges3, monk
         with monkeypatch.context() as patch:
             for module, limit, value in limits:
                 patch.setattr(module, limit, value)
-            return result_to_dict(check(name, I, params), default_names(I.ambient_dim))
+            return encode_value(result_to_dict(check(name, I, params),
+                                               default_names(I.ambient_dim)))
 
     rows = [run(name, I, params, limits)
             for I in ideals for name, params, limits in calls]

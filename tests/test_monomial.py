@@ -15,6 +15,7 @@ from symbpow.monomial import (Monomial, MonomialIdeal, _bits, _divisor_index,
                               contains, intersect,
                               is_squarefree, maximal_ideal, multiply, power,
                               radical, subset)
+from symbpow.symbolic import symbolic_power
 
 from conftest import ideal_of
 from oracles import above_some, degree_monomials, pairwise_lcms
@@ -59,15 +60,34 @@ def test_monomial_rejects_non_integer(bad):
     lambda: NewtonPolyhedron(2, ((0.5, 1), (2, 0))),  # once a TypeError in np_member
     lambda: NewtonPolyhedron(2, ((-1, 3), (2, 0))),  # once a VerificationError
     lambda: NewtonPolyhedron(2, (("1", 3),)),
+    # once an ideal whose waldschmidt raised TypeError
+    lambda: MonomialIdeal.make(2.0, [Monomial((1, 1)), Monomial((0, 2))]),
+    lambda: MonomialIdeal.make(2.5, []),  # once a zero ideal of dimension 2.5
+    lambda: MonomialPrime(2.5, (0,)),
+    lambda: IrreducibleComponent(2.5, ((0, 1),)),
+    lambda: NewtonPolyhedron(2.0, [(1, 1)]),
 ], ids=["prime-float", "prime-str", "prime-negative", "prime-out-of-range",
         "component-float", "component-str", "component-negative",
         "component-out-of-range", "component-zero-power", "newton-float",
-        "newton-negative", "newton-str"])
+        "newton-negative", "newton-str", "ideal-dim-float", "zero-ideal-dim-float",
+        "prime-dim-float", "component-dim-float", "newton-dim-float"])
 def test_value_types_refuse_what_is_not_a_natural_in_range(make):
-    """Every value type reads its integers as Monomial does: through
-    operator.index, non-negative, and a variable inside the ring."""
+    """Every value type reads its integers, ambient_dim among them, as
+    Monomial does: through operator.index, non-negative, and a variable
+    inside the ring."""
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("read", [
+    lambda I: power(I, -1),
+    lambda I: symbolic_power(I, -1),
+    lambda I: containment_witness(I, I, -1),
+], ids=["power", "symbolic-power", "containment-gap"])
+def test_a_negative_exponent_is_refused_by_name(read):
+    I = ideal_of(2, (1, 1))
+    with pytest.raises(ValueError, match=re.escape("negative exponent in (-1,)")):
+        read(I)
 
 
 VALUES = {

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from symbpow.rng import SplitRng
 
 from oracles import convex_weights
@@ -46,3 +48,10 @@ def test_convex_weights_sum_to_one():
         assert len(w) == n
         assert sum(w) == Fraction(1)
         assert all(x >= 0 for x in w)
+
+
+def test_a_seed_that_is_not_an_int_is_refused():
+    """SplitRng(1.5) once drew seed 1's stream without a word."""
+    for seed in (1.5, 1.0, "1"):
+        with pytest.raises(TypeError):
+            SplitRng(seed)
