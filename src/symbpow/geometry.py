@@ -35,8 +35,8 @@ from math import gcd, lcm
 from . import lp
 from .decomposition import MonomialPrime, localizations
 from .errors import ResourceLimitError, VerificationError
-from .monomial import (MonomialIdeal, _Frozen, _naturals, as_prime_power,
-                       require_proper)
+from .monomial import (MonomialIdeal, _ambient_dim, _Frozen, _naturals,
+                       as_prime_power, require_proper)
 
 MAX_RAYS = 256  # the most rays the double description keeps after a cut
 PROBE_SAMPLES = 8  # the convex combinations probe_points adds to Q's vertices
@@ -48,7 +48,7 @@ class NewtonPolyhedron(_Frozen):
     _fields = ("ambient_dim", "gens")
 
     def __init__(self, ambient_dim: int, gens: tuple[tuple[int, ...], ...]):
-        (ambient_dim,) = _naturals((ambient_dim,), "ambient_dim")
+        ambient_dim = _ambient_dim(ambient_dim)
         gens = tuple(sorted(_naturals(g, "exponent") for g in gens))
         if not gens:
             raise ValueError("a Newton polyhedron needs at least one generator")

@@ -20,7 +20,10 @@ as Fenwick trees of prefix ORs; products minimalize all pairwise sums so.
 The containment kernel answers each (lhs, rhs, s) once per process and
 builds the index of an rhs, its generator columns plus their degrees, once
 for every lhs and s asked against it; both memos are keyed by value, so
-check rows asking one question share one answer.  A general
+check rows asking one question share one answer.  It walks the
+generators of lhs in canonical order and keeps the per-column ANDs of the
+one before, so each generator is asked only from the first column where
+it differs from that one, up to the first empty AND.  A general
 intersection forms an lcm only for the pairs that can give a minimal
 generator (`_meet_candidates`): a generator of one side inside the
 other is one already, and the others are grouped by their exponents on
@@ -31,11 +34,13 @@ make a dominated candidate: both go through one prime-power kernel,
 `_meet_simplex_power`, (P^m)^t as the zero vector (the unit ideal) met
 with P^(mt).  The kernel takes minimal exponent vectors in any order and
 returns the minimal generators of the meet unsorted; it holds the
-degree-m part of each group of generators as a bitmask over ranked
-compositions, so each minimal generator comes out once, with no scan.
-Every kernel reads a mask's set bits through one walk, `_bits`, which
-reads them off the mask's binary digits: linear in its width, where
-clearing one bit at a time copies the whole int per bit.
+degree-m vectors above each group of generators as a bitmask over ranked
+compositions, built once per group (`_upper_set`), so each minimal
+generator comes out once, with no scan; parts of vectors are read, and
+outputs placed, by `operator.itemgetter` gathers.  Every kernel reads a
+mask's set bits through one walk, `_bits`, which reads them off the
+mask's binary digits: linear in its width, where clearing one bit at a
+time copies the whole int per bit.
 `intersect` and `power` sort each call's output into an ideal;
 `symbolic_power` chains the kernel over the prime-power localizations of
 an ideal (all of them, for a square-free ideal) and sorts only the end
@@ -44,11 +49,11 @@ result.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from itertools import chain
 from math import comb
 
 from .errors import DimensionMismatchError
@@ -107,6 +112,15 @@ def _naturals(values: Iterable, what: str) -> tuple[int, ...]:
     return out
 
 
+def _ambient_dim(value) -> int:
+    """A number of variables, read as every constructor reads it: a
+    natural number of at least 1, else ValueError."""
+    (dim,) = _naturals((value,), "ambient_dim")
+    if dim < 1:
+        raise ValueError("ambient_dim must be at least 1")
+    return dim
+
+
 class Monomial(_Frozen):
     """An exponent vector of non-negative integers, none rounded or
     converted.  The all-zero vector is the monomial 1."""
@@ -149,9 +163,7 @@ class MonomialIdeal(_Frozen):
     @staticmethod
     def make(ambient_dim: int, gens: Iterable[Monomial]) -> MonomialIdeal:
         gens = list(gens)
-        (ambient_dim,) = _naturals((ambient_dim,), "ambient_dim")
-        if ambient_dim < 1:
-            raise ValueError("ambient_dim must be at least 1")
+        ambient_dim = _ambient_dim(ambient_dim)
         for g in gens:
             if len(g.exponents) != ambient_dim:
                 raise DimensionMismatchError(
@@ -160,10 +172,11 @@ class MonomialIdeal(_Frozen):
 
     @staticmethod
     def zero(ambient_dim: int) -> MonomialIdeal:
-        return MonomialIdeal(ambient_dim, ())
+        return MonomialIdeal(_ambient_dim(ambient_dim), ())
 
     @staticmethod
     def unit(ambient_dim: int) -> MonomialIdeal:
+        ambient_dim = _ambient_dim(ambient_dim)
         return MonomialIdeal(ambient_dim, ((0,) * ambient_dim,))
 
     @cached_property
@@ -230,13 +243,15 @@ def _check_same_ring(I: MonomialIdeal, J: MonomialIdeal):
 
 
 def _prefix_masks(column: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The sorted distinct values of a column and, for each, the bitmask of
-    the rows (bit j for row j) whose entry is at most that value."""
+    """The sorted distinct values of a column and the bitmasks of the rows
+    (bit j for row j) whose entry is at most each: masks[r] for the r
+    smallest values, so masks[bisect_right(values, q)] is the mask of the
+    rows at most q, 0 below every value."""
     rows_at: dict[int, int] = {}
     for j, x in enumerate(column):
         rows_at[x] = rows_at.get(x, 0) | 1 << j
     values = sorted(rows_at)
-    masks, acc = [], 0
+    masks, acc = [0], 0
     for x in values:
         acc |= rows_at[x]
         masks.append(acc)
@@ -249,10 +264,7 @@ def _rows_below(index, point) -> int:
     there is no column)."""
     hit = -1
     for (values, masks), q in zip(index, point):
-        r = bisect_right(values, q)
-        if not r:
-            return 0
-        hit &= masks[r - 1]
+        hit &= masks[bisect_right(values, q)]
         if not hit:
             return 0
     return hit
@@ -275,7 +287,7 @@ def minimal_vectors(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]
     the insertion of a kept vector cost O(log V) big-int ORs per coordinate.
     """
     uniq = sorted(set(vectors))
-    values = sorted(set(itertools.chain.from_iterable(uniq)))
+    values = sorted(set(chain.from_iterable(uniq)))
     rank = dict(zip(values, range(1, len(values) + 1)))
     size = len(values) + 1
     trees = [[0] * size for _ in uniq[0]] if uniq else []
@@ -334,23 +346,72 @@ def _from_vectors(dim: int, vectors: Iterable[tuple[int, ...]]) -> MonomialIdeal
     return MonomialIdeal(dim, tuple(minimal_vectors(vectors)))
 
 
+def _gather(positions: Sequence[int]):
+    """operator.itemgetter over positions, which gives the tuple of a
+    tuple's entries there: one position or none gathers a slice, so that
+    it is a tuple too."""
+    if len(positions) == 1:
+        return operator.itemgetter(slice(positions[0], positions[0] + 1))
+    return operator.itemgetter(*positions) if positions else operator.itemgetter(slice(0))
+
+
+@lru_cache(maxsize=512)
+def _step_gathers(dim: int, s_vars: tuple[int, ...]):
+    """The gathers of a prime step on s_vars: a vector's part on S, its
+    key (its part off S), and the vector of a key and a composition
+    (k + w, in that order)."""
+    rest = [i for i in range(dim) if i not in s_vars]
+    return (_gather(s_vars), _gather(rest),
+            _gather(sorted(range(dim), key=[*rest, *s_vars].__getitem__)))
+
+
+def _not_above(vectors, lows) -> list[tuple[int, ...]]:
+    """The vectors that lie above no member of lows."""
+    index = [_prefix_masks(column) for column in zip(*lows)]
+    return [v for v in vectors if not _rows_below(index, v)]
+
+
 @lru_cache(maxsize=4096)
-def _upper_mask(m: int, low: tuple[int, ...]) -> int:
-    """Bitmask, over the ranks of `_compositions(m, len(low))`, of the
-    degree-m vectors that lie componentwise above `low`.
+def _upper_set(m: int, lows: tuple[tuple[int, ...], ...]) -> int:
+    """Bitmask, over the ranks of `_compositions(m, h)`, of the degree-m
+    vectors that lie componentwise above some member of `lows`, a
+    non-empty antichain of h-vectors of degree at most m in tuple order.
 
     Compositions are in lex order, so those with first part f fill one
     block, which starts after the C(m+h-1, h-1) - C(m-f+h-1, h-1) with a
-    smaller first part; inside it the rest ranks in `_compositions(m-f, h-1)`.
+    smaller first part; inside it the rest ranks in `_compositions(m-f,
+    h-1)`, and a vector lies above a low exactly when its rest lies above
+    the rest of a low of first part at most f.  Those rests of degree at
+    most m - f, minimalized, give the block by one recursion.  Going up in
+    f, the rests of the lows of first part f join; an earlier rest of
+    degree above m - f leaves, and so does each other one above a new
+    rest (`_not_above`).  A new rest is never above an earlier one, or its
+    low would be above that low.  So each level handles each rest about
+    once, however many lows there are.  At h = 2 each block is one
+    vector, and the mask is a union of intervals.
     """
-    h = len(low)
-    if h == 1:
-        return int(low[0] <= m)
+    h = len(lows[0])
     total = comb(m + h - 1, h - 1)
-    mask = 0
-    for first in range(low[0], m - sum(low[1:]) + 1):
-        offset = total - comb(m - first + h - 1, h - 1)
-        mask |= _upper_mask(m - first, low[1:]) << offset
+    if h == 1 or not any(lows[0]):  # (m) lies above the low; the zero vector below all
+        return (1 << total) - 1
+    if h == 2:  # (f, m - f) ranks f, and lies above (a, b) when a <= f <= m - b
+        return reduce(operator.or_, [((1 << m - a - b + 1) - 1) << a for a, b in lows])
+    firsts = list(map(operator.itemgetter(0), lows))
+    tails = list(map(operator.itemgetter(slice(1, None)), lows))
+    mask, rests, top, j = 0, (), -1, 0  # top: the largest degree of a rest
+    for first in range(firsts[0], m + 1):
+        room, k = m - first, bisect_right(firsts, first, j)
+        if k > j or top > room:
+            new, j = tails[j:k], k  # of degree at most room, as the lows are at most m
+            rests = [r for r in rests if sum(r) <= room]
+            if rests and new:
+                rests = _not_above(rests, new)
+            rests = tuple(sorted(rests + new))
+            top = max(map(sum, rests), default=-1)
+        if rests:
+            mask |= _upper_set(room, rests) << total - comb(room + h - 1, h - 1)
+        elif j == len(lows):
+            break
     return mask
 
 
@@ -363,34 +424,33 @@ def _meet_simplex_power(vectors: Iterable[tuple[int, ...]], dim: int, s_vars,
     A generator of S-degree above m is kept as it is: it neither divides
     nor is divided by a monomial of S-degree m.  The others are grouped by
     their exponents k outside S, and U_k is the set of degree-m vectors w
-    on S above some member of group k.  A candidate u dividing k + w has
-    S-degree m, so its S-part is w and its key is <= k; hence k + w is
-    minimal exactly when w lies in no U_k' with k' < k.
+    on S above some member of group k, built once per group from the
+    group's parts on S (`_upper_set`), which are an antichain since the
+    inputs are minimal.  A candidate u dividing k + w has S-degree m, so
+    its S-part is w and its key is <= k; hence k + w is minimal exactly
+    when w lies in no U_k' with k' < k.  Each input's S-part and key, and
+    each output from its key and composition, is one C-level gather
+    (`_step_gathers`).
     """
-    rest = [i for i in range(dim) if i not in s_vars]
+    s_part, key_of, place = _step_gathers(dim, tuple(s_vars))
     out: list[tuple[int, ...]] = []
-    groups: dict[tuple[int, ...], int] = {}
+    groups: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for g in vectors:
-        low = tuple(g[i] for i in s_vars)
+        low = s_part(g)
         if sum(low) > m:
             out.append(g)
-            continue
-        key = tuple(g[i] for i in rest)
-        groups[key] = groups.get(key, 0) | _upper_mask(m, low)
+        else:
+            groups.setdefault(key_of(g), []).append(low)
     keys = sorted(groups, key=_canonical_key)
-    index = [_prefix_masks(col) for col in zip(*keys)]
+    uppers = [_upper_set(m, tuple(sorted(groups[k]))) for k in keys]
+    index = [_prefix_masks(column) for column in zip(*keys)]
     comps = _compositions(m, len(s_vars))
     for n, k in enumerate(keys):
-        mask = groups[k]
-        for j in _bits(_rows_below(index, k) & ((1 << n) - 1)):  # every k' < k sorts first
-            mask &= ~groups[keys[j]]
-        v = [0] * dim
-        for i, e in zip(rest, k):
-            v[i] = e
-        for j in _bits(mask):
-            for i, e in zip(s_vars, comps[j]):
-                v[i] = e
-            out.append(tuple(v))
+        mask = uppers[n]
+        below = _rows_below(index, k) & ((1 << n) - 1)  # every k' < k sorts first
+        if below:
+            mask &= ~reduce(operator.or_, map(uppers.__getitem__, _bits(below)))
+        out += [place(k + comps[j]) for j in _bits(mask)]
     return out
 
 
@@ -557,13 +617,47 @@ def _divisor_index(rhs: MonomialIdeal) -> tuple:
     of h exactly when h divides f with deg f - deg h >= s.  Built once per
     rhs, keyed by its value."""
     vectors = rhs.vectors
-    return tuple(_prefix_masks(col) for col in (*zip(*vectors), list(map(sum, vectors))))
+    columns = list(zip(*vectors)) or [()] * rhs.ambient_dim  # the zero ideal has no rows
+    return tuple(_prefix_masks(col) for col in (*columns, list(map(sum, vectors))))
 
 
 def _in_staircase(I: MonomialIdeal, point: Sequence[int]) -> bool:
     """Whether some minimal generator of I divides the integer point: the
     containment kernel's question at s = 0, asked of its cached index."""
     return bool(_rows_below(_divisor_index(I), (*point, sum(point))))
+
+
+def _first_outside(index, vectors: Iterable[tuple[int, ...]], s: int) -> tuple[int, ...] | None:
+    """The first of `vectors` with no row of the divisor index at or below
+    (*f, deg f - s), or None.  The walk keeps, column by column, the AND
+    of the masks for the vector before, and starts each vector at the
+    first column where it differs from that one: vectors in (degree, lex)
+    order share long prefixes.  The degree column is last in the index, so
+    its mask is looked up once per degree and met with the shared AND.  A
+    vector is outside as soon as an AND is empty."""
+    width = len(index) - 1
+    degrees, degree_masks = index[width]
+    hits = [-1] * (width + 1)  # hits[i]: the AND over the columns before i
+    prev, gap, top = (-1,) * width, None, 0  # prev differs from f at column 0
+    for f in vectors:
+        g = sum(f) - s
+        if g != gap:
+            gap, top = g, degree_masks[bisect_right(degrees, g)]
+        i = 0
+        while f[i] == prev[i]:  # distinct vectors differ before the end
+            i += 1
+        hit = hits[i]
+        while i < width:
+            values, masks = index[i]
+            hit &= masks[bisect_right(values, f[i])]
+            if not hit:
+                return f
+            i += 1
+            hits[i] = hit
+        if not hit & top:
+            return f
+        prev = f
+    return None
 
 
 @lru_cache(maxsize=512, typed=True)
@@ -576,19 +670,18 @@ def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monom
     membership of f in m^s * rhs to "some minimal generator h of rhs
     divides f with deg f - deg h >= s", which is exact integer arithmetic;
     its index also answers point membership at s = 0 (`_in_staircase`).
-    The generators of lhs are asked in order against the index of rhs, up
-    to the first one outside.  Each (lhs, rhs, s) is answered once per
-    process, keyed by value like `symbolic_power`.  The memo is typed, so
-    s = 1.0 never finds the entry of s = 1 and is refused like 1.5: past
-    2^53 a float gap would round the degree test.
+    The generators of lhs are walked in canonical order against the index
+    of rhs (`_first_outside`), each reusing the per-column ANDs of the
+    prefix it shares with the one before, up to the first one outside.
+    Each (lhs, rhs, s) is answered once per process, keyed by value like
+    `symbolic_power`.  The memo is typed, so s = 1.0 never finds the entry
+    of s = 1 and is refused like 1.5: past 2^53 a float gap would round
+    the degree test.
     """
     _check_same_ring(lhs, rhs)
     (s,) = _naturals((s,), "exponent")
-    index = _divisor_index(rhs)
-    for f in lhs.vectors:
-        if not _rows_below(index, (*f, sum(f) - s)):
-            return Monomial(f)
-    return None
+    f = _first_outside(_divisor_index(rhs), lhs.vectors, s)
+    return None if f is None else Monomial(f)
 
 
 def subset(I: MonomialIdeal, J: MonomialIdeal) -> bool:

@@ -149,6 +149,10 @@ PINS = [
     # kernel that are as wide
     _pin("wide8-m12.jsonl", [f"symbolic -m 12 wide8.ideal {_S}"],
          "d88be7a5f17d0199885080267f14dfb8c167608968ee1c2b07ae92b4d56ae41b"),
+    # I^(17): 100,947 generators, whose second prime step groups 100,947
+    # inputs under 18 keys and builds each group's upper set once
+    _pin("wide8-m17.jsonl", [f"symbolic -m 17 wide8.ideal {_S}"],
+         "eaed5d5ca5ad3a11d07c0a476085186a4da12b6a98db2b0baeb318190141d308"),
 ]
 
 DIGESTS = {pin.name: pin.sha256 for pin in PINS}

@@ -473,8 +473,8 @@ def test_equal_exponent_rows_reuse_the_squarefree_answers(monkeypatch, triples4)
     """On a square-free ideal the equal-exponent rows ask the square-free
     rows' 27 questions again, and the kernel answers them from its memo."""
     first = run_suite(triples4, checks=["squarefree_containment"])
-    queries, real = [], monomial._rows_below
-    monkeypatch.setattr(monomial, "_rows_below",
+    queries, real = [], monomial._first_outside
+    monkeypatch.setattr(monomial, "_first_outside",
                         lambda *args: queries.append(args) or real(*args))
     again = run_suite(triples4, checks=["equal_exponent_containment"])
     assert queries == []

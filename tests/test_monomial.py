@@ -66,11 +66,16 @@ def test_monomial_rejects_non_integer(bad):
     lambda: MonomialPrime(2.5, (0,)),
     lambda: IrreducibleComponent(2.5, ((0, 1),)),
     lambda: NewtonPolyhedron(2.0, [(1, 1)]),
+    lambda: MonomialIdeal.zero(2.5),
+    lambda: MonomialIdeal.zero(-1),
+    lambda: MonomialIdeal.unit(0),
+    lambda: NewtonPolyhedron(0, [()]),
 ], ids=["prime-float", "prime-str", "prime-negative", "prime-out-of-range",
         "component-float", "component-str", "component-negative",
         "component-out-of-range", "component-zero-power", "newton-float",
         "newton-negative", "newton-str", "ideal-dim-float", "zero-ideal-dim-float",
-        "prime-dim-float", "component-dim-float", "newton-dim-float"])
+        "prime-dim-float", "component-dim-float", "newton-dim-float",
+        "zero-dim-float", "zero-dim-negative", "unit-dim-zero", "newton-dim-zero"])
 def test_value_types_refuse_what_is_not_a_natural_in_range(make):
     """Every value type reads its integers, ambient_dim among them, as
     Monomial does: through operator.index, non-negative, and a variable
@@ -427,7 +432,7 @@ def test_containment_is_answered_once_per_question(monkeypatch):
     lhs = power(maximal_ideal(3), 14)
     containment_witness.cache_clear()
     _divisor_index.cache_clear()
-    queries, builds = _spy(monkeypatch, "_rows_below"), _spy(monkeypatch, "_prefix_masks")
+    queries, builds = _spy(monkeypatch, "_first_outside"), _spy(monkeypatch, "_prefix_masks")
     witness = containment_witness(lhs, HOLE, 4)
     asked, built = len(queries), len(builds)
     assert witness == m(7, 7, 0) and asked and built
@@ -437,6 +442,67 @@ def test_containment_is_answered_once_per_question(monkeypatch):
     assert len(queries) == asked
     assert containment_witness(lhs, HOLE, 0) == witness
     assert len(queries) > asked and len(builds) == built
+
+
+@st.composite
+def walk_case(draw):
+    """A question (lhs, rhs, s) in 4-6 variables.  lhs is, by the drawn
+    kind, an ideal of its own, or rhs times m^t for t <= s + 1, whose
+    generators share long prefixes and fall outside m^s * rhs only where
+    t < s; on a drawn flag, every non-zero exponent e of both becomes
+    2**64 + e, which keeps divisibility and moves every degree."""
+    dim = draw(st.integers(min_value=4, max_value=6))
+    vec = st.lists(st.integers(min_value=0, max_value=3), min_size=dim, max_size=dim).map(tuple)
+    rhs = _from_vectors(dim, draw(st.lists(vec, min_size=1, max_size=6)))
+    s = draw(st.integers(min_value=0, max_value=3))
+    if draw(st.booleans()):
+        lhs = _from_vectors(dim, draw(st.lists(vec, min_size=1, max_size=12)))
+    else:
+        t = draw(st.integers(min_value=0, max_value=s + 1))
+        lhs = multiply(power(maximal_ideal(dim), t), rhs)
+    if draw(st.booleans()):
+        lhs, rhs = (_from_vectors(dim, [tuple(e and 2 ** 64 + e for e in v) for v in A.vectors])
+                    for A in (lhs, rhs))
+    return lhs, rhs, s
+
+
+def _degree_ideal(dim, degree, leave_out=()):
+    """Every monomial of one degree in dim variables but those left out."""
+    return MonomialIdeal.make(dim, [g for g in degree_monomials(dim, degree)
+                                    if g.exponents not in leave_out])
+
+
+# m^5 against the degree-3 monomials without x2^a*x3^(3-a), in 6
+# variables: the walk passes 20 generators that start (0, 0, 0) before
+# x3^5, which resumes at the fourth column and whose AND empties at the
+# sixth
+@example((power(maximal_ideal(6), 5),
+          _degree_ideal(6, 3, [(0, 0, a, 3 - a, 0, 0) for a in range(4)]), 2))
+# every generator of m^4 inside m^2 * m^2 in 6 variables, then the same
+# gap one short: the first generator is outside
+@example((power(maximal_ideal(6), 4), power(maximal_ideal(6), 2), 2))
+@example((power(maximal_ideal(6), 4), power(maximal_ideal(6), 2), 3))
+# the last generator in canonical order is the only one outside
+@example((power(maximal_ideal(4), 3), _degree_ideal(4, 2, [(2, 0, 0, 0)]), 1))
+@given(walk_case())
+@settings(max_examples=200, deadline=None)
+def test_containment_walk_matches_literal_product_in_more_variables(case):
+    """The prefix-sharing walk against the literal product m^s * rhs in 4-6
+    variables, where consecutive generators share longer prefixes than in
+    three."""
+    lhs, rhs, s = case
+    literal = multiply(power(maximal_ideal(lhs.ambient_dim), s), rhs)
+    expected = next((f for f in lhs.gens if not above_some(literal.vectors, f.exponents)), None)
+    assert containment_witness(lhs, rhs, s) == expected
+
+
+def test_containment_in_the_zero_ideal():
+    """The zero ideal holds no generator, so the walk's first vector is
+    outside it; the zero ideal lies in every ideal."""
+    I, zero = power(maximal_ideal(3), 2), MonomialIdeal.zero(3)
+    assert containment_witness(I, zero, 0) == m(0, 0, 2)
+    assert containment_witness(zero, I, 1) is None
+    assert subset(zero, zero) and not contains(zero, m(1, 2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +632,71 @@ def test_intersect_with_prime_power_matches_pairwise_lcm(case, m_):
     got = intersect(I, Pm)
     assert got == oracle
     assert got.vectors == canonical(got.vectors)
+
+
+def _prime_power_vectors(dim, s_vars, m_):
+    """P^m for the prime on s_vars, every degree-m monomial on it, listed
+    from the compositions without the kernel."""
+    return [tuple(c.exponents[s_vars.index(i)] if i in s_vars else 0 for i in range(dim))
+            for c in degree_monomials(len(s_vars), m_)]
+
+
+@pytest.mark.parametrize("I, s_vars, m_", [
+    (ideal_of(1, (3,)), [0], 2),
+    (ideal_of(1, (3,)), [0], 5),
+    (MonomialIdeal.unit(1), [0], 4),
+    (ideal_of(3, (2, 1, 0), (0, 1, 3), (1, 0, 1)), [0, 1, 2], 3),
+    (power(maximal_ideal(3), 2), [0, 1, 2], 4),
+    (ideal_of(4, (2, 1, 0, 0), (0, 1, 3, 0), (1, 0, 1, 2), (0, 0, 0, 1)), [2], 3),
+    (ideal_of(4, (2, 1, 0, 0), (0, 1, 3, 0), (1, 0, 1, 2), (0, 0, 0, 1)), [3], 1),
+    # one key per x3 exponent, each group a set of lows on {x0, x1, x2}
+    (power(maximal_ideal(4), 3), [0, 1, 2], 4),
+    (ideal_of(4, (0, 2, 0, 1), (1, 0, 0, 2), (0, 0, 1, 0)), [0, 1, 3], 5),
+], ids=["one-variable", "one-variable-above", "one-variable-unit", "every-variable",
+        "every-variable-power", "one-of-four", "one-of-four-degree-one", "three-of-four",
+        "three-of-four-lows"])
+def test_prime_power_kernel_edge_cases(I, s_vars, m_):
+    """The kernel against the pairwise lcms with P^m listed apart from it:
+    in one variable, with S every variable (the empty key), and with |S| =
+    1 (a one-position gather)."""
+    dim = I.ambient_dim
+    oracle = _from_vectors(dim, pairwise_lcms(I.vectors, _prime_power_vectors(dim, s_vars, m_)))
+    got = monomial._meet_simplex_power(I.vectors, dim, s_vars, m_)
+    assert sorted(got) == sorted(oracle.vectors)
+
+
+@st.composite
+def antichain_case(draw):
+    """(m, lows): an antichain of h-vectors of degree at most m in tuple
+    order, 1 <= h <= 5.  By the drawn kind, random vectors minimalized, or
+    every composition of one degree d <= m, some left out, the shape of a
+    prime step's output."""
+    h = draw(st.integers(min_value=1, max_value=5))
+    m_ = draw(st.integers(min_value=0, max_value=9))
+    if draw(st.booleans()):
+        d = draw(st.integers(min_value=0, max_value=m_))
+        full = [g.exponents for g in degree_monomials(h, d)]
+        out = draw(st.sets(st.sampled_from(full), max_size=len(full) - 1))
+        vecs = [v for v in full if v not in out]
+    else:
+        vec = st.lists(st.integers(min_value=0, max_value=m_), min_size=h, max_size=h)
+        vecs = [tuple(v) for v in draw(st.lists(vec, min_size=1, max_size=12))
+                if sum(v) <= m_] or [(0,) * h]
+    return m_, tuple(sorted(minimal_vectors(vecs)))
+
+
+@example((4, ((0, 2, 0), (1, 0, 0))))  # the earlier rest (2, 0) leaves when (0, 0) joins
+@example((6, ((0, 0, 0, 0),)))
+@example((3, ((2,),)))
+@given(antichain_case())
+@settings(max_examples=300, deadline=None)
+def test_upper_set_matches_brute_force(case):
+    """The bitmask of the degree-m compositions above some low against a
+    scan of the compositions."""
+    m_, lows = case
+    comps = monomial._compositions(m_, len(lows[0]))
+    brute = sum(1 << j for j, w in enumerate(comps) if above_some(lows, w))
+    assert monomial._upper_set(m_, lows) == brute
 
 
 # ---------------------------------------------------------------------------
