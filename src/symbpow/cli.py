@@ -103,7 +103,7 @@ def _symbolic(args, doc):
     sym, names = symbolic_power(doc.ideal, args.m), doc.names
     if args.format == STRUCTURED:
         return json_line({"m": args.m, "vars": names,
-                          "gens": [g.render(names) for g in sym.gens]}), 0
+                          "gens": sym.rendered_gens(names)}), 0
     return format_ideal(sym, names), 0
 
 

@@ -651,7 +651,7 @@ def suite_text(report: SuiteReport, timings: bool = False) -> str:
 def suite_jsonl(report: SuiteReport) -> str:
     names = report.names
     head = {"type": "ideal", "label": report.label, "vars": names,
-            "gens": [g.render(names) for g in report.ideal.gens]}
+            "gens": report.ideal.rendered_gens(names)}
     return "".join([R.json_line(head),
                     *(R.json_line({"type": "check"} | result_to_dict(res, names))
                       for res in report.results),

@@ -154,5 +154,5 @@ def format_ideal(I: MonomialIdeal, names: tuple[str, ...] | None = None) -> str:
     if len(names) != I.ambient_dim:
         raise ValueError("name count does not match the ambient dimension")
     lines = ["vars: " + " ".join(names), "gens:"]
-    lines.extend("  " + g.render(names) for g in I.gens)
+    lines.extend("  " + g for g in I.rendered_gens(names))
     return "\n".join(lines) + "\n"

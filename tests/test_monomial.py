@@ -758,30 +758,65 @@ def test_intersect_matches_pairwise_lcm_oracle(case):
     assert got.vectors == canonical(got.vectors)
 
 
+# x1 meets x0^2*x2 at key (1, 0) though x3, of the incomparable key
+# (0, 1), divides it on the shared variables {x0, x1}
+@example((ideal_of(4, (2, 0, 1, 0), (0, 0, 0, 1), (0, 5, 6, 0)),
+          ideal_of(4, (0, 1, 0, 0), (3, 0, 0, 0))))
+# x0*x2 (key x2 = 1) and x1*x2^2 (key 2) against a component on {x0, x1}
+@example((ideal_of(3, (1, 0, 1), (0, 1, 2)), ideal_of(3, (2, 0, 0), (1, 1, 0), (0, 3, 0))))
+# two private variables each, two shared
+@example((ideal_of(4, (1, 2, 3, 0), (2, 0, 1, 0), (0, 1, 0, 2)),
+          ideal_of(4, (0, 3, 0, 1), (2, 1, 0, 0), (1, 1, 2, 0))))
+@given(meet_case())
+@settings(max_examples=300, deadline=None)
+def test_direct_lcms_are_minimal_and_screen_the_pair_lcms(case):
+    """The invariant of the general meet, against the pairwise lcms: every
+    direct lcm is a minimal generator of the meet, the meet lists each
+    minimal generator once, and every lcm of a pair that is not a survivor
+    (never formed, or screened) is divisible by a direct lcm, which
+    divides no survivor."""
+    I, J = case
+    lcms = pairwise_lcms(I.vectors, J.vectors)
+    oracle = set(_from_vectors(I.ambient_dim, lcms).vectors)
+    directs, survivors = monomial._meet_parts(I.vectors, J.vectors)
+    assert set(directs) <= oracle
+    got = monomial._meet_general(I.vectors, J.vectors)
+    assert len(got) == len(set(got))
+    assert set(got) == oracle
+    kept = set(survivors)
+    assert all(above_some(directs, lcm) for lcm in lcms if lcm not in kept)
+    assert not any(above_some(directs, p) for p in survivors)
+
+
 def test_general_meet_skips_dominated_pairs(monkeypatch):
-    """Candidates that reach minimalization: a row of one side inside the
-    other is passed as it is, and a generator of C on {x0, x1} that a row
-    of a lower key outside {x0, x1} divides makes no candidate there."""
+    """What reaches minimalization: the direct lcms are kept as they come,
+    and a pair lcm that one divides is dropped, so these meets minimalize
+    nothing; where pair lcms survive, only they arrive."""
+    R = ideal_of(3, (1, 0, 1), (0, 1, 2))
+    C = ideal_of(3, (2, 0, 0), (1, 1, 0), (0, 3, 0))
+    I = ideal_of(3, (2, 1, 0), (0, 2, 1), (1, 0, 2))
+    inside = multiply(I, ideal_of(3, (1, 1, 0), (0, 0, 2)))
+    A = ideal_of(3, (0, 0, 2), (0, 1, 1))
+    B = ideal_of(3, (0, 2, 0), (1, 0, 2))
     seen = []
 
     def recorded(vectors):
         vectors = list(vectors)
-        seen.append(sorted(set(vectors)))
+        seen.append(sorted(vectors))
         return minimal_vectors(vectors)
 
     monkeypatch.setattr(monomial, "minimal_vectors", recorded)
-    R = ideal_of(3, (1, 0, 1), (0, 1, 2))
-    C = ideal_of(3, (2, 0, 0), (1, 1, 0), (0, 3, 0))
-    # x0^2 and x0*x1 are divisible by x0 of the lower key x2: nothing at x2^2;
-    # x1^3 is divisible by x1 at key x2^2 itself, so only x1^3*x2^2 there
+    # x0^2 and x0*x1 are divisible by x0 of the lower key x2: direct lcms
+    # there; x1^3 is divisible by x1 at key x2^2 itself, a direct lcm
+    # there, and the pair lcm x0*x1^3*x2 lies above x0*x1*x2
     assert intersect(R, C).vectors == ((1, 1, 1), (2, 0, 1), (0, 3, 2))
-    assert seen.pop() == [(0, 3, 2), (1, 1, 1), (1, 3, 1), (2, 0, 1)]
-    I = ideal_of(3, (2, 1, 0), (0, 2, 1), (1, 0, 2))
-    inside = multiply(I, ideal_of(3, (1, 1, 0), (0, 0, 2)))
-    seen.clear()
     assert intersect(I, inside) == inside
     assert intersect(I, I) == I
-    assert seen == [sorted(inside.vectors), sorted(I.vectors)]
+    assert seen == []
+    # x0*x2^2 is the one direct lcm; x1^2*x2 and x1^2*x2^2 survive it,
+    # and only the survivor x1^2*x2 divides x1^2*x2^2
+    assert intersect(A, B).vectors == ((0, 2, 1), (1, 0, 2))
+    assert seen == [[(0, 2, 1), (0, 2, 2)]]
 
 
 @pytest.mark.parametrize("dim, s_vars, t", [(1, [0], 4), (3, [0, 1, 2], 5),
