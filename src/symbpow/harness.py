@@ -344,14 +344,14 @@ def _integrally_closed_bound(I):
     details = {"n": n, "alpha": a}
     if not ((n >= 3 and a >= n + 4) or (n == 2 and a >= 8)):
         return Outcome(R.NOT_APPLICABLE, details | {"reason": "alpha too small for this n"})
-    # going over the closure test's budget is this row's verdict, with the
-    # details so far, not a bare resource limit
+    # a facet table over MAX_RAYS is this row's verdict, with the details
+    # so far, not a bare resource limit
     try:
         for P, L in localizations(I):
             if not is_integrally_closed(L):
                 return Outcome(R.NOT_APPLICABLE, details | {
                     "reason": "a localization is not integrally closed",
-                    "prime": P.render()})
+                    "prime": P})
     except ResourceLimitError as exc:
         return Outcome(R.RESOURCE_LIMIT, details | {"reason": str(exc)})
     w, bound = waldschmidt(I), Fraction(a + n - 1, n)
@@ -604,8 +604,8 @@ def scan(config: ScanConfig) -> ScanReport:
 
 def result_to_dict(res: CheckResult, names) -> dict:
     """One check row as a record: params and details as the row gave them,
-    encoded only by `results.json_line`, and the witness rendered with
-    the suite's names."""
+    encoded only by `results.json_line`, and the witness and a prime
+    among the details rendered with the suite's names."""
     return {
         "check": res.name,
         "verdict": res.verdict,
@@ -613,7 +613,8 @@ def result_to_dict(res: CheckResult, names) -> dict:
         "classification": res.classify(),
         "in_hypothesis": res.in_hypothesis,
         "params": dict(res.params),
-        "details": dict(res.details),
+        "details": {k: v.render(names) if isinstance(v, MonomialPrime) else v
+                    for k, v in res.details.items()},
         "witness": None if res.witness is None else res.witness.render(names),
     }
 

@@ -9,19 +9,14 @@ exact LP.  The suite's checks compare these invariants against each other
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import prod
 
 from .decomposition import (_big_height, associated_primes,
-                            max_associated_primes, sigma,
-                            warn_if_powers_coincide)
+                            irreducible_decomposition, max_associated_primes,
+                            sigma, warn_if_powers_coincide)
 from .errors import ResourceLimitError
-from .geometry import (alpha_polyhedron, newton_polyhedron, np_member,
-                       symbolic_polyhedron)
-from .monomial import MonomialIdeal, _in_staircase, is_squarefree, require_proper
+from .geometry import alpha_polyhedron, newton_polyhedron, symbolic_polyhedron
+from .monomial import MonomialIdeal, is_squarefree, require_proper
 from .symbolic import symbolic_equals_ordinary
-
-CLOSURE_BUDGET = 200_000  # the most lattice points is_integrally_closed scans
 
 
 def alpha(I: MonomialIdeal) -> int:
@@ -70,19 +65,20 @@ def _chudnovsky_bound(I: MonomialIdeal) -> Fraction:
 
 
 def is_integrally_closed(I: MonomialIdeal) -> bool:
-    """Whether every lattice point of the Newton polyhedron lies in the
-    staircase of I.  It suffices to scan the box up to the componentwise
-    maximum M of the generators: clamping a counterexample to the box keeps
-    it inside the polyhedron and outside the staircase.  A box of more than
-    CLOSURE_BUDGET points raises ResourceLimitError."""
+    """Whether I equals its integral closure, the span of the lattice
+    points of its Newton polyhedron N (Huneke and Swanson, Integral Closure
+    of Ideals, Rings, and Modules, 1.4).  The lattice points outside a
+    component (x_i^b_i : i in S) of I are those at most b_i - 1 on S.  As
+    N's facet normals are non-negative, N misses them all exactly when some
+    facet row with its normal inside S has normal.(b - 1) < offset.  A
+    facet table over MAX_RAYS raises ResourceLimitError."""
     require_proper(I)
-    corner = tuple(map(max, zip(*I.vectors)))
-    volume = prod(c + 1 for c in corner)
-    if volume > CLOSURE_BUDGET:
-        raise ResourceLimitError("integral closure box", volume, CLOSURE_BUDGET)
-    N = newton_polyhedron(I)
-    for pt in product(*(range(c + 1) for c in corner)):
-        if not _in_staircase(I, pt) and np_member(N, pt):
+    facets = newton_polyhedron(I).facets
+    for comp in irreducible_decomposition(I):
+        b = dict(comp.powers)
+        if not any(all(i in b for i, n in enumerate(normal) if n)
+                   and sum(n * (b[i] - 1) for i, n in enumerate(normal) if n) < offset
+                   for normal, offset in facets):
             return False
     return True
 

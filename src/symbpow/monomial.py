@@ -302,21 +302,17 @@ def _masks_at(index, point) -> list[int]:
     return [masks[bisect_right(values, q)] for (values, masks), q in zip(index, point)]
 
 
-def _canonical_key(v: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Canonical generator order: total degree, then lexicographic."""
-    return sum(v), v
-
-
 def minimal_vectors(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """Divisibility-minimal subset, sorted by (total degree, lex).
 
     Candidates are visited in plain tuple order: a proper divisor of a
     vector is lexicographically smaller, so it comes earlier, and a
-    candidate is kept unless some kept vector divides it.  Only the kept
-    vectors are sorted canonically.  They sit in a divisibility index: the
-    exponent values are rank-compressed, and per coordinate a Fenwick tree
-    over the ranks holds prefix ORs of the kept bits, so both the query and
-    the insertion of a kept vector cost O(log V) big-int ORs per coordinate.
+    candidate is kept unless some kept vector divides it.  The kept
+    vectors, already in tuple order, need only a stable sort by degree to
+    be canonical.  They sit in a divisibility index: the exponent values
+    are rank-compressed, and per coordinate a Fenwick tree over the ranks
+    holds prefix ORs of the kept bits, so both the query and the insertion
+    of a kept vector cost O(log V) big-int ORs per coordinate.
     """
     uniq = sorted(set(vectors))
     values = sorted(set(chain.from_iterable(uniq)))
@@ -346,7 +342,7 @@ def minimal_vectors(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]
             while r < size:
                 tree[r] |= bit
                 r += r & -r
-    kept.sort(key=_canonical_key)
+    kept.sort(key=sum)
     return kept
 
 
@@ -473,7 +469,8 @@ def _meet_simplex_power(vectors: Iterable[tuple[int, ...]], dim: int, s_vars,
             out.append(g)
         else:
             groups.setdefault(key_of(g), []).append(low)
-    keys = sorted(groups, key=_canonical_key)
+    keys = sorted(groups)
+    keys.sort(key=sum)
     uppers = [_upper_set(m, tuple(sorted(groups[k]))) for k in keys]
     index = [_prefix_masks(column) for column in zip(*keys)]
     comps = _compositions(m, len(s_vars))
@@ -628,8 +625,10 @@ def _meet_general(avecs: Sequence[tuple[int, ...]],
 
 def _canonical(dim: int, minimal: list[tuple[int, ...]]) -> MonomialIdeal:
     """The ideal of a minimal set of exponent vectors, sorted in place into
-    canonical order."""
-    minimal.sort(key=_canonical_key)
+    canonical (degree, lex) order: a plain sort, then a stable sort by
+    degree, neither of which calls a Python function per vector."""
+    minimal.sort()
+    minimal.sort(key=sum)
     return MonomialIdeal(dim, tuple(minimal))
 
 

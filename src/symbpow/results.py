@@ -27,9 +27,10 @@ class CheckResult(namedtuple("CheckResult", "name verdict kind params details "
     kind: theorem (a failure is a bug), conjecture (a failure is a candidate
           counterexample), exploration (failures are informative only).
     params are the requested inputs; details carry every computed exponent
-    and flag; witness is a failing monomial when one exists.  elapsed is
-    wallclock and never enters serialized reports.  params and details
-    default to a new empty dict per result.
+    and flag, and a prime as its MonomialPrime; witness is a failing
+    monomial when one exists.  elapsed is wallclock and never enters
+    serialized reports.  params and details default to a new empty dict
+    per result.
     """
 
     __slots__ = ()
@@ -72,7 +73,7 @@ def encode_value(value):
     """JSON-safe encoding: Fractions become 'p/q' strings, tuples become
     lists, and None, ints, bools and strings stay; any other type, a float
     or a Monomial among them, raises TypeError, so exact data never comes
-    out inexact.  A witness reaches a record already rendered."""
+    out inexact.  A witness or a prime reaches a record already rendered."""
     # leaves first: 49,833 of the 63,697 values in the c10 scan's check
     # rows are strings, ints, bools or None, and testing them before
     # dicts walks those rows in 22 ms rather than 46

@@ -58,6 +58,9 @@ INPUTS = {
     # (x,y)^5 * (z,w)^4: 30 generators, integrally closed
     "xyzw.ideal": _rows(XYZW, [(a, 5 - a, b, 4 - b)
                                for a in range(6) for b in range(5)]),
+    # (x0^500, x1^500): not integrally closed (x0^250*x1^250), with a box of
+    # 251,001 lattice points below its generators
+    "x500.ideal": "vars: x0 x1\ngens:\nx0^500\nx1^500\n",
     # (x1, ..., x6, x0*x7), the meet of two 7-variable primes in 8 variables
     "wide8.ideal": ("vars: x0 x1 x2 x3 x4 x5 x6 x7\ngens:\n"
                     "x1\nx2\nx3\nx4\nx5\nx6\nx0*x7\n"),
@@ -132,19 +135,24 @@ PINS = [
          "8db6b8da385632bb433a28ae57194cb89946e72ba7c20b7334627a4f0fdabd69"),
     # the suites of two 4-variable general ideals (the file stem is the
     # label): ic4 has a localization that is not integrally closed, and be4
-    # has beta above e * alpha, so alpha_equality skips its containment
+    # has beta above e * alpha, so alpha_equality skips its containment;
+    # ic4 re-recorded when that localization's prime took the file's names
     _pin("ic4.jsonl", [f"suite ic4.ideal {_S}"],
-         "ba42f9c1d1e706231c5f98fa8660489967415595d14f2fcf0aec960ad921a6dd"),
+         "2172b036d45a514f56072c7a5a65b376d9f015a2f21ec10e17ab70ac18ec97f1"),
     _pin("be4.jsonl", [f"suite be4.ideal {_S}"],
          "49c0163a1e7029d94fcae75411abaf0e3da836f1fcb29ec57fae622261c3ec1f"),
     # the one setting a suite passes to a row: --seed reaches the samples of
     # the three stairs rows, which print it
     _pin("rot3-seed5.jsonl", [f"suite rot3.ideal --seed 5 {_S}"],
          "84c1b62aa6b163d57acf728e659019fce7d05538a8060c0d3f03e98e3f1fe2b7"),
-    # integrally closed, so the closure test asks the staircase at every
-    # point of its 900-point box
+    # integrally closed: the closure test finds, for each irreducible
+    # component, a facet row that cuts off its corner
     _pin("xyzw-info.jsonl", [f"info xyzw.ideal {_S}"],
          "5443ac0e52646da2abb0243ece553c793259ae551d42a0652ed93c1a78bcfb5e"),
+    # decided by its one component's corner, x0^499*x1^499, which lies in
+    # the Newton polyhedron; no box of lattice points is scanned
+    _pin("x500-info.jsonl", [f"info x500.ideal {_S}"],
+         "6de6d3b540684ab40aacaec8473bf3e83ec74a98a7d6b40b1fe3c189c3fe1bbc"),
     # I^(12): 18,564 generators, read off set-bit masks of the prime-power
     # kernel that are as wide
     _pin("wide8-m12.jsonl", [f"symbolic -m 12 wide8.ideal {_S}"],

@@ -1,7 +1,31 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from symbpow.monomial import Monomial, MonomialIdeal
 from symbpow.rng import SplitRng
+
+
+def pytest_addoption(parser):
+    parser.addoption("--dump-digests", metavar="DIR", type=Path,
+                     help="also write the records that each tier-1 digest "
+                          "with no CLI pin hashes to DIR/<name>")
+
+
+@pytest.fixture
+def dump_records(request):
+    """dump(name, records) writes the records a digest hashes, one JSON line
+    each, to DIR/name under --dump-digests DIR, and does nothing without
+    it: two trees' dumps are compared field by field by record_diff.py."""
+    directory = request.config.getoption("--dump-digests")
+
+    def dump(name, records):
+        if directory is not None:
+            directory.mkdir(parents=True, exist_ok=True)
+            (directory / name).write_text(
+                "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    return dump
 
 
 def ideal_of(dim, *vecs) -> MonomialIdeal:

@@ -6,6 +6,7 @@ with the realizing denominator they give."""
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import lcm
 from operator import le
 
@@ -13,7 +14,7 @@ from symbpow import lp
 from symbpow.decomposition import MonomialPrime, irreducible_decomposition
 from symbpow.errors import VerificationError
 from symbpow.geometry import (NewtonPolyhedron, alpha_polyhedron, member_scaled,
-                              symbolic_polyhedron)
+                              newton_polyhedron, np_member, symbolic_polyhedron)
 from symbpow.invariants import alpha
 from symbpow.monomial import (Monomial, MonomialIdeal, _compositions, intersect,
                               is_squarefree, power, require_proper)
@@ -81,6 +82,19 @@ def above_some(vectors, point) -> bool:
 def stairs_member(J: MonomialIdeal, point) -> bool:
     """Is the rational point in the up-closure of J's generator exponents?"""
     return above_some(J.vectors, _as_point(point, J.ambient_dim))
+
+
+def integrally_closed_by_box(I: MonomialIdeal) -> bool:
+    """Whether every lattice point of the Newton polyhedron lies in the
+    staircase of I, by a scan of the box up to the componentwise maximum M
+    of the generators: clamping a counterexample to the box keeps it inside
+    the polyhedron and outside the staircase.  It asks every one of the
+    prod(M_i + 1) points, so callers keep the box small."""
+    require_proper(I)
+    N = newton_polyhedron(I)
+    corner = tuple(map(max, zip(*I.vectors)))
+    return all(above_some(I.vectors, pt) or not np_member(N, pt)
+               for pt in product(*(range(c + 1) for c in corner)))
 
 
 def convex_weights(rng, count: int) -> list[Fraction]:

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 import symbpow.results as R
-from symbpow import harness, invariants, monomial
-from symbpow.decomposition import big_height
+from symbpow import geometry, harness, monomial
+from symbpow.decomposition import MonomialPrime, big_height
 from symbpow.errors import (PowersCoincideWarning, ResourceLimitError,
                             VerificationError)
+from symbpow.geometry import newton_polyhedron
 from symbpow.harness import (CHECK_NAMES, CHECKS, Check, ScanConfig, SuiteRanges,
                              check, findings_jsonl, result_to_dict, run_suite,
                              scan, scan_jsonl, suite_jsonl, suite_text)
@@ -295,7 +296,7 @@ def test_scan_squarefree_has_ass_oracle():
 FINDINGS_SHA256 = "31029cc59b46e7157dd5d5d255f054d884f801e4e3fca330b877904c03e7348e"
 
 
-def test_findings_output(rot3):
+def test_findings_output(rot3, dump_records):
     """A suite containing the candidate shows up in findings form, byte for
     byte."""
     from symbpow.harness import ScanReport
@@ -305,6 +306,7 @@ def test_findings_output(rot3):
     rep = ScanReport(ScanConfig(count=0), (suite,))
     out = findings_jsonl(rep)
     rows = [json.loads(line) for line in out.splitlines()]
+    dump_records("findings.jsonl", rows)
     assert len(rows) == 1
     assert rows[0]["classification"] == "candidate"
     assert "vars: x y z" in rows[0]["ideal"]
@@ -353,42 +355,65 @@ IC4 = ideal_of(4, (2, 4, 4, 0), (3, 4, 1, 4), (4, 1, 3, 0), (3, 2, 4, 4), (1, 4,
 BE4 = ideal_of(4, (2, 1, 1, 3), (2, 0, 3, 4), (0, 1, 2, 0))
 
 # sha256 of the check() results below, recorded before each row's body
-# decided its own hypothesis
-CHECK_ROWS_SHA256 = "91d9dd037884187732dd27f050c825ee925822cd59bd2592b58f526e4b3888e2"
+# decided its own hypothesis, and re-recorded when the closure test went
+# exact: only ic4's prime (now in the ideal's names) and the reason of the
+# call forced over a limit (now MAX_RAYS) moved
+CHECK_ROWS_SHA256 = "0a6e0c4d3c67e0a45f0c943f1af91ef4a98cd09b7d3f581a0f275fc32f10a89d"
 
 
 @pytest.mark.filterwarnings("ignore::symbpow.errors.PowersCoincideWarning")
-def test_every_row_and_its_rare_branches_are_pinned(rot3, triples4, edges3, monkeypatch):
+def test_every_row_and_its_rare_branches_are_pinned(rot3, triples4, edges3, monkeypatch,
+                                                    dump_records):
     """check() on six ideals: every CHECKS row at its first grid point, and
     the branches no scan pin reaches: alpha_slope below its threshold and
-    over THRESHOLD_CAP, the closure test over CLOSURE_BUDGET, and
+    over THRESHOLD_CAP, the closure test over MAX_RAYS, and
     symbolic_in_mpower with its witness probe.  A limit is lowered for its
-    own call only."""
+    own call only, and the memoized facet tables are dropped first, so
+    that the call builds its own under the lowered limit.  The dump heads
+    each ideal's rows with a record of the ideal."""
     calls = [(name, CHECKS[name].points(ONES)[0], ()) for name in CHECK_NAMES]
     calls += [("alpha_slope", {"r": 1, "m": 1}, ()),
               ("alpha_slope", {"r": 1}, ((harness, "THRESHOLD_CAP", 1),)),
-              ("integrally_closed_bound", {}, ((invariants, "CLOSURE_BUDGET", 1),)),
+              ("integrally_closed_bound", {}, ((geometry, "MAX_RAYS", 1),)),
               ("symbolic_in_mpower", {"m": 3, "s": 1, "r": 2}, ())]
-    ideals = (rot3, triples4, edges3, ideal_of(2, (2, 0), (0, 5)), IC4, BE4)
+    ideals = {"rot3": rot3, "triples4": triples4, "edges3": edges3,
+              "x2y5": ideal_of(2, (2, 0), (0, 5)), "ic4": IC4, "be4": BE4}
 
     def run(name, I, params, limits):
         with monkeypatch.context() as patch:
             for module, limit, value in limits:
                 patch.setattr(module, limit, value)
+            if limits:
+                newton_polyhedron.cache_clear()
             return encode_value(result_to_dict(check(name, I, params),
                                                default_names(I.ambient_dim)))
 
-    rows = [run(name, I, params, limits)
-            for I in ideals for name, params, limits in calls]
+    per_ideal = {label: [run(name, I, params, limits) for name, params, limits in calls]
+                 for label, I in ideals.items()}
+    rows = [row for ideal_rows in per_ideal.values() for row in ideal_rows]
+    dump_records("check-rows.jsonl", [
+        record for label, ideal_rows in per_ideal.items()
+        for record in [{"type": "ideal", "label": label}, *ideal_rows]])
     details = [row["details"] for row in rows]
     assert {"threshold": "5/2", "reason": "m below threshold"} in details
     assert {"threshold": "5/2", "threshold_cap": 1} in details
-    assert {"n": 3, "alpha": 8, "prime": "(x0,x1,x2)",
+    assert {"n": 3, "alpha": 8, "prime": "(x,y,z)",
             "reason": "a localization is not integrally closed"} in details
+    assert [row["details"] for row in rows if row["check"] == "integrally_closed_bound"
+            and row["verdict"] == R.RESOURCE_LIMIT] == [
+        {"n": 3, "alpha": 8, "reason": "double-description rays: needs 5, budget is 1"}]
     assert sum(d.get("reason_skipped") == "beta exceeds e * alpha" for d in details) == 2
     assert sum("witness_in_plain_power" in d for d in details) == 1
     digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
     assert digest == CHECK_ROWS_SHA256
+
+
+def test_a_prime_in_the_details_takes_the_suite_names():
+    """A row keeps its prime as a MonomialPrime, and result_to_dict renders
+    it with the names it is given, as it renders a witness."""
+    res = check("integrally_closed_bound", IC4)
+    assert res.details["prime"] == MonomialPrime(4, (0, 1, 2))
+    assert result_to_dict(res, ("a", "b", "c", "d"))["details"]["prime"] == "(a,b,c)"
 
 
 @pytest.mark.parametrize("name, params, message", [

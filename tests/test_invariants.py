@@ -3,10 +3,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symbpow.results as R
-from symbpow import harness, invariants
+from symbpow import geometry, harness
+from symbpow.decomposition import localizations
 from symbpow.errors import ResourceLimitError
+from symbpow.geometry import newton_polyhedron
 from symbpow.harness import check
 from symbpow.invariants import (alpha, beta, chudnovsky_bound,
                                 invariant_report, is_equigenerated,
@@ -16,7 +20,7 @@ from symbpow.monomial import MonomialIdeal, maximal_ideal, power
 from symbpow.rng import SplitRng
 
 from conftest import ideal_of
-from oracles import alpha_equality_at_denominator
+from oracles import alpha_equality_at_denominator, integrally_closed_by_box
 
 F = Fraction
 
@@ -117,14 +121,42 @@ def test_alpha_equality_check(edges3, rot3):
     assert check("alpha_equality", rot3, {"r": 1}).verdict == R.NOT_APPLICABLE
 
 
-def test_is_integrally_closed(monkeypatch):
+def test_is_integrally_closed(monkeypatch, rot3):
     assert is_integrally_closed(ideal_of(2, (2, 0), (0, 1)))
     assert is_integrally_closed(power(maximal_ideal(3), 4))
     # (x^2, y^2) misses x*y which lies in the Newton polyhedron
     assert not is_integrally_closed(ideal_of(2, (2, 0), (0, 2)))
-    monkeypatch.setattr(invariants, "CLOSURE_BUDGET", 100)
-    with pytest.raises(ResourceLimitError):
-        is_integrally_closed(ideal_of(2, (40, 0), (0, 40)))
+    # no box is scanned: (x^40, y^40) misses x^20*y^20, and (x^500, y^500)
+    # x^250*y^250, with no budget on the exponents
+    assert not is_integrally_closed(ideal_of(2, (40, 0), (0, 40)))
+    assert not is_integrally_closed(ideal_of(2, (500, 0), (0, 500)))
+    # the one limit left is the facet table's; tables are memoized per
+    # ideal value, so rot3's is dropped before its budget is lowered
+    newton_polyhedron.cache_clear()
+    monkeypatch.setattr(geometry, "MAX_RAYS", 1)
+    with pytest.raises(ResourceLimitError) as exc:
+        is_integrally_closed(rot3)
+    assert exc.value.what == "double-description rays"
+
+
+@st.composite
+def _small_ideals(draw):
+    """Ideals in 2-4 variables with exponents up to 5: a box of at most
+    1,296 points."""
+    d = draw(st.integers(min_value=2, max_value=4))
+    vector = st.lists(st.integers(min_value=0, max_value=5),
+                      min_size=d, max_size=d).filter(any)
+    return ideal_of(d, *draw(st.lists(vector, min_size=1, max_size=5)))
+
+
+@given(_small_ideals())
+@settings(max_examples=200, deadline=None)
+def test_corner_test_against_the_box_scan(I):
+    """The corner test over the facet rows and the irreducible components
+    gives the verdict of a scan of every lattice point of the box, on I
+    and on each of its localizations."""
+    for J in (I, *(L for _, L in localizations(I))):
+        assert is_integrally_closed(J) == integrally_closed_by_box(J)
 
 
 def test_integrally_closed_bound():
@@ -187,13 +219,14 @@ def test_waldschmidt_closed_forms(n, supports, value):
 WALD_CORPUS_SHA256 = "2e16ff1a6891f79503c5dc8a80a1ff59a29a20007478e1f3d13bad09f7b471a2"
 
 
-def test_waldschmidt_corpus_is_pinned():
+def test_waldschmidt_corpus_is_pinned(dump_records):
     root = SplitRng(1309, ("waldschmidt-general",))
     rows = []
     for n, count in ((5, 24), (6, 1)):
         for i in range(count):
             I = harness._random_general(root.child(n, i), n, 5, 6)
             rows.append((str(waldschmidt(I)), [str(x) for x in waldschmidt_point(I)]))
+    dump_records("wald-corpus.jsonl", rows)
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == WALD_CORPUS_SHA256
 
 
