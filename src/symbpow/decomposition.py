@@ -17,10 +17,9 @@ decomposition, sorted by its variable powers.
 
 The decomposition is checked before it is returned, by meeting its
 components again, one at a time from the unit ideal, with none of the
-build's code: a prime component through the prime-power kernel of
-monomial.py, any other by the elementary rule for a meet with
-(x_j^b_j : j in T) (see _check_recombines).  Unless the meet is I,
-VerificationError is raised.
+build's code: every component, a prime one included, by the elementary
+rule for a meet with (x_j^b_j : j in T) (see _check_recombines).  Unless
+the meet is I, VerificationError is raised.
 
 Associated primes are the radicals of those components; grouping
 components by radical gives an irredundant primary decomposition, so no
@@ -41,8 +40,8 @@ from functools import lru_cache
 from .errors import (DimensionMismatchError, NonAssociatedPrimeWarning,
                      PowersCoincideWarning, VerificationError)
 from .monomial import (MonomialIdeal, _canonical, _from_vectors, _Frozen,
-                       _meet_simplex_power, _naturals, _prefix_masks,
-                       _rows_below, minimal_vectors, require_proper)
+                       _naturals, _prefix_masks, _rows_below,
+                       _variable_names, minimal_vectors, require_proper)
 
 _DECOMP_CACHE_SIZE = 1024
 
@@ -78,10 +77,7 @@ class MonomialPrime(_Frozen):
                                 for i in self.variables])
 
     def render(self, names=None) -> str:
-        if names is None:
-            names = [f"x{i}" for i in range(self.ambient_dim)]
-        if len(names) != self.ambient_dim:
-            raise ValueError(f"{len(names)} variable names for {self.ambient_dim} variables")
+        names = _variable_names(names, self.ambient_dim)
         return "(" + ",".join(names[i] for i in self.variables) + ")"
 
     def __str__(self):
@@ -154,9 +150,8 @@ def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, .
 def _check_recombines(I: MonomialIdeal, comps) -> None:
     """Raise VerificationError unless the components meet in exactly I.
 
-    The meet is folded over the components from the unit ideal.  A prime
-    component goes through the prime-power kernel at m = 1.  Any other,
-    Q = (x_j^b_j : j in T), follows the elementary rule: a minimal
+    The meet is folded over the components from the unit ideal.  Each
+    component Q = (x_j^b_j : j in T) follows one elementary rule: a minimal
     generator g of the meet that lies in Q (some g_j >= b_j) stays, and
     any other gives way to its copies g' with g_j raised to b_j, one per
     j in T.  No copy divides a generator that stays, so only copies can be
@@ -164,19 +159,14 @@ def _check_recombines(I: MonomialIdeal, comps) -> None:
     the meet divides it: then h stays, or its own copy raised in j divides
     g' (a generator that stays may equal g').  So one divisibility index
     over the meet tests every copy, and the new set needs no
-    minimalization."""
+    minimalization.  A prime component is the case b_j = 1 of the same
+    rule: no faster route for it paid on a benchmark workload."""
     dim = I.ambient_dim
     meet = [(0,) * dim]
     # sorted order backwards: on six 5- and 6-variable scan corpora its
     # partial meets held 1.1-2.2 times fewer generators in all
     for comp in reversed(comps):
         powers = comp.powers
-        # the prime route pays: 0.084 s, against 0.172 s by the elementary rule
-        # alone, on the square-free ideals of all k-subsets of n variables for
-        # (n, k) = (10, 5), (10, 4), (9, 3), (10, 6) (min of 7, 2 vCPU VM)
-        if all(b == 1 for _, b in powers):
-            meet = _meet_simplex_power(meet, dim, [j for j, _ in powers], 1)
-            continue
         index = [_prefix_masks(col) for col in zip(*meet)]
         grown = []
         for n, g in enumerate(meet):

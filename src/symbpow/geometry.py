@@ -38,7 +38,11 @@ from .errors import ResourceLimitError, VerificationError
 from .monomial import (MonomialIdeal, _ambient_dim, _Frozen, _naturals,
                        as_prime_power, require_proper)
 
-MAX_RAYS = 256  # the most rays the double description keeps after a cut
+# The most rays the double description keeps after a cut.  It binds when a
+# facet table or a vertex set is built; a facet table is built once per
+# ideal value, so a lowered budget reaches a built one only after
+# newton_polyhedron.cache_clear().
+MAX_RAYS = 256
 PROBE_SAMPLES = 8  # the convex combinations probe_points adds to Q's vertices
 
 

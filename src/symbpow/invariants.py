@@ -71,8 +71,11 @@ def is_integrally_closed(I: MonomialIdeal) -> bool:
     component (x_i^b_i : i in S) of I are those at most b_i - 1 on S.  As
     N's facet normals are non-negative, N misses them all exactly when some
     facet row with its normal inside S has normal.(b - 1) < offset.  A
-    facet table over MAX_RAYS raises ResourceLimitError."""
+    facet table over MAX_RAYS raises ResourceLimitError.  A square-free I
+    is radical, so integrally closed, and needs no table."""
     require_proper(I)
+    if is_squarefree(I):
+        return True
     facets = newton_polyhedron(I).facets
     for comp in irreducible_decomposition(I):
         b = dict(comp.powers)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import subprocess
 import sys
 import tempfile
@@ -107,8 +108,8 @@ PINS = [
     # general components each
     _pin("seed3.jsonl", [f"scan --count 12 --seed 3 --vars 6 {_S}"],
          "204f2c04f7227b4f77d92ade73916cd10934cdae77bfdf2fe52c899c61ec57b2"),
-    # 7-variable ideals, every row: after phase 1 the widest alpha LP drops
-    # 105 dead GE artificial columns, more than any LP of the other scans
+    # 7-variable ideals, every row: the widest alpha LP has 105 GE rows,
+    # more than any LP of the other scans
     _pin("seed3-v7.jsonl", [f"scan --count 6 --seed 3 --vars 7 {_S}"],
          "1a3d68f03d8e18145719bcb63aee35a14e0f011502c4a051053eb6d2a1fa532b"),
     # rendering and witnesses, the Monomial edge, on rot3
@@ -153,6 +154,10 @@ PINS = [
     # the Newton polyhedron; no box of lattice points is scanned
     _pin("x500-info.jsonl", [f"info x500.ideal {_S}"],
          "6de6d3b540684ab40aacaec8473bf3e83ec74a98a7d6b40b1fe3c189c3fe1bbc"),
+    # square-free, so radical and integrally closed with no facet table
+    # (N(I)'s would need 257 double-description rays, one over MAX_RAYS)
+    _pin("sq10-5-info.jsonl", [f"info sq10-5.ideal {_S}"],
+         "3d99e023a859a4b7aeae63da64d21ec0f58e769583ea39bf67e885d298b28631"),
     # I^(12): 18,564 generators, read off set-bit masks of the prime-power
     # kernel that are as wide
     _pin("wide8-m12.jsonl", [f"symbolic -m 12 wide8.ideal {_S}"],
@@ -198,22 +203,33 @@ def check_pins(pins, run, dump: Path | None = None) -> int:
     return failed
 
 
+def subprocess_runner(directory):
+    """run(argv) for `output`: the command as `python -m symbpow` in a
+    subprocess of this interpreter, started in directory.  Its PYTHONPATH
+    entries are made absolute first, so that `PYTHONPATH=src` given at the
+    root of a checkout still finds the package from there."""
+    env = dict(os.environ)
+    if "PYTHONPATH" in env:
+        env["PYTHONPATH"] = os.pathsep.join(
+            map(os.path.abspath, env["PYTHONPATH"].split(os.pathsep)))
+
+    def run(argv):
+        return subprocess.run([sys.executable, "-m", "symbpow", *argv], cwd=directory,
+                              env=env, stdout=subprocess.PIPE, check=True).stdout
+
+    return run
+
+
 def main(argv=None) -> int:
-    """Every pin, each command as `python -m symbpow` in a subprocess of
-    this interpreter; exit 1 on a mismatch."""
+    """Every pin, each command in a subprocess (`subprocess_runner`); exit
+    1 on a mismatch."""
     parser = argparse.ArgumentParser(description="Check the pinned CLI outputs.")
     parser.add_argument("--dump", type=Path, metavar="DIR",
                         help="also write each pin's joined stdout to DIR/<pin name>")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as directory:
         write_inputs(directory)
-
-        def run(argv):
-            return subprocess.run([sys.executable, "-m", "symbpow", *argv],
-                                  cwd=directory, stdout=subprocess.PIPE,
-                                  check=True).stdout
-
-        failed = check_pins(PINS, run, args.dump)
+        failed = check_pins(PINS, subprocess_runner(directory), args.dump)
     return 1 if failed else 0
 
 

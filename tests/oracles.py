@@ -6,7 +6,7 @@ with the realizing denominator they give."""
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import lcm
 from operator import le
 
@@ -17,13 +17,27 @@ from symbpow.geometry import (NewtonPolyhedron, alpha_polyhedron, member_scaled,
                               newton_polyhedron, np_member, symbolic_polyhedron)
 from symbpow.invariants import alpha
 from symbpow.monomial import (Monomial, MonomialIdeal, _compositions, intersect,
-                              is_squarefree, power, require_proper)
+                              is_squarefree, require_proper)
 from symbpow.symbolic import symbolic_power
 
 
 def degree_monomials(ambient_dim: int, degree: int) -> list[Monomial]:
     """All monomials of the given total degree."""
     return [Monomial(c) for c in _compositions(degree, ambient_dim)]
+
+
+def prime_power_oracle(dim: int, s_vars, n: int) -> MonomialIdeal:
+    """P^n for the prime P on s_vars, n >= 1: one degree-n monomial per
+    multiset of n of those variables (combinations_with_replacement),
+    listed with no kernel of the package.  They are all of one degree, so
+    lex order is canonical."""
+    vectors = []
+    for pick in combinations_with_replacement(s_vars, n):
+        v = [0] * dim
+        for i in pick:
+            v[i] += 1
+        vectors.append(tuple(v))
+    return MonomialIdeal(dim, tuple(sorted(vectors)))
 
 
 def pairwise_lcms(avecs, bvecs) -> list[tuple[int, ...]]:
@@ -35,13 +49,15 @@ def pairwise_lcms(avecs, bvecs) -> list[tuple[int, ...]]:
 def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:
     """Independent route for square-free ideals: intersect the m-th powers
     of the minimal primes coming straight out of the irreducible
-    decomposition (no localization involved)."""
+    decomposition (no localization involved), each listed by
+    `prime_power_oracle`, so no step runs the prime-power kernel."""
     require_proper(I)
     if not is_squarefree(I):
         raise ValueError("oracle only applies to square-free ideals")
     if m == 0:
         return MonomialIdeal.unit(I.ambient_dim)
-    comps = [power(c.to_ideal(), m) for c in irreducible_decomposition(I)]
+    comps = [prime_power_oracle(I.ambient_dim, [v for v, _ in c.powers], m)
+             for c in irreducible_decomposition(I)]
     comps.sort(key=lambda c: len(c.vectors))
     return reduce(intersect, comps)
 

@@ -5,10 +5,13 @@ install, each command in a subprocess."""
 import contextlib
 import hashlib
 import io
+import os
+from pathlib import Path
 
 import pytest
 
-from cli_pins import PINS, check_pins, digest, write_inputs
+import symbpow
+from cli_pins import PINS, check_pins, digest, subprocess_runner, write_inputs
 from symbpow.cli import main
 
 
@@ -43,3 +46,14 @@ def test_dump_writes_the_pinned_bytes(inputs, monkeypatch, tmp_path, capsys):
     dumped = (tmp_path / "dump" / pin.name).read_bytes()
     assert hashlib.sha256(dumped).hexdigest() == pin.sha256
     assert capsys.readouterr().out == f"ok  {pin.name}  {pin.sha256}\n"
+
+
+def test_subprocess_runner_reads_a_relative_pythonpath(inputs, monkeypatch):
+    """`PYTHONPATH=src python tests/cli_pins.py` at the root of a checkout
+    runs each command in a temporary directory; the runner makes the
+    relative entry absolute, so the child still imports the package."""
+    src = Path(symbpow.__file__).resolve().parent.parent
+    monkeypatch.chdir(src.parent)
+    monkeypatch.setenv("PYTHONPATH", os.path.relpath(src))
+    pin = next(pin for pin in PINS if pin.name == "x500-info.jsonl")
+    assert digest(pin, subprocess_runner(inputs)) == pin.sha256

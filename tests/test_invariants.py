@@ -139,6 +139,17 @@ def test_is_integrally_closed(monkeypatch, rot3):
     assert exc.value.what == "double-description rays"
 
 
+def test_a_squarefree_ideal_is_closed_whatever_its_facet_table_costs(monkeypatch):
+    """A square-free ideal is radical, so integrally closed: the answer
+    needs no facet table, though its table is over a budget of one ray."""
+    I = ideal_of(5, *[[int(i in s) for i in range(5)] for s in combinations(range(5), 3)])
+    newton_polyhedron.cache_clear()
+    monkeypatch.setattr(geometry, "MAX_RAYS", 1)
+    assert is_integrally_closed(I)
+    with pytest.raises(ResourceLimitError):
+        newton_polyhedron(I).facets
+
+
 @st.composite
 def _small_ideals(draw):
     """Ideals in 2-4 variables with exponents up to 5: a box of at most

@@ -146,25 +146,6 @@ def test_purge_pivots_on_a_negative_entry(monkeypatch):
     assert any(p < 0 for p in pivots)
 
 
-def test_phase_2_keeps_only_eq_artificials():
-    """Once phase 1 ends, a GE row's artificial column loses its entries,
-    since its multiplier comes from its slack; an EQ row keeps its
-    artificial.  No column is renumbered."""
-    # min x + y  s.t.  x + y >= 2,  x - y >= 0,  x + 2y == 3
-    prog = make_lp([[1, 1], [1, -1], [1, 2]], [2, 0, 3],
-                   [lp.GE, lp.GE, lp.EQ], [1, 1])
-    tableau = lp._Tableau(prog)
-    ncols, art_col = tableau.ncols, list(tableau.art_col)
-    assert ncols == tableau.n_free + 3
-    assert art_col == [tableau.n_free, tableau.n_free + 1, tableau.n_free + 2]
-    ge_arts = set(art_col[:2])
-    assert any(ge_arts & row.keys() for row in tableau.rows)
-    assert tableau.solve() == textbook_simplex(prog)
-    assert tableau.ncols == ncols and tableau.art_col == art_col
-    assert not any(ge_arts & row.keys()
-                   for row in tableau.rows + tableau._cost_rows())
-
-
 @given(st.lists(st.tuples(st.lists(mixed_entry, min_size=3, max_size=3),
                           rhs_entry, sense), min_size=1, max_size=5),
        st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=3),

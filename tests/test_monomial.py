@@ -18,7 +18,7 @@ from symbpow.monomial import (Monomial, MonomialIdeal, _bits, _divisor_index,
 from symbpow.symbolic import symbolic_power
 
 from conftest import ideal_of
-from oracles import above_some, degree_monomials, pairwise_lcms
+from oracles import above_some, degree_monomials, pairwise_lcms, prime_power_oracle
 
 
 def m(*exps):
@@ -626,12 +626,16 @@ def ideal_and_support(draw):
 @given(ideal_and_support(), st.integers(min_value=1, max_value=7))
 @settings(max_examples=200, deadline=None)
 def test_intersect_with_prime_power_matches_pairwise_lcm(case, m_):
+    """intersect, and the prime-power kernel on the same sides, against
+    the pairwise lcms, with P^m listed apart from the kernel."""
     I, s_vars = case
-    Pm = power(prime_on(I.ambient_dim, s_vars), m_)
-    oracle = _from_vectors(I.ambient_dim, pairwise_lcms(I.vectors, Pm.vectors))
+    dim = I.ambient_dim
+    Pm = prime_power_oracle(dim, s_vars, m_)
+    oracle = _from_vectors(dim, pairwise_lcms(I.vectors, Pm.vectors))
     got = intersect(I, Pm)
     assert got == oracle
     assert got.vectors == canonical(got.vectors)
+    assert canonical(monomial._meet_simplex_power(I.vectors, dim, s_vars, m_)) == oracle.vectors
 
 
 def _prime_power_vectors(dim, s_vars, m_):

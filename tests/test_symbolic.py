@@ -18,7 +18,7 @@ from symbpow.symbolic import (equal_exponent_condition,
                               symbolic_equals_ordinary, symbolic_power)
 
 from conftest import ideal_of, random_squarefree_corpus
-from oracles import symbolic_power_oracle_sqfree
+from oracles import prime_power_oracle, symbolic_power_oracle_sqfree
 
 
 def test_symbolic_power_edge_cases(rot3):
@@ -188,9 +188,18 @@ def test_ordinary_power_inside_symbolic(I, m_):
 
 def by_definition(I, m_):
     """I^(m) as the smallest-first intersection of the powers of the
-    localizations at the maximal associated primes."""
-    comps = (power(localize(I, P), m_) for P in max_associated_primes(I))
-    return reduce(intersect, sorted(comps, key=lambda c: len(c.gens)))
+    localizations at the maximal associated primes.  The power Q^(km) of a
+    localization Q^k is listed by `prime_power_oracle`, not by `power`, so
+    no step here runs the prime-power kernel that symbolic_power runs."""
+    comps = []
+    for P in max_associated_primes(I):
+        L = localize(I, P)
+        if L.simplex_power is None:
+            comps.append(power(L, m_))
+        else:
+            s_vars, k = L.simplex_power
+            comps.append(prime_power_oracle(I.ambient_dim, s_vars, k * m_))
+    return reduce(intersect, sorted(comps, key=lambda c: len(c.vectors)))
 
 
 def prime_power(dim, s_vars, k):
@@ -238,6 +247,32 @@ def test_mixed_example_has_both_kinds_of_component():
 @settings(max_examples=100, deadline=None)
 def test_symbolic_power_matches_definition(I, m_):
     assert symbolic_power(I, m_) == by_definition(I, m_)
+
+
+def test_agreement_does_not_share_the_kernel(monkeypatch):
+    """A mutant of the prime-power kernel that drops the largest generator
+    of a step whose output has more than one key (exponents off the prime)
+    bites symbolic_power, whose second prime step meets (x0, x1)^2 with
+    (x1, x2)^2, and neither by_definition nor the square-free oracle,
+    which list the prime powers and meet them apart from the kernel."""
+    I, m_ = ideal_of(3, (0, 1, 0), (1, 0, 1)), 2  # (x0, x1) meet (x1, x2)
+    expected = symbolic_power(I, m_)
+    kernel = monomial._meet_simplex_power
+
+    def mutant(vectors, dim, s_vars, m):
+        out = kernel(vectors, dim, s_vars, m)
+        if len({tuple(v[i] for i in range(dim) if i not in s_vars) for v in out}) > 1:
+            out.remove(max(out))
+        return out
+
+    monkeypatch.setattr(monomial, "_meet_simplex_power", mutant)
+    monkeypatch.setattr(symbolic, "_meet_simplex_power", mutant)
+    symbolic_power.cache_clear()
+    try:
+        assert symbolic_power(I, m_) != expected
+        assert by_definition(I, m_) == symbolic_power_oracle_sqfree(I, m_) == expected
+    finally:
+        symbolic_power.cache_clear()
 
 
 # the slow ideals of the 6-variable scans of seeds 3 and 4: four and seven
