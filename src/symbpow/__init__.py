@@ -1,24 +1,7 @@
 """Exact symbolic powers, symbolic polyhedra and containment checks for
 monomial ideals."""
 
-from __future__ import annotations
-
-from .decomposition import (IrreducibleComponent, MonomialPrime,
-                            associated_primes, big_height,
-                            irreducible_decomposition, localize,
-                            max_associated_primes, sigma)
-from .errors import (DimensionMismatchError, NonAssociatedPrimeWarning,
-                     PowersCoincideWarning, ResourceLimitError,
-                     VerificationError)
-from .geometry import (NewtonPolyhedron, SymbolicPolyhedron, alpha_polyhedron,
-                       enumerate_vertices, newton_polyhedron, np_member,
-                       symbolic_polyhedron)
-from .invariants import alpha, beta, chudnovsky_bound, waldschmidt
-from .monomial import (Monomial, MonomialIdeal, contains, intersect,
-                       maximal_ideal, multiply, power, radical, subset)
-from .parsing import IdealDocument, ParseError, format_ideal, load_ideal, parse_ideal
-from .results import CheckResult
-from .symbolic import symbolic_power
+import importlib
 
 __version__ = "0.1.0"
 
@@ -35,3 +18,30 @@ __all__ = [
     "newton_polyhedron", "np_member", "parse_ideal", "power", "radical",
     "sigma", "subset", "symbolic_polyhedron", "symbolic_power", "waldschmidt",
 ]
+
+# each public name's home module, imported at the name's first lookup (PEP 562)
+_HOMES = {name: module for module, names in {
+    "decomposition": "IrreducibleComponent MonomialPrime associated_primes big_height "
+                     "irreducible_decomposition localize max_associated_primes sigma",
+    "errors": "DimensionMismatchError NonAssociatedPrimeWarning PowersCoincideWarning "
+              "ResourceLimitError VerificationError",
+    "geometry": "NewtonPolyhedron SymbolicPolyhedron alpha_polyhedron enumerate_vertices "
+                "newton_polyhedron np_member symbolic_polyhedron",
+    "invariants": "alpha beta chudnovsky_bound waldschmidt",
+    "monomial": "Monomial MonomialIdeal contains intersect maximal_ideal multiply power "
+                "radical subset",
+    "parsing": "IdealDocument ParseError format_ideal load_ideal parse_ideal",
+    "results": "CheckResult", "symbolic": "symbolic_power",
+}.items() for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _HOMES and name not in _HOMES.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOMES.get(name, name)}", __name__)
+    globals()[name] = value = getattr(module, name) if name in _HOMES else module
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -16,16 +16,9 @@ import sys
 import warnings
 from collections import namedtuple
 
-from . import harness
-from .decomposition import (associated_primes, big_height,
-                            max_associated_primes, sigma)
 from .errors import ResourceLimitError, VerificationError
-from .geometry import (alpha_polyhedron, enumerate_vertices,
-                       symbolic_polyhedron)
-from .invariants import alpha, beta, invariant_report
 from .parsing import ParseError, format_ideal, load_ideal
 from .results import encode_value, json_line
-from .symbolic import symbolic_power
 
 TEXT, STRUCTURED = "text", "structured"
 
@@ -56,6 +49,7 @@ def _var_counts(text: str) -> tuple[int, ...]:
 
 
 def _check_list(text: str) -> tuple[str, ...]:
+    from . import harness
     names = tuple(p.strip() for p in text.split(",") if p.strip())
     if not names:
         raise argparse.ArgumentTypeError(f"empty check list: {text!r}")
@@ -71,28 +65,31 @@ def _given(args, fields) -> dict:
     return {field: getattr(args, field) for field in fields if field in args}
 
 
-def _scalar(invariant):
-    """A command that prints one value of the ideal."""
+def _scalar(module, function):
+    """A command that prints one value of the ideal, module.function of it."""
     def run(args, doc):
-        value = invariant(doc.ideal)
+        from importlib import import_module
+        value = getattr(import_module(f".{module}", __package__), function)(doc.ideal)
         if args.format == STRUCTURED:
             return json_line({args.command: value}), 0
         return f"{encode_value(value)}\n", 0
     return run
 
 
-def _primes(invariant):
-    """A command that prints a list of primes of the ideal."""
+def _primes(module, function):
+    """A command that prints the primes of the ideal that module.function lists."""
     def run(args, doc):
-        primes, names = invariant(doc.ideal), doc.names
+        from importlib import import_module
+        primes = getattr(import_module(f".{module}", __package__), function)(doc.ideal)
         if args.format == STRUCTURED:
-            return json_line({args.command: [[names[i] for i in P.variables]
+            return json_line({args.command: [[doc.names[i] for i in P.variables]
                                              for P in primes]}), 0
-        return "".join(P.render(names) + "\n" for P in primes), 0
+        return "".join(P.render(doc.names) + "\n" for P in primes), 0
     return run
 
 
 def _info(args, doc):
+    from .invariants import invariant_report
     report = invariant_report(doc.ideal, doc.names)
     if args.format == STRUCTURED:
         return json_line(report), 0
@@ -100,6 +97,7 @@ def _info(args, doc):
 
 
 def _symbolic(args, doc):
+    from .symbolic import symbolic_power
     sym, names = symbolic_power(doc.ideal, args.m), doc.names
     if args.format == STRUCTURED:
         return json_line({"m": args.m, "vars": names,
@@ -108,6 +106,7 @@ def _symbolic(args, doc):
 
 
 def _waldschmidt(args, doc):
+    from .geometry import alpha_polyhedron, symbolic_polyhedron
     value, point = alpha_polyhedron(symbolic_polyhedron(doc.ideal))
     if args.format == STRUCTURED:
         return json_line({"waldschmidt": value, "point": point}), 0
@@ -115,6 +114,7 @@ def _waldschmidt(args, doc):
 
 
 def _polyhedron(args, doc):
+    from .geometry import alpha_polyhedron, enumerate_vertices, symbolic_polyhedron
     Q, names = symbolic_polyhedron(doc.ideal), doc.names
     value, point = alpha_polyhedron(Q)
     vertices = enumerate_vertices(Q) if args.vertices else ()
@@ -137,6 +137,7 @@ def _polyhedron(args, doc):
 
 
 def _containment(args, doc):
+    from . import harness
     res = harness.check("symbolic_in_mpower", doc.ideal,
                         {"m": args.m, "s": args.s, "r": args.r})
     if args.format == STRUCTURED:
@@ -148,6 +149,7 @@ def _containment(args, doc):
 
 
 def _suite(args, doc):
+    from . import harness
     ranges = harness.SuiteRanges(**_given(args, harness.SuiteRanges._fields))
     report = harness.run_suite(doc.ideal, ranges=ranges, names=doc.names,
                                label=doc.label, **_given(args, ("checks", "seed")))
@@ -156,6 +158,7 @@ def _suite(args, doc):
 
 
 def _scan(args, doc):
+    from . import harness
     report = harness.scan(harness.ScanConfig(**_given(args, harness.ScanConfig._fields)))
     if args.findings:
         with open(args.findings, "w") as fh:
@@ -173,14 +176,16 @@ _TIMINGS = ("--timings", dict(action="store_true", default=False,
 
 COMMANDS = {
     "info": Command("all scalar invariants of the ideal", _info),
-    "ass": Command("associated primes", _primes(associated_primes)),
-    "maxass": Command("maximal associated primes", _primes(max_associated_primes)),
-    "bigheight": Command("largest height of an associated prime", _scalar(big_height)),
-    "sigma": Command("smallest generator support size", _scalar(sigma)),
+    "ass": Command("associated primes", _primes("decomposition", "associated_primes")),
+    "maxass": Command("maximal associated primes",
+                      _primes("decomposition", "max_associated_primes")),
+    "bigheight": Command("largest height of an associated prime",
+                         _scalar("decomposition", "big_height")),
+    "sigma": Command("smallest generator support size", _scalar("decomposition", "sigma")),
     "symbolic": Command("minimal generators of a symbolic power", _symbolic, [
         ("-m", dict(type=_int_at_least(0), required=True, metavar="M"))]),
-    "alpha": Command("least generator degree", _scalar(alpha)),
-    "beta": Command("largest generator degree", _scalar(beta)),
+    "alpha": Command("least generator degree", _scalar("invariants", "alpha")),
+    "beta": Command("largest generator degree", _scalar("invariants", "beta")),
     "waldschmidt": Command("Waldschmidt constant (exact rational)", _waldschmidt),
     "polyhedron": Command("symbolic polyhedron summary", _polyhedron, [
         ("--dump", dict(action="store_true", default=False, help="emit P/G component lines")),

@@ -8,7 +8,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement, product
 from math import lcm
-from operator import le
+from operator import add, le
 
 from symbpow import lp
 from symbpow.decomposition import MonomialPrime, irreducible_decomposition
@@ -16,18 +16,21 @@ from symbpow.errors import VerificationError
 from symbpow.geometry import (NewtonPolyhedron, alpha_polyhedron, member_scaled,
                               newton_polyhedron, np_member, symbolic_polyhedron)
 from symbpow.invariants import alpha
-from symbpow.monomial import (Monomial, MonomialIdeal, _compositions, intersect,
-                              is_squarefree, require_proper)
+from symbpow.monomial import (Monomial, MonomialIdeal, intersect, is_squarefree,
+                              require_proper)
 from symbpow.symbolic import symbolic_power
 
 
 def degree_monomials(ambient_dim: int, degree: int) -> list[Monomial]:
-    """All monomials of the given total degree."""
-    return [Monomial(c) for c in _compositions(degree, ambient_dim)]
+    """All monomials of the given total degree, in lex order: the
+    generators of that power of the maximal ideal, as `prime_power_oracle`
+    lists them."""
+    return [Monomial(v) for v in
+            prime_power_oracle(ambient_dim, range(ambient_dim), degree).vectors]
 
 
 def prime_power_oracle(dim: int, s_vars, n: int) -> MonomialIdeal:
-    """P^n for the prime P on s_vars, n >= 1: one degree-n monomial per
+    """P^n for the prime P on s_vars, n >= 0: one degree-n monomial per
     multiset of n of those variables (combinations_with_replacement),
     listed with no kernel of the package.  They are all of one degree, so
     lex order is canonical."""
@@ -44,6 +47,33 @@ def pairwise_lcms(avecs, bvecs) -> list[tuple[int, ...]]:
     """The lcm of every pair of exponent vectors, one from each side: the
     literal candidate set of an intersection, before minimalization."""
     return [tuple(map(max, a, b)) for a in avecs for b in bvecs]
+
+
+def pairwise_sums(avecs, bvecs) -> list[tuple[int, ...]]:
+    """The sum of every pair of exponent vectors, one from each side: the
+    literal candidate set of a product, before minimalization."""
+    return [tuple(map(add, a, b)) for a in avecs for b in bvecs]
+
+
+def minimal_oracle(dim: int, vectors) -> MonomialIdeal:
+    """The ideal of candidate vectors, minimalized by a linear scan: visited
+    in (degree, lex) order, a vector is kept unless a kept one lies at or
+    below it (`above_some`), as a proper divisor has the smaller degree."""
+    kept = []
+    for v in sorted(set(vectors), key=lambda v: (sum(v), v)):
+        if not above_some(kept, v):
+            kept.append(v)
+    return MonomialIdeal(dim, tuple(kept))
+
+
+def power_oracle(I: MonomialIdeal, n: int) -> MonomialIdeal:
+    """I^n for n >= 1 by repeated pairwise sums with the generators of I,
+    each product minimalized by `minimal_oracle`: no product, power or
+    minimalization of the package runs."""
+    out = I
+    for _ in range(n - 1):
+        out = minimal_oracle(I.ambient_dim, pairwise_sums(out.vectors, I.vectors))
+    return out
 
 
 def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:

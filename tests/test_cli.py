@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import symbpow
-from symbpow import cli, lp
+from symbpow import geometry, lp
 from symbpow.cli import main
 from symbpow.geometry import alpha_polyhedron
 
@@ -174,7 +174,7 @@ def test_internal_error_is_exit_5(rot3_file, capsys, monkeypatch):
     def crash(Q):
         return 1 // 0
 
-    monkeypatch.setattr(cli, "alpha_polyhedron", crash)
+    monkeypatch.setattr(geometry, "alpha_polyhedron", crash)
     code, out, err = run_cli(capsys, "waldschmidt", rot3_file)
     assert code == 5
     assert out == ""

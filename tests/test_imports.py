@@ -1,11 +1,18 @@
 """Every module of the package reads each name it imports: an import left
 behind by a change costs start-up time and misleads the reader.  Names a
-module lists in __all__ count as read."""
+module lists in __all__ count as read.  And each command imports only the
+modules it runs: the package namespace resolves its names lazily."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import symbpow
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "symbpow"
 
@@ -36,3 +43,62 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+# `python -m symbpow ARGV` as a statement, so that sys.modules can be read after it
+RUN_MAIN = ("import runpy\n"
+            "try:\n"
+            "    runpy.run_module('symbpow', run_name='__main__')\n"
+            "except SystemExit as exc:\n"
+            "    if exc.code:\n"
+            "        raise\n")
+
+
+def loaded(tmp_path, statement, *argv) -> set[str]:
+    """The symbpow modules, without the package prefix, in sys.modules of
+    a fresh interpreter once it has run statement with sys.argv[1:] =
+    argv, beside an rot3.ideal file.  Read from sys.modules, not from an
+    -X importtime log, which leaves out what importlib.import_module loads."""
+    (tmp_path / "rot3.ideal").write_text("vars: x y z\ngens:\n  x*y^2\n  y*z^2\n"
+                                         "  z*x^2\n  x*y*z\n")
+    # the child imports the package this test imported
+    src = str(Path(symbpow.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (f"import sys\nsys.argv[1:] = {list(argv)!r}\n{statement}\n"
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'symbpow'), file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {name.removeprefix("symbpow.") for name in proc.stderr.splitlines()[-1].split()}
+
+
+def test_cli_import_loads_only_what_every_command_needs(tmp_path):
+    assert loaded(tmp_path, "import symbpow.cli") == {
+        "symbpow", "cli", "errors", "parsing", "monomial", "results"}
+
+
+# each command, the module it runs (so the set is read) and those it leaves out
+@pytest.mark.parametrize("argv, runs, left_out", [
+    (["symbolic", "-m", "2"], "symbolic", {"harness", "geometry", "lp", "invariants", "rng"}),
+    (["info"], "invariants", {"harness", "rng"}),
+    (["waldschmidt"], "geometry", {"harness", "rng"}),
+    (["polyhedron", "--vertices"], "geometry", {"harness", "rng"}),
+], ids=["symbolic", "info", "waldschmidt", "polyhedron"])
+def test_command_imports_only_what_it_runs(tmp_path, argv, runs, left_out):
+    modules = loaded(tmp_path, RUN_MAIN, argv[0], "rot3.ideal", *argv[1:])
+    assert runs in modules
+    assert modules & left_out == set()
+
+
+def test_lazy_namespace():
+    """Every public name resolves to the object its home module defines,
+    the home modules resolve as attributes, and dir lists every name."""
+    for name in symbpow.__all__:
+        value = getattr(symbpow, name)
+        assert value.__module__.startswith("symbpow.")
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    assert symbpow.geometry is sys.modules["symbpow.geometry"]
+    assert set(symbpow.__all__) <= set(dir(symbpow))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        symbpow.no_such_name

@@ -18,7 +18,7 @@ from symbpow.symbolic import (equal_exponent_condition,
                               symbolic_equals_ordinary, symbolic_power)
 
 from conftest import ideal_of, random_squarefree_corpus
-from oracles import prime_power_oracle, symbolic_power_oracle_sqfree
+from oracles import power_oracle, prime_power_oracle, symbolic_power_oracle_sqfree
 
 
 def test_symbolic_power_edge_cases(rot3):
@@ -189,13 +189,15 @@ def test_ordinary_power_inside_symbolic(I, m_):
 def by_definition(I, m_):
     """I^(m) as the smallest-first intersection of the powers of the
     localizations at the maximal associated primes.  The power Q^(km) of a
-    localization Q^k is listed by `prime_power_oracle`, not by `power`, so
-    no step here runs the prime-power kernel that symbolic_power runs."""
+    localization Q^k is listed by `prime_power_oracle` and the power of a
+    general localization is `power_oracle`'s, not `power`'s, so no step
+    here runs the prime-power kernel, the product or the minimalization
+    that symbolic_power runs to build its components."""
     comps = []
     for P in max_associated_primes(I):
         L = localize(I, P)
         if L.simplex_power is None:
-            comps.append(power(L, m_))
+            comps.append(power_oracle(L, m_))
         else:
             s_vars, k = L.simplex_power
             comps.append(prime_power_oracle(I.ambient_dim, s_vars, k * m_))
