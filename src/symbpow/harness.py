@@ -3,18 +3,25 @@
 Every named check is one row of the check table (CHECKS): a parameter
 grid read from SuiteRanges and a body that decides the statement's
 hypothesis and returns one Outcome, not_applicable when the hypothesis
-fails; a containment goes to the kernel through `_contained`, which asks
-whether lhs sits inside m^s * rhs.  `Check.run` alone turns an Outcome
-into a CheckResult, for the suite rows, the command-line containment and
-the scan's associated-primes oracle alike.  A row takes its parameters
-only: budgets and sample sizes are module constants, read where they
-bind.  A suite runs a selection of rows over their grids against one
-ideal and tallies the outcomes.  A scan generates a pseudo-random corpus
-(square-free ideals come from intersecting a minimal family of monomial
-primes, which doubles as a free oracle for the associated primes) and
-runs a suite on each member, collecting failures of proven statements
-(bugs) and failures of conjectured ones (candidate counterexamples) into
-a findings list with enough detail to reproduce each one.
+fails.  Every containment has one shape, I^(a) <= m^s * (I^(b))^t: a row
+passes its exponents to `_contained`, which alone builds both sides.
+With e the big height, (a, b, t, s) is (t(m+e-1)-e+r, m, t,
+(t-1)(e-1)+r-1) for the main theorem's two rows, (r+1, r, 1, 1) for
+symbolic_step, (r+e, r, 1, sigma) for support_step, (re-e+1, 1, r,
+(r-1)(e-1)) for refined_containment, (m, 1, r, max(s, 0)) for
+alpha_slope, (er, 1, r, (e-1)r) for equigenerated_containment and
+alpha_equality, and (m, 1, r, s) for symbolic_in_mpower.  `Check.run`
+alone turns an Outcome into a CheckResult, for the suite rows, the
+command-line containment and the scan's associated-primes oracle alike.
+A row takes its parameters only: budgets and sample sizes are module
+constants, read where they bind.  A suite runs a selection of rows over
+their grids against one ideal and tallies the outcomes.  A scan
+generates a pseudo-random corpus (square-free ideals come from
+intersecting a minimal family of monomial primes, which doubles as a
+free oracle for the associated primes) and runs a suite on each member,
+collecting failures of proven statements (bugs) and failures of
+conjectured ones (candidate counterexamples) into a findings list with
+enough detail to reproduce each one.
 
 Reports serialize two ways: human-oriented text, and line-delimited JSON
 with sorted keys, exact "p/q" rationals, and no wall-clock timings, so a
@@ -89,13 +96,17 @@ def _holds(ok: bool) -> str:
     return R.HOLDS if ok else R.FAILS
 
 
-def _contained(lhs, rhs, s, details, probe_witness=False, params=None, kind=None):
-    """Whether the ideal lhs sits inside m^s * rhs, by the containment
-    kernel.  A witness is re-tested before a fails verdict leaves, by a
-    plain scan over the generators of rhs and not the kernel's index: it
-    lies outside exactly when no generator h divides it with
+def _contained(I, a, b, t, s, details, probe_witness=False, params=None, kind=None):
+    """Whether I^(a) <= m^s * (I^(b))^t, by the containment kernel: the
+    one place where the sides lhs = I^(a) and rhs = (I^(b))^t are built
+    (b = 1 gives I^t, t = 1 gives I^(b)).  details is a dict, or a
+    callable of (lhs, rhs) giving one.  A fails verdict's witness f is
+    re-tested by a plain scan over the generators of rhs, not the kernel's
+    index: it lies outside exactly when no generator h divides it with
     deg f - deg h >= s; else VerificationError.  probe_witness: on
     failure, also record whether the witness lies in rhs itself."""
+    lhs, rhs = symbolic_power(I, a), power(symbolic_power(I, b), t)
+    details = details(lhs, rhs) if callable(details) else details
     witness = containment_witness(lhs, rhs, s)
     if witness is not None:
         f = witness.exponents
@@ -160,11 +171,9 @@ def _main_theorem(I, m, t, r):
     (substituting x_v^a -> y_v turns them square-free without changing
     heights)."""
     e = _big_height(I)
-    lhs_exp = t * (m + e - 1) - e + r
-    s = (t - 1) * (e - 1) + r - 1
-    return _contained(
-        symbolic_power(I, lhs_exp), power(symbolic_power(I, m), t), s,
-        {"e": e, "lhs_symbolic_exponent": lhs_exp, "maximal_ideal_exponent": s})
+    a, s = t * (m + e - 1) - e + r, (t - 1) * (e - 1) + r - 1
+    return _contained(I, a, m, t, s, {"e": e, "lhs_symbolic_exponent": a,
+                                      "maximal_ideal_exponent": s})
 
 
 def _squarefree_containment(I, m, t, r):
@@ -184,14 +193,13 @@ def _equal_exponent_containment(I, m, t, r):
 
 def _symbolic_step(I, r):
     """I^(r+1) <= m * I^(r) for every r >= 1 (unconditional theorem)."""
-    return _contained(symbolic_power(I, r + 1), symbolic_power(I, r), 1, {})
+    return _contained(I, r + 1, r, 1, 1, {})
 
 
 def _support_step(I, r):
     """I^(r+e) <= m^sigma(I) * I^(r) with e the big height (theorem)."""
     e, s = _big_height(I), sigma(I)
-    return _contained(symbolic_power(I, r + e), symbolic_power(I, r), s,
-                      {"e": e, "sigma": s})
+    return _contained(I, r + e, r, 1, s, {"e": e, "sigma": s})
 
 
 def _refined_containment(I, r):
@@ -202,24 +210,18 @@ def _refined_containment(I, r):
     conjecture with known counterexamples, so failures on non-square-free
     input are candidate counterexamples, not bugs.
     """
-    e = _big_height(I)
-    sqfree = is_squarefree(I)
-    m_exp = r * e - e + 1
-    s = (r - 1) * (e - 1)
-    return _contained(
-        symbolic_power(I, m_exp), power(I, r), s,
-        {"e": e, "lhs_symbolic_exponent": m_exp, "maximal_ideal_exponent": s,
-         "squarefree": sqfree},
-        probe_witness=True, params={"r": r, "m": m_exp, "s": s},
+    e, sqfree = _big_height(I), is_squarefree(I)
+    a, s = r * e - e + 1, (r - 1) * (e - 1)
+    return _contained(I, a, 1, r, s, {
+        "e": e, "lhs_symbolic_exponent": a, "maximal_ideal_exponent": s,
+        "squarefree": sqfree}, probe_witness=True, params={"r": r, "m": a, "s": s},
         kind=R.THEOREM if sqfree else R.CONJECTURE)
 
 
 def _symbolic_in_mpower(I, m, s, r):
     """Exploratory membership check I^(m) <= m^s * I^r."""
-    lhs, rhs = symbolic_power(I, m), power(I, r)
-    return _contained(lhs, rhs, s,
-                      {"lhs_gens": len(lhs.vectors), "rhs_gens": len(rhs.vectors)},
-                      probe_witness=True)
+    return _contained(I, m, 1, r, s, lambda lhs, rhs: {
+        "lhs_gens": len(lhs.vectors), "rhs_gens": len(rhs.vectors)}, probe_witness=True)
 
 
 def _polyhedron_bound(I, m):
@@ -273,8 +275,7 @@ def _alpha_slope(I, r, m=None):
     if that exceeds THRESHOLD_CAP the check reports a resource limit
     instead of computing an enormous symbolic power.
     """
-    w, Ir = waldschmidt(I), power(I, r)
-    br = beta(Ir)
+    w, br = waldschmidt(I), beta(power(I, r))
     threshold = max(Fraction(_big_height(I) * r), Fraction(br) / w)
     if m is None:
         m = ceil(threshold)
@@ -285,11 +286,9 @@ def _alpha_slope(I, r, m=None):
         return Outcome(R.NOT_APPLICABLE, {"threshold": threshold,
                                           "reason": "m below threshold"})
     s = ceil(w * m) - br
-    return _contained(
-        symbolic_power(I, m), Ir, max(s, 0),
-        {"s": max(s, 0), "clamped": s < 0, "threshold": threshold,
-         "beta_power": br, "waldschmidt": w},
-        params={"r": r, "m": m})
+    return _contained(I, m, 1, r, max(s, 0), {
+        "s": max(s, 0), "clamped": s < 0, "threshold": threshold,
+        "beta_power": br, "waldschmidt": w}, params={"r": r, "m": m})
 
 
 def _chudnovsky(I):
@@ -311,7 +310,7 @@ def _equigenerated_containment(I, r):
         return Outcome(R.NOT_APPLICABLE, {"reason": "degree bound hypothesis fails"})
     e = _big_height(I)
     s = (e - 1) * r
-    return _contained(symbolic_power(I, e * r), power(I, r), s, {"e": e, "s": s})
+    return _contained(I, e * r, 1, r, s, {"e": e, "s": s})
 
 
 def _alpha_equality(I, r):
@@ -330,8 +329,7 @@ def _alpha_equality(I, r):
             "containment_checked": False,
             "reason_skipped": "beta exceeds e * alpha"})
     s = (e - 1) * r
-    out = _contained(symbolic_power(I, e * r), power(I, r), s,
-                     details | {"containment_checked": True, "s": s})
+    out = _contained(I, e * r, 1, r, s, details | {"containment_checked": True, "s": s})
     return out if holds else out._replace(verdict=R.FAILS)
 
 

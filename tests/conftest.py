@@ -47,6 +47,16 @@ def triples4():
 
 
 @pytest.fixture
+def net6():
+    """(x1*x2*x3, x0*x2*x4, x0*x1*x5, x0*x1*x2): the vertex covers of a
+    triangle with one pendant edge at each corner.  Square-free, generated
+    in degree three, big height 2 and Waldschmidt constant alpha = 3; its
+    second symbolic power is not its second power (the triangle is odd)."""
+    return ideal_of(6, (0, 1, 1, 1, 0, 0), (1, 0, 1, 0, 1, 0), (1, 1, 0, 0, 0, 1),
+                    (1, 1, 1, 0, 0, 0))
+
+
+@pytest.fixture
 def edges3():
     """(x*y, x*z, y*z), the pairwise products in three variables."""
     return ideal_of(3, (1, 1, 0), (1, 0, 1), (0, 1, 1))

@@ -508,10 +508,51 @@ def test_equal_exponent_rows_reuse_the_squarefree_answers(monkeypatch, triples4)
             == [(r.verdict, r.details, r.witness) for r in first.results])
 
 
-def test_a_witness_inside_the_right_hand_side_raises(rot3, monkeypatch):
-    """Every generator of rot3^(2) lies in m * rot3 (the symbolic step holds),
-    so a kernel that names one as a witness is caught before the verdict."""
+def test_the_plain_power_rows_reuse_the_main_theorems_answers(monkeypatch, triples4, net6):
+    """refined_containment is the main theorem at (m, t, r) = (1, r, 1), and
+    equigenerated_containment and alpha_equality ask it at (1, r, e): once
+    the square-free row has answered those points, the kernel answers each
+    row from its memo wherever the row's hypothesis holds (alpha_equality's
+    does not on triples4, whose Waldschmidt constant 2 is below alpha)."""
+    rows = {triples4: ("refined_containment", "equigenerated_containment"),
+            net6: ("refined_containment", "equigenerated_containment", "alpha_equality")}
+    asks = [(I, name, r) for I, names in rows.items() for name in names for r in (1, 2, 3)]
+    first = [check("squarefree_containment", I, {
+                 "m": 1, "t": r, "r": 1 if name == "refined_containment" else big_height(I)})
+             for I, name, r in asks]
+    queries, real = [], monomial._first_outside
+    monkeypatch.setattr(monomial, "_first_outside",
+                        lambda *args: queries.append(args) or real(*args))
+    again = [check(name, I, {"r": r}) for I, name, r in asks]
+    assert queries == []
+    assert all(res.in_hypothesis for res in again)
+    assert ([(res.verdict, res.witness) for res in again]
+            == [(res.verdict, res.witness) for res in first])
+
+
+# every containment row at a point where its hypothesis and containment hold
+CONTAINMENT_POINTS = [
+    ("squarefree_containment", "triples4", {"m": 1, "t": 2, "r": 2}),
+    ("equal_exponent_containment", "triples4", {"m": 2, "t": 2, "r": 1}),
+    ("symbolic_step", "rot3", {"r": 1}),
+    ("support_step", "rot3", {"r": 1}),
+    ("refined_containment", "triples4", {"r": 2}),
+    ("alpha_slope", "triples4", {"r": 1}),
+    ("equigenerated_containment", "triples4", {"r": 2}),
+    ("alpha_equality", "net6", {"r": 2}),
+    ("symbolic_in_mpower", "rot3", {"m": 2, "s": 1, "r": 1}),
+]
+
+
+@pytest.mark.parametrize("name, ideal, params", CONTAINMENT_POINTS,
+                         ids=[name for name, _, _ in CONTAINMENT_POINTS])
+def test_a_witness_inside_the_right_hand_side_raises(monkeypatch, request, name, ideal, params):
+    """Every generator of the left-hand side lies in m^s * rhs (the
+    containment holds), so a kernel that names one as a witness is caught
+    before the verdict: every containment row goes through the re-test."""
+    I = request.getfixturevalue(ideal)
+    assert check(name, I, params).verdict == R.HOLDS
     monkeypatch.setattr(harness, "containment_witness",
                         lambda lhs, rhs, s: Monomial(lhs.vectors[0]))
     with pytest.raises(VerificationError, match="witness"):
-        check("symbolic_step", rot3, {"r": 1})
+        check(name, I, params)

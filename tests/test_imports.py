@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import symbpow
+from symbpow.cli import COMMANDS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "symbpow"
 
@@ -73,22 +74,39 @@ def loaded(tmp_path, statement, *argv) -> set[str]:
     return {name.removeprefix("symbpow.") for name in proc.stderr.splitlines()[-1].split()}
 
 
+# what each command loads, as the README's start-up table lists it
+CLI = {"symbpow", "cli", "errors", "parsing", "monomial", "results"}
+DECOMPOSITION = CLI | {"decomposition"}
+GEOMETRY = DECOMPOSITION | {"geometry", "lp"}
+INVARIANTS = GEOMETRY | {"symbolic", "invariants"}
+HARNESS = INVARIANTS | {"harness", "rng"}
+# each command's arguments and the modules it loads; a command missing
+# here fails its case
+COMMAND_RUNS = {
+    "info": (["rot3.ideal"], INVARIANTS),
+    "ass": (["rot3.ideal"], DECOMPOSITION),
+    "maxass": (["rot3.ideal"], DECOMPOSITION),
+    "bigheight": (["rot3.ideal"], DECOMPOSITION),
+    "sigma": (["rot3.ideal"], DECOMPOSITION),
+    "symbolic": (["rot3.ideal", "-m", "2"], DECOMPOSITION | {"symbolic"}),
+    "alpha": (["rot3.ideal"], INVARIANTS),
+    "beta": (["rot3.ideal"], INVARIANTS),
+    "waldschmidt": (["rot3.ideal"], GEOMETRY),
+    "polyhedron": (["rot3.ideal", "--vertices"], GEOMETRY),
+    "containment": (["rot3.ideal", "--m", "2", "--s", "1", "--r", "1"], HARNESS),
+    "suite": (["rot3.ideal"], HARNESS),
+    "scan": (["--count", "1"], HARNESS),
+}
+
+
 def test_cli_import_loads_only_what_every_command_needs(tmp_path):
-    assert loaded(tmp_path, "import symbpow.cli") == {
-        "symbpow", "cli", "errors", "parsing", "monomial", "results"}
+    assert loaded(tmp_path, "import symbpow.cli") == CLI
 
 
-# each command, the module it runs (so the set is read) and those it leaves out
-@pytest.mark.parametrize("argv, runs, left_out", [
-    (["symbolic", "-m", "2"], "symbolic", {"harness", "geometry", "lp", "invariants", "rng"}),
-    (["info"], "invariants", {"harness", "rng"}),
-    (["waldschmidt"], "geometry", {"harness", "rng"}),
-    (["polyhedron", "--vertices"], "geometry", {"harness", "rng"}),
-], ids=["symbolic", "info", "waldschmidt", "polyhedron"])
-def test_command_imports_only_what_it_runs(tmp_path, argv, runs, left_out):
-    modules = loaded(tmp_path, RUN_MAIN, argv[0], "rot3.ideal", *argv[1:])
-    assert runs in modules
-    assert modules & left_out == set()
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_imports_only_what_it_runs(tmp_path, command):
+    args, modules = COMMAND_RUNS[command]
+    assert loaded(tmp_path, RUN_MAIN, command, *args) == modules
 
 
 def test_lazy_namespace():
