@@ -4,7 +4,10 @@ Every named check is one row of the check table (CHECKS): a parameter
 grid read from SuiteRanges and a body that decides the statement's
 hypothesis and returns one Outcome, not_applicable when the hypothesis
 fails.  Every containment has one shape, I^(a) <= m^s * (I^(b))^t: a row
-passes its exponents to `_contained`, which alone builds both sides.
+passes its exponents to `_contained`, which alone builds both sides, on
+the twin quotient (Herzog-Hibi-Trung) when every localization is a prime
+power and twins exist, with I's exponents; a failing witness is mapped
+back and checked on I.  Cycles have no twins.
 With e the big height, (a, b, t, s) is (t(m+e-1)-e+r, m, t,
 (t-1)(e-1)+r-1) for the main theorem's two rows, (r+1, r, 1, 1) for
 symbolic_step, (r+e, r, 1, sigma) for support_step, (re-e+1, 1, r,
@@ -37,7 +40,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from itertools import product
-from math import ceil
+from math import ceil, comb, prod
 
 from . import results as R
 from .decomposition import (MonomialPrime, _big_height, associated_primes,
@@ -47,13 +50,13 @@ from .errors import (PowersCoincideWarning, ResourceLimitError,
 from .geometry import member_scaled, probe_points, symbolic_polyhedron
 from .invariants import (_chudnovsky_bound, alpha, beta, is_equigenerated,
                          is_integrally_closed, waldschmidt)
-from .monomial import (Monomial, MonomialIdeal, _from_vectors, _in_staircase,
-                       containment_witness, contains, intersect, is_squarefree,
-                       power, require_proper)
+from .monomial import (Monomial, MonomialIdeal, _divisor_index, _first_outside,
+                       _from_vectors, _in_staircase, containment_witness,
+                       contains, intersect, is_squarefree, power, require_proper)
 from .parsing import default_names, format_ideal
 from .results import CheckResult
 from .rng import SplitRng
-from .symbolic import equal_exponent_condition, symbolic_power
+from .symbolic import equal_exponent_condition, symbolic_power, twin_quotient
 
 
 class SuiteRanges(namedtuple("SuiteRanges", "m_max t_max r_max alpha_m_cap",
@@ -100,14 +103,29 @@ def _contained(I, a, b, t, s, details, probe_witness=False, params=None, kind=No
     """Whether I^(a) <= m^s * (I^(b))^t, by the containment kernel: the
     one place where the sides lhs = I^(a) and rhs = (I^(b))^t are built
     (b = 1 gives I^t, t = 1 gives I^(b)).  details is a dict, or a
-    callable of (lhs, rhs) giving one.  A fails verdict's witness f is
-    re-tested by a plain scan over the generators of rhs, not the kernel's
-    index: it lies outside exactly when no generator h divides it with
-    deg f - deg h >= s; else VerificationError.  probe_witness: on
+    callable of the sides' generator counts giving one.  When every
+    localization of I is a prime power and I has twin variables, membership
+    in either side depends only on the class sums (Herzog, Hibi and Trung,
+    Adv. Math. 210, 2007): the kernel decides on the sides of the
+    `twin_quotient` I', with a, b, t, s taken from I, and the counts are
+    fibre counts.  A holding verdict builds no side of I.  A failing one's
+    witness, the canonical-first failing generator of I^(a), is the
+    lex-least of I'^(a)'s failing generators of least degree, each class's
+    mass put on its highest-index variable, and must be a minimal generator
+    of I^(a) (`_lifted`).  Twin-free inputs (cycles) gain nothing.  Either
+    way the witness f is re-tested by a plain scan over the full rhs, not
+    the kernel's index: it lies outside exactly when no generator h divides
+    it with deg f - deg h >= s; else VerificationError.  probe_witness: on
     failure, also record whether the witness lies in rhs itself."""
-    lhs, rhs = symbolic_power(I, a), power(symbolic_power(I, b), t)
-    details = details(lhs, rhs) if callable(details) else details
+    J, classes = twin_quotient(I) or (I, None)
+    lhs, rhs = symbolic_power(J, a), power(symbolic_power(J, b), t)
+    if callable(details):  # c's fibre: prod over classes C of C(c_C + |C| - 1, c_C)
+        details = details(*(sum(prod(comb(n + len(C) - 1, n) for n, C in zip(c, classes or ()))
+                                for c in K.vectors) for K in (lhs, rhs)))
     witness = containment_witness(lhs, rhs, s)
+    if witness is not None and classes:
+        witness = _lifted(I, a, s, lhs, rhs, classes, witness.exponents)
+        rhs = power(symbolic_power(I, b), t)
     if witness is not None:
         f = witness.exponents
         if any(sum(h) <= sum(f) - s and all(map(operator.le, h, f))
@@ -118,6 +136,24 @@ def _contained(I, a, b, t, s, details, probe_witness=False, params=None, kind=No
             details |= {"witness_in_symbolic_power": True,
                         "witness_in_plain_power": contains(rhs, witness)}
     return Outcome(_holds(witness is None), details, witness, params, kind)
+
+
+def _lifted(I, a, s, qlhs, qrhs, classes, first):
+    """The witness on I of first, the kernel's on the quotient, by
+    `_contained`'s rule.  It must be a minimal generator of I^(a), the meet
+    of P^(ka) over the localizations P^k: at least ka on each P, every
+    variable it uses in a P where it has exactly ka; else VerificationError."""
+    rest = iter([c for c in qlhs.vectors if sum(c) == sum(first)])
+    index, top = _divisor_index(qrhs), {C[-1]: j for j, C in enumerate(classes)}
+    f = min(tuple(c[top[v]] if v in top else 0 for v in range(I.ambient_dim))
+            for c in [first, *iter(lambda: _first_outside(index, rest, s), None)])
+    gaps = [(sum(f[v] for v in S) - k * a, S) for S, k in
+            (L.simplex_power for _, L in localizations(I))]
+    tight = {v for gap, S in gaps if gap == 0 for v in S}
+    if min(gaps)[0] < 0 or any(e and v not in tight for v, e in enumerate(f)):
+        raise VerificationError(f"the mapped witness {Monomial(f)} is not a "
+                                f"minimal generator of the symbolic power {a}")
+    return Monomial(f)
 
 
 class Check(namedtuple("Check", "name kind body grid options low")):
@@ -220,8 +256,8 @@ def _refined_containment(I, r):
 
 def _symbolic_in_mpower(I, m, s, r):
     """Exploratory membership check I^(m) <= m^s * I^r."""
-    return _contained(I, m, 1, r, s, lambda lhs, rhs: {
-        "lhs_gens": len(lhs.vectors), "rhs_gens": len(rhs.vectors)}, probe_witness=True)
+    return _contained(I, m, 1, r, s, lambda lhs_gens, rhs_gens: {
+        "lhs_gens": lhs_gens, "rhs_gens": rhs_gens}, probe_witness=True)
 
 
 def _polyhedron_bound(I, m):

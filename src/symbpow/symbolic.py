@@ -21,7 +21,12 @@ intermediate ideals small.  The prime steps then run on the meet of the general 
 unit ideal if there is none), smallest first, and the vectors are sorted
 once at the end.  The meet is a canonical ideal, so the order changes no
 generator.  For a square-free I every step is a prime step, so no
-component is built and nothing is minimalized.
+component is built and nothing is minimalized.  `twin_quotient` merges
+twins, variables in the same maximal associated primes, when every
+localization is a prime power: membership in I^(a) and (I^(b))^t then
+depends only on class sums (Herzog, Hibi and Trung, Adv. Math. 210, 2007),
+so `harness._contained` decides containments on the quotient, with I's
+exponents.  Twin-free ideals (cycles) keep I.
 """
 
 from __future__ import annotations
@@ -30,10 +35,10 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .decomposition import (irreducible_decomposition, localizations,
-                            max_associated_primes)
-from .monomial import (MonomialIdeal, _canonical, _meet_simplex_power,
-                       _naturals, power, require_proper)
+from .decomposition import (_DECOMP_CACHE_SIZE, irreducible_decomposition,
+                            localizations, max_associated_primes)
+from .monomial import (MonomialIdeal, _canonical, _from_vectors,
+                       _meet_simplex_power, _naturals, power, require_proper)
 from .monomial import intersect as ideal_intersect
 
 
@@ -66,6 +71,25 @@ def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
     for _, s_vars, n in sorted(prime_steps, key=lambda step: step[0]):
         running = _meet_simplex_power(running, dim, s_vars, n)
     return _canonical(dim, running)
+
+
+@lru_cache(maxsize=_DECOMP_CACHE_SIZE)
+def twin_quotient(I: MonomialIdeal):
+    """(I', classes) when every localization of I is a prime power and some
+    twin class has two or more variables, else None; memoized by value.
+    Classes go by first variable (a variable in no prime is in none), and
+    I' is generated by the class sums of I's generators, one variable each."""
+    locs = localizations(I)
+    if any(L.simplex_power is None for _, L in locs):
+        return None
+    keys = [frozenset(n for n, (P, _) in enumerate(locs) if v in P.variables)
+            for v in range(I.ambient_dim)]
+    classes = tuple(tuple(v for v, k in enumerate(keys) if k == key)
+                    for key in dict.fromkeys(keys) if key)
+    if len(classes) == sum(map(len, classes)):
+        return None
+    return _from_vectors(len(classes), [tuple(sum(g[v] for v in C) for C in classes)
+                                        for g in I.vectors]), classes
 
 
 def equal_exponent_condition(I: MonomialIdeal) -> bool:

@@ -166,6 +166,10 @@ PINS = [
     # inputs under 18 keys and builds each group's upper set once
     _pin("wide8-m17.jsonl", [f"symbolic -m 17 wide8.ideal {_S}"],
          "eaed5d5ca5ad3a11d07c0a476085186a4da12b6a98db2b0baeb318190141d308"),
+    # every row on wide8, whose containments are decided on its twin
+    # quotient; recorded when both sides of each were built in full
+    _pin("wide8-suite.jsonl", [f"suite wide8.ideal {_S}"],
+         "aa1da404e54a2200ba7236c95e8a5c4d342ea24de39eba56db8f78d69e51918e"),
 ]
 
 DIGESTS = {pin.name: pin.sha256 for pin in PINS}

@@ -57,6 +57,15 @@ def net6():
 
 
 @pytest.fixture
+def wide8():
+    """(x1, ..., x6, x0*x7), wide8.ideal of the CLI pins: the meet of two
+    7-variable primes in 8 variables, whose twin classes are x0, x1..x6
+    and x7."""
+    return ideal_of(8, *[[int(j == i) for j in range(8)] for i in range(1, 7)],
+                    (1, 0, 0, 0, 0, 0, 0, 1))
+
+
+@pytest.fixture
 def edges3():
     """(x*y, x*z, y*z), the pairwise products in three variables."""
     return ideal_of(3, (1, 1, 0), (1, 0, 1), (0, 1, 1))

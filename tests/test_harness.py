@@ -1,8 +1,11 @@
 import hashlib
 import json
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import symbpow.results as R
 from symbpow import geometry, harness, monomial
@@ -14,9 +17,11 @@ from symbpow.harness import (CHECK_NAMES, CHECKS, Check, ScanConfig, SuiteRanges
                              check, findings_jsonl, result_to_dict, run_suite,
                              scan, scan_jsonl, suite_jsonl, suite_text)
 from symbpow.invariants import chudnovsky_bound, invariant_report
-from symbpow.monomial import Monomial, MonomialIdeal
+from symbpow.monomial import (Monomial, MonomialIdeal, containment_witness, contains,
+                              intersect, power)
 from symbpow.parsing import default_names
 from symbpow.results import CheckResult, encode_value
+from symbpow.symbolic import symbolic_power, twin_quotient
 
 from cli_pins import DIGESTS
 from conftest import ideal_of
@@ -273,6 +278,18 @@ def test_squarefree_sweep_bytes_are_pinned():
                              squarefree_only=True,
                              checks=("squarefree_containment",)))
     assert hashlib.sha256(scan_jsonl(report).encode()).hexdigest() == SWEEP_SHA256
+
+
+# sha256 of the 8-variable scan, whose three square-free ideals are one
+# hypergraph up to relabelling (two primes of 7 and 4 variables that share
+# 3), recorded before containments were decided on the twin quotient
+SCAN8_SHA256 = "7089b82534f6b3641efddfa42c0a7d92bfacc08f67c2c42330554ed1ef90f67f"
+
+
+def test_eight_variable_scan_bytes_are_pinned(dump_records):
+    out = scan_jsonl(scan(ScanConfig(count=6, seed=3, num_vars=(8,))))
+    dump_records("scan8.jsonl", [json.loads(line) for line in out.splitlines()])
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN8_SHA256
 
 
 def test_scan_different_seeds_differ():
@@ -541,11 +558,14 @@ CONTAINMENT_POINTS = [
     ("equigenerated_containment", "triples4", {"r": 2}),
     ("alpha_equality", "net6", {"r": 2}),
     ("symbolic_in_mpower", "rot3", {"m": 2, "s": 1, "r": 1}),
+    # decided on the twin quotient: the kernel's witness is mapped back
+    ("symbolic_step", "wide8", {"r": 2}),
 ]
 
 
 @pytest.mark.parametrize("name, ideal, params", CONTAINMENT_POINTS,
-                         ids=[name for name, _, _ in CONTAINMENT_POINTS])
+                         ids=[name if ideal != "wide8" else f"{name}-{ideal}"
+                              for name, ideal, _ in CONTAINMENT_POINTS])
 def test_a_witness_inside_the_right_hand_side_raises(monkeypatch, request, name, ideal, params):
     """Every generator of the left-hand side lies in m^s * rhs (the
     containment holds), so a kernel that names one as a witness is caught
@@ -556,3 +576,62 @@ def test_a_witness_inside_the_right_hand_side_raises(monkeypatch, request, name,
                         lambda lhs, rhs, s: Monomial(lhs.vectors[0]))
     with pytest.raises(VerificationError, match="witness"):
         check(name, I, params)
+
+
+def test_a_mapped_witness_off_the_generators_raises(monkeypatch, wide8):
+    """A quotient with one prime's exponent raised, (y0, y1)^2 meet (y1, y2)
+    for wide8's (y1, y0*y2), fails I' <= m * I' at y1^2, which maps to
+    x6^2: in I, but not a minimal generator of it."""
+    J, classes = twin_quotient(wide8)
+    raised = intersect(power(ideal_of(3, (1, 0, 0), (0, 1, 0)), 2),
+                       ideal_of(3, (0, 1, 0), (0, 0, 1)))
+    monkeypatch.setattr(harness, "twin_quotient", lambda I: (raised, classes))
+    with pytest.raises(VerificationError, match="not a minimal generator"):
+        check("symbolic_in_mpower", wide8, {"m": 1, "s": 1, "r": 1})
+
+
+def test_a_holding_containment_builds_no_side_of_the_ideal(monkeypatch, wide8):
+    """The main theorem at (m, t, r) = (3, 3, 3) on wide8 asks I^(23) <=
+    m^14 * (I^(3))^3: it holds on the twin quotient, and no symbolic or
+    plain power of wide8 past the first is built."""
+    calls = []
+    for name in ("symbolic_power", "power"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda I, n, real=real: (
+            calls.append((I, n)) or real(I, n)))
+    assert check("squarefree_containment", wide8, {"m": 3, "t": 3, "r": 3}).verdict == R.HOLDS
+    assert calls and all(I != wide8 or n < 2 for I, n in calls)
+
+
+@st.composite
+def prime_power_meets(draw):
+    """(dim, ((P, k), ...)): an antichain of 1-3 primes in 3-7 variables,
+    each with an exponent k in {1, 2}; the ideal is the meet of the P^k."""
+    dim = draw(st.integers(3, 7))
+    primes = draw(st.lists(st.frozensets(st.integers(0, dim - 1), min_size=1),
+                           min_size=1, max_size=3))
+    maximal = sorted({tuple(sorted(P)) for P in primes if not any(P < Q for Q in primes)})
+    return dim, tuple((P, draw(st.integers(1, 2))) for P in maximal)
+
+
+@given(prime_power_meets(), st.integers(1, 5), st.integers(1, 2), st.integers(1, 2),
+       st.integers(0, 3))
+@example((2, (((0, 1), 2),)), 3, 1, 2, 1)  # one prime power, (x0, x1)^2
+@example((5, (((0, 1, 2), 1), ((1, 2, 3), 2))), 2, 1, 2, 3)  # x4 in no prime
+@settings(max_examples=60, deadline=None)
+def test_the_twin_quotient_decides_as_the_full_kernel(meet, a, b, t, s):
+    """On ideals with twin variables, _contained gives the kernel's verdict
+    and witness on the sides built in full, and symbolic_in_mpower's
+    generator counts are those of the full sides."""
+    dim, primes = meet
+    I = reduce(intersect, [power(MonomialPrime(dim, P).to_ideal(), k) for P, k in primes])
+    assume(twin_quotient(I) is not None)
+    lhs = symbolic_power(I, a)
+    for b_, row in ((b, harness._contained(I, a, b, t, s, {})),
+                    (1, harness._symbolic_in_mpower(I, a, s, t))):
+        rhs = power(symbolic_power(I, b_), t)
+        witness = containment_witness(lhs, rhs, s)
+        assert (row.verdict, row.witness) == (R.HOLDS if witness is None else R.FAILS, witness)
+    assert row.details == {"lhs_gens": len(lhs.vectors), "rhs_gens": len(rhs.vectors)} | (
+        {} if witness is None else {"witness_in_symbolic_power": True,
+                                    "witness_in_plain_power": contains(rhs, witness)})

@@ -15,7 +15,8 @@ from symbpow.monomial import Monomial, contains, intersect, power, subset
 from symbpow.harness import _random_squarefree, check
 from symbpow.rng import SplitRng
 from symbpow.symbolic import (equal_exponent_condition,
-                              symbolic_equals_ordinary, symbolic_power)
+                              symbolic_equals_ordinary, symbolic_power,
+                              twin_quotient)
 
 from conftest import ideal_of, random_squarefree_corpus
 from oracles import power_oracle, prime_power_oracle, symbolic_power_oracle_sqfree
@@ -403,6 +404,22 @@ def assert_local_criterion(I, n):
 def test_c03_symbolic_powers_meet_local_criterion(n):
     for I in c03_ideals(100):
         assert_local_criterion(I, n)
+
+
+def test_the_twin_quotient_merges_the_variables_of_one_set_of_primes(wide8):
+    """wide8's primes are x0..x6 and x1..x7: three classes, and I' is the
+    ideal of the class sums of its generators."""
+    assert twin_quotient(wide8) == (ideal_of(3, (0, 1, 0), (1, 0, 1)),
+                                    ((0,), (1, 2, 3, 4, 5, 6), (7,)))
+
+
+def test_no_twin_quotient_without_twins_or_with_a_localization_off_a_prime_power(
+        triples4, net6, rot3):
+    """triples4, net6 and the 5-cycle have one variable per class; rot3's
+    one localization is rot3 itself, not a prime power."""
+    C5 = ideal_of(5, *[[int(j in (i, (i + 1) % 5)) for j in range(5)]
+                       for i in range(5)])
+    assert [twin_quotient(I) for I in (triples4, net6, C5, rot3)] == [None] * 4
 
 
 def test_five_cycle_symbolic_power_is_pinned():
