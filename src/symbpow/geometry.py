@@ -8,7 +8,10 @@ primes, stored V-style: one generator matrix per component prime.
 
 Everything here is exact, and rests on two integer routines: the
 certified LP of lp.py and one double-description routine.  Alpha (the
-least coordinate sum over the polyhedron) is one simplex solve.  Facets
+least coordinate sum over the polyhedron) is one simplex solve over the
+components' facet rows; a tangent-cone certificate proves its point the
+only optimum, and at a tie, or when a facet table or that certificate is
+over MAX_RAYS, the V-block LP of convex weights gives the point.  Facets
 and vertices come from the double description (Motzkin et al. 1953;
 Fukuda and Prodon 1996), whose intermediate ray count has an explicit
 budget, MAX_RAYS (ResourceLimitError, never truncation).  Q's vertices are
@@ -174,13 +177,107 @@ def member_scaled(Q: SymbolicPolyhedron, a, m) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# alpha via one exact LP
+# alpha: one exact LP over the facet rows, and the V-block LP for ties
 
 
 def _optimize_over(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Minimize a positive linear objective over Q.  Components that are
-    prime powers contribute one halfspace; general components contribute a
-    convex-weight block (a >= G lambda, sum lambda = 1)."""
+    """Minimize a positive linear objective over Q, exactly.  The LP over
+    the distinct rows of every component's certified N.facets gives the
+    value, proved by its dual certificate, and a point checked against
+    every component.  That point is returned when a tangent-cone
+    certificate proves it the only optimum, as then every exact LP over Q
+    returns it.  Otherwise, at a tie, the V-block LP breaks the tie and
+    must reach the same value; it also runs alone when a facet table or
+    the certificate's cone goes over MAX_RAYS."""
+    try:
+        value, point, unique = _facet_optimum(Q, objective)
+    except ResourceLimitError:
+        return _vblock_optimum(Q, objective)
+    if unique:
+        return value, point
+    tie = _vblock_optimum(Q, objective)
+    if tie[0] != value:
+        raise VerificationError(f"the alpha LPs disagree: {value} over the "
+                                f"facet rows, {tie[0]} over the V-blocks")
+    return tie
+
+
+def _facet_optimum(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[Fraction, ...], bool]:
+    """(value, point, unique): min objective.a subject to normal.a >= offset
+    for every distinct row of Q's facet tables, in component order, and
+    a >= 0; unique when `_is_unique_optimum` certifies the point."""
+    d = Q.ambient_dim
+    rows = list(dict.fromkeys(row for _, N in Q.components for row in N.facets))
+    result = lp.solve(lp.LinearProgram.make([normal for normal, _ in rows],
+                                            [offset for _, offset in rows],
+                                            [lp.GE] * len(rows), objective))
+    if result.status != lp.OPTIMAL:
+        raise VerificationError(f"alpha LP ended {result.status}")
+    point = result.solution
+    if len(point) != d:
+        raise VerificationError(f"alpha LP solution has {len(point)} entries, expected {d}")
+    if result.value != sum(c * x for c, x in zip(objective, point)):
+        raise VerificationError(f"alpha LP value {result.value} is not c.point")
+    v, den = _as_integers(point, d)
+    if min(v) < 0 or not _satisfies(rows, v, den):
+        raise VerificationError("LP point escapes a component")
+    return result.value, point, _is_unique_optimum(rows, objective, v, den)
+
+
+def _is_unique_optimum(rows, objective, v: list[int], den: int) -> bool:
+    """Is the optimal point v / den the only minimum of the positive
+    integer objective c over {a >= 0 : normal.a >= offset for each row}?
+    It is iff c.u > 0 on every extreme ray u of the tangent cone {u : t.u
+    >= 0 for every constraint t tight at the point}.  Fraction-free
+    Gauss-Jordan (Bareiss) on the matrix whose columns are the tight
+    constraints and then c picks the first d independent ones, b_1..b_d,
+    and writes each other column x as |D|.x = sum_k l_k b_k, D being the
+    last pivot.  So w = (b_k.u)_k maps the cone onto {w >= 0 : l.w >= 0 for
+    each other tight row}, on whose rays (`_cone_rays`) c.u has the sign
+    of l.w for c's own l.  Integer arithmetic only, and each |D|.x =
+    sum_k l_k b_k is checked.  A point with fewer than d independent tight
+    constraints is no vertex, so not the only optimum."""
+    d = len(v)
+    tight = [normal for normal, offset in rows
+             if sum(n * x for n, x in zip(normal, v)) == offset * den]
+    tight += [tuple(int(i == j) for i in range(d)) for j in range(d) if v[j] == 0]
+    columns = tight + [tuple(objective)]
+    M = [[x[i] for x in columns] for i in range(d)]
+    pivots, D = [], 1
+    for j in range(len(tight)):
+        k = len(pivots)
+        if k == d:
+            break
+        p = next((i for i in range(k, d) if M[i][j]), None)
+        if p is None:
+            continue
+        M[k], M[p] = M[p], M[k]
+        pivot = M[k][j]
+        for i in range(d):
+            if i != k:
+                f = M[i][j]
+                M[i] = [(pivot * x - f * y) // D for x, y in zip(M[i], M[k])]
+        pivots.append(j)
+        D = pivot
+    if len(pivots) < d:
+        return False
+    s = 1 if D > 0 else -1
+    coords = {j: [s * M[k][j] for k in range(d)]
+              for j in range(len(columns)) if j not in pivots}
+    for j, lam in coords.items():
+        if any(sum(l * columns[b][i] for l, b in zip(lam, pivots)) != s * D * columns[j][i]
+               for i in range(d)):
+            raise VerificationError(f"fraction-free Gauss-Jordan misread {columns[j]}")
+    cost = coords.pop(len(tight))
+    return all(sum(c * x for c, x in zip(cost, ray)) > 0
+               for ray in _cone_rays(d, list(coords.values())))
+
+
+def _vblock_optimum(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """The V-block LP: prime-power components contribute one halfspace,
+    general components a convex-weight block (a >= G lambda, sum lambda =
+    1).  Its point is checked in each component through its own solution:
+    sum_S a >= m for a prime power, the lambda block for any other."""
     d = Q.ambient_dim
     blocks: list[tuple] = []  # (prime, gens) for general components
     simple_rows: list[tuple[tuple[int, ...], int]] = []

@@ -1,9 +1,11 @@
 """Numeric invariants of monomial ideals.
 
 alpha / beta are the extreme generator degrees; the Waldschmidt constant is
-the least coordinate sum over the symbolic polyhedron, computed by one
-exact LP.  The suite's checks compare these invariants against each other
-(see the check table in harness.py).
+the least coordinate sum over the symbolic polyhedron, computed by an exact
+LP over its facet rows, whose point a tangent-cone certificate proves the
+only optimum; at a tie, or over the ray budget, the V-block LP gives the
+point (geometry._optimize_over).  The suite's checks compare these
+invariants against each other (see the check table in harness.py).
 """
 
 from __future__ import annotations

@@ -8,11 +8,13 @@ and the verdict is OPTIMAL or INFEASIBLE.
 Every row is kept as integers at a positive scale of its own: a constraint
 row is its rational tableau row times its entry in its basic column, so a
 basic value is row[rhs] / row[basis].  Rows are sparse, a dict from column
-to non-zero entry, since the alpha LP's rows are mostly zeros.  A pivot on
-the entry p in column c of row r keeps row r and every row with a zero in
-column c as they are; any other row becomes p * row - row[c] * row_r over
-the gcd of its entries, which touches only row r's non-zero columns.  The
-purge of artificials may pivot on a negative entry, and negates row r first.
+to non-zero entry: a facet row of the alpha LP is zero off its prime's
+variables, and the V-block rows that break its ties are mostly zeros.  A
+pivot on the entry p in column c of row r keeps row r and every row with a
+zero in column c as they are; any other row becomes p * row - row[c] *
+row_r over the gcd of its entries, which touches only row r's non-zero
+columns.  The purge of artificials may pivot on a negative entry, and
+negates row r first.
 The two reduced-cost rows take the same step and end with their own scale,
 an entry that is 0 in every constraint row.  After each pivot, column c must
 be 0 outside row r and every basic entry positive, or VerificationError is
@@ -31,7 +33,7 @@ VerificationError rather than assert, so they also hold under `python -O`.
 This tableau is the package's only exact linear solver, and `solve` its
 only entry point.  LinearProgram.make refuses a negative right-hand side
 or cost, keeps an int entry as an int and makes a Fraction of any other;
-the alpha LP of geometry.py is all ints, so no Fraction is made of them.
+the alpha LPs of geometry.py are all ints, so no Fraction is made of them.
 """
 
 from __future__ import annotations
@@ -289,7 +291,7 @@ def _verify(lp: LinearProgram, result: LPResult):
         raise VerificationError(f"{result.status} result without a valid "
                                 f"dual certificate: {y}")
     # each row's non-zero (column, entry) pairs, listed once: the alpha
-    # LP's rows hold a few non-zeros each
+    # LPs' rows hold a few non-zeros each
     nonzero = [[(j, a) for j, a in enumerate(row) if a] for row in lp.matrix]
     columns = [[] for _ in lp.objective]
     for pairs, v in zip(nonzero, y):

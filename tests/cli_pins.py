@@ -48,6 +48,9 @@ INPUTS = {
     "g7b.ideal": _rows(X7, [(3, 0, 5, 1, 4, 1, 0), (0, 4, 3, 2, 3, 4, 0),
                             (1, 2, 2, 5, 4, 0, 2), (3, 0, 1, 2, 4, 4, 2),
                             (3, 0, 4, 5, 2, 2, 0), (1, 3, 2, 4, 2, 4, 2)]),
+    # ideal v5-07 of the benchmark's Waldschmidt corpus, whose optimum is
+    # not unique
+    "v5-07.ideal": _rows(X7[:5], [(3, 2, 1, 0, 4), (5, 2, 0, 1, 2)]),
     # every degree-5 square-free monomial in 10 variables: 210 prime
     # components
     "sq10-5.ideal": _rows([f"x{i}" for i in range(10)],
@@ -127,6 +130,10 @@ PINS = [
          "6ea54a332c62cca0c214cc314da178ab7b250e1d949891810ffae2c5165259c9"),
     _pin("g7b.jsonl", [f"waldschmidt g7b.ideal {_S}"],
          "1d4eda06d84e0cb6b4972279e3ded38532c4f8e519f1c93ac4d4e74bcccdd0d1"),
+    # a tie: the facet-row LP reaches another optimal point, and the V-block
+    # LP's point is the one returned
+    _pin("v5-07.jsonl", [f"waldschmidt v5-07.ideal {_S}"],
+         "511a65a7d65332e4a7660ad8e58e83ef7faa7b7479bd65a5d585c02f4524caa3"),
     # the 69 vertices of g7a's symbolic polyhedron, over 12 general
     # components: vertex enumeration off the worked examples
     _pin("g7a-vertices.jsonl", [f"polyhedron --vertices g7a.ideal {_S}"],

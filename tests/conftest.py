@@ -28,6 +28,18 @@ def dump_records(request):
     return dump
 
 
+@pytest.fixture
+def vblock_calls(monkeypatch):
+    """The polyhedra that geometry._vblock_optimum, the LP that breaks a
+    tie of the alpha LP, runs on during one test, in call order."""
+    from symbpow import geometry
+
+    real, calls = geometry._vblock_optimum, []
+    monkeypatch.setattr(geometry, "_vblock_optimum",
+                        lambda Q, objective: calls.append(Q) or real(Q, objective))
+    return calls
+
+
 def ideal_of(dim, *vecs) -> MonomialIdeal:
     return MonomialIdeal.make(dim, [Monomial(tuple(v)) for v in vecs])
 

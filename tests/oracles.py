@@ -13,8 +13,9 @@ from operator import add, le
 from symbpow import lp
 from symbpow.decomposition import MonomialPrime, irreducible_decomposition
 from symbpow.errors import VerificationError
-from symbpow.geometry import (NewtonPolyhedron, alpha_polyhedron, member_scaled,
-                              newton_polyhedron, np_member, symbolic_polyhedron)
+from symbpow.geometry import (NewtonPolyhedron, SymbolicPolyhedron, alpha_polyhedron,
+                              enumerate_vertices, member_scaled, newton_polyhedron,
+                              np_member, symbolic_polyhedron)
 from symbpow.invariants import alpha
 from symbpow.monomial import (Monomial, MonomialIdeal, intersect, is_squarefree,
                               require_proper)
@@ -116,6 +117,16 @@ def np_member_lp(N: NewtonPolyhedron, a) -> bool:
     matrix.append([1] * len(N.gens))
     senses = [lp.LE] * N.ambient_dim + [lp.EQ]
     return feasible_point(matrix, pt + (1,), senses) is not None
+
+
+def unique_optimum(Q: SymbolicPolyhedron, objective) -> bool:
+    """Whether a positive objective takes its least value over Q at one
+    point only, read off Q's vertices: Q's recession cone is the orthant,
+    on which the objective is positive, so the optimal face is bounded,
+    the convex hull of the optimal vertices, and a point iff exactly one
+    vertex reaches the least value."""
+    values = [sum(c * x for c, x in zip(objective, v)) for v in enumerate_vertices(Q)]
+    return values.count(min(values)) == 1
 
 
 def above_some(vectors, point) -> bool:

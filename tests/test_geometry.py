@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import symbpow.results as R
@@ -13,14 +13,14 @@ from symbpow.geometry import (_optimize_over, alpha_polyhedron,
                               newton_polyhedron, np_member, probe_points,
                               symbolic_polyhedron)
 from symbpow.harness import check, run_suite
-from symbpow.invariants import is_integrally_closed
+from symbpow.invariants import is_integrally_closed, waldschmidt, waldschmidt_point
 from symbpow.monomial import Monomial, MonomialIdeal, multiply, power
 from symbpow.rng import SplitRng
 
 import oracles
 from conftest import ideal_of, random_squarefree_corpus
 from oracles import (caratheodory_decompose, convex_weights, np_member_lp,
-                     realizing_denominator, stairs_member)
+                     realizing_denominator, stairs_member, unique_optimum)
 
 F = Fraction
 
@@ -98,35 +98,90 @@ def test_alpha_rot3(rot3):
 
 
 def _first_block(solution, transform):
-    """rot3's alpha LP solution with its first λ block (columns 3 and 4,
+    """rot3's V-block LP solution with its first λ block (columns 3 and 4,
     the generators (0,1,0) and (2,0,0) of the component on x, y) replaced."""
     return solution[:3] + transform(solution[3:5]) + solution[5:]
 
 
-@pytest.mark.parametrize("ideal, status, solution", [
-    ("edges3", lp.INFEASIBLE, None),
-    ("edges3", lp.OPTIMAL, (F(0), F(0), F(0))),  # a point outside every component
-    # the λ block sums to 1/2, so G·λ stays below the point
-    ("rot3", lp.OPTIMAL, lambda x: _first_block(x, lambda lam: tuple(w / 2 for w in lam))),
+def _lambda_block(transform):
+    return lambda r: r._replace(solution=_first_block(r.solution, transform))
+
+
+# rot3's optimum (2/3, 2/3, 2/3) moved along x - z: the value stays 2, but
+# y + 2z = 4/3 falls below the facet row y + 2z >= 2 of the component on y, z
+_ESCAPED = (F(1), F(2, 3), F(1, 3))
+
+
+@pytest.mark.parametrize("ideal, route, tamper, match", [
+    ("edges3", "_optimize_over", lambda r: lp.LPResult(lp.INFEASIBLE, F(0), None),
+     "ended infeasible"),
+    # a point outside every component
+    ("edges3", "_optimize_over", lambda r: lp.LPResult(lp.OPTIMAL, F(0), (F(0),) * 3),
+     "escapes"),
+    # the V-block LP, which breaks ties, checks its point through its λ blocks:
+    # the first sums to 1/2, so G·λ stays below the point
+    ("rot3", "_vblock_optimum", _lambda_block(lambda lam: tuple(w / 2 for w in lam)),
+     "escapes"),
     # all weight on (0,1,0): G·λ is 1 > 2/3 in the y coordinate
-    ("rot3", lp.OPTIMAL, lambda x: _first_block(x, lambda lam: (F(1), F(0)))),
-    ("rot3", lp.OPTIMAL, lambda x: x[:3]),  # the point without its λ blocks
-    ("rot3", lp.OPTIMAL, lambda x: x + (F(0),)),  # one entry too many
+    ("rot3", "_vblock_optimum", _lambda_block(lambda lam: (F(1), F(0))), "escapes"),
+    # the point without its λ blocks, and one entry too many
+    ("rot3", "_vblock_optimum", lambda r: r._replace(solution=r.solution[:3]), "entries"),
+    ("rot3", "_vblock_optimum", lambda r: r._replace(solution=r.solution + (F(0),)),
+     "entries"),
+    # the facet-row LP checks its point against every facet row, its value
+    # against c·point and its length against d
+    ("rot3", "_optimize_over", lambda r: r._replace(solution=_ESCAPED), "escapes"),
+    ("rot3", "_optimize_over", lambda r: r._replace(value=r.value + 1), "c.point"),
+    ("rot3", "_optimize_over", lambda r: r._replace(solution=r.solution + (F(0),)),
+     "entries"),
 ], ids=["infeasible-None", "optimal-solution1", "lambda-sum", "lambda-above-point",
-        "only-d-entries", "extra-entry"])
-def test_tampered_alpha_lp_raises(request, monkeypatch, ideal, status, solution):
+        "only-d-entries", "extra-entry", "facet-row-escape", "value-not-c-point",
+        "facet-extra-entry"])
+def test_tampered_alpha_lp_raises(request, monkeypatch, ideal, route, tamper, match):
     Q = symbolic_polyhedron(request.getfixturevalue(ideal))
     solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda prog: tamper(solve(prog)))
+    with pytest.raises(VerificationError, match=match):
+        getattr(geometry, route)(Q, [1, 1, 1])
 
-    def tampered(prog):
-        if not callable(solution):
-            return lp.LPResult(status, F(0), solution)
-        result = solve(prog)
-        return result._replace(solution=solution(result.solution))
 
-    monkeypatch.setattr(lp, "solve", tampered)
-    with pytest.raises(VerificationError):
-        _optimize_over(Q, [1, 1, 1])
+def test_a_tie_break_must_reach_the_facet_value(monkeypatch):
+    """At a tie the V-block LP's point is returned only with the value the
+    facet-row LP proved: (x^2, y^2) has the whole edge x + y = 2 optimal."""
+    Q = symbolic_polyhedron(ideal_of(2, (2, 0), (0, 2)))
+    real = geometry._vblock_optimum
+    assert _optimize_over(Q, [1, 1]) == real(Q, [1, 1]) == (2, (0, 2))
+    monkeypatch.setattr(geometry, "_vblock_optimum",
+                        lambda Q, objective: (real(Q, objective)[0] + 1, (F(0), F(3))))
+    with pytest.raises(VerificationError, match="disagree"):
+        _optimize_over(Q, [1, 1])
+
+
+# g7a of tests/cli_pins.py, the 1st 7-variable ideal of the random.Random(5) draw
+G7A = ideal_of(7, (3, 1, 5, 0, 1, 0, 2), (1, 0, 1, 4, 4, 3, 1), (0, 5, 1, 3, 2, 1, 3),
+               (3, 1, 3, 4, 0, 4, 1), (5, 2, 5, 5, 5, 4, 0))
+
+
+@pytest.mark.parametrize("drop_tables", [True, False], ids=["facet-tables", "certificate-cone"])
+def test_alpha_over_budget_breaks_no_call(vblock_calls, lower_max_rays, drop_tables):
+    """Where a facet table, or the certificate's cone, needs more rays than
+    MAX_RAYS, waldschmidt and waldschmidt_point return the value and point
+    of the default budget through the V-block LP, which needs no rays."""
+    Q = symbolic_polyhedron(G7A)
+    for _, N in Q.components:
+        assert N.facets
+    expected = waldschmidt(G7A), waldschmidt_point(G7A)
+    assert vblock_calls == []
+    lower_max_rays(4)
+    if drop_tables:
+        newton_polyhedron.cache_clear()
+        symbolic_polyhedron.cache_clear()
+        Q = symbolic_polyhedron(G7A)
+    with pytest.raises(ResourceLimitError):
+        geometry._facet_optimum(Q, [1] * 7)
+    alpha_polyhedron.cache_clear()
+    assert (waldschmidt(G7A), waldschmidt_point(G7A)) == expected
+    assert vblock_calls == [Q]
 
 
 def test_alpha_triples4(triples4):
@@ -727,6 +782,52 @@ def test_double_description_against_oracles(I, weights):
     objective = weights[:d]
     assert (min(sum(c * x for c, x in zip(objective, v)) for v in verts)
             == _optimize_over(Q, objective)[0])
+
+
+@st.composite
+def _ideal_and_objective(draw):
+    """A general ideal in 2-6 variables, with the objective 1 or one drawn
+    as probe_points draws its objectives, each entry in 1-64."""
+    d = draw(st.integers(min_value=2, max_value=6))
+    vector = st.lists(st.integers(min_value=0, max_value=4), min_size=d, max_size=d)
+    I = ideal_of(d, *draw(st.lists(vector.filter(any), min_size=1, max_size=5)))
+    ones = draw(st.booleans())
+    return I, [1] * d if ones else draw(st.lists(st.integers(1, 64), min_size=d, max_size=d))
+
+
+def _ties(*ideals):
+    """Ideals whose Waldschmidt point is a tie that the V-block LP breaks."""
+    def decorate(test):
+        for dim, gens in reversed(ideals):
+            test = example((ideal_of(dim, *gens), [1] * dim))(test)
+        return test
+    return decorate
+
+
+@_ties((2, [(500, 0), (0, 500)]),  # x500.ideal of tests/cli_pins.py
+       (2, [(2, 0), (0, 2)]),
+       (3, [(2, 1, 0), (1, 2, 0), (0, 0, 3)]),
+       (5, [(3, 2, 1, 0, 4), (5, 2, 0, 1, 2)]),  # v5-07 of the Waldschmidt corpus
+       (5, [(2, 1, 0, 2, 4), (5, 3, 1, 0, 0), (3, 2, 1, 5, 1), (1, 4, 1, 5, 3),
+            (2, 1, 4, 5, 3)]),  # v5-20
+       (5, [(0, 2, 3, 1, 0), (4, 0, 1, 1, 0), (0, 0, 5, 2, 2), (2, 0, 2, 5, 5)]),  # v5-23
+       (3, [(1, 3, 2), (3, 1, 2)]))  # the seeded_general file of cli-desk at seed 1
+@given(_ideal_and_objective())
+@settings(max_examples=100, deadline=None)
+def test_unique_optimum_certificate_against_vertices(case):
+    """The tangent-cone certificate calls the facet-row LP's point the only
+    optimum exactly when one vertex of Q reaches the least value, and a
+    point it certifies is the V-block LP's point."""
+    I, objective = case
+    Q = symbolic_polyhedron(I)
+    try:
+        expected = unique_optimum(Q, objective)
+        _, point, unique = geometry._facet_optimum(Q, objective)
+    except ResourceLimitError:
+        reject()
+    assert unique == expected
+    if unique:
+        assert point == geometry._vblock_optimum(Q, objective)[1]
 
 
 def _prime_powers():

@@ -10,7 +10,7 @@ import symbpow.results as R
 from symbpow import geometry, harness
 from symbpow.decomposition import localizations
 from symbpow.errors import ResourceLimitError
-from symbpow.geometry import newton_polyhedron
+from symbpow.geometry import alpha_polyhedron, newton_polyhedron
 from symbpow.harness import check
 from symbpow.invariants import (alpha, beta, chudnovsky_bound,
                                 invariant_report, is_equigenerated,
@@ -226,27 +226,44 @@ def test_waldschmidt_closed_forms(n, supports, value):
 # over the benchmark's Waldschmidt corpus: the ideals
 # _random_general(SplitRng(1309, ("waldschmidt-general",)).child(n, i), n, 5, 6)
 # for n = 5, i < 24, then n = 6, i = 0.  A change that moves a pivot of
-# the alpha LP fails here.
+# the V-block LP, which gives the point at the corpus's three ties, fails
+# here.
 WALD_CORPUS_SHA256 = "2e16ff1a6891f79503c5dc8a80a1ff59a29a20007478e1f3d13bad09f7b471a2"
 
 
-def test_waldschmidt_corpus_is_pinned(dump_records):
+def _wald_corpus():
+    """[(op id, ideal)] of the benchmark's Waldschmidt corpus, in order."""
     root = SplitRng(1309, ("waldschmidt-general",))
-    rows = []
-    for n, count in ((5, 24), (6, 1)):
-        for i in range(count):
-            I = harness._random_general(root.child(n, i), n, 5, 6)
-            rows.append((str(waldschmidt(I)), [str(x) for x in waldschmidt_point(I)]))
+    return [(f"v{n}-{i:02d}", harness._random_general(root.child(n, i), n, 5, 6))
+            for n, count in ((5, 24), (6, 1)) for i in range(count)]
+
+
+def test_waldschmidt_corpus_is_pinned(dump_records):
+    rows = [(str(waldschmidt(I)), [str(x) for x in waldschmidt_point(I)])
+            for _, I in _wald_corpus()]
     dump_records("wald-corpus.jsonl", rows)
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == WALD_CORPUS_SHA256
 
 
+def test_only_the_corpus_ties_reach_the_vblock_lp(vblock_calls):
+    """The facet-row LP's point is certified the only optimum on every
+    ideal of the corpus but its three ties, and only those run the V-block
+    LP, once each: waldschmidt_point reads the value's memo."""
+    alpha_polyhedron.cache_clear()
+    ties = []
+    for name, I in _wald_corpus():
+        before = len(vblock_calls)
+        waldschmidt(I), waldschmidt_point(I)
+        ties += [name] * (len(vblock_calls) - before)
+    assert ties == ["v5-07", "v5-20", "v5-23"]
+
+
 # waldschmidt_point as the Fraction-tableau simplex returned it, before the
 # integer tableau replaced it.  Where the optimum is not unique (the last
-# three rows) the point is the vertex that the pivot rules reach, so these
-# tuples pin the pivot path; the very last ideal returns another optimal
-# vertex if the entering column is chosen by any rule but Bland's.  The
-# first five five-variable ideals are
+# three rows) the point is the vertex that the V-block LP's pivot rules
+# reach, so these tuples pin the pivot path; the very last ideal returns
+# another optimal vertex if the entering column is chosen by any rule but
+# Bland's.  The first five five-variable ideals are
 # _random_general(SplitRng(7, ("pinned-pivots",)).child(i), 5, 4, 6), the
 # last is ideal v5-23 of the benchmark's Waldschmidt corpus.
 PINNED_POINTS = [
