@@ -182,13 +182,14 @@ def member_scaled(Q: SymbolicPolyhedron, a, m) -> bool:
 
 def _optimize_over(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Minimize a positive linear objective over Q, exactly.  The LP over
-    the distinct rows of every component's certified N.facets gives the
-    value, proved by its dual certificate, and a point checked against
-    every component.  That point is returned when a tangent-cone
-    certificate proves it the only optimum, as then every exact LP over Q
-    returns it.  Otherwise, at a tie, the V-block LP breaks the tie and
-    must reach the same value; it also runs alone when a facet table or
-    the certificate's cone goes over MAX_RAYS."""
+    the distinct rows of every component's certified N.facets, solved in
+    one phase by `lp.solve_ge`, gives the value, proved by its dual
+    certificate, and a point checked against every component.  That point
+    is returned when a tangent-cone certificate proves it the only
+    optimum, as then every exact LP over Q returns it, whatever its pivot
+    path.  Otherwise, at a tie, the V-block LP on `lp.solve` breaks the tie
+    and must reach the same value; it also runs alone when a facet table
+    or the certificate's cone goes over MAX_RAYS."""
     try:
         value, point, unique = _facet_optimum(Q, objective)
     except ResourceLimitError:
@@ -205,12 +206,14 @@ def _optimize_over(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[Fr
 def _facet_optimum(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[Fraction, ...], bool]:
     """(value, point, unique): min objective.a subject to normal.a >= offset
     for every distinct row of Q's facet tables, in component order, and
-    a >= 0; unique when `_is_unique_optimum` certifies the point."""
+    a >= 0, by the dual simplex of `lp.solve_ge` from the surplus basis
+    (offsets > 0 and objective >= 0 make it dual feasible, so there is no
+    phase 1); unique when `_is_unique_optimum` certifies the point."""
     d = Q.ambient_dim
     rows = list(dict.fromkeys(row for _, N in Q.components for row in N.facets))
-    result = lp.solve(lp.LinearProgram.make([normal for normal, _ in rows],
-                                            [offset for _, offset in rows],
-                                            [lp.GE] * len(rows), objective))
+    result = lp.solve_ge(lp.LinearProgram.make([normal for normal, _ in rows],
+                                               [offset for _, offset in rows],
+                                               [lp.GE] * len(rows), objective))
     if result.status != lp.OPTIMAL:
         raise VerificationError(f"alpha LP ended {result.status}")
     point = result.solution

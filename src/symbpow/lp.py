@@ -1,9 +1,14 @@
-"""Exact linear programming: two-phase primal simplex on an integer tableau.
+"""Exact linear programming: the simplex method on an integer tableau.
 
 minimize c.x  subject to  A x (<= | >= | ==) b,  x >= 0,  for b >= 0, c >= 0.
-Each phase minimizes a cost that is non-negative on x >= 0, so neither is
-unbounded: an entering column with no leaving row raises VerificationError,
-and the verdict is OPTIMAL or INFEASIBLE.
+`solve` runs the two-phase primal simplex on any such program.  Each phase
+minimizes a cost that is non-negative on x >= 0, so neither is unbounded:
+an entering column with no leaving row raises VerificationError, and the
+verdict is OPTIMAL or INFEASIBLE.  `solve_ge` runs the dual simplex (Lemke
+1954) in one phase on a program whose rows are all GE.  It stores each row
+negated, -A x + s = -b, so the surplus basis is its start and no
+artificial column is needed: c >= 0 makes that basis dual feasible, and
+every dual pivot keeps it so.
 
 Every row is kept as integers at a positive scale of its own: a constraint
 row is its rational tableau row times its entry in its basic column, so a
@@ -13,27 +18,30 @@ variables, and the V-block rows that break its ties are mostly zeros.  A
 pivot on the entry p in column c of row r keeps row r and every row with a
 zero in column c as they are; any other row becomes p * row - row[c] *
 row_r over the gcd of its entries, which touches only row r's non-zero
-columns.  The purge of artificials may pivot on a negative entry, and
-negates row r first.
-The two reduced-cost rows take the same step and end with their own scale,
+columns.  The purge of artificials and every dual pivot are on a negative
+entry, and negate row r first.
+The reduced-cost rows take the same step and end with their own scale,
 an entry that is 0 in every constraint row.  After each pivot, column c must
 be 0 outside row r and every basic entry positive, or VerificationError is
 raised.
 
 A positive scale changes no sign and no ratio, so the pivot path, and with
 it the optimum, the point and the dual vector, is the one Bland's rule
-(lowest eligible index enters, lowest-index basic among minimum-ratio ties
-leaves) reaches on the rational tableau.  Every result is checked against
-the original program in exact rationals before it leaves this module.  An
-optimum must satisfy every constraint, and its dual vector y must have the
-sign each sense asks for and satisfy A^T y <= c and b.y == c.x.  An
-infeasible verdict must come with a Farkas ray.  The checks raise
+reaches on the rational tableau.  In the primal the lowest eligible index
+enters and the lowest-index basic among minimum-ratio ties leaves; in the
+dual the lowest-index basic among negative rows leaves and the least
+cost / |entry| enters, ties to the lowest column.  Every result is checked
+against the original program in exact rationals before it leaves this
+module.  An optimum must satisfy every constraint, and its dual vector y
+must have the sign each sense asks for and satisfy A^T y <= c and b.y ==
+c.x.  An infeasible verdict must come with a Farkas ray.  The checks raise
 VerificationError rather than assert, so they also hold under `python -O`.
 
-This tableau is the package's only exact linear solver, and `solve` its
-only entry point.  LinearProgram.make refuses a negative right-hand side
-or cost, keeps an int entry as an int and makes a Fraction of any other;
-the alpha LPs of geometry.py are all ints, so no Fraction is made of them.
+This tableau is the package's only exact linear solver, and `solve` and
+`solve_ge` its only entry points.  LinearProgram.make refuses a negative
+right-hand side or cost, keeps an int entry as an int and makes a Fraction
+of any other; the alpha LPs of geometry.py are all ints, so no Fraction is
+made of them.
 """
 
 from __future__ import annotations
@@ -167,7 +175,7 @@ class _Tableau:
         pivot row's non-zero columns."""
         prow = self.rows[r]
         p = prow[c]
-        if p < 0:  # only the purge of artificials pivots on a negative entry
+        if p < 0:  # the purge of artificials, and every dual pivot
             for j in prow:
                 prow[j] = -prow[j]
             p = -p
@@ -239,6 +247,34 @@ class _Tableau:
             self.phase1 = None
             self._purge_artificials()
         self._iterate(self.phase2, self.n_free)
+        return self._optimum()
+
+    def solve_dual(self) -> LPResult:
+        """The dual simplex from a slack basis that is dual feasible (every
+        cost >= 0, no artificial), on right-hand sides of any sign, by
+        Bland's dual rule; each ratio test keeps every cost >= 0.  A leaving
+        row with no negative entry reads x_B + (entries >= 0).x = (value <
+        0), which no x >= 0 meets: its multipliers are a Farkas ray."""
+        rhs, cost = self.ncols, self.phase2
+        while True:
+            r = min((i for i, row in enumerate(self.rows) if row.get(rhs, 0) < 0),
+                    key=self.basis.__getitem__, default=None)
+            if r is None:
+                return self._optimum()
+            row, enter = self.rows[r], None
+            for j, a in row.items():
+                if a < 0 and j < rhs:
+                    cj = cost.get(j, 0)
+                    # cj / -a below num / den, or equal to it at a lower column
+                    if enter is None or (cj * den, j) < (num * -a, enter):
+                        enter, num, den = j, cj, -a
+            if enter is None:
+                ray = self._multipliers({**row, rhs + 1: row[self.basis[r]]}, art_cost=0)
+                return LPResult(INFEASIBLE, None, None, ray)
+            self._pivot(r, enter)
+
+    def _optimum(self) -> LPResult:
+        """The point, value and multipliers of a primal and dual feasible basis."""
         rhs = self.ncols
         x = [Fraction(0)] * self.nstruct
         for row, b in zip(self.rows, self.basis):
@@ -328,3 +364,18 @@ def solve(lp: LinearProgram) -> LPResult:
     _verify(lp, result)
     return result
 
+
+def solve_ge(lp: LinearProgram) -> LPResult:
+    """Solve a program whose rows are all GE in one phase: A x >= b is the
+    LE program -A x <= -b (built here, as `make` refuses its right-hand
+    side), whose slack basis is the surplus basis, dual feasible as c >= 0.
+    Its multipliers, negated, are this program's; the result is re-checked
+    as `solve`'s is."""
+    if any(s != GE for s in lp.senses):
+        raise ValueError("solve_ge takes GE rows only")
+    negated = LinearProgram(tuple(tuple(-a for a in row) for row in lp.matrix),
+                            tuple(-b for b in lp.rhs), (LE,) * len(lp.rhs), lp.objective)
+    result = _Tableau(negated).solve_dual()
+    result = result._replace(dual=tuple(-y for y in result.dual))
+    _verify(lp, result)
+    return result

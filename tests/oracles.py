@@ -360,3 +360,40 @@ def textbook_simplex(prog: lp.LinearProgram) -> lp.LPResult:
         if b < n:
             x[b] = row[-1]
     return lp.LPResult(lp.OPTIMAL, value(cost), tuple(x), dual(cost))
+
+
+def textbook_dual_simplex(prog: lp.LinearProgram) -> lp.LPResult:
+    """Dual simplex on a Fraction tableau with Bland's dual rule, for a
+    program whose rows are all GE.  Row i is -A_i x + s_i = -b_i, so the
+    surplus basis starts it, dual feasible as the costs are >= 0.  The
+    lowest-index basic variable among negative rows leaves; of that row's
+    negative entries the least reduced cost / |entry| enters, ties to the
+    lowest column.  A leaving row with no negative entry is infeasible, and
+    its surplus entries are the Farkas ray.  Reduced costs and multipliers
+    are recomputed from the basis every time."""
+    n, m = len(prog.objective), len(prog.rhs)
+    rows = [[-Fraction(a) for a in arow] + [Fraction(int(j == i)) for j in range(m)]
+            + [-Fraction(b)] for i, (arow, b) in enumerate(zip(prog.matrix, prog.rhs))]
+    basis = list(range(n, n + m))
+    cost = [Fraction(c) for c in prog.objective] + [Fraction(0)] * m
+    while any(row[-1] < 0 for row in rows):
+        r = min((i for i in range(m) if rows[i][-1] < 0), key=basis.__getitem__)
+        reduced = [cost[j] - sum(cost[b] * row[j] for row, b in zip(rows, basis))
+                   for j in range(n + m)]
+        ratios = [(reduced[j] / -rows[r][j], j) for j in range(n + m) if rows[r][j] < 0]
+        if not ratios:
+            return lp.LPResult(lp.INFEASIBLE, None, None, tuple(rows[r][n:n + m]))
+        c = min(ratios)[1]
+        rows[r] = [a / rows[r][c] for a in rows[r]]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        basis[r] = c
+    x = [Fraction(0)] * n
+    for row, b in zip(rows, basis):
+        if b < n:
+            x[b] = row[-1]
+    value = sum(cost[b] * row[-1] for row, b in zip(rows, basis))
+    y = tuple(-sum(cost[b] * row[n + i] for row, b in zip(rows, basis)) for i in range(m))
+    return lp.LPResult(lp.OPTIMAL, value, tuple(x), y)

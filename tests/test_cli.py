@@ -159,7 +159,7 @@ def test_resource_limit_is_exit_3(tmp_path, capsys):
 
 def test_verification_failure_is_exit_4(rot3_file, capsys, monkeypatch):
     # an alpha LP whose reported optimum lies outside the polyhedron
-    monkeypatch.setattr(lp, "solve", lambda prog: lp.LPResult(
+    monkeypatch.setattr(lp, "solve_ge", lambda prog: lp.LPResult(
         lp.OPTIMAL, Fraction(0), (Fraction(0),) * len(prog.objective)))
     alpha_polyhedron.cache_clear()
     code, out, err = run_cli(capsys, "waldschmidt", rot3_file)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -138,11 +139,43 @@ _ESCAPED = (F(1), F(2, 3), F(1, 3))
         "only-d-entries", "extra-entry", "facet-row-escape", "value-not-c-point",
         "facet-extra-entry"])
 def test_tampered_alpha_lp_raises(request, monkeypatch, ideal, route, tamper, match):
+    """The facet-row LP of _optimize_over runs on lp.solve_ge, the V-block
+    LP on lp.solve; each case tampers with the one its route checks."""
     Q = symbolic_polyhedron(request.getfixturevalue(ideal))
-    solve = lp.solve
-    monkeypatch.setattr(lp, "solve", lambda prog: tamper(solve(prog)))
+    entry = "solve_ge" if route == "_optimize_over" else "solve"
+    solve = getattr(lp, entry)
+    monkeypatch.setattr(lp, entry, lambda prog: tamper(solve(prog)))
     with pytest.raises(VerificationError, match=match):
         getattr(geometry, route)(Q, [1, 1, 1])
+
+
+# sq10-5 of tests/cli_pins.py: every square-free monomial of degree 5 in 10
+# variables, one component per 6-subset, so 210 facet rows
+SQ10_5 = ideal_of(10, *(tuple(int(i in s) for i in range(10))
+                        for s in combinations(range(10), 5)))
+
+
+def test_alpha_lp_runs_in_one_phase(monkeypatch):
+    """The facet-row LP of sq10-5 runs the dual simplex from the surplus
+    basis: one tableau of 210 rows with no artificial column, and 58
+    pivots, where the two-phase lp.solve adds 210 artificials and takes
+    565.  A unique optimum never reaches lp.solve."""
+    tableaus, pivots = [], []
+    init, pivot = lp._Tableau.__init__, lp._Tableau._pivot
+
+    def spy_init(self, prog):
+        init(self, prog)
+        tableaus.append(self)
+
+    monkeypatch.setattr(lp._Tableau, "__init__", spy_init)
+    monkeypatch.setattr(lp._Tableau, "_pivot",
+                        lambda self, r, c: pivots.append(c) or pivot(self, r, c))
+    monkeypatch.setattr(lp, "solve", None)
+    assert _optimize_over(symbolic_polyhedron(SQ10_5), [1] * 10) == (F(5, 3), (F(1, 6),) * 10)
+    [tableau] = tableaus
+    assert len(tableau.rows) == 210
+    assert tableau.ncols == tableau.n_free == 220
+    assert len(pivots) == 58
 
 
 def test_a_tie_break_must_reach_the_facet_value(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from symbpow import lp
 from symbpow.errors import VerificationError
 
-from oracles import feasible_point, textbook_simplex
+from oracles import feasible_point, textbook_dual_simplex, textbook_simplex
 
 F = Fraction
 
@@ -36,6 +36,11 @@ def test_known_optimum():
 def test_negative_rhs_or_cost_is_refused(matrix, rhs, senses, cost):
     with pytest.raises(ValueError, match="negative"):
         make_lp(matrix, rhs, senses, cost)
+
+
+def test_solve_ge_takes_ge_rows_only():
+    with pytest.raises(ValueError, match="GE rows only"):
+        lp.solve_ge(make_lp([[1], [1]], [1, 0], [lp.GE, lp.LE], [1]))
 
 
 def test_infeasible():
@@ -164,6 +169,20 @@ def test_pivot_path_matches_textbook_tableau(rows, cost, redundant):
     assert ours.value == ref.value
 
 
+@given(st.lists(st.tuples(st.lists(mixed_entry, min_size=3, max_size=3), rhs_entry),
+                min_size=1, max_size=5),
+       st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=3))
+# the lowest-index basic variable and the lowest row index leave different rows
+@example([([F(3, 2), -1, 0], 0), ([-3, 3, 2], 4), ([-3, -1, -2], 2), ([0, F(-11, 2), 2], 1)],
+         [1, 4, 1])
+@settings(max_examples=200, deadline=None)
+def test_dual_pivot_path_matches_textbook_tableau(rows, cost):
+    """solve_ge's scaled integer rows follow the rational tableau's path
+    under Bland's dual rule: the same point, multipliers or Farkas ray."""
+    prog = make_lp([r for r, _ in rows], [b for _, b in rows], [lp.GE] * len(rows), cost)
+    assert lp.solve_ge(prog) == textbook_dual_simplex(prog)
+
+
 # ---------------------------------------------------------------------------
 # randomized cross-check against scipy (floats, loose tolerance)
 
@@ -180,9 +199,13 @@ row3 = st.lists(entry, min_size=3, max_size=3)
        st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_matches_scipy_on_ge_programs(matrix, rhs, cost):
+    """The one-phase dual simplex of solve_ge reaches solve's status and
+    exact value, and both match scipy.  An all-zero row with a positive
+    right-hand side is drawn, so solve_ge's Farkas branch runs too."""
     rhs = rhs[:len(matrix)]
     prog = make_lp(matrix, rhs, [lp.GE] * len(matrix), cost)
-    ours = lp.solve(prog)
+    ours, one_phase = lp.solve(prog), lp.solve_ge(prog)
+    assert (one_phase.status, one_phase.value) == (ours.status, ours.value)
     ref = linprog(c=cost, A_ub=-np.array(matrix, dtype=float),
                   b_ub=-np.array(rhs, dtype=float), method="highs")
     if ref.status == 0:
