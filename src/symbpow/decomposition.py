@@ -26,10 +26,11 @@ components by radical gives an irredundant primary decomposition, so no
 radical is spurious.
 
 The localization of I at P erases the exponents of the variables outside
-P.  `localizations` pairs each maximal associated prime with it, memoized
-by value: symbolic powers at every exponent, the symbolic polyhedron and
-the integral-closure row all read one ideal's localizations from there,
-so each is built once per ideal.
+P; for a square-free I it is P's ideal.  `localizations` pairs each
+maximal associated prime with it, memoized by value: symbolic powers at
+every exponent, the symbolic polyhedron and the integral-closure row all
+read one ideal's localizations from there, so each is built once per
+ideal.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .errors import (DimensionMismatchError, NonAssociatedPrimeWarning,
                      PowersCoincideWarning, VerificationError)
 from .monomial import (MonomialIdeal, _canonical, _from_vectors, _Frozen,
                        _naturals, _prefix_masks, _rows_below,
-                       _variable_names, minimal_vectors, require_proper)
+                       _variable_names, is_squarefree, minimal_vectors,
+                       require_proper)
 
 _DECOMP_CACHE_SIZE = 1024
 
@@ -242,7 +244,13 @@ def localize(I: MonomialIdeal, P: MonomialPrime) -> MonomialIdeal:
 def localizations(I: MonomialIdeal) -> tuple[tuple[MonomialPrime, MonomialIdeal], ...]:
     """(P, I localized at P) for each maximal associated prime P, in the
     order of max_associated_primes; memoized by value, so a localization's
-    prime-power shape is found once however many exponents ask."""
+    prime-power shape is found once however many exponents ask.  For a
+    square-free I each P is a minimal cover of the generators' supports:
+    every variable of P is the only one of P in some generator (else P
+    less it would cover them too), so the localization is P's ideal, with
+    nothing to minimalize."""
+    if is_squarefree(I):
+        return tuple((P, P.to_ideal()) for P in max_associated_primes(I))
     return tuple((P, localize(I, P)) for P in max_associated_primes(I))
 
 

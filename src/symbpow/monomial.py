@@ -53,8 +53,8 @@ mask's binary digits: linear in its width, where clearing one bit at a
 time copies the whole int per bit.
 `intersect` and `power` sort each call's output into an ideal;
 `symbolic_power` chains the kernel over the prime-power localizations of
-an ideal (all of them, for a square-free ideal) and sorts only the end
-result.  Nothing else calls the kernel.
+a connected ideal (all of them, for a square-free one) and sorts only the
+end result; a sum on disjoint variables never reaches the kernel itself.  Nothing else calls the kernel.
 """
 
 from __future__ import annotations

@@ -5,13 +5,32 @@ associated primes P, the m-th symbolic power is
 
     I^(m)  =  intersection over P in maxass(I) of (I localized at P)^m,
 
-computed here exactly: the localization erases exponents outside P.  The
-localizations come from `decomposition.localizations`, memoized by value,
-so each is built and its prime-power shape found once per ideal, not once
-per exponent.  A localization that is a prime power Q^k is never built out
-to Q^(km): it is a prime step, one call of the prime-power kernel on the
-running exponent vectors, which lists the minimal generators of the meet
-with Q^(km) directly.  Any other localization is a general component,
+computed here exactly: the localization erases exponents outside P.
+
+An ideal whose generators' supports fall into two or more connected
+components is a sum I1 + I2 on disjoint variables: I1 is generated by the
+generators that the first one reaches through shared variables, I2 by the
+rest (`_split`, memoized by value).  Then (I1 + I2)^(m) is the sum over
+j = 0..m of I1^(j) * I2^(m-j) (Ha, Nguyen, Trung and Trung, "Symbolic
+powers of sums of ideals", Math. Z. 294, 2020), and its minimal
+generators are the products g1 * g2 of a minimal generator g1 of I1^(j)
+and one g2 of I2^(m-j), each listed once, with nothing to minimalize.  A
+product dividing another, from j', would put g1 in I1^(j+1) (j' > j) or
+g2 in I2^(m-j+1) (j' < j), and no minimal generator g of a symbolic power
+J^(n) lies in J^(n+1): were g in Q^(n+1) for every localization Q, a
+variable v of g divides one of n + 1 generators of Q whose product
+divides g, or their cofactor, so g / x_v would stay in every Q^n.  So the
+products need no filter, and the same argument makes the j of a product
+unique.  I2^(m-j) splits again when I2 does; a principal ideal (g) gives
+(g^m) at once; any other connected ideal takes the route below.
+
+A connected ideal reads its localizations from
+`decomposition.localizations`, memoized by value, so each is built and
+its prime-power shape found once per ideal, not once per exponent.  A
+localization that is a prime power Q^k is never built out to Q^(km): it
+is a prime step, one call of the prime-power kernel on the running
+exponent vectors, which lists the minimal generators of the meet with
+Q^(km) directly.  Any other localization is a general component,
 its power formed with minimalization after every product.  The general
 components are met pairwise through `intersect`, each time the two
 (components or meets already formed) whose variable sets differ in the
@@ -34,6 +53,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import add
 
 from .decomposition import (_DECOMP_CACHE_SIZE, irreducible_decomposition,
                             localizations, max_associated_primes)
@@ -53,6 +73,10 @@ def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
     if m == 1:
         return I
     dim = I.ambient_dim
+    if len(I.vectors) == 1:  # (g)^(m) = (g^m)
+        return MonomialIdeal(dim, (tuple(m * e for e in I.vectors[0]),))
+    if (parts := _split(I)) is not None:
+        return _canonical(dim, _sum_power(*parts, m))
     general = []  # (variables of P, (I localized at P)^m), later of meets
     prime_steps = []  # (generator count, S, n) for a localization Q^k, n = km
     for P, L in localizations(I):
@@ -71,6 +95,39 @@ def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
     for _, s_vars, n in sorted(prime_steps, key=lambda step: step[0]):
         running = _meet_simplex_power(running, dim, s_vars, n)
     return _canonical(dim, running)
+
+
+def _sum_power(I1: MonomialIdeal, I2: MonomialIdeal, m: int) -> list[tuple[int, ...]]:
+    """The minimal generator vectors of (I1 + I2)^(m), I1 and I2 on
+    disjoint variables: the products over j = 0..m of I1^(j)'s and
+    I2^(m-j)'s, each once and none redundant (see the module docstring)."""
+    out = []
+    for j in range(m + 1):
+        tails = symbolic_power(I2, m - j).vectors
+        out += [tuple(map(add, g1, g2)) for g1 in symbolic_power(I1, j).vectors for g2 in tails]
+    return out
+
+
+@lru_cache(maxsize=_DECOMP_CACHE_SIZE)
+def _split(I: MonomialIdeal):
+    """(I1, I2) when I = I1 + I2 on disjoint variables, else None; memoized
+    by value.  I1 is generated by the generators that the first one reaches
+    through shared variables, I2 by the rest, each in canonical order."""
+    supports = [sum(1 << v for v, e in enumerate(g) if e) for g in I.vectors]
+    reached, joined = supports[0], {0}
+    grew = True
+    while grew:
+        grew = False
+        for n, s in enumerate(supports):
+            if n not in joined and s & reached:
+                reached |= s
+                joined.add(n)
+                grew = True
+    if len(joined) == len(supports):
+        return None
+    dim = I.ambient_dim
+    return (MonomialIdeal(dim, tuple(g for n, g in enumerate(I.vectors) if n in joined)),
+            MonomialIdeal(dim, tuple(g for n, g in enumerate(I.vectors) if n not in joined)))
 
 
 @lru_cache(maxsize=_DECOMP_CACHE_SIZE)

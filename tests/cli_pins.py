@@ -68,6 +68,12 @@ INPUTS = {
     # (x1, ..., x6, x0*x7), the meet of two 7-variable primes in 8 variables
     "wide8.ideal": ("vars: x0 x1 x2 x3 x4 x5 x6 x7\ngens:\n"
                     "x1\nx2\nx3\nx4\nx5\nx6\nx0*x7\n"),
+    # the sum of three ideals on disjoint variables: (x1^2, x0*x1*x2,
+    # x0^2*x2), whose localizations are (x0, x1)^2 and (x1^2, x2), the
+    # pure power (x3^2), and (x4^2*x5, x4*x5^3)
+    "split6.ideal": _rows(X7[:6], [(0, 2, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0),
+                                   (2, 0, 1, 0, 0, 0), (0, 0, 0, 2, 0, 0),
+                                   (0, 0, 0, 0, 2, 1), (0, 0, 0, 0, 1, 3)]),
 }
 
 
@@ -177,6 +183,11 @@ PINS = [
     # quotient; recorded when both sides of each were built in full
     _pin("wide8-suite.jsonl", [f"suite wide8.ideal {_S}"],
          "aa1da404e54a2200ba7236c95e8a5c4d342ea24de39eba56db8f78d69e51918e"),
+    # a symbolic power and every row on a sum of ideals on disjoint
+    # variables; recorded when each summand's powers were still met by
+    # the prime steps and intersections of the whole ideal
+    _pin("split6.jsonl", [f"symbolic -m 8 split6.ideal {_S}", f"suite split6.ideal {_S}"],
+         "1fe50ea8ffa79b282f61d8b6f4c3234b451fd822dd12660f725f5efca65b1893"),
 ]
 
 DIGESTS = {pin.name: pin.sha256 for pin in PINS}

@@ -11,7 +11,8 @@ from math import lcm
 from operator import add, le
 
 from symbpow import lp
-from symbpow.decomposition import MonomialPrime, irreducible_decomposition
+from symbpow.decomposition import (MonomialPrime, irreducible_decomposition, localize,
+                                   max_associated_primes)
 from symbpow.errors import VerificationError
 from symbpow.geometry import (NewtonPolyhedron, SymbolicPolyhedron, alpha_polyhedron,
                               enumerate_vertices, member_scaled, newton_polyhedron,
@@ -91,6 +92,24 @@ def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:
              for c in irreducible_decomposition(I)]
     comps.sort(key=lambda c: len(c.vectors))
     return reduce(intersect, comps)
+
+
+def by_definition(I, m_):
+    """I^(m) as the smallest-first intersection of the powers of the
+    localizations at the maximal associated primes.  The power Q^(km) of a
+    localization Q^k is listed by `prime_power_oracle` and the power of a
+    general localization is `power_oracle`'s, not `power`'s, so no step
+    here runs the prime-power kernel, the product or the minimalization
+    that symbolic_power runs to build its components."""
+    comps = []
+    for P in max_associated_primes(I):
+        L = localize(I, P)
+        if L.simplex_power is None:
+            comps.append(power_oracle(L, m_))
+        else:
+            s_vars, k = L.simplex_power
+            comps.append(prime_power_oracle(I.ambient_dim, s_vars, k * m_))
+    return reduce(intersect, sorted(comps, key=lambda c: len(c.vectors)))
 
 
 def _as_point(a, dim: int) -> tuple[Fraction, ...]:

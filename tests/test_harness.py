@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import symbpow.results as R
-from symbpow import geometry, harness, monomial
+from symbpow import geometry, harness, monomial, symbolic
 from symbpow.decomposition import MonomialPrime, big_height
 from symbpow.errors import (PowersCoincideWarning, ResourceLimitError,
                             VerificationError)
@@ -25,6 +25,7 @@ from symbpow.symbolic import symbolic_power, twin_quotient
 
 from cli_pins import DIGESTS
 from conftest import ideal_of
+from oracles import by_definition
 
 
 def test_encode_value():
@@ -635,3 +636,46 @@ def test_the_twin_quotient_decides_as_the_full_kernel(meet, a, b, t, s):
     assert row.details == {"lhs_gens": len(lhs.vectors), "rhs_gens": len(rhs.vectors)} | (
         {} if witness is None else {"witness_in_symbolic_power": True,
                                     "witness_in_plain_power": contains(rhs, witness)})
+
+
+@st.composite
+def split_prime_meets(draw):
+    """A sum of 2-3 ideals on disjoint blocks of 2-4 variables, in up to 13
+    variables, one of which may lie in no prime.  Each summand is the meet
+    of the parts of a partition of its block into 2-3 primes, whose
+    variables in one part are twins, and at times one more prime on the
+    block; only the maximal primes are kept.  A sum has a twin quotient
+    only when every localization, a sum of one localization per summand,
+    is a prime power, so only when each is a prime: hence primes, not
+    their powers."""
+    blocks = draw(st.lists(st.integers(2, 4), min_size=2, max_size=3))
+    dim = sum(blocks) + draw(st.integers(0, 1))
+    order, at, vectors = draw(st.permutations(range(dim))), 0, []
+    for size in blocks:
+        block, at = order[at:at + size], at + size
+        part_of = [0, 1] + [draw(st.integers(0, 2)) for _ in range(size - 2)]
+        primes = {frozenset(v for v, n in zip(block, part_of) if n == k) for k in set(part_of)}
+        primes |= set(draw(st.lists(st.frozensets(st.sampled_from(block), min_size=1),
+                                    max_size=1)))
+        maximal = {tuple(sorted(P)) for P in primes if not any(P < Q for Q in primes)}
+        vectors += reduce(intersect, [MonomialPrime(dim, P).to_ideal()
+                                      for P in sorted(maximal)]).vectors
+    return ideal_of(dim, *vectors)
+
+
+@given(split_prime_meets(), st.integers(1, 5), st.integers(1, 2), st.integers(1, 2),
+       st.integers(0, 3))
+@example(ideal_of(6, (1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+                  (0, 0, 0, 0, 1, 1)), 3, 1, 2, 1)
+@settings(max_examples=60, deadline=None)
+def test_a_split_twin_quotient_decides_as_the_full_ideal(I, a, b, t, s):
+    """When the twin quotient of a sum on disjoint variables splits,
+    _contained gives the verdict and witness of the kernel on the full
+    sides, built by by_definition, which meets the localizations' powers
+    and takes no split route."""
+    J = twin_quotient(I)
+    assume(J is not None and symbolic._split(J[0]) is not None)
+    lhs, rhs = by_definition(I, a), power(by_definition(I, b), t)
+    witness = containment_witness(lhs, rhs, s)
+    row = harness._contained(I, a, b, t, s, {})
+    assert (row.verdict, row.witness) == (R.HOLDS if witness is None else R.FAILS, witness)

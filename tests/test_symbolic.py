@@ -19,7 +19,7 @@ from symbpow.symbolic import (equal_exponent_condition,
                               twin_quotient)
 
 from conftest import ideal_of, random_squarefree_corpus
-from oracles import power_oracle, prime_power_oracle, symbolic_power_oracle_sqfree
+from oracles import by_definition, symbolic_power_oracle_sqfree
 
 
 def test_symbolic_power_edge_cases(rot3):
@@ -187,24 +187,6 @@ def test_ordinary_power_inside_symbolic(I, m_):
 # the streamed route against the definition
 
 
-def by_definition(I, m_):
-    """I^(m) as the smallest-first intersection of the powers of the
-    localizations at the maximal associated primes.  The power Q^(km) of a
-    localization Q^k is listed by `prime_power_oracle` and the power of a
-    general localization is `power_oracle`'s, not `power`'s, so no step
-    here runs the prime-power kernel, the product or the minimalization
-    that symbolic_power runs to build its components."""
-    comps = []
-    for P in max_associated_primes(I):
-        L = localize(I, P)
-        if L.simplex_power is None:
-            comps.append(power_oracle(L, m_))
-        else:
-            s_vars, k = L.simplex_power
-            comps.append(prime_power_oracle(I.ambient_dim, s_vars, k * m_))
-    return reduce(intersect, sorted(comps, key=lambda c: len(c.vectors)))
-
-
 def prime_power(dim, s_vars, k):
     return power(ideal_of(dim, *[[int(j == i) for j in range(dim)] for i in s_vars]), k)
 
@@ -255,10 +237,14 @@ def test_symbolic_power_matches_definition(I, m_):
 def test_agreement_does_not_share_the_kernel(monkeypatch):
     """A mutant of the prime-power kernel that drops the largest generator
     of a step whose output has more than one key (exponents off the prime)
-    bites symbolic_power, whose second prime step meets (x0, x1)^2 with
-    (x1, x2)^2, and neither by_definition nor the square-free oracle,
-    which list the prime powers and meet them apart from the kernel."""
-    I, m_ = ideal_of(3, (0, 1, 0), (1, 0, 1)), 2  # (x0, x1) meet (x1, x2)
+    bites symbolic_power on the triangle (x0*x1, x0*x2, x1*x2), a connected
+    ideal whose second prime step meets (x0, x1)^2 with (x0, x2)^2, and
+    neither by_definition nor the square-free oracle, which list the prime
+    powers and meet them apart from the kernel.  ((x0, x1) meet (x1, x2) =
+    (x1, x0*x2) splits, and its symbolic powers no longer reach the
+    kernel.)"""
+    I, m_ = ideal_of(3, (1, 1, 0), (1, 0, 1), (0, 1, 1)), 2
+    assert symbolic._split(I) is None
     expected = symbolic_power(I, m_)
     kernel = monomial._meet_simplex_power
 
@@ -276,6 +262,95 @@ def test_agreement_does_not_share_the_kernel(monkeypatch):
         assert by_definition(I, m_) == symbolic_power_oracle_sqfree(I, m_) == expected
     finally:
         symbolic_power.cache_clear()
+
+
+def test_a_dropped_product_of_the_split_route_is_caught(monkeypatch):
+    """A mutant of the split route that drops its last product bites
+    symbolic_power on (x1, x0*x2), the sum of (x1) and (x0*x2), and
+    by_definition, which meets the localizations' powers, does not share
+    it."""
+    I, m_ = ideal_of(3, (0, 1, 0), (1, 0, 1)), 2
+    assert symbolic._split(I) is not None
+    expected = by_definition(I, m_)
+    sum_power = symbolic._sum_power
+    monkeypatch.setattr(symbolic, "_sum_power", lambda *args: sum_power(*args)[:-1])
+    symbolic_power.cache_clear()
+    try:
+        assert symbolic_power(I, m_) != expected
+        assert by_definition(I, m_) == expected
+    finally:
+        symbolic_power.cache_clear()
+
+
+# ---------------------------------------------------------------------------
+# the split route: sums of ideals on disjoint variables
+
+
+@st.composite
+def split_ideal(draw):
+    """A sum of 2-4 ideals on disjoint blocks of 1-3 variables, in up to 13
+    variables, one of which may lie in no generator.  A block holds a
+    general summand (1-3 monomials with exponents <= 3), a principal one, a
+    pure power, or a square-free one, such as x0*(x1, x2), whose x1 and x2
+    are twins.  Every generator uses its block's first variable, and the
+    blocks are scattered over the variables."""
+    blocks = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+    spare = draw(st.booleans())
+    dim = sum(blocks) + spare
+    order = draw(st.permutations(range(dim)))
+    vecs, at = [], 0
+    for size in blocks:
+        block, at = order[at:at + size], at + size
+        kind = draw(st.sampled_from(["general", "principal", "pure", "squarefree"]))
+        top = 1 if kind == "squarefree" else 3
+        count = 1 if kind in ("principal", "pure") else draw(st.integers(1, 3))
+        for _ in range(count):
+            exps = [draw(st.integers(1 if i == 0 else 0, top)) for i in range(size)]
+            if kind == "pure":
+                exps = [exps[0]] + [0] * (size - 1)
+            v = [0] * dim
+            for x, e in zip(block, exps):
+                v[x] = e
+            vecs.append(v)
+    return ideal_of(dim, *vecs)
+
+
+TWIN_SUM = ideal_of(6, (1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0),
+                    (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 1, 1))  # (x0x1, x1x2) + (x3) + (x4x5)
+
+
+def test_the_twin_sum_takes_the_split_route():
+    """TWIN_SUM, (x0*x1, x1*x2) + (x3) + (x4*x5), is square-free and x0 and
+    x2 are twins, so its twin quotient exists, and splits too.  (A sum with
+    a summand off a prime, such as (x3^2), has localizations such as
+    (x1, x3^2, x4), which are no prime powers, so it has no quotient.)"""
+    assert symbolic._split(TWIN_SUM) is not None
+    J, _classes = twin_quotient(TWIN_SUM)
+    assert symbolic._split(J) is not None
+
+
+@example(TWIN_SUM, 4)
+@example(ideal_of(5, (2, 1, 0, 0, 0), (0, 3, 0, 0, 0), (0, 0, 0, 2, 0)), 3)  # x2, x4 unused
+@given(split_ideal(), st.integers(min_value=1, max_value=5))
+@settings(max_examples=80, deadline=None)
+def test_split_route_matches_definition(I, m_):
+    """The split route against the localizations' powers met by
+    by_definition, and against the square-free oracle when I is
+    square-free."""
+    assert symbolic._split(I) is not None
+    got = symbolic_power(I, m_)
+    assert got == by_definition(I, m_)
+    if monomial.is_squarefree(I):
+        assert got == symbolic_power_oracle_sqfree(I, m_)
+
+
+@given(mixed_ideal(), st.integers(min_value=0, max_value=4))
+@settings(max_examples=60, deadline=None)
+def test_no_minimal_generator_lies_in_the_next_symbolic_power(I, n):
+    """What lets the split route list products with no filter: a minimal
+    generator of I^(n) lies outside I^(n+1)."""
+    above = symbolic_power(I, n + 1)
+    assert not any(monomial._in_staircase(above, g) for g in symbolic_power(I, n).vectors)
 
 
 # the slow ideals of the 6-variable scans of seeds 3 and 4: four and seven
