@@ -27,25 +27,22 @@ radical is spurious.
 
 The localization of I at P erases the exponents of the variables outside
 P; for a square-free I it is P's ideal.  `localizations` pairs each
-maximal associated prime with it, memoized by value: symbolic powers at
+maximal associated prime with it, a fact of I (`monomial._fact`) kept
+while the caller holds I, as the decomposition is: symbolic powers at
 every exponent, the symbolic polyhedron and the integral-closure row all
-read one ideal's localizations from there, so each is built once per
-ideal.
+read them from there, so each is built once per ideal.
 """
 
 from __future__ import annotations
 
 import warnings
-from functools import lru_cache
 
 from .errors import (DimensionMismatchError, NonAssociatedPrimeWarning,
                      PowersCoincideWarning, VerificationError)
-from .monomial import (MonomialIdeal, _canonical, _from_vectors, _Frozen,
-                       _naturals, _prefix_masks, _rows_below,
+from .monomial import (MonomialIdeal, _canonical, _fact, _from_vectors,
+                       _Frozen, _naturals, _prefix_masks, _rows_below,
                        _variable_names, is_squarefree, minimal_vectors,
                        require_proper)
-
-_DECOMP_CACHE_SIZE = 1024
 
 
 class MonomialPrime(_Frozen):
@@ -122,7 +119,7 @@ class IrreducibleComponent(_Frozen):
         return self.to_ideal().render(names)
 
 
-@lru_cache(maxsize=_DECOMP_CACHE_SIZE)
+@_fact
 def irreducible_decomposition(I: MonomialIdeal) -> tuple[IrreducibleComponent, ...]:
     """The unique irredundant irreducible decomposition, deterministically
     ordered.  Rejects the zero and unit ideals."""
@@ -185,7 +182,7 @@ def _check_recombines(I: MonomialIdeal, comps) -> None:
             f"irreducible decomposition does not recombine to the input: {I}")
 
 
-@lru_cache(maxsize=_DECOMP_CACHE_SIZE)
+@_fact
 def associated_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:
     """Radicals of the irredundant irreducible components, lexicographic."""
     primes = {c.radical for c in irreducible_decomposition(I)}
@@ -240,10 +237,10 @@ def localize(I: MonomialIdeal, P: MonomialPrime) -> MonomialIdeal:
                           for g in I.vectors])
 
 
-@lru_cache(maxsize=_DECOMP_CACHE_SIZE)
+@_fact
 def localizations(I: MonomialIdeal) -> tuple[tuple[MonomialPrime, MonomialIdeal], ...]:
     """(P, I localized at P) for each maximal associated prime P, in the
-    order of max_associated_primes; memoized by value, so a localization's
+    order of max_associated_primes; a fact of I, so a localization's
     prime-power shape is found once however many exponents ask.  For a
     square-free I each P is a minimal cover of the generators' supports:
     every variable of P is the only one of P in some generator (else P

@@ -32,19 +32,19 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 
 from . import lp
 from .decomposition import MonomialPrime, localizations
 from .errors import ResourceLimitError, VerificationError
-from .monomial import (MonomialIdeal, _ambient_dim, _Frozen, _naturals,
+from .monomial import (MonomialIdeal, _ambient_dim, _fact, _Frozen, _naturals,
                        as_prime_power, require_proper)
 
 # The most rays the double description keeps after a cut.  It binds when a
-# facet table or a vertex set is built; a facet table is built once per
-# ideal value, so a lowered budget reaches a built one only after
-# newton_polyhedron.cache_clear().
+# facet table or a vertex set is built; a facet table is a fact of its
+# ideal's polyhedron, so a lowered budget reaches it only after the caller
+# has dropped that ideal.
 MAX_RAYS = 256
 PROBE_SAMPLES = 8  # the convex combinations probe_points adds to Q's vertices
 
@@ -82,11 +82,10 @@ class NewtonPolyhedron(_Frozen):
         return _certified_facets(self, _facet_rays(self))
 
 
-@lru_cache(maxsize=512)
+@_fact
 def newton_polyhedron(I: MonomialIdeal) -> NewtonPolyhedron:
-    """The Newton polyhedron of I, one per ideal value, as
-    `symbolic_polyhedron` is: every caller asking about one ideal reads
-    the facet table certified at the first membership query."""
+    """The Newton polyhedron of I, a fact of I: every caller asking about
+    one ideal reads the facet table certified at its first membership query."""
     if I.is_zero:
         raise ValueError("the zero ideal has an empty Newton polyhedron")
     return NewtonPolyhedron(I.ambient_dim, I.vectors)
@@ -104,7 +103,7 @@ class SymbolicPolyhedron(_Frozen):
         fields["components"] = components
 
 
-@lru_cache(maxsize=512)
+@_fact
 def symbolic_polyhedron(I: MonomialIdeal) -> SymbolicPolyhedron:
     """One Newton polyhedron per maximal associated prime, in the order of
     the primes: that of I localized there, read from `localizations`,
@@ -203,7 +202,8 @@ def _optimize_over(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[Fr
     return tie
 
 
-def _facet_optimum(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[Fraction, ...], bool]:
+def _facet_optimum(Q: SymbolicPolyhedron,
+                   objective) -> tuple[Fraction, tuple[Fraction, ...], bool]:
     """(value, point, unique): min objective.a subject to normal.a >= offset
     for every distinct row of Q's facet tables, in component order, and
     a >= 0, by the dual simplex of `lp.solve_ge` from the surplus basis
@@ -338,9 +338,9 @@ def _vblock_optimum(Q: SymbolicPolyhedron, objective) -> tuple[Fraction, tuple[F
     return result.value, point
 
 
-@lru_cache(maxsize=512)
+@_fact
 def alpha_polyhedron(Q: SymbolicPolyhedron) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Least coordinate sum over Q and a point attaining it."""
+    """Least coordinate sum over Q and a point attaining it, a fact of Q."""
     return _optimize_over(Q, [1] * Q.ambient_dim)
 
 
@@ -417,11 +417,10 @@ def enumerate_vertices(Q: SymbolicPolyhedron) -> tuple:
 # staircase membership and probe points
 
 
-@lru_cache(maxsize=512)
+@_fact
 def _probe_vertices(Q: SymbolicPolyhedron) -> tuple | None:
-    """The vertices of Q, or None when their enumeration is over budget:
-    enumerated once per polyhedron (under the MAX_RAYS of the first call),
-    though a check probes Q at every r."""
+    """The vertices of Q, or None over budget (the MAX_RAYS of the first
+    call): a fact of Q, as a check probes Q at every r."""
     try:
         return enumerate_vertices(Q)
     except ResourceLimitError:

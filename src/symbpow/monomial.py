@@ -3,10 +3,11 @@
 The ambient ring is k[x_0, ..., x_n] for ambient_dim = n + 1; a monomial is
 identified with its exponent vector.  A MonomialIdeal stores only the
 exponent vectors of its unique minimal generating set, sorted by total
-degree and then lexicographically, so equal ideals are structurally equal;
-every kernel reads and writes such bare vectors.  `Monomial` objects exist
-only at the edges: validated outside input for `MonomialIdeal.make`
-and containment witnesses; an ideal renders its generators straight from
+degree and then lexicographically; it is interned, one object per value,
+which keeps each fact learnt of it (`_fact`) while the caller holds it.
+Kernels read and write bare vectors.  `Monomial` objects exist only at
+the edges: validated outside input for `MonomialIdeal.make` and
+containment witnesses; an ideal renders its generators straight from
 their vectors (`rendered_gens`), by the routine `Monomial.render` uses.
 
 Divisibility queries against a fixed set (the containment kernel, which
@@ -18,10 +19,9 @@ the rows whose entry is at most that value.  The rows dividing a point are
 the AND of one mask per coordinate, so every exponent stays an exact
 integer of any size.  Minimalization, whose set grows, keeps those masks
 as Fenwick trees of prefix ORs; products minimalize all pairwise sums so.
-The containment kernel answers each (lhs, rhs, s) once per process and
-builds the index of an rhs, its generator columns plus their degrees, once
-for every lhs and s asked against it; both memos are keyed by value, so
-check rows asking one question share one answer.  It walks the
+The containment kernel answers each (lhs, rhs, s) once, a fact of lhs,
+and builds the index of an rhs, its generator columns plus their degrees,
+once, a fact of rhs, for every lhs and s asked against it.  It walks the
 generators of lhs in canonical order and keeps the per-column ANDs of the
 one before, so each generator is asked only from the first column where
 it differs from that one, up to the first empty AND.  A general
@@ -50,19 +50,21 @@ generator comes out once, with no scan; parts of vectors are read, and
 outputs placed, by `operator.itemgetter` gathers.  Every kernel reads a
 mask's set bits through one walk, `_bits`, which reads them off the
 mask's binary digits: linear in its width, where clearing one bit at a
-time copies the whole int per bit.
-`intersect` and `power` sort each call's output into an ideal;
-`symbolic_power` chains the kernel over the prime-power localizations of
-a connected ideal (all of them, for a square-free one) and sorts only the
-end result; a sum on disjoint variables never reaches the kernel itself.  Nothing else calls the kernel.
+time copies the whole int per bit.  `intersect` and `power` sort each
+call's output into an ideal; `symbolic_power` chains the kernel over the
+prime-power localizations of a connected ideal (all of them, for a
+square-free one) and sorts only the end result; a sum on disjoint
+variables never reaches the kernel itself.  Nothing else calls the
+kernel.  Its integer-keyed memos are the package's only lru_caches.
 """
 
 from __future__ import annotations
 
 import operator
+import weakref
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce, wraps
 from itertools import chain
 from math import comb
 
@@ -75,11 +77,8 @@ class _Frozen:
     instance dict, which is cheaper than object.__setattr__.  Two values
     are equal when they have the same class and equal fields, and the
     hash is that of the field tuple, read by one attrgetter built per
-    subclass.  The hash is computed once per instance and kept in the
-    instance dict: an lru_cache keyed by an ideal or a polyhedron would
-    otherwise hash every generator again on each lookup.  Assigning or
-    deleting an attribute raises AttributeError; cached_property still
-    works, as it writes the instance dict too."""
+    subclass.  Assigning or deleting an attribute raises AttributeError;
+    cached_property and `_fact` write the instance dict directly."""
 
     _fields: tuple[str, ...] = ()
 
@@ -94,10 +93,7 @@ class _Frozen:
         return self._values(self) == other._values(other)
 
     def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = hash(self._values(self))
-        return h
+        return hash(self._values(self))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -108,6 +104,20 @@ class _Frozen:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+
+def _fact(fn):
+    """fn(obj, *key), computed once and kept in obj's own dict while obj
+    lives; a key ends in a natural number, looked up only as an exact int."""
+    @wraps(fn)
+    def read(obj, *key):
+        if key and key[-1].__class__ is not int:  # 2.0 is refused like 2.5
+            return fn(obj, *key)
+        facts = obj.__dict__.setdefault(fn.__name__, {})
+        if key not in facts:
+            facts[key] = fn(obj, *key)
+        return facts[key]
+    return read
 
 
 def _naturals(values: Iterable, what: str) -> tuple[int, ...]:
@@ -166,7 +176,7 @@ class Monomial(_Frozen):
 
 class MonomialIdeal(_Frozen):
     """A monomial ideal, held by the exponent vectors of its minimal
-    generators in canonical (degree, lex) order.
+    generators in canonical (degree, lex) order; equal ideals are one object.
 
     Built by `make` (from outside `Monomial`s), `zero`, `unit`, and inside
     the package by `_from_vectors` (which minimalizes candidates) and
@@ -176,11 +186,20 @@ class MonomialIdeal(_Frozen):
     """
 
     _fields = ("ambient_dim", "vectors")
+    _interned = weakref.WeakValueDictionary()  # (ambient_dim, vectors) -> the live ideal
 
-    def __init__(self, ambient_dim: int, vectors: tuple[tuple[int, ...], ...]):
-        fields = self.__dict__
-        fields["ambient_dim"] = ambient_dim
-        fields["vectors"] = vectors
+    def __new__(cls, ambient_dim: int, vectors: tuple[tuple[int, ...], ...]):
+        key = ambient_dim, vectors
+        if (self := cls._interned.get(key)) is None:
+            self = cls._interned[key] = object.__new__(cls)
+            self.__dict__.update(ambient_dim=ambient_dim, vectors=vectors, _hash=hash(key))
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # a copy or an unpickled ideal is the interned one, with no facts
+        return MonomialIdeal, (self.ambient_dim, self.vectors)
 
     @staticmethod
     def make(ambient_dim: int, gens: Iterable[Monomial]) -> MonomialIdeal:
@@ -660,7 +679,7 @@ def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
                                          for a in I.vectors for b in J.vectors])
 
 
-@lru_cache(maxsize=512)
+@_fact
 def _powers_of(I: MonomialIdeal) -> list[MonomialIdeal]:
     """[I, I^2, ...] as far as `power` has been asked for: each power of I
     is built once, as the one before it times I."""
@@ -674,8 +693,8 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
     (6, 6), (8, 5) took 0.1-0.3 ms that way against 4.0-7.4 ms by repeated
     products (min of 3, 2 vCPU VM, Python 3.11).  Any other I^t is built
     as I^(t-1) * I and minimalized, so intermediate generator sets never
-    carry redundant elements; lower powers come from a per-ideal cache, so
-    a run of powers of one ideal multiplies by I once per step, with no
+    carry redundant elements; lower powers are a fact of I (`_powers_of`),
+    so a run of powers of one ideal multiplies by I once per step, with no
     recursion however large t is."""
     (t,) = _naturals((t,), "exponent")
     if t == 0:
@@ -692,12 +711,11 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
     return powers[t - 1]
 
 
-@lru_cache(maxsize=128)
+@_fact
 def _divisor_index(rhs: MonomialIdeal) -> tuple:
     """The divisibility index over the generators of rhs, with their
     degree as one more column: a point (*f, deg f - s) lies above the row
-    of h exactly when h divides f with deg f - deg h >= s.  Built once per
-    rhs, keyed by its value."""
+    of h exactly when h divides f with deg f - deg h >= s."""
     vectors = rhs.vectors
     columns = list(zip(*vectors)) or [()] * rhs.ambient_dim  # the zero ideal has no rows
     return tuple(_prefix_masks(col) for col in (*columns, list(map(sum, vectors))))
@@ -705,7 +723,7 @@ def _divisor_index(rhs: MonomialIdeal) -> tuple:
 
 def _in_staircase(I: MonomialIdeal, point: Sequence[int]) -> bool:
     """Whether some minimal generator of I divides the integer point: the
-    containment kernel's question at s = 0, asked of its cached index."""
+    containment kernel's question at s = 0, asked of its index."""
     return bool(_rows_below(_divisor_index(I), (*point, sum(point))))
 
 
@@ -742,7 +760,7 @@ def _first_outside(index, vectors: Iterable[tuple[int, ...]], s: int) -> tuple[i
     return None
 
 
-@lru_cache(maxsize=512, typed=True)
+@_fact
 def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monomial | None:
     """The first minimal generator of lhs, in canonical order, outside
     m^s * rhs, where m is the maximal ideal of the variables, as a
@@ -755,10 +773,8 @@ def containment_witness(lhs: MonomialIdeal, rhs: MonomialIdeal, s: int) -> Monom
     The generators of lhs are walked in canonical order against the index
     of rhs (`_first_outside`), each reusing the per-column ANDs of the
     prefix it shares with the one before, up to the first one outside.
-    Each (lhs, rhs, s) is answered once per process, keyed by value like
-    `symbolic_power`.  The memo is typed, so s = 1.0 never finds the entry
-    of s = 1 and is refused like 1.5: past 2^53 a float gap would round
-    the degree test.
+    Each (rhs, s) is answered once, a fact of lhs; s = 1.0 is refused like
+    1.5, as past 2^53 a float gap would round the degree test.
     """
     _check_same_ring(lhs, rhs)
     (s,) = _naturals((s,), "exponent")

@@ -67,15 +67,15 @@ def _parse_generator(text: str, names: tuple[str, ...], line: int) -> Monomial:
         return Monomial(tuple(int(e) for e in entries))
     if text == "1":
         return Monomial((0,) * len(names))
-    exps = [0] * len(names)
-    for factor in (f.strip() for f in text.split("*")):
+    exps, start = [0] * len(names), 1  # start: the column where the next piece begins
+    for piece in text.split("*"):
+        factor = piece.strip()
+        col, start = start + len(piece) - len(piece.lstrip()), start + len(piece) + 1
         m = _FACTOR.match(factor)
         if m is None:
-            col = text.find(factor) + 1
             raise ParseError(f"malformed factor {factor!r}", line, col)
         name, exp = m.group(1), m.group(2)
         if name not in names:
-            col = text.find(name) + 1
             raise ParseError(f"unknown variable {name!r}", line, col)
         if exp is not None and int(exp) == 0:
             raise ParseError(

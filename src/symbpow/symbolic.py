@@ -10,7 +10,7 @@ computed here exactly: the localization erases exponents outside P.
 An ideal whose generators' supports fall into two or more connected
 components is a sum I1 + I2 on disjoint variables: I1 is generated by the
 generators that the first one reaches through shared variables, I2 by the
-rest (`_split`, memoized by value).  Then (I1 + I2)^(m) is the sum over
+rest (`_split`, a fact of I).  Then (I1 + I2)^(m) is the sum over
 j = 0..m of I1^(j) * I2^(m-j) (Ha, Nguyen, Trung and Trung, "Symbolic
 powers of sums of ideals", Math. Z. 294, 2020), and its minimal
 generators are the products g1 * g2 of a minimal generator g1 of I1^(j)
@@ -24,8 +24,8 @@ products need no filter, and the same argument makes the j of a product
 unique.  I2^(m-j) splits again when I2 does; a principal ideal (g) gives
 (g^m) at once; any other connected ideal takes the route below.
 
-A connected ideal reads its localizations from
-`decomposition.localizations`, memoized by value, so each is built and
+A connected ideal reads its localizations, a fact of I kept while the
+caller holds I, from `decomposition.localizations`: each is built and
 its prime-power shape found once per ideal, not once per exponent.  A
 localization that is a prime power Q^k is never built out to Q^(km): it
 is a prime step, one call of the prime-power kernel on the running
@@ -50,22 +50,20 @@ exponents.  Twin-free ideals (cycles) keep I.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from operator import add
 
-from .decomposition import (_DECOMP_CACHE_SIZE, irreducible_decomposition,
-                            localizations, max_associated_primes)
-from .monomial import (MonomialIdeal, _canonical, _from_vectors,
+from .decomposition import (irreducible_decomposition, localizations,
+                            max_associated_primes)
+from .monomial import (MonomialIdeal, _canonical, _fact, _from_vectors,
                        _meet_simplex_power, _naturals, power, require_proper)
 from .monomial import intersect as ideal_intersect
 
 
-@lru_cache(maxsize=512, typed=True)
+@_fact
 def symbolic_power(I: MonomialIdeal, m: int) -> MonomialIdeal:
-    """The m-th symbolic power (m = 0 gives the unit ideal).  The cache is
-    typed, so 2.0 never finds the entry of 2 and is refused like 2.5."""
+    """The m-th symbolic power (m = 0 gives the unit ideal), a fact of I."""
     (m,) = _naturals((m,), "exponent")
     require_proper(I)
     if m == 0:
@@ -108,11 +106,11 @@ def _sum_power(I1: MonomialIdeal, I2: MonomialIdeal, m: int) -> list[tuple[int, 
     return out
 
 
-@lru_cache(maxsize=_DECOMP_CACHE_SIZE)
+@_fact
 def _split(I: MonomialIdeal):
-    """(I1, I2) when I = I1 + I2 on disjoint variables, else None; memoized
-    by value.  I1 is generated by the generators that the first one reaches
-    through shared variables, I2 by the rest, each in canonical order."""
+    """(I1, I2) when I = I1 + I2 on disjoint variables, else None.  I1 is
+    generated by the generators that the first one reaches through shared
+    variables, I2 by the rest, each in canonical order."""
     supports = [sum(1 << v for v, e in enumerate(g) if e) for g in I.vectors]
     reached, joined = supports[0], {0}
     grew = True
@@ -130,12 +128,12 @@ def _split(I: MonomialIdeal):
             MonomialIdeal(dim, tuple(g for n, g in enumerate(I.vectors) if n not in joined)))
 
 
-@lru_cache(maxsize=_DECOMP_CACHE_SIZE)
+@_fact
 def twin_quotient(I: MonomialIdeal):
     """(I', classes) when every localization of I is a prime power and some
-    twin class has two or more variables, else None; memoized by value.
-    Classes go by first variable (a variable in no prime is in none), and
-    I' is generated by the class sums of I's generators, one variable each."""
+    twin class has two or more variables, else None.  Classes go by first
+    variable (a variable in no prime is in none), and I' is generated by
+    the class sums of I's generators, one variable each."""
     locs = localizations(I)
     if any(L.simplex_power is None for _, L in locs):
         return None

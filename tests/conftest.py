@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from symbpow.monomial import Monomial, MonomialIdeal
+from symbpow.monomial import Monomial, MonomialIdeal, _Frozen
 from symbpow.rng import SplitRng
 
 
@@ -38,6 +38,18 @@ def vblock_calls(monkeypatch):
     monkeypatch.setattr(geometry, "_vblock_optimum",
                         lambda Q, objective: calls.append(Q) or real(Q, objective))
     return calls
+
+
+def drop_facts(*memos):
+    """Forget the facts that the given memos (`monomial._fact` functions)
+    keep on every live ideal and on the polyhedra among its facts, as if
+    each ideal had been dropped and built again."""
+    held = list(MonomialIdeal._interned.values())
+    held += [value for I in held for table in vars(I).values() if isinstance(table, dict)
+             for value in table.values() if isinstance(value, _Frozen)]
+    for value in held:
+        for memo in memos:
+            vars(value).pop(memo.__name__, None)
 
 
 def ideal_of(dim, *vecs) -> MonomialIdeal:

@@ -12,6 +12,8 @@ from symbpow import geometry, lp
 from symbpow.cli import main
 from symbpow.geometry import alpha_polyhedron
 
+from conftest import drop_facts
+
 ROT3 = "vars: x y z\ngens:\n  x*y^2\n  y*z^2\n  z*x^2\n  x*y*z\n"
 
 
@@ -161,7 +163,7 @@ def test_verification_failure_is_exit_4(rot3_file, capsys, monkeypatch):
     # an alpha LP whose reported optimum lies outside the polyhedron
     monkeypatch.setattr(lp, "solve_ge", lambda prog: lp.LPResult(
         lp.OPTIMAL, Fraction(0), (Fraction(0),) * len(prog.objective)))
-    alpha_polyhedron.cache_clear()
+    drop_facts(alpha_polyhedron)
     code, out, err = run_cli(capsys, "waldschmidt", rot3_file)
     assert code == 4
     assert out == ""

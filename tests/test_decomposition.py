@@ -20,7 +20,7 @@ from symbpow.monomial import (Monomial, MonomialIdeal, contains, intersect,
                               subset)
 from symbpow.symbolic import symbolic_power
 
-from conftest import ideal_of, random_general_corpus
+from conftest import drop_facts, ideal_of, random_general_corpus
 from test_symbolic import MIXED
 
 # a localization of ic4 is not integrally closed, and alpha(ic4) = 8 is
@@ -130,10 +130,9 @@ def test_localizations_pair_each_maximal_prime_with_its_localization(rot3, tripl
 
 def test_each_localization_is_built_once_per_ideal(monkeypatch):
     """Symbolic powers at five exponents, the symbolic polyhedron and the
-    integral-closure row share one ideal's localizations: on cold caches,
-    localize runs once per maximal associated prime."""
-    for cached in (localizations, symbolic_power, symbolic_polyhedron):
-        cached.cache_clear()
+    integral-closure row share one ideal's localizations: with no facts
+    known, localize runs once per maximal associated prime."""
+    drop_facts(localizations, symbolic_power, symbolic_polyhedron)
     built = []
     real = decomposition.localize
 

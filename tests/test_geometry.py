@@ -19,7 +19,7 @@ from symbpow.monomial import Monomial, MonomialIdeal, multiply, power
 from symbpow.rng import SplitRng
 
 import oracles
-from conftest import ideal_of, random_squarefree_corpus
+from conftest import drop_facts, ideal_of, random_squarefree_corpus
 from oracles import (caratheodory_decompose, convex_weights, np_member_lp,
                      realizing_denominator, stairs_member, unique_optimum)
 
@@ -28,14 +28,14 @@ F = Fraction
 
 @pytest.fixture
 def lower_max_rays(monkeypatch):
-    """A setter of geometry.MAX_RAYS for one test.  _probe_vertices is
-    keyed by Q alone and would keep a verdict reached under another
-    budget, so its memo is cleared at each setting and on the way out."""
+    """A setter of geometry.MAX_RAYS for one test.  _probe_vertices is a
+    fact of Q alone and would keep a verdict reached under another
+    budget, so it is dropped at each setting and on the way out."""
     def lower(value):
-        geometry._probe_vertices.cache_clear()
+        drop_facts(geometry._probe_vertices)
         monkeypatch.setattr(geometry, "MAX_RAYS", value)
     yield lower
-    geometry._probe_vertices.cache_clear()
+    drop_facts(geometry._probe_vertices)
 
 
 def test_simplex_power_membership():
@@ -74,22 +74,6 @@ def test_symbolic_polyhedron_components(rot3):
     # no component is a prime power, so the alpha LP has one λ block each
     assert all(N.simplex_power is None for _, N in Q.components)
     assert Q.components[0][1].gens == ((0, 1, 0), (2, 0, 0))
-
-
-def test_a_polyhedron_reads_its_fields_for_one_hash_only(rot3, monkeypatch):
-    """alpha_polyhedron and _probe_vertices are lru_caches keyed by Q: a
-    second hash(Q) must not hash every component again.  The value is the
-    hash of the field tuple, so an equal polyhedron hashes equal."""
-    Q = symbolic_polyhedron(rot3)
-    Q_type = type(Q)
-    values = Q_type._values
-    first = hash(Q)
-    assert first == hash(values(Q)) == hash(Q_type(Q.ambient_dim, Q.components))
-    reads = []
-    monkeypatch.setattr(Q_type, "_values",
-                        staticmethod(lambda obj: reads.append(obj) or values(obj)))
-    assert hash(Q) == first
-    assert reads == []
 
 
 def test_alpha_rot3(rot3):
@@ -207,12 +191,11 @@ def test_alpha_over_budget_breaks_no_call(vblock_calls, lower_max_rays, drop_tab
     assert vblock_calls == []
     lower_max_rays(4)
     if drop_tables:
-        newton_polyhedron.cache_clear()
-        symbolic_polyhedron.cache_clear()
+        drop_facts(newton_polyhedron, symbolic_polyhedron)
         Q = symbolic_polyhedron(G7A)
     with pytest.raises(ResourceLimitError):
         geometry._facet_optimum(Q, [1] * 7)
-    alpha_polyhedron.cache_clear()
+    drop_facts(alpha_polyhedron)
     assert (waldschmidt(G7A), waldschmidt_point(G7A)) == expected
     assert vblock_calls == [Q]
 
@@ -293,8 +276,7 @@ def test_one_certified_facet_table_per_ideal(monkeypatch):
     real = geometry._certified_facets
     monkeypatch.setattr(geometry, "_certified_facets",
                         lambda N, table: calls.append(N) or real(N, table))
-    newton_polyhedron.cache_clear()
-    symbolic_polyhedron.cache_clear()
+    drop_facts(newton_polyhedron, symbolic_polyhedron)
     ic4 = ideal_of(4, (2, 4, 4, 0), (3, 4, 1, 4), (4, 1, 3, 0), (3, 2, 4, 4), (1, 4, 3, 3))
     for _ in range(3):
         is_integrally_closed(ic4)
@@ -905,7 +887,7 @@ def test_tampered_facet_table_raises(monkeypatch, tamper):
     the first membership query."""
     real = geometry._facet_rays
     monkeypatch.setattr(geometry, "_facet_rays", lambda N: tamper(real(N)))
-    newton_polyhedron.cache_clear()  # a cached polyhedron may hold its table
+    drop_facts(newton_polyhedron)  # a known polyhedron may hold its table
     N = newton_polyhedron(TRIANGLE)
     with pytest.raises(VerificationError):
         np_member(N, (1, 1, 0))
@@ -913,11 +895,11 @@ def test_tampered_facet_table_raises(monkeypatch, tamper):
 
 def test_facet_table_over_budget_is_a_resource_limit(lower_max_rays, tmp_path):
     lower_max_rays(1)
-    # fresh polyhedra: the cached ones may hold a facet table already
-    newton_polyhedron.cache_clear()
+    # fresh polyhedra: the known ones may hold a facet table already
+    drop_facts(newton_polyhedron)
     with pytest.raises(ResourceLimitError):
         np_member(newton_polyhedron(TRIANGLE), (1, 1, 0))
-    symbolic_polyhedron.cache_clear()
+    drop_facts(symbolic_polyhedron)
     res = check("polyhedron_bound", TRIANGLE, {"m": 2})
     assert res.verdict == R.RESOURCE_LIMIT
     assert "double-description rays" in res.details["reason"]

@@ -24,7 +24,7 @@ from symbpow.results import CheckResult, encode_value
 from symbpow.symbolic import symbolic_power, twin_quotient
 
 from cli_pins import DIGESTS
-from conftest import ideal_of
+from conftest import drop_facts, ideal_of
 from oracles import by_definition
 
 
@@ -402,7 +402,7 @@ def test_every_row_and_its_rare_branches_are_pinned(rot3, triples4, edges3, monk
             for module, limit, value in limits:
                 patch.setattr(module, limit, value)
             if limits:
-                newton_polyhedron.cache_clear()
+                drop_facts(newton_polyhedron)
             return encode_value(result_to_dict(check(name, I, params),
                                                default_names(I.ambient_dim)))
 

@@ -46,6 +46,36 @@ def test_no_unused_import(path):
     assert unused_imports(path.read_text()) == []
 
 
+# the only lru_caches: kernel memos keyed by integers, not by an ideal
+KERNEL_MEMOS = {"_compositions", "_step_gathers", "_upper_set"}
+
+
+def lru_cached(source: str) -> list[str]:
+    """The functions and classes that functools.lru_cache or cache
+    decorates, by any spelling: @lru_cache, @lru_cache(...), @cache,
+    @functools.cache."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        for dec in getattr(node, "decorator_list", ()):
+            target = dec.func if isinstance(dec, ast.Call) else dec
+            if getattr(target, "attr", getattr(target, "id", None)) in ("lru_cache", "cache"):
+                found.append(node.name)
+    return found
+
+
+def test_the_check_sees_every_lru_cache():
+    assert lru_cached("@lru_cache(maxsize=2)\ndef f(I): pass\n@functools.cache\n"
+                      "def g(): pass\n@cached_property\ndef h(): pass\n"
+                      "class C:\n    @functools.lru_cache\n    def k(self): pass\n") == ["f", "g", "k"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_lru_cache_but_the_kernel_memos(path):
+    """A process-wide memo keyed by an ideal would outlive the ideal and
+    evict by count: an ideal's facts live on it (`monomial._fact`)."""
+    assert set(lru_cached(path.read_text())) <= KERNEL_MEMOS
+
+
 # `python -m symbpow ARGV` as a statement, so that sys.modules can be read after it
 RUN_MAIN = ("import runpy\n"
             "try:\n"

@@ -19,7 +19,7 @@ from symbpow.invariants import (alpha, beta, chudnovsky_bound,
 from symbpow.monomial import MonomialIdeal, maximal_ideal, power
 from symbpow.rng import SplitRng
 
-from conftest import ideal_of
+from conftest import drop_facts, ideal_of
 from oracles import alpha_equality_at_denominator, integrally_closed_by_box
 
 F = Fraction
@@ -130,9 +130,9 @@ def test_is_integrally_closed(monkeypatch, rot3):
     # x^250*y^250, with no budget on the exponents
     assert not is_integrally_closed(ideal_of(2, (40, 0), (0, 40)))
     assert not is_integrally_closed(ideal_of(2, (500, 0), (0, 500)))
-    # the one limit left is the facet table's; tables are memoized per
-    # ideal value, so rot3's is dropped before its budget is lowered
-    newton_polyhedron.cache_clear()
+    # the one limit left is the facet table's; a table is a fact of its
+    # ideal's polyhedron, so rot3's is dropped before its budget is lowered
+    drop_facts(newton_polyhedron)
     monkeypatch.setattr(geometry, "MAX_RAYS", 1)
     with pytest.raises(ResourceLimitError) as exc:
         is_integrally_closed(rot3)
@@ -143,7 +143,7 @@ def test_a_squarefree_ideal_is_closed_whatever_its_facet_table_costs(monkeypatch
     """A square-free ideal is radical, so integrally closed: the answer
     needs no facet table, though its table is over a budget of one ray."""
     I = ideal_of(5, *[[int(i in s) for i in range(5)] for s in combinations(range(5), 3)])
-    newton_polyhedron.cache_clear()
+    drop_facts(newton_polyhedron)
     monkeypatch.setattr(geometry, "MAX_RAYS", 1)
     assert is_integrally_closed(I)
     with pytest.raises(ResourceLimitError):
@@ -249,7 +249,7 @@ def test_only_the_corpus_ties_reach_the_vblock_lp(vblock_calls):
     """The facet-row LP's point is certified the only optimum on every
     ideal of the corpus but its three ties, and only those run the V-block
     LP, once each: waldschmidt_point reads the value's memo."""
-    alpha_polyhedron.cache_clear()
+    drop_facts(alpha_polyhedron)
     ties = []
     for name, I in _wald_corpus():
         before = len(vblock_calls)

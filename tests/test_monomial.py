@@ -1,4 +1,8 @@
+import copy
+import gc
+import pickle
 import re
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -15,9 +19,11 @@ from symbpow.monomial import (Monomial, MonomialIdeal, _bits, _divisor_index,
                               contains, intersect,
                               is_squarefree, maximal_ideal, multiply, power,
                               radical, subset)
+from symbpow.decomposition import localizations
+from symbpow.invariants import waldschmidt
 from symbpow.symbolic import symbolic_power
 
-from conftest import ideal_of
+from conftest import drop_facts, ideal_of
 from oracles import above_some, degree_monomials, pairwise_lcms, prime_power_oracle
 
 
@@ -97,7 +103,6 @@ def test_a_negative_exponent_is_refused_by_name(read):
 
 VALUES = {
     "Monomial": lambda: Monomial((1, 2)),
-    "MonomialIdeal": lambda: MonomialIdeal(2, ((1, 0), (0, 2))),
     "MonomialPrime": lambda: MonomialPrime(3, (2, 0)),
     "IrreducibleComponent": lambda: IrreducibleComponent(3, ((2, 1), (0, 2))),
     "NewtonPolyhedron": lambda: NewtonPolyhedron(2, ((0, 2), (1, 0))),
@@ -121,6 +126,41 @@ def test_value_types_are_immutable_values(make):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert tuple(getattr(a, name) for name in a._fields) == fields
+
+
+def test_equal_ideals_are_one_interned_value(monkeypatch):
+    """Equal ideals are one object, however built, whose hash is that of
+    the field tuple, computed once when it was interned; no field can be
+    assigned or deleted."""
+    a, b = MonomialIdeal(2, ((1, 0), (0, 2))), ideal_of(2, (0, 2), (1, 0), (1, 2))
+    fields = (a.ambient_dim, a.vectors)
+    assert a is b and a == b and not a != b
+    assert MonomialIdeal(2, ((1, 0), (0, 3))) is not a and MonomialIdeal(3, ()) is not a
+    assert pickle.loads(pickle.dumps(a)) is a and copy.copy(a) is a and copy.deepcopy(a) is a
+    reads = []
+    values = MonomialIdeal._values
+    monkeypatch.setattr(MonomialIdeal, "_values",
+                        staticmethod(lambda obj: reads.append(obj) or values(obj)))
+    assert hash(a) == hash(b) == hash(fields) and reads == []
+    assert a != fields
+    for name in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.ambient_dim, a.vectors) == fields
+
+
+def test_an_ideal_s_facts_go_with_it():
+    """Facts are kept on the ideal, not beside it: once the caller drops
+    an ideal whose symbolic powers, localizations and alpha are known, the
+    cycle collector frees it, and the intern table forgets it."""
+    I = ideal_of(3, (0, 7, 11), (5, 0, 11), (5, 7, 0), (3, 3, 3))
+    assert symbolic_power(I, 3) and localizations(I) and waldschmidt(I)
+    ref, key = weakref.ref(I), (I.ambient_dim, I.vectors)
+    del I
+    gc.collect()
+    assert ref() is None and key not in MonomialIdeal._interned
 
 
 def test_value_types_of_two_classes_differ():
@@ -246,7 +286,7 @@ def test_power_edge_cases():
 
 def test_power_reuses_lower_powers(monkeypatch):
     I = ideal_of(3, (2, 1, 0), (0, 1, 3), (1, 0, 1))
-    monomial._powers_of.cache_clear()
+    drop_facts(monomial._powers_of)
     calls = []
     real_multiply = monomial.multiply
     monkeypatch.setattr(monomial, "multiply",
@@ -430,8 +470,7 @@ def test_containment_is_answered_once_per_question(monkeypatch):
     value, makes no index query; another s against the same rhs queries
     the index built for the first."""
     lhs = power(maximal_ideal(3), 14)
-    containment_witness.cache_clear()
-    _divisor_index.cache_clear()
+    drop_facts(containment_witness, _divisor_index)
     queries, builds = _spy(monkeypatch, "_first_outside"), _spy(monkeypatch, "_prefix_masks")
     witness = containment_witness(lhs, HOLE, 4)
     asked, built = len(queries), len(builds)

@@ -58,6 +58,11 @@ def test_format_unit_and_zero():
     ("vars: x\ngens:\n  y\n", "unknown variable"),
     ("vars: x\ngens:\n  x^0\n", "zero exponent"),
     ("vars: x\ngens:\n  x^\n", "malformed factor"),
+    # the column is the faulty factor's own, counted in the generator
+    ("vars: x y\ngens:\n  x**y\n", "malformed factor '' (line 3, column 3)"),
+    ("vars: x y\ngens:\n  x*y*\n", "malformed factor '' (line 3, column 5)"),
+    ("vars: xx yy\ngens:\n  xx*x\n", "unknown variable 'x' (line 3, column 4)"),
+    ("vars: x y\ngens:\n  x * q\n", "unknown variable 'q' (line 3, column 5)"),
     ("vars: x y\ngens:\n  [1]\n", "expected 2"),
     ("vars: x\ngens:\n  [1 2\n", "malformed exponent vector"),
     ("stray\nvars: x\ngens:\n", "expected a vars"),

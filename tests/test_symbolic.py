@@ -18,7 +18,7 @@ from symbpow.symbolic import (equal_exponent_condition,
                               symbolic_equals_ordinary, symbolic_power,
                               twin_quotient)
 
-from conftest import ideal_of, random_squarefree_corpus
+from conftest import drop_facts, ideal_of, random_squarefree_corpus
 from oracles import by_definition, symbolic_power_oracle_sqfree
 
 
@@ -40,6 +40,21 @@ def test_non_integer_exponent_is_refused_whatever_the_cache_holds(rot3):
     for t in (2.5, "2"):
         with pytest.raises(ValueError, match="non-integer exponent"):
             power(rot3, t)
+
+
+def test_a_held_ideal_keeps_its_symbolic_powers(monkeypatch):
+    """Nothing is evicted while an ideal is held: after 600 more symbolic
+    powers of other held ideals, more than a 512-entry memo keeps, the
+    first is asked again and nothing is rebuilt."""
+    ideals = [ideal_of(3, (k, 1, 0), (0, 1, 1)) for k in range(1, 602)]
+    first = symbolic_power(ideals[0], 2)
+    for I in ideals[1:]:
+        symbolic_power(I, 2)
+    built = []
+    real = symbolic.localizations
+    monkeypatch.setattr(symbolic, "localizations", lambda I: built.append(I) or real(I))
+    assert symbolic_power(ideals[0], 2) is first
+    assert built == []
 
 
 def test_symbolic_equals_ordinary_for_primary():
@@ -256,12 +271,12 @@ def test_agreement_does_not_share_the_kernel(monkeypatch):
 
     monkeypatch.setattr(monomial, "_meet_simplex_power", mutant)
     monkeypatch.setattr(symbolic, "_meet_simplex_power", mutant)
-    symbolic_power.cache_clear()
+    drop_facts(symbolic_power)
     try:
         assert symbolic_power(I, m_) != expected
         assert by_definition(I, m_) == symbolic_power_oracle_sqfree(I, m_) == expected
     finally:
-        symbolic_power.cache_clear()
+        drop_facts(symbolic_power)
 
 
 def test_a_dropped_product_of_the_split_route_is_caught(monkeypatch):
@@ -274,12 +289,12 @@ def test_a_dropped_product_of_the_split_route_is_caught(monkeypatch):
     expected = by_definition(I, m_)
     sum_power = symbolic._sum_power
     monkeypatch.setattr(symbolic, "_sum_power", lambda *args: sum_power(*args)[:-1])
-    symbolic_power.cache_clear()
+    drop_facts(symbolic_power)
     try:
         assert symbolic_power(I, m_) != expected
         assert by_definition(I, m_) == expected
     finally:
-        symbolic_power.cache_clear()
+        drop_facts(symbolic_power)
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +422,7 @@ def test_squarefree_symbolic_power_builds_no_component(monkeypatch, seed):
     def refuse(*args):
         raise AssertionError("a component was built")
 
-    symbolic_power.cache_clear()
+    drop_facts(symbolic_power)
     monkeypatch.setattr(symbolic, "power", refuse)
     monkeypatch.setattr(symbolic, "ideal_intersect", refuse)
     assert [symbolic_power(I, m_) for I, m_ in cases] == expected
@@ -418,15 +433,14 @@ def test_squarefree_symbolic_power_builds_no_component(monkeypatch, seed):
     MIXED], ids=["squarefree", "general"])
 def test_ideal_operations_build_no_monomial(monkeypatch, I):
     """Ideals are exponent vectors inside the package: symbolic_power,
-    power, intersect and irreducible_decomposition build no Monomial, on
-    cold caches.  `gens` derives the Monomials from the vectors."""
+    power, intersect and irreducible_decomposition build no Monomial, with
+    their facts dropped.  `gens` derives the Monomials from the vectors."""
     J = ideal_of(4, (2, 1, 0, 0), (0, 0, 2, 1), (1, 0, 1, 0))
     P = ideal_of(4, (0, 1, 0, 0), (0, 0, 1, 0))
 
     def run():
-        for cached in (symbolic_power, irreducible_decomposition,
-                       associated_primes, monomial._powers_of):
-            cached.cache_clear()
+        drop_facts(symbolic_power, irreducible_decomposition, associated_primes,
+                   monomial._powers_of)
         return (symbolic_power(I, 3), power(I, 3), intersect(I, J),
                 intersect(I, power(P, 2)), irreducible_decomposition(I))
 
