@@ -195,6 +195,7 @@ def max_associated_primes(I: MonomialIdeal) -> tuple[MonomialPrime, ...]:
                  if not any(q is not p and q.contains(p) for q in primes))
 
 
+@_fact
 def _big_height(I: MonomialIdeal) -> int:
     """big_height without the warning, for callers inside the package; each
     public entry point warns once, through warn_if_powers_coincide."""
@@ -251,6 +252,7 @@ def localizations(I: MonomialIdeal) -> tuple[tuple[MonomialPrime, MonomialIdeal]
     return tuple((P, localize(I, P)) for P in max_associated_primes(I))
 
 
+@_fact
 def sigma(I: MonomialIdeal) -> int:
     """Least support size over the minimal generators.  Every monomial of I
     is divisible by a generator, so it is the least support size over all

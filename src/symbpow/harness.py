@@ -20,11 +20,11 @@ A row takes its parameters only: budgets and sample sizes are module
 constants, read where they bind.  A suite runs a selection of rows over
 their grids against one ideal and tallies the outcomes.  A scan
 generates a pseudo-random corpus (square-free ideals come from
-intersecting a minimal family of monomial primes, which doubles as a
-free oracle for the associated primes) and runs a suite on each member,
-collecting failures of proven statements (bugs) and failures of
-conjectured ones (candidate counterexamples) into a findings list with
-enough detail to reproduce each one.
+intersecting a minimal family of monomial primes, one prime step each,
+which doubles as a free oracle for the associated primes) and runs a
+suite on each member, collecting failures of proven statements (bugs)
+and failures of conjectured ones (candidate counterexamples) into a
+findings list with enough detail to reproduce each one.
 
 Reports serialize two ways: human-oriented text, and line-delimited JSON
 with sorted keys, exact "p/q" rationals, and no wall-clock timings, so a
@@ -50,9 +50,10 @@ from .errors import (PowersCoincideWarning, ResourceLimitError,
 from .geometry import member_scaled, probe_points, symbolic_polyhedron
 from .invariants import (_chudnovsky_bound, alpha, beta, is_equigenerated,
                          is_integrally_closed, waldschmidt)
-from .monomial import (Monomial, MonomialIdeal, _divisor_index, _first_outside,
-                       _from_vectors, _in_staircase, containment_witness,
-                       contains, intersect, is_squarefree, power, require_proper)
+from .monomial import (Monomial, MonomialIdeal, _canonical, _divisor_index,
+                       _first_outside, _from_vectors, _in_staircase,
+                       _meet_simplex_power, containment_witness, contains,
+                       is_squarefree, power, require_proper)
 from .parsing import default_names, format_ideal
 from .results import CheckResult
 from .rng import SplitRng
@@ -83,6 +84,8 @@ def _integers(values: dict, lists=()) -> dict:
     """values read through operator.index, which takes an int or a bool and
     refuses a float or a string; a key in lists holds a sequence, read entry
     by entry into a tuple.  One ValueError names every key that does not."""
+    if not lists and all(v.__class__ is int for v in values.values()):
+        return dict(values)  # every grid point: nothing to read
     read, bad = {}, []
     for key, value in values.items():
         try:
@@ -517,12 +520,14 @@ def _random_prime_family(rng: SplitRng, nvars: int):
 
 
 def _random_squarefree(rng: SplitRng, nvars: int):
+    """The meet of a minimal prime family, and the family: one prime step
+    (`monomial._meet_simplex_power` at degree 1) per prime from the unit
+    ideal, sorted once at the end."""
     fam = _random_prime_family(rng, nvars)
-    ideal = None
+    running = [(0,) * nvars]
     for p in fam:
-        prime = MonomialPrime(nvars, p).to_ideal()
-        ideal = prime if ideal is None else intersect(ideal, prime)
-    return ideal, fam
+        running = _meet_simplex_power(running, nvars, p, 1)
+    return _canonical(nvars, running), fam
 
 
 def _random_general(rng: SplitRng, nvars: int, max_exp: int, max_gens: int):

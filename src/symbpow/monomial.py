@@ -54,8 +54,10 @@ time copies the whole int per bit.  `intersect` and `power` sort each
 call's output into an ideal; `symbolic_power` chains the kernel over the
 prime-power localizations of a connected ideal (all of them, for a
 square-free one) and sorts only the end result; a sum on disjoint
-variables never reaches the kernel itself.  Nothing else calls the
-kernel.  Its integer-keyed memos are the package's only lru_caches.
+variables never reaches the kernel itself.  The scan's square-free draw
+(`harness._random_squarefree`) meets its prime family with it, one
+degree-1 step per prime.  Nothing else calls the kernel.  Its
+integer-keyed memos are the package's only lru_caches.
 """
 
 from __future__ import annotations
@@ -108,15 +110,22 @@ class _Frozen:
 
 def _fact(fn):
     """fn(obj, *key), computed once and kept in obj's own dict while obj
-    lives; a key ends in a natural number, looked up only as an exact int."""
+    lives.  A fact may take no key (an invariant of obj); a key ends in a
+    natural number, looked up only as an exact int.  A hit is one dict
+    probe; a call that raises keeps nothing."""
+    name = fn.__name__
+
     @wraps(fn)
     def read(obj, *key):
         if key and key[-1].__class__ is not int:  # 2.0 is refused like 2.5
             return fn(obj, *key)
-        facts = obj.__dict__.setdefault(fn.__name__, {})
-        if key not in facts:
-            facts[key] = fn(obj, *key)
-        return facts[key]
+        try:
+            return obj.__dict__[name][key]
+        except KeyError:
+            pass
+        value = fn(obj, *key)
+        obj.__dict__.setdefault(name, {})[key] = value
+        return value
     return read
 
 
@@ -696,7 +705,8 @@ def power(I: MonomialIdeal, t: int) -> MonomialIdeal:
     carry redundant elements; lower powers are a fact of I (`_powers_of`),
     so a run of powers of one ideal multiplies by I once per step, with no
     recursion however large t is."""
-    (t,) = _naturals((t,), "exponent")
+    if t.__class__ is not int or t < 0:
+        (t,) = _naturals((t,), "exponent")
     if t == 0:
         return MonomialIdeal.unit(I.ambient_dim)
     if I.is_zero or I.is_unit or t == 1:
@@ -795,6 +805,7 @@ def radical(I: MonomialIdeal) -> MonomialIdeal:
                          [tuple(min(e, 1) for e in g) for g in I.vectors])
 
 
+@_fact
 def is_squarefree(I: MonomialIdeal) -> bool:
     return all(e <= 1 for g in I.vectors for e in g)
 

@@ -18,6 +18,13 @@ class SplitRng:
     def __init__(self, seed: int, path: tuple = ()):
         self.seed = operator.index(seed)  # 1.5 raises, not draws seed 1's stream
         self.path = tuple(str(p) for p in path)
+        # the tag joins the labels with "/", so a label holding one would
+        # draw another path's stream, ("a/b",) that of ("a", "b"), and so
+        # would an empty one, ("",) that of (); the seed and the counter are
+        # integers, so "|" around the path is unambiguous
+        if not all(p and "/" not in p for p in self.path):
+            raise ValueError(f"a stream label must be non-empty, without '/': {self.path}")
+        self._tag = f"{self.seed}|{'/'.join(self.path)}|"
         self._counter = 0
 
     def child(self, *labels) -> SplitRng:
@@ -28,7 +35,7 @@ class SplitRng:
         # imported at the first draw, not with the package: hashlib loads
         # OpenSSL, a few milliseconds that a command drawing nothing skips
         import hashlib
-        tag = f"{self.seed}|{'/'.join(self.path)}|{self._counter}"
+        tag = f"{self._tag}{self._counter}"
         self._counter += 1
         digest = hashlib.blake2b(tag.encode("utf-8"), digest_size=16).digest()
         return int.from_bytes(digest, "big")

@@ -147,6 +147,7 @@ def twin_quotient(I: MonomialIdeal):
                                         for g in I.vectors]), classes
 
 
+@_fact
 def equal_exponent_condition(I: MonomialIdeal) -> bool:
     """True when, for each variable, all irreducible components that involve
     it use one and the same exponent (square-free ideals trivially qualify)."""

@@ -1,15 +1,15 @@
 import hashlib
 import json
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, wraps
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import symbpow.results as R
-from symbpow import geometry, harness, monomial, symbolic
-from symbpow.decomposition import MonomialPrime, big_height
+from symbpow import decomposition, geometry, harness, invariants, monomial, symbolic
+from symbpow.decomposition import MonomialPrime, associated_primes, big_height, sigma
 from symbpow.errors import (PowersCoincideWarning, ResourceLimitError,
                             VerificationError)
 from symbpow.geometry import newton_polyhedron
@@ -21,6 +21,7 @@ from symbpow.monomial import (Monomial, MonomialIdeal, containment_witness, cont
                               intersect, power)
 from symbpow.parsing import default_names
 from symbpow.results import CheckResult, encode_value
+from symbpow.rng import SplitRng
 from symbpow.symbolic import symbolic_power, twin_quotient
 
 from cli_pins import DIGESTS
@@ -297,6 +298,19 @@ def test_scan_different_seeds_differ():
     a = scan(ScanConfig(count=5, seed=1, num_vars=(3,)))
     b = scan(ScanConfig(count=5, seed=2, num_vars=(3,)))
     assert scan_jsonl(a) != scan_jsonl(b)
+
+
+@pytest.mark.parametrize("nvars", range(2, 9))
+def test_the_squarefree_draw_is_the_general_meet_of_its_family(nvars):
+    """The scan's square-free draw meets its prime family by prime steps;
+    `intersect`, folded over the same primes, is its oracle, and the family
+    must come back as the ideal's associated primes."""
+    for seed in range(3):
+        root = SplitRng(seed, ("draw", nvars))
+        for i in range(15):
+            I, fam = harness._random_squarefree(root.child(f"ideal{i}"), nvars)
+            assert I == reduce(intersect, [MonomialPrime(nvars, p).to_ideal() for p in fam])
+            assert [P.variables for P in associated_primes(I)] == fam
 
 
 def test_scan_squarefree_has_ass_oracle():
@@ -679,3 +693,53 @@ def test_a_split_twin_quotient_decides_as_the_full_ideal(I, a, b, t, s):
     witness = containment_witness(lhs, rhs, s)
     row = harness._contained(I, a, b, t, s, {})
     assert (row.verdict, row.witness) == (R.HOLDS if witness is None else R.FAILS, witness)
+
+
+# the invariants of an ideal that the check rows read at every grid point
+INVARIANTS = (monomial.is_squarefree, decomposition._big_height, decomposition.sigma,
+              symbolic.equal_exponent_condition)
+
+
+def test_each_invariant_is_computed_once_per_ideal(monkeypatch, triples4, rot3):
+    """A suite reads the four invariants at each of its grid points, and
+    each is computed once per ideal, a fact of it (`monomial._fact`), which
+    drop_facts forgets.  A refused argument still raises as it did, and
+    keeps nothing."""
+    calls = {fact.__name__: [] for fact in INVARIANTS}
+    for fact in INVARIANTS:
+        raw = fact.__wrapped__
+        counted = monomial._fact(
+            wraps(raw)(lambda I, raw=raw: calls[raw.__name__].append(I) or raw(I)))
+        for module in (monomial, decomposition, symbolic, invariants, harness):
+            for attr, value in list(vars(module).items()):
+                if value is fact:
+                    monkeypatch.setattr(module, attr, counted)
+    drop_facts(*INVARIANTS)
+    for I in (triples4, rot3):
+        run_suite(I)
+    for name, seen in calls.items():
+        assert {triples4, rot3} <= set(seen), name
+        assert len(seen) == len(set(seen)), name
+
+    drop_facts(*INVARIANTS)
+    assert not any(fact.__name__ in vars(triples4) for fact in INVARIANTS)
+    before = len(calls["sigma"])
+    run_suite(triples4, checks=["support_step"])
+    assert calls["sigma"][before:] == [triples4]
+
+    unit = MonomialIdeal.unit(4)
+    with pytest.raises(ValueError, match="proper"):
+        sigma(unit)
+    assert "sigma" not in vars(unit)
+    check("symbolic_step", rot3, {"r": 1})
+    held = {name: dict(table) for name, table in vars(rot3).items() if isinstance(table, dict)}
+    powers = list(vars(rot3).get("_powers_of", {}).get((), []))
+    with pytest.raises(ValueError, match="non-integer exponent"):
+        power(rot3, 2.0)
+    with pytest.raises(ValueError, match="negative exponent"):
+        power(rot3, -1)
+    with pytest.raises(ValueError, match="^not an integer: r$"):
+        check("symbolic_step", rot3, {"r": 1.5})
+    assert held == {name: dict(table) for name, table in vars(rot3).items()
+                    if isinstance(table, dict)}
+    assert powers == list(vars(rot3).get("_powers_of", {}).get((), []))

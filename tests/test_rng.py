@@ -55,3 +55,26 @@ def test_a_seed_that_is_not_an_int_is_refused():
     for seed in (1.5, 1.0, "1"):
         with pytest.raises(TypeError):
             SplitRng(seed)
+
+
+def test_the_scan_streams_are_pinned():
+    """The first draws of the scan's root stream and of its first ideal's:
+    a change to the tag that a draw hashes fails here by name, before any
+    scan digest moves."""
+    root = SplitRng(2026, ("scan",))
+    child = root.child("ideal0")
+    assert [root.randint(0, 10**9) for _ in range(8)] == [
+        320326325, 697245523, 974022314, 961730208,
+        297445196, 696275346, 489413923, 497697884]
+    assert [child.randint(0, 10**9) for _ in range(8)] == [
+        429599935, 161468826, 204056063, 533504624,
+        157579336, 908064007, 25008869, 88359375]
+
+
+@pytest.mark.parametrize("path,labels", [
+    (("a/b",), ()), (("a",), ("b/c",)), (("a",), ("/",)), ((), ("",)), (("", "a"), ())])
+def test_a_label_that_would_draw_another_paths_stream_is_refused(path, labels):
+    """The tag joins a path's labels with "/": ("a/b",) drew the stream of
+    ("a", "b") and of ("a",).child("b"), and ("",) that of ()."""
+    with pytest.raises(ValueError, match="stream label"):
+        SplitRng(1, path).child(*labels)
