@@ -40,9 +40,9 @@ import warnings
 from .errors import (DimensionMismatchError, NonAssociatedPrimeWarning,
                      PowersCoincideWarning, VerificationError)
 from .monomial import (MonomialIdeal, _canonical, _fact, _from_vectors,
-                       _Frozen, _naturals, _prefix_masks, _rows_below,
-                       _variable_names, is_squarefree, minimal_vectors,
-                       require_proper)
+                       _Frozen, _naturals, _prefix_masks, _pure_powers,
+                       _rows_below, _variable_names, is_squarefree,
+                       minimal_vectors, require_proper)
 
 
 class MonomialPrime(_Frozen):
@@ -57,9 +57,7 @@ class MonomialPrime(_Frozen):
             raise ValueError("a monomial prime needs at least one variable")
         if vs[-1] >= ambient_dim:
             raise ValueError(f"variable index out of range for dim {ambient_dim}")
-        fields = self.__dict__
-        fields["ambient_dim"] = ambient_dim
-        fields["variables"] = vs
+        self._store(ambient_dim, vs)
 
     @property
     def height(self) -> int:
@@ -69,11 +67,7 @@ class MonomialPrime(_Frozen):
         return set(other.variables) <= set(self.variables)
 
     def to_ideal(self) -> MonomialIdeal:
-        """Distinct variables divide none of each other, so they are the
-        minimal generators as they stand."""
-        dim = self.ambient_dim
-        return _canonical(dim, [tuple(int(j == i) for j in range(dim))
-                                for i in self.variables])
+        return _pure_powers(self.ambient_dim, [(v, 1) for v in self.variables])
 
     def render(self, names=None) -> str:
         names = _variable_names(names, self.ambient_dim)
@@ -90,30 +84,21 @@ class IrreducibleComponent(_Frozen):
     _fields = ("ambient_dim", "powers")
 
     def __init__(self, ambient_dim: int, powers: tuple[tuple[int, int], ...]):
-        (ambient_dim,) = _naturals((ambient_dim,), "ambient_dim")
         ps = tuple(sorted(_naturals(p, "variable power") for p in powers))
-        if not ps:
-            raise ValueError("an irreducible component needs at least one variable power")
         if any(e < 1 for _, e in ps):
             raise ValueError("variable powers must be at least 1")
-        if ps[-1][0] >= ambient_dim:
-            raise ValueError(f"variable index out of range for dim {ambient_dim}")
-        if len({v for v, _ in ps}) != len(ps):
+        # its variables are read as its radical's: at least one, in the ring
+        radical = MonomialPrime(ambient_dim, [v for v, _ in ps])
+        if radical.height != len(ps):
             raise ValueError("repeated variable in component")
-        fields = self.__dict__
-        fields["ambient_dim"] = ambient_dim
-        fields["powers"] = ps
+        self._store(radical.ambient_dim, ps)
 
     @property
     def radical(self) -> MonomialPrime:
         return MonomialPrime(self.ambient_dim, tuple(v for v, _ in self.powers))
 
     def to_ideal(self) -> MonomialIdeal:
-        """Pure powers of distinct variables divide none of each other, so
-        they are the minimal generators as they stand."""
-        dim = self.ambient_dim
-        return _canonical(dim, [tuple(e if j == v else 0 for j in range(dim))
-                                for v, e in self.powers])
+        return _pure_powers(self.ambient_dim, self.powers)
 
     def render(self, names=None) -> str:
         return self.to_ideal().render(names)
@@ -202,12 +187,16 @@ def _big_height(I: MonomialIdeal) -> int:
     return max(p.height for p in associated_primes(I))
 
 
+def _powers_coincide(I: MonomialIdeal) -> bool:
+    """Whether the big height equals the variable count: the graded maximal
+    ideal is then associated, and symbolic powers are ordinary powers."""
+    return _big_height(I) == I.ambient_dim
+
+
 def warn_if_powers_coincide(I: MonomialIdeal) -> None:
-    """PowersCoincideWarning when the big height equals the variable count:
-    the graded maximal ideal is then associated, and symbolic powers
-    coincide with ordinary powers.  Public entry points call it once, and
-    the warning names the line that called them."""
-    if _big_height(I) == I.ambient_dim:
+    """PowersCoincideWarning when they coincide; public entry points call it
+    once, and the warning names the line that called them."""
+    if _powers_coincide(I):
         warnings.warn(
             "big-height equals the number of variables: symbolic powers "
             "of this ideal are its ordinary powers",

@@ -61,9 +61,7 @@ class NewtonPolyhedron(_Frozen):
             raise ValueError("a Newton polyhedron needs at least one generator")
         if any(len(g) != ambient_dim for g in gens):
             raise ValueError("generator dimension mismatch")
-        fields = self.__dict__
-        fields["ambient_dim"] = ambient_dim
-        fields["gens"] = gens
+        self._store(ambient_dim, gens)
 
     @cached_property
     def simplex_power(self) -> tuple[tuple[int, ...], int] | None:
@@ -98,9 +96,13 @@ class SymbolicPolyhedron(_Frozen):
 
     def __init__(self, ambient_dim: int,
                  components: tuple[tuple[MonomialPrime, NewtonPolyhedron], ...]):
-        fields = self.__dict__
-        fields["ambient_dim"] = ambient_dim
-        fields["components"] = components
+        ambient_dim = _ambient_dim(ambient_dim)
+        if type(components) is not tuple or any(
+                type(c) is not tuple or tuple(map(type, c)) != (MonomialPrime, NewtonPolyhedron)
+                or {x.ambient_dim for x in c} != {ambient_dim} for c in components):
+            raise ValueError("components must be a tuple of (MonomialPrime, "
+                             f"NewtonPolyhedron) pairs in {ambient_dim} variables")
+        self._store(ambient_dim, components)
 
 
 @_fact

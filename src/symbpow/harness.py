@@ -43,17 +43,16 @@ from itertools import product
 from math import ceil, comb, prod
 
 from . import results as R
-from .decomposition import (MonomialPrime, _big_height, associated_primes,
+from .decomposition import (MonomialPrime, _big_height, _powers_coincide, associated_primes,
                             localizations, sigma, warn_if_powers_coincide)
 from .errors import (PowersCoincideWarning, ResourceLimitError,
                      VerificationError)
 from .geometry import member_scaled, probe_points, symbolic_polyhedron
 from .invariants import (_chudnovsky_bound, alpha, beta, is_equigenerated,
                          is_integrally_closed, waldschmidt)
-from .monomial import (Monomial, MonomialIdeal, _canonical, _divisor_index,
-                       _first_outside, _from_vectors, _in_staircase,
-                       _meet_simplex_power, containment_witness, contains,
-                       is_squarefree, power, require_proper)
+from .monomial import (Monomial, MonomialIdeal, _canonical, _from_vectors,
+                       _in_staircase, _meet_simplex_power, containment_witness,
+                       contains, is_squarefree, power, require_proper)
 from .parsing import default_names, format_ideal
 from .results import CheckResult
 from .rng import SplitRng
@@ -112,10 +111,11 @@ def _contained(I, a, b, t, s, details, probe_witness=False, params=None, kind=No
     Adv. Math. 210, 2007): the kernel decides on the sides of the
     `twin_quotient` I', with a, b, t, s taken from I, and the counts are
     fibre counts.  A holding verdict builds no side of I.  A failing one's
-    witness, the canonical-first failing generator of I^(a), is the
-    lex-least of I'^(a)'s failing generators of least degree, each class's
-    mass put on its highest-index variable, and must be a minimal generator
-    of I^(a) (`_lifted`).  Twin-free inputs (cycles) gain nothing.  Either
+    witness, the canonical-first failing generator of I^(a), is I'^(a)'s
+    with each class's mass on its last variable, which no other spread of
+    it sorts below; the classes go by last variable, so the lifts sort as
+    the quotient's vectors do.  It must be a minimal generator of I^(a)
+    (`_lifted`).  Twin-free inputs (cycles) gain nothing.  Either
     way the witness f is re-tested by a plain scan over the full rhs, not
     the kernel's index: it lies outside exactly when no generator h divides
     it with deg f - deg h >= s; else VerificationError.  probe_witness: on
@@ -127,7 +127,7 @@ def _contained(I, a, b, t, s, details, probe_witness=False, params=None, kind=No
                                 for c in K.vectors) for K in (lhs, rhs)))
     witness = containment_witness(lhs, rhs, s)
     if witness is not None and classes:
-        witness = _lifted(I, a, s, lhs, rhs, classes, witness.exponents)
+        witness = _lifted(I, a, classes, witness.exponents)
         rhs = power(symbolic_power(I, b), t)
     if witness is not None:
         f = witness.exponents
@@ -141,15 +141,13 @@ def _contained(I, a, b, t, s, details, probe_witness=False, params=None, kind=No
     return Outcome(_holds(witness is None), details, witness, params, kind)
 
 
-def _lifted(I, a, s, qlhs, qrhs, classes, first):
+def _lifted(I, a, classes, first):
     """The witness on I of first, the kernel's on the quotient, by
     `_contained`'s rule.  It must be a minimal generator of I^(a), the meet
     of P^(ka) over the localizations P^k: at least ka on each P, every
     variable it uses in a P where it has exactly ka; else VerificationError."""
-    rest = iter([c for c in qlhs.vectors if sum(c) == sum(first)])
-    index, top = _divisor_index(qrhs), {C[-1]: j for j, C in enumerate(classes)}
-    f = min(tuple(c[top[v]] if v in top else 0 for v in range(I.ambient_dim))
-            for c in [first, *iter(lambda: _first_outside(index, rest, s), None)])
+    top = {C[-1]: n for C, n in zip(classes, first)}
+    f = tuple(top.get(v, 0) for v in range(I.ambient_dim))
     gaps = [(sum(f[v] for v in S) - k * a, S) for S, k in
             (L.simplex_power for _, L in localizations(I))]
     tight = {v for gap, S in gaps if gap == 0 for v in S}
@@ -626,8 +624,7 @@ def scan(config: ScanConfig) -> ScanReport:
         warnings.simplefilter("ignore", PowersCoincideWarning)
         suites = tuple(_scan_suite(root.child(f"ideal{i}"), i, config)
                        for i in range(config.count))
-    coincide = [s.label for s in suites
-                if _big_height(s.ideal) == s.ideal.ambient_dim]
+    coincide = [s.label for s in suites if _powers_coincide(s.ideal)]
     if coincide:
         warnings.warn(
             f"{len(coincide)} of {len(suites)} scanned ideals (first "

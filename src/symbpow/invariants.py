@@ -34,8 +34,7 @@ def beta(I: MonomialIdeal) -> int:
 
 
 def is_equigenerated(I: MonomialIdeal) -> bool:
-    require_proper(I)
-    return sum(I.vectors[0]) == sum(I.vectors[-1])
+    return alpha(I) == beta(I)
 
 
 def waldschmidt(I: MonomialIdeal) -> Fraction:

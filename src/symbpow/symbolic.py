@@ -112,26 +112,22 @@ def _split(I: MonomialIdeal):
     generated by the generators that the first one reaches through shared
     variables, I2 by the rest, each in canonical order."""
     supports = [sum(1 << v for v, e in enumerate(g) if e) for g in I.vectors]
-    reached, joined = supports[0], {0}
-    grew = True
-    while grew:
-        grew = False
-        for n, s in enumerate(supports):
-            if n not in joined and s & reached:
+    reached, last = supports[0], 0  # the variables the first generator reaches
+    while reached != last:
+        last = reached
+        for s in supports:
+            if s & reached:
                 reached |= s
-                joined.add(n)
-                grew = True
-    if len(joined) == len(supports):
-        return None
-    dim = I.ambient_dim
-    return (MonomialIdeal(dim, tuple(g for n, g in enumerate(I.vectors) if n in joined)),
-            MonomialIdeal(dim, tuple(g for n, g in enumerate(I.vectors) if n not in joined)))
+    first = tuple(g for g, s in zip(I.vectors, supports) if s & reached)
+    rest = tuple(g for g, s in zip(I.vectors, supports) if not s & reached)
+    return (MonomialIdeal(I.ambient_dim, first),
+            MonomialIdeal(I.ambient_dim, rest)) if rest else None
 
 
 @_fact
 def twin_quotient(I: MonomialIdeal):
     """(I', classes) when every localization of I is a prime power and some
-    twin class has two or more variables, else None.  Classes go by first
+    twin class has two or more variables, else None.  Classes go by last
     variable (a variable in no prime is in none), and I' is generated by
     the class sums of I's generators, one variable each."""
     locs = localizations(I)
@@ -139,8 +135,8 @@ def twin_quotient(I: MonomialIdeal):
         return None
     keys = [frozenset(n for n, (P, _) in enumerate(locs) if v in P.variables)
             for v in range(I.ambient_dim)]
-    classes = tuple(tuple(v for v, k in enumerate(keys) if k == key)
-                    for key in dict.fromkeys(keys) if key)
+    classes = tuple(sorted((tuple(v for v, k in enumerate(keys) if k == key)
+                            for key in dict.fromkeys(keys) if key), key=max))
     if len(classes) == sum(map(len, classes)):
         return None
     return _from_vectors(len(classes), [tuple(sum(g[v] for v in C) for C in classes)

@@ -51,31 +51,21 @@ def pairwise_lcms(avecs, bvecs) -> list[tuple[int, ...]]:
     return [tuple(map(max, a, b)) for a in avecs for b in bvecs]
 
 
-def pairwise_sums(avecs, bvecs) -> list[tuple[int, ...]]:
-    """The sum of every pair of exponent vectors, one from each side: the
-    literal candidate set of a product, before minimalization."""
-    return [tuple(map(add, a, b)) for a in avecs for b in bvecs]
-
-
-def minimal_oracle(dim: int, vectors) -> MonomialIdeal:
-    """The ideal of candidate vectors, minimalized by a linear scan: visited
-    in (degree, lex) order, a vector is kept unless a kept one lies at or
-    below it (`above_some`), as a proper divisor has the smaller degree."""
-    kept = []
-    for v in sorted(set(vectors), key=lambda v: (sum(v), v)):
-        if not above_some(kept, v):
-            kept.append(v)
-    return MonomialIdeal(dim, tuple(kept))
-
-
 def power_oracle(I: MonomialIdeal, n: int) -> MonomialIdeal:
     """I^n for n >= 1 by repeated pairwise sums with the generators of I,
-    each product minimalized by `minimal_oracle`: no product, power or
-    minimalization of the package runs."""
-    out = I
+    each product minimalized by a linear scan: visited in (degree, lex)
+    order, a sum is kept unless a kept one lies at or below it
+    (`above_some`), as a proper divisor has the smaller degree.  No
+    product, power or minimalization of the package runs."""
+    out = I.vectors
     for _ in range(n - 1):
-        out = minimal_oracle(I.ambient_dim, pairwise_sums(out.vectors, I.vectors))
-    return out
+        kept = []
+        for v in sorted({tuple(map(add, a, b)) for a in out for b in I.vectors},
+                        key=lambda v: (sum(v), v)):
+            if not above_some(kept, v):
+                kept.append(v)
+        out = kept
+    return MonomialIdeal(I.ambient_dim, tuple(out))
 
 
 def symbolic_power_oracle_sqfree(I: MonomialIdeal, m: int) -> MonomialIdeal:

@@ -53,6 +53,10 @@ def test_monomial_rejects_non_integer(bad):
         Monomial((bad, 1))
 
 
+PLANE = (MonomialPrime(2, (0, 1)), NewtonPolyhedron(2, ((1, 0), (0, 2))))
+SPACE = (MonomialPrime(3, (0, 1)), NewtonPolyhedron(3, ((1, 0, 0), (0, 2, 0))))
+
+
 @pytest.mark.parametrize("make", [
     lambda: MonomialPrime(3, (1.5, 2.9)),  # once (x1, x2)
     lambda: MonomialPrime(3, ("1",)),
@@ -76,16 +80,32 @@ def test_monomial_rejects_non_integer(bad):
     lambda: MonomialIdeal.zero(-1),
     lambda: MonomialIdeal.unit(0),
     lambda: NewtonPolyhedron(0, [()]),
+    lambda: maximal_ideal(0),  # once the zero ideal in 0 variables
+    lambda: maximal_ideal(2.0),  # once a TypeError
+    # once member_scaled zipped a 3-variable facet row against a 2-variable point
+    lambda: SymbolicPolyhedron(2, (SPACE,)),
+    lambda: SymbolicPolyhedron(2, (PLANE, (PLANE[0], SPACE[1]))),
+    lambda: SymbolicPolyhedron(3, (PLANE,)),
+    lambda: SymbolicPolyhedron(2, [PLANE]),
+    lambda: SymbolicPolyhedron(2, (PLANE[::-1],)),
+    lambda: SymbolicPolyhedron(2, (PLANE + PLANE[:1],)),
+    lambda: SymbolicPolyhedron(2, PLANE),
+    lambda: SymbolicPolyhedron(2.0, (PLANE,)),
 ], ids=["prime-float", "prime-str", "prime-negative", "prime-out-of-range",
         "component-float", "component-str", "component-negative",
         "component-out-of-range", "component-zero-power", "newton-float",
         "newton-negative", "newton-str", "ideal-dim-float", "zero-ideal-dim-float",
         "prime-dim-float", "component-dim-float", "newton-dim-float",
-        "zero-dim-float", "zero-dim-negative", "unit-dim-zero", "newton-dim-zero"])
+        "zero-dim-float", "zero-dim-negative", "unit-dim-zero", "newton-dim-zero",
+        "maximal-dim-zero", "maximal-dim-float",
+        "symbolic-component-dim", "symbolic-polyhedron-dim", "symbolic-ring-dim",
+        "symbolic-list", "symbolic-swapped-pair", "symbolic-triple", "symbolic-bare-pair",
+        "symbolic-dim-float"])
 def test_value_types_refuse_what_is_not_a_natural_in_range(make):
     """Every value type reads its integers, ambient_dim among them, as
     Monomial does: through operator.index, non-negative, and a variable
-    inside the ring."""
+    inside the ring.  A symbolic polyhedron holds a tuple of (prime, Newton
+    polyhedron) pairs in its own number of variables."""
     with pytest.raises(ValueError):
         make()
 
@@ -286,7 +306,7 @@ def test_power_edge_cases():
 
 def test_power_reuses_lower_powers(monkeypatch):
     I = ideal_of(3, (2, 1, 0), (0, 1, 3), (1, 0, 1))
-    drop_facts(monomial._powers_of)
+    drop_facts(monomial.power)
     calls = []
     real_multiply = monomial.multiply
     monkeypatch.setattr(monomial, "multiply",

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import symbpow.results as R
 from symbpow import monomial, symbolic
-from symbpow.decomposition import (associated_primes,
+from symbpow.decomposition import (MonomialPrime, associated_primes,
                                    irreducible_decomposition, localize,
                                    max_associated_primes)
 from symbpow.monomial import Monomial, contains, intersect, power, subset
@@ -440,7 +440,7 @@ def test_ideal_operations_build_no_monomial(monkeypatch, I):
 
     def run():
         drop_facts(symbolic_power, irreducible_decomposition, associated_primes,
-                   monomial._powers_of)
+                   monomial.power)
         return (symbolic_power(I, 3), power(I, 3), intersect(I, J),
                 intersect(I, power(P, 2)), irreducible_decomposition(I))
 
@@ -497,9 +497,13 @@ def test_c03_symbolic_powers_meet_local_criterion(n):
 
 def test_the_twin_quotient_merges_the_variables_of_one_set_of_primes(wide8):
     """wide8's primes are x0..x6 and x1..x7: three classes, and I' is the
-    ideal of the class sums of its generators."""
+    ideal of the class sums of its generators.  The classes go by their
+    last variable, here where the order by first variable differs."""
     assert twin_quotient(wide8) == (ideal_of(3, (0, 1, 0), (1, 0, 1)),
                                     ((0,), (1, 2, 3, 4, 5, 6), (7,)))
+    I = reduce(intersect, [power(MonomialPrime(6, P).to_ideal(), k)
+                           for P, k in (((1, 2, 4), 2), ((2, 3, 5), 1))])
+    assert twin_quotient(I)[1] == ((2,), (1, 4), (3, 5))
 
 
 def test_no_twin_quotient_without_twins_or_with_a_localization_off_a_prime_power(
