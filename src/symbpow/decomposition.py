@@ -79,7 +79,9 @@ class MonomialPrime(_Frozen):
 
 class IrreducibleComponent(_Frozen):
     """An irreducible monomial ideal (x_i^{a_i} : i in supp), a_i >= 1;
-    powers are its sorted (variable, exponent) pairs."""
+    powers are its sorted (variable, exponent) pairs, and radical the prime
+    of its variables, built once with it (not a field: equality and hash
+    read ambient_dim and powers only)."""
 
     _fields = ("ambient_dim", "powers")
 
@@ -92,10 +94,7 @@ class IrreducibleComponent(_Frozen):
         if radical.height != len(ps):
             raise ValueError("repeated variable in component")
         self._store(radical.ambient_dim, ps)
-
-    @property
-    def radical(self) -> MonomialPrime:
-        return MonomialPrime(self.ambient_dim, tuple(v for v, _ in self.powers))
+        self.__dict__["radical"] = radical
 
     def to_ideal(self) -> MonomialIdeal:
         return _pure_powers(self.ambient_dim, self.powers)

@@ -79,7 +79,7 @@ def _parse_generator(text: str, names: tuple[str, ...], line: int) -> Monomial:
             raise ParseError(f"unknown variable {name!r}", line, col)
         if exp is not None and int(exp) == 0:
             raise ParseError(
-                f"zero exponent on {name!r} (omit the variable instead)", line)
+                f"zero exponent on {name!r} (omit the variable instead)", line, col)
         exps[names.index(name)] += 1 if exp is None else int(exp)
     return Monomial(tuple(exps))
 

@@ -40,6 +40,18 @@ def test_prime_basics():
     assert MonomialPrime(3, (0, 1, 2)).contains(P)
 
 
+def test_a_component_keeps_the_radical_it_was_checked_with():
+    """The prime that checks a component's variables is its radical, built
+    once, not again on every read; equality and hash read its fields only."""
+    c = IrreducibleComponent(3, ((2, 1), (0, 2)))
+    assert c.radical is c.radical
+    assert c.radical == MonomialPrime(3, (0, 2))
+    assert c == IrreducibleComponent(3, ((0, 2), (2, 1)))
+    assert hash(c) == hash((3, ((0, 2), (2, 1))))
+    with pytest.raises(AttributeError):
+        c.radical = MonomialPrime(3, (1,))
+
+
 def test_irreducible_decomposition_rot3(rot3):
     comps = irreducible_decomposition(rot3)
     shapes = sorted(tuple(c.powers) for c in comps)

@@ -63,6 +63,8 @@ def test_format_unit_and_zero():
     ("vars: x y\ngens:\n  x*y*\n", "malformed factor '' (line 3, column 5)"),
     ("vars: xx yy\ngens:\n  xx*x\n", "unknown variable 'x' (line 3, column 4)"),
     ("vars: x y\ngens:\n  x * q\n", "unknown variable 'q' (line 3, column 5)"),
+    ("vars: x y\ngens:\n  y*x^0\n",
+     "zero exponent on 'x' (omit the variable instead) (line 3, column 3)"),
     ("vars: x y\ngens:\n  [1]\n", "expected 2"),
     ("vars: x\ngens:\n  [1 2\n", "malformed exponent vector"),
     ("stray\nvars: x\ngens:\n", "expected a vars"),

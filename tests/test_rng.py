@@ -1,7 +1,13 @@
+import _blake2
+import hashlib
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import symbpow
 from symbpow.rng import SplitRng
 
 from oracles import convex_weights
@@ -69,6 +75,28 @@ def test_the_scan_streams_are_pinned():
     assert [child.randint(0, 10**9) for _ in range(8)] == [
         429599935, 161468826, 204056063, 533504624,
         157579336, 908064007, 25008869, 88359375]
+
+
+def test_a_draw_loads_no_openssl():
+    """A draw hashes with the interpreter's built-in BLAKE2b, which is the
+    function hashlib hands out: hashlib never takes BLAKE2 from OpenSSL, but
+    importing it maps libcrypto, +3.6 MB of peak RSS and about 3 ms.  -S
+    keeps site (and any .pth file) from loading hashlib first.  Should a
+    Python's hashlib.blake2b be another function, this fails beside the
+    pinned draws above instead of every stream moving silently."""
+    src = str(Path(symbpow.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys; sys.path.insert(0, {src!r})\n"
+         "from symbpow import harness\n"
+         "from symbpow.rng import SplitRng\n"
+         "SplitRng(2026, ('scan',)).randint(0, 10**9)\n"
+         "harness.scan(harness.ScanConfig(count=1))\n"
+         "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert _blake2.blake2b is hashlib.blake2b
 
 
 @pytest.mark.parametrize("path,labels", [
